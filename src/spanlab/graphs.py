@@ -2,8 +2,8 @@
 
 Everything downstream (bucketing, the spanner builders, the verifier)
 consumes the types in this module.  Graphs are simple and undirected with
-strictly positive weights; ingestion collapses multi-edges to the lightest
-copy and drops self-loops, keeping counters for both.
+strictly positive, finite weights; ingestion collapses multi-edges to the
+lightest copy and drops self-loops, keeping counters for both.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ class GraphFormatError(ValueError):
 
 
 class WeightedGraph:
-    """Simple undirected graph; vertex ids in [0, n), weights > 0.
+    """Simple undirected graph; vertex ids in [0, n), weights in (0, inf).
 
     Read-only after construction (adjacency caches are built on first use
     and never mutated afterwards), so instances can be shared freely
@@ -46,15 +46,18 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, n: int, raw: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
-        """Build a simple graph: drop self-loops, keep lightest parallel copy."""
+        """Build a simple graph: drop self-loops, keep lightest parallel copy.
+
+        Raises ValueError on a vertex id out of range or a weight that is
+        not in (0, inf), NaN included."""
         best: dict[tuple[int, int], float] = {}
         selfloops = 0
         collapsed = 0
         for u, v, w in raw:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
-            if w <= 0:
-                raise ValueError(f"nonpositive weight {w} on edge ({u}, {v})")
+            if not 0 < w < INF:
+                raise ValueError(f"nonpositive or non-finite weight {w} on edge ({u}, {v})")
             if u == v:
                 selfloops += 1
                 continue
@@ -243,13 +246,15 @@ def connected_components(g: WeightedGraph) -> list[list[int]]:
 
 
 def induced_subgraph(g: WeightedGraph, vertices: list[int]) -> tuple[WeightedGraph, list[int]]:
-    """Subgraph on `vertices` with ids compacted; returns (subgraph, old ids)."""
+    """Subgraph on `vertices` with ids compacted; returns (subgraph, old ids).
+
+    Edges keep g's order and orientation.  Costs the degrees of `vertices`
+    plus a sort of their edge ids, not a scan of all of g's edges.
+    """
     index = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (index[u], index[v], w)
-        for u, v, w in g.edges
-        if u in index and v in index
-    ]
+    adj = g.adjacency_ids()
+    eids = sorted({eid for x in vertices for y, eid in adj[x] if y in index})
+    edges = [(index[u], index[v], w) for u, v, w in (g.edges[eid] for eid in eids)]
     sub = WeightedGraph(len(vertices), edges)
     return sub, list(vertices)
 

@@ -70,6 +70,16 @@ def test_config_error_exit_2(tmp_path):
     assert main(["bogus-subcommand"]) == 2
 
 
+def test_build_non_finite_weight_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "nan.txt"
+    gpath.write_text("3 2\n0 1 1.0\n1 2 nan\n")
+    spath = tmp_path / "h.txt"
+    assert main(["build", "--algo", "linear", "-i", str(gpath),
+                 "-o", str(spath)]) == 2
+    assert "non-finite weight nan" in capsys.readouterr().err
+    assert not spath.exists()
+
+
 def test_build_metrics_and_instrument(tmp_path):
     gpath = tmp_path / "g.txt"
     spath = tmp_path / "h.txt"

@@ -5,10 +5,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spanlab.graphs import (
     GraphFormatError,
     WeightedGraph,
+    induced_subgraph,
     load_graph,
     minimum_spanning_tree,
     normalize_weights,
@@ -53,6 +55,8 @@ def test_load_drops_self_loop_with_counter(tmp_path):
         ("3 1\n0 1\n", "expected 'u v w'"),
         ("3 1\n0 9 1.0\n", "out of range"),
         ("3 1\n0 1 -2\n", "nonpositive"),
+        ("3 1\n0 1 nan\n", "non-finite weight nan"),
+        ("3 1\n0 1 inf\n", "non-finite weight inf"),
         ("", "empty file"),
     ],
 )
@@ -61,6 +65,13 @@ def test_load_errors(tmp_path, content, msg):
     p.write_text(content)
     with pytest.raises((GraphFormatError, ValueError), match=msg):
         load_graph(str(p))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("edge", [(1, 2), (1, 1)])   # self-loops are checked too
+def test_from_edges_rejects_nonpositive_or_non_finite_weight(bad, edge):
+    with pytest.raises(ValueError, match="nonpositive or non-finite weight"):
+        WeightedGraph.from_edges(3, [(0, 1, 1.0), (*edge, bad)])
 
 
 def test_load_error_carries_line_number(tmp_path):
@@ -252,3 +263,30 @@ def test_normalize_distance_round_trip():
             assert math.isinf(a)
         else:
             assert abs(b - a * scale) <= 1e-12 * max(1.0, abs(b))
+
+
+# ---------------------------------------------------------------- induced subgraphs
+
+
+def _filtered_induced(g, vertices):
+    """induced_subgraph by a filter over all of g's edges."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return [(index[u], index[v], w) for u, v, w in g.edges
+            if u in index and v in index]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_induced_subgraph_matches_edge_filter(data):
+    # raw constructor: any orientation, parallel edges and self-loops
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    vid = st.integers(min_value=0, max_value=n - 1)
+    edges = data.draw(st.lists(
+        st.tuples(vid, vid, st.integers(min_value=1, max_value=5).map(float)),
+        max_size=30))
+    g = WeightedGraph(n, edges)
+    vertices = data.draw(st.lists(vid, unique=True))
+    sub, back = induced_subgraph(g, vertices)
+    assert sub.n == len(vertices) and back == vertices
+    assert sub.edges == _filtered_induced(g, vertices)
+
