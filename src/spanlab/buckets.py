@@ -28,16 +28,30 @@ def threshold(j: int, eps: float, base: float = 1.0) -> float:
 
 
 def bucket_raw_index(w: float, eps: float, base: float = 1.0) -> int:
-    """The unique j >= 0 with w in (T_{j-1}, T_j]; exact float comparisons."""
+    """The unique j >= 0 with w in (T_{j-1}, T_j]; exact float comparisons.
+
+    Raises ValueError when w is not positive, lies below the grid, or lies
+    beyond it: w / base is not a finite float (a weight ratio near 1e600
+    after normalizing, say), or the threshold that would hold w overflows.
+    """
     if w <= 0:
         raise ValueError("weights must be positive")
+    if not math.isfinite(w / base):
+        raise ValueError(
+            f"weight {w} over base {base} is not a finite ratio; "
+            "the weight range is too wide for the bucket grid")
     if w < base / (1.0 + eps):
         raise ValueError(f"weight {w} below bucket range (base {base})")
     j = max(0, math.ceil(math.log(w / base) / math.log1p(eps)))
-    while j > 0 and threshold(j - 1, eps, base) >= w:
-        j -= 1
-    while threshold(j, eps, base) < w:
-        j += 1
+    try:
+        while j > 0 and threshold(j - 1, eps, base) >= w:
+            j -= 1
+        while threshold(j, eps, base) < w:
+            j += 1
+    except OverflowError:
+        raise ValueError(
+            f"weight {w} lies beyond the largest finite threshold of the "
+            f"bucket grid (base {base}, eps {eps})") from None
     return j
 
 

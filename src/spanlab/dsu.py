@@ -32,6 +32,23 @@ class ClassicUF:
         self.rank = [0] * n
         self.label = list(range(n))   # representative reported for each root
         self.cost = 0
+        self._touched: list[int] = []  # both roots of every union since reset
+
+    def reset(self) -> None:
+        """Return to n singletons at the cost of the unions since the last
+        reset, not of n.
+
+        Only a union writes `rank` and `label`, and only on the two roots
+        it joins; path compression rewrites `parent` only on vertices that
+        some union made non-root.  Restoring the recorded roots therefore
+        restores every changed entry.  `cost` keeps counting across resets.
+        """
+        parent, rank, label = self.parent, self.rank, self.label
+        for x in self._touched:
+            parent[x] = x
+            rank[x] = 0
+            label[x] = x
+        self._touched.clear()
 
     def find(self, x: int) -> int:
         if not (0 <= x < len(self.parent)):
@@ -62,6 +79,7 @@ class ClassicUF:
         if ra == rb:
             return False
         keep = self.label[rb]
+        self._touched += (ra, rb)
         if self.rank[ra] < self.rank[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra

@@ -7,6 +7,11 @@ selected bucket edges), each cluster carries a potential equal to the
 augmented diameter it was formed with, and every level's spanner weight is
 paid for by the potential drop.  Light edges plus the MST go through the
 pointer-machine construction and the MST itself is always included.
+
+Per-class setup costs what the class touches: the singleton state, each
+carve-ladder rung and their tree LCAs are built once per build and shared
+by every class that enters there, and a state's potential total and real
+cluster count are summed once, however many trivial levels report them.
 """
 from __future__ import annotations
 
@@ -133,7 +138,9 @@ def build_light(
         raise ValueError("k must be >= 1")
     comps = connected_components(g)
     if len(comps) <= 1:
-        return _build_connected(g, k, eps, nominal_eps, instrument, check)
+        out = _build_connected(g, k, eps, nominal_eps, instrument, check)
+        out.source_hash = graph_hash(g)
+        return out
     edges: list[tuple[int, int, float]] = []
     levels: list[dict] = []
     ops: dict = {}
@@ -157,10 +164,10 @@ def _build_connected(
     instrument: bool,
     check: Optional[Callable[[str, bool, str], None]],
 ) -> Spanner:
+    """Spanner of a connected g; the caller fills in source_hash."""
     ops: dict = {"pm_uf": 0, "hz": 0, "level_work": 0}
     if g.m == 0:
-        return Spanner(algo="light", k=k, eps=eps, n=g.n, edges=[],
-                       source_hash=graph_hash(g), ops=ops)
+        return Spanner(algo="light", k=k, eps=eps, n=g.n, edges=[], ops=ops)
     mst = minimum_spanning_tree(g)
     key_to_eid = {(min(u, v), max(u, v)): eid for eid, (u, v, _) in enumerate(g.edges)}
     mst_eids = {key_to_eid[(min(u, v), max(u, v))] for u, v, _ in mst.edges}
@@ -192,7 +199,7 @@ def _build_connected(
 
     edges = [g.edges[e] for e in sorted(chosen)]
     return Spanner(algo="light", k=k, eps=eps, n=g.n, edges=edges,
-                   source_hash=graph_hash(g), levels=levels_log, ops=ops)
+                   levels=levels_log, ops=ops)
 
 
 def _build_heavy(
@@ -230,7 +237,7 @@ def _build_heavy(
     )
     shared_base = steps.singleton_state(sub)
     shared_lca = steps.TreeLCA(shared_base)
-    ladder: dict[int, steps.ClassState] = {}
+    ladder: dict[int, tuple[steps.ClassState, steps.TreeLCA]] = {}
 
     for sigma in sorted(classes):
         per_level = classes[sigma]
@@ -253,7 +260,7 @@ def _build_heavy(
             if lca is None:
                 lca = steps.TreeLCA(state)
             if phi_first is None:
-                phi_first = sum(state.pot)
+                phi_first = state.phi
                 if check is not None:
                     check("phi1-bound", phi_first <= mst.weight * (1 + 1e-9),
                           f"sigma={sigma} phi1={phi_first} w(mst)={mst.weight}")
@@ -287,14 +294,16 @@ def _build_heavy(
 
 
 def _base_state(sub, prev_scale, wbar, ladder, shared_base, shared_lca, ctx):
-    """Entering clusters for a class's first processed level: singletons when
-    the previous scale undercuts the subdivision granularity, otherwise a
-    cached carve of the subdivided tree at a power-of-two scale in
-    [prev_scale, 2*prev_scale)."""
+    """Entering clusters and their LCA for a class's first processed level:
+    singletons when the previous scale undercuts the subdivision
+    granularity, otherwise a carve of the subdivided tree at a power-of-two
+    scale in [prev_scale, 2*prev_scale).  Each rung is carved and indexed
+    once per build; states are immutable and the LCA is only read, so every
+    class entering at that rung shares the pair."""
     if prev_scale < wbar * (1 - 1e-12):
         return shared_base, shared_lca
     t = max(0, math.ceil(math.log2(prev_scale / wbar) - 1e-12))
     if t not in ladder:
-        ladder[t] = steps.carved_state(sub, wbar * (2.0 ** t), ctx)
-    st = ladder[t]
-    return st, steps.TreeLCA(st)
+        st = steps.carved_state(sub, wbar * (2.0 ** t), ctx)
+        ladder[t] = (st, steps.TreeLCA(st))
+    return ladder[t]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .graphs import WeightedGraph
@@ -52,6 +53,18 @@ class ClassState:
     tree: list[tuple[int, int, float, int]]   # contracted spanning tree
     cl_of_sub: list[int]
     scale: float                # scale the clusters were formed at
+
+    # a state outlives many levels (ladder rungs serve many classes), so its
+    # totals are summed once, over the same lists in the same order
+    @cached_property
+    def phi(self) -> float:
+        """Potential Phi: the sum of the node potentials."""
+        return sum(self.pot)
+
+    @cached_property
+    def n_nodes(self) -> int:
+        """Clusters holding at least one real vertex."""
+        return sum(1 for v in self.virtual if not v)
 
     def adjacency(self) -> list[list[tuple[int, float, int]]]:
         adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.count)]
@@ -96,13 +109,13 @@ def coarsen(state: ClassState, scale: float, ctx: StepContext,
             log: list[dict], sigma: int, i: int) -> ClassState:
     """Merge clusters up to a coarser scale before a level jump; pure tree
     carve at the target scale, logged as a pseudo-level."""
-    phi_before = sum(state.pot)
+    phi_before = state.phi
     new, piece_of = _carve_tree(state, scale, use_pot=True)
     log.append({
         "sigma": sigma, "i": i, "coarsen": True,
         "v_nodes": state.count, "e_edges": 0, "y_nodes": 0,
-        "n_nodes": sum(1 for v in new.virtual if not v),
-        "phi": phi_before, "delta": phi_before - sum(new.pot),
+        "n_nodes": new.n_nodes,
+        "phi": phi_before, "delta": phi_before - new.phi,
         "a_i": 0.0, "step_edge_counts": [0, 0, 0], "degenerate": False,
     })
     if ctx.instrument:
@@ -385,8 +398,8 @@ def trivial_row(sigma: int, i: int, state: ClassState, bucket: int,
                 added: int = 0) -> dict:
     return {
         "sigma": sigma, "i": i, "v_nodes": state.count, "e_edges": added,
-        "y_nodes": 0, "n_nodes": sum(1 for v in state.virtual if not v),
-        "phi": sum(state.pot), "delta": 0.0, "a_i": 0.0,
+        "y_nodes": 0, "n_nodes": state.n_nodes,
+        "phi": state.phi, "delta": 0.0, "a_i": 0.0,
         "step_edge_counts": [0, 0, added], "degenerate": False,
         "bucket_edges": bucket,
     }
@@ -1357,14 +1370,14 @@ def _finish_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
                 sep_ok = False
         ctx.report("low-minus-separation", sep_ok, f"sigma={sigma} i={i}")
 
-    n_before = sum(1 for v in range(lvl.count) if not state.virtual[v])
+    n_before = state.n_nodes
     n_after = sum(1 for v in virtual if not v)
     ctx.report(
         "n-reduction", n_before - n_after >= y_count / 2,
         f"sigma={sigma} i={i} before={n_before} after={n_after} y={y_count}",
     )
 
-    phi_before = sum(lvl.pot)
+    phi_before = state.phi
     phi_after = sum(adm)
     a_i = sum(ctx.g.edges[eid][2] for eid in picked) if degenerate else 0.0
 

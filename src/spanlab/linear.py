@@ -41,7 +41,9 @@ def build_linear(
         raise ValueError("k must be >= 1")
     comps = connected_components(g)
     if len(comps) <= 1:
-        return _build_connected(g, k, eps, nominal_eps, instrument, check, uf_mode)
+        out = _build_connected(g, k, eps, nominal_eps, instrument, check, uf_mode)
+        out.source_hash = graph_hash(g)
+        return out
     edges: list[tuple[int, int, float]] = []
     levels: list[dict] = []
     ops = {"links": 0, "finds": 0, "uf_cost": 0, "hz": 0}
@@ -68,11 +70,11 @@ def _build_connected(
     check: Optional[Callable[[str, bool, str], None]],
     uf_mode: str,
 ) -> Spanner:
+    """Spanner of a connected g; the caller fills in source_hash."""
     eps_i = internal_eps(eps, nominal_eps)
     ops = {"links": 0, "finds": 0, "uf_cost": 0, "hz": 0}
     if g.m == 0:
-        return Spanner(algo="linear", k=k, eps=eps, n=g.n, edges=[],
-                       source_hash=graph_hash(g), ops=ops)
+        return Spanner(algo="linear", k=k, eps=eps, n=g.n, edges=[], ops=ops)
 
     norm, _ = normalize_weights(g)
     mst = minimum_spanning_tree(norm)
@@ -163,7 +165,7 @@ def _build_connected(
     edges = [g.edges[e] for e in sorted(spanner_eids)]
     return Spanner(
         algo="linear", k=k, eps=eps, n=g.n, edges=edges,
-        source_hash=graph_hash(g), levels=levels_log, ops=ops,
+        levels=levels_log, ops=ops,
     )
 
 

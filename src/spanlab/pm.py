@@ -5,6 +5,10 @@ bucket in cluster space, runs the unweighted (2k-1)-spanner on the
 representative graph, keeps the matching source edges, and merges the
 participating clusters through a two-step star cover so that the cluster
 count drops by at least half the representative-graph size.
+
+A build allocates one n-sized union-find and resets it between classes; the
+reset undoes only the previous class's unions, so a class costs what its
+edges touch rather than O(n).
 """
 from __future__ import annotations
 
@@ -121,11 +125,14 @@ def build_pm(
     if g.m:
         norm, _ = normalize_weights(g)
         buckets = partition_edges(norm, eps_i)
+        uf = ClassicUF(norm.n)
         for sigma in buckets.classes():
+            uf.reset()
             _build_class(
-                norm, k, eps_i, sigma, buckets, spanner_eids, levels_log, ops,
-                instrument=instrument, check=check,
+                norm, k, eps_i, sigma, buckets, uf, spanner_eids, levels_log,
+                ops, instrument=instrument, check=check,
             )
+        ops["uf"] = uf.cost
 
     edges = [g.edges[e] for e in sorted(spanner_eids)]
     return Spanner(
@@ -140,14 +147,14 @@ def _build_class(
     eps_i: float,
     sigma: int,
     buckets,
+    uf: ClassicUF,
     spanner_eids: set[int],
     levels_log: list[dict],
     ops: dict,
     instrument: bool,
     check: Optional[Callable[[str, bool, str], None]],
 ) -> None:
-    uf = ClassicUF(norm.n)
-    n_clusters = norm.n
+    """Run class sigma's levels on `uf`, which enters as n singletons."""
     class_eids: set[int] = set()
     for i in buckets.levels(sigma):
         bucket = buckets.edges(sigma, i)
@@ -201,7 +208,6 @@ def _build_class(
                 class_eids.add(eid)
                 if uf.union(reps[a], reps[b]):
                     merged += 1
-        n_clusters -= merged
         delta = merged
 
         if check is not None:
@@ -214,7 +220,6 @@ def _build_class(
              "rep_nodes": len(reps), "kept_edges": kept,
              "merge_edges": merge_edges, "delta": delta}
         )
-    ops["uf"] += uf.cost
 
 
 def _check_p1_p2(

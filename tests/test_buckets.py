@@ -60,6 +60,33 @@ def test_bucket_index_below_range_errors():
         bucket_raw_index(-1.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "w,eps,base",
+    [
+        (1.7e308, 0.25, 1.0),       # finite ratio, but T_j overflows
+        (float("inf"), 0.25, 1.0),
+        (float("nan"), 0.25, 1.0),
+        (1e300, 0.25, 1e-300),      # ratio 1e600 is not a float
+    ],
+)
+def test_bucket_index_beyond_range_errors(w, eps, base):
+    with pytest.raises(ValueError) as info:
+        bucket_raw_index(w, eps, base)
+    assert f"weight {w}" in str(info.value)
+    assert f"base {base}" in str(info.value)
+
+
+def test_bucket_index_unchanged_near_the_top():
+    # T_3180 = 1.25**3180 (about 1.4e308) is the last finite threshold at
+    # eps 0.25: weights up to it keep their index, one float past it errs
+    top = threshold(3180, 0.25)
+    for w in (1e300, 1.2e308, top):
+        assert bucket_raw_index(w, 0.25) == brute_force_index(w, 0.25)
+    assert bucket_raw_index(top, 0.25) == 3180
+    with pytest.raises(ValueError, match="largest finite threshold"):
+        bucket_raw_index(math.nextafter(top, math.inf), 0.25)
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
 def test_bucket_index_matches_brute_force(eps):
     rng = random.Random(hash(eps) & 0xFFFF)

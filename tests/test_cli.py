@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spanlab
 from spanlab.cli import main
 from spanlab.graphs import load_graph
 from spanlab.spanner import load_spanner
@@ -77,6 +82,27 @@ def test_build_non_finite_weight_exit_2(tmp_path, capsys):
     assert main(["build", "--algo", "linear", "-i", str(gpath),
                  "-o", str(spath)]) == 2
     assert "non-finite weight nan" in capsys.readouterr().err
+    assert not spath.exists()
+
+
+@pytest.mark.parametrize("algo", ["pm", "linear"])
+def test_build_extreme_weight_ratio_exit_2(tmp_path, algo):
+    # run as a process, so that an uncaught exception would show as a
+    # traceback on stderr and exit status 1
+    gpath = tmp_path / "wide.txt"
+    gpath.write_text("3 3\n0 1 1e-300\n1 2 1e300\n0 2 1.0\n")
+    spath = tmp_path / "h.txt"
+    src = str(Path(spanlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spanlab.cli", "build", "--algo", algo,
+         "-i", str(gpath), "-o", str(spath)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: weight inf over base 1.0")
     assert not spath.exists()
 
 

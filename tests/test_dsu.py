@@ -89,6 +89,54 @@ def test_classic_union_keeps_second_representative():
     assert uf.find(0) == 3
 
 
+def _replay(uf: ClassicUF, ops) -> list[tuple[int, int]]:
+    """(answer, cost increment) of each op; unions answer 1 if they merged."""
+    out = []
+    for op in ops:
+        before = uf.cost
+        if op[0] == "U":
+            ans = int(uf.union(op[1], op[2]))
+        else:
+            ans = uf.find(op[1])
+        out.append((ans, uf.cost - before))
+    return out
+
+
+def _classic_ops(n: int):
+    node = st.integers(min_value=0, max_value=n - 1)
+    return st.lists(
+        st.one_of(st.tuples(st.just("U"), node, node), st.tuples(st.just("F"), node)),
+        max_size=60,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_classic_reset_equals_fresh(data):
+    n = data.draw(st.integers(min_value=1, max_value=24))
+    uf = ClassicUF(n)
+    # several rounds, as pm runs one class after another on one structure
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        _replay(uf, data.draw(_classic_ops(n)))
+        uf.reset()
+        fresh = ClassicUF(n)
+        assert (uf.parent, uf.rank, uf.label) == (fresh.parent, fresh.rank, fresh.label)
+        probe = data.draw(_classic_ops(n))
+        cost0 = uf.cost
+        assert _replay(uf, probe) == _replay(fresh, probe)
+        assert uf.cost - cost0 == fresh.cost
+
+
+def test_classic_reset_keeps_counting_cost():
+    uf = ClassicUF(5)
+    uf.union(0, 1)
+    uf.find(0)
+    cost = uf.cost
+    uf.reset()
+    assert uf.cost == cost
+    assert uf.find(0) == 0 and uf.find(1) == 1
+
+
 # ---------------------------------------------------------------- static
 
 

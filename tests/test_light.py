@@ -419,6 +419,54 @@ def test_coarsen_merges_and_keeps_budget():
     sink.assert_clean()
 
 
+def test_state_totals_match_plain_sums():
+    # rows read Phi and the real-cluster count from the state's cached
+    # totals, which must equal plain sums over the state's lists bit for bit
+    g = gnm_graph(60, 240, seed=21, law="loguniform", wmax=1e4)
+    ctx, sub, mst = _mini_ctx(g, instrument=False)
+    base = steps.singleton_state(sub)
+    states = [base] + [steps.carved_state(sub, sub.wbar * mult, ctx)
+                       for mult in (1.0, 3.0, 16.0)]
+    log: list[dict] = []
+    states.append(steps.coarsen(states[1], sub.wbar * 6.0, ctx, log, sigma=2, i=1))
+    for st in states:
+        for added in (0, 3):
+            row = steps.trivial_row(0, 1, st, 7, added=added)
+            assert row["phi"] == sum(st.pot)
+            assert row["n_nodes"] == sum(1 for v in st.virtual if not v)
+    (row,) = log
+    assert row["phi"] == sum(states[1].pot)
+    assert row["delta"] == sum(states[1].pot) - sum(states[-1].pot)
+    assert row["n_nodes"] == sum(1 for v in states[-1].virtual if not v)
+
+
+def test_lca_tables_built_once_per_state(monkeypatch):
+    # a wide weight range under nominal eps enters classes from several
+    # carve-ladder rungs; every class entering at a rung shares its LCA
+    import spanlab.light
+
+    calls = {"lca": 0, "rungs": 0, "process": 0, "coarsen": 0, "starts": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(steps, "TreeLCA", counted("lca", steps.TreeLCA))
+    monkeypatch.setattr(steps, "carved_state", counted("rungs", steps.carved_state))
+    monkeypatch.setattr(steps, "process_level", counted("process", steps.process_level))
+    monkeypatch.setattr(steps, "coarsen", counted("coarsen", steps.coarsen))
+    monkeypatch.setattr(spanlab.light, "_base_state",
+                        counted("starts", spanlab.light._base_state))
+    g = gnm_graph(100, 1500, seed=1, law="loguniform", wmax=1e9)
+    build_light(g, 3, 0.5, nominal_eps=True)
+    assert calls["rungs"] >= 2
+    bound = 1 + calls["rungs"] + calls["process"] + calls["coarsen"]
+    assert calls["lca"] <= bound
+    assert calls["starts"] > bound  # one table per class would break it
+
+
 def test_deep_level_cells_exercise_carved_base():
     # at eps=0.5 and m*eps past 1/eps' the heavy grid reaches level >= 1,
     # which routes through the carve ladder rather than singleton bases

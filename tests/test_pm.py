@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+import spanlab.pm
 from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import WeightedGraph, sssp_distances
+from spanlab.light import build_light
+from spanlab.linear import build_linear
 from spanlab.oracle import verify_stretch
 from spanlab.pm import build_pm, dedupe_source_edges, grow_star_cover, internal_eps
 from conftest import triangle, wgraph
@@ -212,4 +215,41 @@ def test_deterministic_output():
 def test_disconnected_input_handled():
     g = wgraph(6, [(0, 1, 1), (1, 2, 2), (3, 4, 1), (4, 5, 2)])
     sp = build_pm(g, 2, 0.25)
+    assert verify_stretch(g, sp, 3.75).ok
+
+
+def test_one_union_find_per_build(monkeypatch):
+    made = []
+    real = spanlab.pm.ClassicUF
+
+    def counting(n):
+        made.append(n)
+        return real(n)
+
+    monkeypatch.setattr(spanlab.pm, "ClassicUF", counting)
+    g = gnm_graph(60, 240, seed=3, law="loguniform", wmax=1e4)
+    sp = build_pm(g, 2, 0.25)
+    assert len({row["sigma"] for row in sp.levels}) > 100
+    assert made == [g.n]
+
+
+# a weight ratio of 1e600 normalizes to an infinite weight
+
+
+EXTREME = [(0, 1, 1e-300), (1, 2, 1e300), (0, 2, 1.0)]
+
+
+@pytest.mark.parametrize("build", [build_pm, build_linear])
+def test_extreme_weight_ratio_is_a_value_error(build):
+    g = WeightedGraph.from_edges(3, EXTREME)
+    with pytest.raises(ValueError, match="bucket grid"):
+        build(g, 2, 0.25)
+
+
+def test_extreme_weight_ratio_light_discards_the_heavy_edge():
+    # light buckets only edges below w(MST), so the 1e300 edge never
+    # reaches the grid
+    g = WeightedGraph.from_edges(3, EXTREME)
+    sp = build_light(g, 2, 0.25)
+    assert sp.edges == [(0, 1, 1e-300), (0, 2, 1.0)]
     assert verify_stretch(g, sp, 3.75).ok
