@@ -22,13 +22,13 @@ ALGOS = ("greedy", "hz", "pm", "linear", "light")
 
 
 def _build(algo: str, g: WeightedGraph, k: int, eps: float,
-           nominal: bool, instrument: bool) -> Spanner:
+           nominal: bool) -> Spanner:
     if algo == "pm":
-        return build_pm(g, k, eps, nominal_eps=nominal, instrument=instrument)
+        return build_pm(g, k, eps, nominal_eps=nominal)
     if algo == "linear":
-        return build_linear(g, k, eps, nominal_eps=nominal, instrument=instrument)
+        return build_linear(g, k, eps, nominal_eps=nominal)
     if algo == "light":
-        return build_light(g, k, eps, nominal_eps=nominal, instrument=instrument)
+        return build_light(g, k, eps, nominal_eps=nominal)
     if algo == "greedy":
         sp = greedy_spanner(g, (2 * k - 1) * (1 + eps))
         sp.k, sp.eps = k, eps
@@ -61,14 +61,14 @@ def cmd_build(args) -> int:
         print(f"ingest: collapsed {g.collapsed_count} multi-edges, "
               f"dropped {g.selfloop_count} self-loops", file=sys.stderr)
     t0 = time.perf_counter()
-    sp = _build(args.algo, g, args.k, args.eps, args.nominal_eps, args.instrument)
+    sp = _build(args.algo, g, args.k, args.eps, args.nominal_eps)
     elapsed = time.perf_counter() - t0
     sp.save(args.output)
     if args.metrics:
         rep = spanner_metrics(g, sp)
         with open(args.metrics, "w", encoding="utf-8") as fh:
             fh.write(rep.to_json() + "\n")
-    if args.instrument and args.instrument_out:
+    if args.instrument_out:
         with open(args.instrument_out, "w", encoding="utf-8") as fh:
             for row in sp.levels:
                 fh.write(json.dumps(row) + "\n")
@@ -95,7 +95,7 @@ def _bench_cell(cell) -> dict:
     algo, n, k, eps, seed, law = cell
     g = generate("gnp", n, seed, p=min(1.0, 8.0 / n), law=law, wmax=2.0)
     t0 = time.perf_counter()
-    sp = _build(algo, g, k, eps, nominal=False, instrument=False)
+    sp = _build(algo, g, k, eps, nominal=False)
     secs = time.perf_counter() - t0
     rep = verify_stretch(g, sp, (2 * k - 1) * (1 + eps))
     met = spanner_metrics(g, sp)
@@ -209,9 +209,8 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--eps", type=float, default=0.25)
     b.add_argument("--nominal-eps", action="store_true",
                    help="skip the internal eps down-scaling (experiments)")
-    b.add_argument("--instrument", action="store_true")
     b.add_argument("--instrument-out", default=None,
-                   help="write per-level instrumentation JSON lines here")
+                   help="write the per-level rows here, one JSON line each")
     b.add_argument("--format", choices=("edge-list", "dimacs-gr"),
                    default="edge-list")
     b.add_argument("-i", "--input", required=True)

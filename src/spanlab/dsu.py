@@ -1,13 +1,15 @@
-"""Two union-find engines with identical observable semantics.
+"""The package's two union-find engines, one per role.
 
-ClassicUF is the textbook structure (path compression + union by rank)
+ClassicUF handles arbitrary unions (Kruskal's MST, pm's per-class
+clustering, light's tree contraction): path compression + union by rank
 with an explicit representative label so that directional unions keep a
-caller-chosen representative.  StaticTreeUF serves the special case where
-every union is Link(v) = Union(v, parent(v)) along a fixed rooted tree:
-it decomposes the tree into microsets of bounded size, answers in-microset
-queries from memoized transition tables keyed on (microset shape, linked
-mask), and short-circuits fully-linked microsets at the macro level.  The
-representative of a set is always its topmost member in the union tree.
+caller-chosen representative.  StaticTreeUF handles the special case where
+every union is Link(v) = Union(v, parent(v)) along a fixed rooted tree
+(linear's clusters): it decomposes the tree into microsets of bounded size,
+answers in-microset queries from memoized transition tables keyed on
+(microset shape, linked mask), and short-circuits fully-linked microsets at
+the macro level.  The representative of a set is always its topmost member
+in the union tree.
 
 Both engines count their elementary steps in `.cost` so callers can record
 amortized-op evidence.
@@ -87,10 +89,6 @@ class ClassicUF:
             self.rank[ra] += 1
         self.label[ra] = keep
         return True
-
-    def topmost(self, x: int) -> int:
-        """Alias of find; meaningful when unions followed a tree."""
-        return self.find(x)
 
 
 # ---------------------------------------------------------------- static tree
@@ -211,27 +209,18 @@ class StaticTreeIndex:
 class StaticTreeUF:
     """Union-find whose unions are Link(v) = Union(v, parent(v)).
 
-    find(v) returns the topmost member of v's set.  With mode="tables"
-    (default) queries resolve through the microset tables; mode="compress"
-    is a plain path-compression fallback with identical semantics.
+    find(v) returns the topmost member of v's set, resolved through the
+    microset tables of the shared StaticTreeIndex.
     """
 
-    def __init__(self, index: StaticTreeIndex, mode: str = "tables"):
-        if mode not in ("tables", "compress"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, index: StaticTreeIndex):
         self.index = index
-        self.mode = mode
         self.linked = [False] * index.n
         self.cost = 0
-        if mode == "tables":
-            self._mask = [0] * len(index.micro_members)
-            # per-microset continuation node, cached once the set is fully
-            # linked (a full microset stays full, so the cache never goes stale)
-            self._skip: list[Optional[int]] = [None] * len(index.micro_members)
-        else:
-            self._dsu_parent = list(range(index.n))
-
-    # -- operations
+        self._mask = [0] * len(index.micro_members)
+        # per-microset continuation node, cached once the set is fully
+        # linked (a full microset stays full, so the cache never goes stale)
+        self._skip: list[Optional[int]] = [None] * len(index.micro_members)
 
     def link(self, v: int) -> None:
         idx = self.index
@@ -241,29 +230,12 @@ class StaticTreeUF:
             raise ValueError(f"vertex {v} already linked")
         self.linked[v] = True
         self.cost += 1
-        if self.mode == "tables":
-            mid = idx.micro_of[v]
-            self._mask[mid] |= 1 << idx.local_of[v]
-        else:
-            rv = self._compress_root(v)
-            rp = self._compress_root(idx.parent[v])
-            if rv != rp:
-                self._dsu_parent[rv] = rp
+        self._mask[idx.micro_of[v]] |= 1 << idx.local_of[v]
 
     def find(self, v: int) -> int:
         if not (0 <= v < self.index.n):
             raise IndexError(f"element {v} out of range")
         self.cost += 1
-        if self.mode == "compress":
-            return self._compress_root(v)
-        return self._table_find(v)
-
-    def topmost(self, v: int) -> int:
-        return self.find(v)
-
-    # -- table mode internals
-
-    def _table_find(self, v: int) -> int:
         # The root is never linkable, so the microset containing the root is
         # never full and its table always yields an answer: termination.
         idx = self.index
@@ -289,19 +261,6 @@ class StaticTreeUF:
             # every in-microset ancestor of v is linked; continue above
             v = idx.parent[idx.micro_top[mid]]
 
-    # -- fallback mode internals
-
-    def _compress_root(self, x: int) -> int:
-        p = self._dsu_parent
-        self.cost += 1
-        root = x
-        while p[root] != root:
-            root = p[root]
-            self.cost += 1
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
 
 # ---------------------------------------------------------------- sessions
 
@@ -323,10 +282,10 @@ def classic_uf_session(n: int, ops: Iterable[Op]) -> tuple[list[int], int]:
 
 
 def static_tree_uf_session(
-    parent: Sequence[int], ops: Iterable[Op], mode: str = "tables"
+    parent: Sequence[int], ops: Iterable[Op]
 ) -> tuple[list[int], int]:
     """Run a Link/Find trace on StaticTreeUF; returns (find answers, cost)."""
-    uf = StaticTreeUF(StaticTreeIndex(parent), mode=mode)
+    uf = StaticTreeUF(StaticTreeIndex(parent))
     answers: list[int] = []
     for op in ops:
         if op[0] == "L":
@@ -360,8 +319,7 @@ def parse_trace(lines: Iterable[str]) -> list[Op]:
 
 
 def replay_trace_file(path: str, n: Optional[int] = None,
-                      parent: Optional[Sequence[int]] = None,
-                      mode: str = "tables") -> tuple[list[int], int]:
+                      parent: Optional[Sequence[int]] = None) -> tuple[list[int], int]:
     """Replay a trace file on the engine implied by its ops.
 
     Pass `parent` for Link traces (static engine) or `n` for Union traces.
@@ -372,7 +330,7 @@ def replay_trace_file(path: str, n: Optional[int] = None,
     if has_link:
         if parent is None:
             raise ValueError("Link trace requires the union tree's parent array")
-        return static_tree_uf_session(parent, ops, mode=mode)
+        return static_tree_uf_session(parent, ops)
     if n is None:
         raise ValueError("Union trace requires the element count n")
     return classic_uf_session(n, ops)

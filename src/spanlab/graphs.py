@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .dsu import ClassicUF
+
 INF = math.inf
 
 
@@ -265,34 +267,6 @@ def induced_subgraph(g: WeightedGraph, vertices: list[int]) -> tuple[WeightedGra
 # makes the MST unique and reproducible across runs.
 
 
-class _KruskalUF:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def minimum_spanning_tree(g: WeightedGraph) -> MstResult:
     """Unique MST under the (w, min(u,v), max(u,v)) order, rooted at vertex 0.
 
@@ -302,7 +276,7 @@ def minimum_spanning_tree(g: WeightedGraph) -> MstResult:
     order = sorted(
         g.edges, key=lambda e: (e[2], min(e[0], e[1]), max(e[0], e[1]))
     )
-    uf = _KruskalUF(g.n)
+    uf = ClassicUF(g.n)
     tree_edges: list[tuple[int, int, float]] = []
     for u, v, w in order:
         if uf.union(u, v):
@@ -363,7 +337,6 @@ def tree_path_max_weight(mst: MstResult, u: int, v: int) -> float:
     """Max edge weight on the tree path u..v (naive walk; test helper)."""
     pw = mst.parent_weight()
     depth = [0] * len(mst.parent)
-    order = []
     children: list[list[int]] = [[] for _ in mst.parent]
     for x, p in enumerate(mst.parent):
         if p >= 0:
@@ -371,7 +344,6 @@ def tree_path_max_weight(mst: MstResult, u: int, v: int) -> float:
     stack = [mst.root]
     while stack:
         x = stack.pop()
-        order.append(x)
         for c in children[x]:
             depth[c] = depth[x] + 1
             stack.append(c)
@@ -391,11 +363,17 @@ def normalize_weights(g: WeightedGraph) -> tuple[WeightedGraph, float]:
     """Divide every weight by the minimum weight; returns (graph, scale).
 
     The result has minimum weight exactly 1 (the minimum edge divides to
-    w/w == 1.0 without round-off).
+    w/w == 1.0 without round-off).  Raises ValueError, naming the input's
+    extreme weights, when their ratio is not a finite float.
     """
     if g.m == 0:
         raise ValueError("cannot normalize a graph with no edges")
     scale = min(w for _, _, w in g.edges)
+    top = max(w for _, _, w in g.edges)
+    if not math.isfinite(top / scale):
+        raise ValueError(
+            f"weight ratio {top!r} / {scale!r} is not a finite float; "
+            "the weight range is too wide for the bucket grid")
     scaled = WeightedGraph(g.n, [(u, v, w / scale) for u, v, w in g.edges])
     scaled.collapsed_count = g.collapsed_count
     scaled.selfloop_count = g.selfloop_count

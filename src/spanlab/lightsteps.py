@@ -27,8 +27,7 @@ class StepContext:
     eps: float
     gconst: int
     filter_factor: float
-    check: Optional[Callable[[str, bool, str], None]] = None
-    instrument: bool = False
+    check: Optional[Callable[[str, bool, str], None]] = None   # audits iff given
     tau_override: Optional[int] = None
 
     @property
@@ -118,7 +117,7 @@ def coarsen(state: ClassState, scale: float, ctx: StepContext,
         "phi": phi_before, "delta": phi_before - new.phi,
         "a_i": 0.0, "step_edge_counts": [0, 0, 0], "degenerate": False,
     })
-    if ctx.instrument:
+    if ctx.check is not None:
         internal: dict[int, float] = {}
         for a, b, w, sid in state.tree:
             if piece_of[a] == piece_of[b]:
@@ -577,10 +576,6 @@ def process_level(state: ClassState, ei, li: float, sigma: int, i: int,
     return new_state, picked, row
 
 
-# the spec-facing name for the five-step subgraph construction
-cluster_step = process_level
-
-
 # ---------------------------------------------------------------- step 1
 
 
@@ -677,7 +672,7 @@ def step2_branching(lvl: _Level) -> None:
     ball_center: dict[int, int] = {}
     while worklist:
         comp = worklist.pop()
-        if len(comp) == 1 and not _comp_has_branch(lvl, comp):
+        if len(comp) == 1:   # a lone node has no branching node
             continue
         if lvl.comp_adm(comp) < 6 * li:
             continue
@@ -714,10 +709,7 @@ def step2_branching(lvl: _Level) -> None:
                            f"stranded ball of {len(x.nodes)} nodes")
                 continue
             other, bridge = hook
-            if lvl.xs[other].step == "star":
-                lvl.merge_into(xid, other, bridge)
-            else:
-                lvl.merge_into(xid, other, bridge)
+            lvl.merge_into(xid, other, bridge)
             changed = True
 
     for xid in balls:
@@ -726,10 +718,6 @@ def step2_branching(lvl: _Level) -> None:
             adm = x.adm(lvl.pot)
             ctx.report("step2-adm", li * (1 - 1e-9) <= adm <= 24 * li * (1 + 1e-9),
                        f"ball adm={adm} li={li}")
-
-
-def _comp_has_branch(lvl: _Level, comp: list[int]) -> bool:
-    return bool(_branching_nodes(lvl, comp))
 
 
 def _branching_nodes(lvl: _Level, comp: list[int]) -> list[int]:
@@ -1155,7 +1143,7 @@ def break_long_path(lvl: _Level, path: list[int]) -> list[tuple[int, int]]:
     flat = [x for a, b in pieces for x in range(a, b + 1)]
     if flat != list(range(n)):
         raise AssertionError("path pieces do not partition the path")
-    if lvl.ctx.instrument:
+    if lvl.ctx.check is not None:
         for a, b in pieces:
             adm = _range_adm(lvl, path, pos, a, b)
             lvl.ctx.report(
@@ -1398,7 +1386,7 @@ def _finish_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
         "delta": phi_before - phi_after, "a_i": a_i,
         "step_edge_counts": counts, "degenerate": degenerate,
     }
-    if ctx.instrument:
+    if ctx.check is not None:
         _cycle_property_check(lvl)
     return row, new_state
 
@@ -1408,17 +1396,16 @@ def _cycle_property_check(lvl: _Level) -> None:
     parent MST edge no heavier than the level edge."""
     if not lvl.ei:
         return
+    mst_weight = lvl.ctx.sub.mst_weight
     parent: list[int] = [-2] * lvl.count
     order = [0]
     parent[0] = -1
-    pw = [0.0] * lvl.count
     st = [0]
     while st:
         v = st.pop()
         for u, w, sid in lvl.adj[v]:
             if parent[u] == -2:
                 parent[u] = v
-                pw[u] = w
                 order.append(u)
                 st.append(u)
     depth = [0] * lvl.count
@@ -1432,24 +1419,11 @@ def _cycle_property_check(lvl: _Level) -> None:
                 x, y = y, x
             if lvl.state.virtual[x]:
                 peid = lvl.state.par_eid[x]
-                if peid >= 0 and not (
-                    _mst_weight_of(lvl.ctx, peid) <= w * (1 + 1e-9)
-                ):
+                if peid >= 0 and not mst_weight[peid] <= w * (1 + 1e-9):
                     ok = False
             x = parent[x]
         if lvl.state.virtual[x]:
             peid = lvl.state.par_eid[x]
-            if peid >= 0 and not (_mst_weight_of(lvl.ctx, peid) <= w * (1 + 1e-9)):
+            if peid >= 0 and not mst_weight[peid] <= w * (1 + 1e-9):
                 ok = False
     lvl.ctx.report("cycle-property", ok, f"edges={len(lvl.ei)}")
-
-
-def _mst_weight_of(ctx: StepContext, peid: int) -> float:
-    weights = getattr(ctx.sub, "_parent_weights", None)
-    if weights is None:
-        acc: dict[int, float] = {}
-        for a, b, w, pe in ctx.sub.edges:
-            acc[pe] = acc.get(pe, 0.0) + w
-        weights = [acc.get(t, 0.0) for t in range(max(acc) + 1)] if acc else []
-        ctx.sub._parent_weights = weights
-    return weights[peid]

@@ -1,12 +1,15 @@
 """Level framework over MST-subtree clusters and the static-tree union-find.
 
-Same representative-graph / inner-spanner scheme as pm.py, but every
-cluster induces a connected MST subtree, so all merges are Link(v)
-operations along the MST, pre-declared as the union tree.  The whole MST
-enters the spanner up front.  Carried forest edges (inter-cluster MST
-edges of weight <= L_i) are exactly the level's merge candidates: the MST
-cycle property guarantees they reach every cluster touched by bucket
-edges.
+Same representative-graph / inner-spanner scheme as pm.py (each level's
+selection is pm.select_bucket), but every cluster induces a connected MST
+subtree, so all merges are Link(v) operations along the MST, pre-declared
+as the union tree.  The whole MST enters the spanner up front.  Carried
+forest edges (inter-cluster MST edges of weight <= L_i) are exactly the
+level's merge candidates: the MST cycle property guarantees they reach
+every cluster touched by bucket edges.
+
+`per_component` is the disconnected-input wrapper of this builder and of
+light's.
 """
 from __future__ import annotations
 
@@ -21,9 +24,42 @@ from .graphs import (
     minimum_spanning_tree,
     normalize_weights,
 )
-from .hz import UnweightedGraph, hz_spanner
-from .pm import G_PM, grow_star_cover, internal_eps, dedupe_source_edges
+from .pm import G_PM, grow_star_cover, internal_eps, select_bucket
 from .spanner import Spanner, graph_hash
+
+# spanbench's tracer looks these names up on this module with getattr; the
+# calls run through pm.select_bucket, so the names are only kept importable
+from .hz import hz_spanner  # noqa: F401,E402
+from .pm import dedupe_source_edges  # noqa: F401,E402
+
+
+def per_component(g: WeightedGraph, algo: str, k: int, eps: float,
+                  build_connected: Callable[..., Spanner], *args) -> Spanner:
+    """Run `build_connected(part, k, eps, *args)` on each connected
+    component of g and map the parts back to g's vertex ids.
+
+    Edges come out sorted; `levels` are concatenated in component order and
+    `ops` summed over the keys the parts report.  A connected g is built
+    directly.  Either way `source_hash` is g's.
+    """
+    comps = connected_components(g)
+    if len(comps) <= 1:
+        out = build_connected(g, k, eps, *args)
+        out.source_hash = graph_hash(g)
+        return out
+    edges: list[tuple[int, int, float]] = []
+    levels: list[dict] = []
+    ops: dict = {}
+    for comp in comps:
+        sub, back = induced_subgraph(g, sorted(comp))
+        part = build_connected(sub, k, eps, *args)
+        edges.extend((back[u], back[v], w) for u, v, w in part.edges)
+        levels.extend(part.levels)
+        for key, val in part.ops.items():
+            ops[key] = ops.get(key, 0) + val
+    edges.sort()
+    return Spanner(algo=algo, k=k, eps=eps, n=g.n, edges=edges,
+                   source_hash=graph_hash(g), levels=levels, ops=ops)
 
 
 def build_linear(
@@ -31,34 +67,14 @@ def build_linear(
     k: int,
     eps: float,
     nominal_eps: bool = False,
-    instrument: bool = False,
     check: Optional[Callable[[str, bool, str], None]] = None,
-    uf_mode: str = "tables",
 ) -> Spanner:
     """MST-containing (2k-1)(1+eps)-spanner; disconnected inputs are built
-    per component."""
+    per component.  `check(name, ok, detail)`, when given, turns the
+    structural audits on and receives their outcomes."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    comps = connected_components(g)
-    if len(comps) <= 1:
-        out = _build_connected(g, k, eps, nominal_eps, instrument, check, uf_mode)
-        out.source_hash = graph_hash(g)
-        return out
-    edges: list[tuple[int, int, float]] = []
-    levels: list[dict] = []
-    ops = {"links": 0, "finds": 0, "uf_cost": 0, "hz": 0}
-    for comp in comps:
-        sub, back = induced_subgraph(g, sorted(comp))
-        part = _build_connected(sub, k, eps, nominal_eps, instrument, check, uf_mode)
-        edges.extend((back[u], back[v], w) for u, v, w in part.edges)
-        levels.extend(part.levels)
-        for key in ops:
-            ops[key] += part.ops.get(key, 0)
-    edges.sort()
-    return Spanner(
-        algo="linear", k=k, eps=eps, n=g.n, edges=edges,
-        source_hash=graph_hash(g), levels=levels, ops=ops,
-    )
+    return per_component(g, "linear", k, eps, _build_connected, nominal_eps, check)
 
 
 def _build_connected(
@@ -66,9 +82,7 @@ def _build_connected(
     k: int,
     eps: float,
     nominal_eps: bool,
-    instrument: bool,
     check: Optional[Callable[[str, bool, str], None]],
-    uf_mode: str,
 ) -> Spanner:
     """Spanner of a connected g; the caller fills in source_hash."""
     eps_i = internal_eps(eps, nominal_eps)
@@ -81,13 +95,10 @@ def _build_connected(
     key_to_eid = {
         (min(u, v), max(u, v)): eid for eid, (u, v, _) in enumerate(norm.edges)
     }
+    # tree edges are in the spanner up front; the levels bucket only the
+    # non-tree edges and consume tree edges as merge candidates instead
     mst_eids = {key_to_eid[(min(u, v), max(u, v))] for u, v, _ in mst.edges}
     spanner_eids: set[int] = set(mst_eids)
-
-    # bucket only non-tree edges; tree edges are already in the spanner and
-    # are instead consumed as merge candidates level by level
-    rest = WeightedGraph(norm.n, [])  # container reuse: share edge ids
-    rest.edges = norm.edges
     buckets_all = partition_edges(norm, eps_i)
     mu = mu_classes(eps_i)
 
@@ -111,37 +122,38 @@ def _build_connected(
         ]
         if not level_ids:
             continue
-        if len(level_ids) == 1 and not instrument:
+        if len(level_ids) == 1 and check is None:
             # single processed level: clusters are still singletons and no
             # later level consumes the merges, so dedupe with identity
-            # representatives and skip the union-find session outright
+            # representatives and skip the union-find session outright.
+            # Audited builds take the full path so that the audits see it.
             i = level_ids[0]
             bucket = [e for e in buckets_all.edges(sigma, i) if e not in mst_eids]
-            kept, reps = _select_bucket(norm, bucket, k, lambda v: v,
-                                        spanner_eids, ops)
+            kept, _, reps, _ = select_bucket(norm, bucket, k, lambda v: v,
+                                             spanner_eids, ops)
             levels_log.append(
                 {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
-                 "rep_nodes": len(reps), "kept_edges": kept,
+                 "rep_nodes": len(reps), "kept_edges": len(kept),
                  "delta": 0, "links": 0, "finds": 0, "y_nodes": 0,
                  "fast": True}
             )
             continue
-        session = StaticTreeUF(index, mode=uf_mode)
+        session = StaticTreeUF(index)
         carried: list[int] = []   # inter-cluster MST edges (child ids), w <= L_i
         ptr = 0
         for i in level_ids:
             bucket = [e for e in buckets_all.edges(sigma, i) if e not in mst_eids]
             if not bucket:
                 continue
-            if instrument:
+            if check is not None:
                 _check_p2_subtree(
                     norm, mst, session,
                     budget=G_PM * level_scale(sigma, i - 1, eps_i),
                     check=check, tag=f"sigma={sigma} level={i}",
                 )
             cost0 = session.cost
-            kept, reps = _select_bucket(norm, bucket, k, session.find,
-                                        spanner_eids, ops)
+            kept, _, reps, _ = select_bucket(norm, bucket, k, session.find,
+                                             spanner_eids, ops)
 
             # collect this level's merge candidates: carried forest edges
             # plus the newly in-range MST edges (weight <= L_i)
@@ -150,15 +162,17 @@ def _build_connected(
                 carried.append(mst_sorted[ptr][1])
                 ptr += 1
             links, carried, ynodes = _merge_level(
-                norm, mst, session, carried, check,
+                mst, session, carried, check,
                 rep_nodes=reps, tag=f"sigma={sigma} i={i}",
             )
+            finds = session.cost - cost0 - links
             ops["links"] += links
+            ops["finds"] += finds
             levels_log.append(
                 {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
-                 "rep_nodes": len(reps), "kept_edges": kept,
+                 "rep_nodes": len(reps), "kept_edges": len(kept),
                  "delta": links, "links": links,
-                 "finds": session.cost - cost0 - links, "y_nodes": ynodes}
+                 "finds": finds, "y_nodes": ynodes}
             )
         ops["uf_cost"] += session.cost
 
@@ -167,28 +181,6 @@ def _build_connected(
         algo="linear", k=k, eps=eps, n=g.n, edges=edges,
         levels=levels_log, ops=ops,
     )
-
-
-def _select_bucket(norm, bucket, k, rep, spanner_eids: set[int],
-                   ops: dict) -> tuple[int, list[int]]:
-    """Dedupe a bucket in cluster space, run the unweighted spanner on the
-    representative graph, keep the matching source edges."""
-    best = dedupe_source_edges(bucket, norm, rep)
-    if not best:
-        return 0, []
-    reps = sorted({r for pair in best for r in pair})
-    local = {r: idx for idx, r in enumerate(reps)}
-    rg = UnweightedGraph(len(reps), [(local[a], local[b]) for (a, b) in best])
-    stats: dict = {"ops": 0}
-    chosen = hz_spanner(rg, k, stats=stats)
-    ops["hz"] += stats["ops"]
-    kept = 0
-    for a, b in chosen:
-        ra, rb = reps[a], reps[b]
-        key = (ra, rb) if ra < rb else (rb, ra)
-        spanner_eids.add(best[key])
-        kept += 1
-    return kept, reps
 
 
 def cluster_forest_edges(
@@ -245,7 +237,6 @@ def merge_forest_subtrees(
 
 
 def _merge_level(
-    norm: WeightedGraph,
     mst,
     session: StaticTreeUF,
     carried: list[int],
@@ -272,11 +263,11 @@ def _check_p2_subtree(
     mst,
     session: StaticTreeUF,
     budget: float,
-    check: Optional[Callable[[str, bool, str], None]],
+    check: Callable[[str, bool, str], None],
     tag: str,
 ) -> None:
     """Each cluster induces a connected MST subtree of bounded diameter."""
-    if check is None or norm.n > 200:
+    if norm.n > 200:
         return
     clusters: dict[int, list[int]] = {}
     for v in range(norm.n):
@@ -292,18 +283,17 @@ def _check_p2_subtree(
     for rep, members in clusters.items():
         mem = set(members)
         # connectivity plus eccentricity inside the induced subtree
-        far, reach = _tree_far(tree_adj, members[0], mem)
+        far, _, reach = _tree_far(tree_adj, members[0], mem)
         if len(reach) != len(mem):
             ok_conn = False
             break
-        far2, _ = _tree_far(tree_adj, far, mem)
-        dist = _tree_dist(tree_adj, far, far2, mem)
+        _, dist, _ = _tree_far(tree_adj, far, mem)   # far's eccentricity
         if budget <= 0:
             if len(mem) > 1:
                 ok_diam = False
         elif not dist <= budget * (1 + 1e-9):
             ok_diam = False
-        if check is not None and not (ok_conn and ok_diam):
+        if not (ok_conn and ok_diam):
             break
         if rep not in mem:
             ok_conn = False
@@ -312,7 +302,10 @@ def _check_p2_subtree(
     check("p2-subtree-diameter", ok_diam, tag)
 
 
-def _tree_far(tree_adj, start: int, allowed: set[int]) -> tuple[int, set[int]]:
+def _tree_far(tree_adj, start: int,
+              allowed: set[int]) -> tuple[int, float, set[int]]:
+    """Farthest node from start inside `allowed`, its distance, and every
+    node reached."""
     best, best_d = start, 0.0
     seen = {start}
     stack = [(start, 0.0)]
@@ -324,18 +317,4 @@ def _tree_far(tree_adj, start: int, allowed: set[int]) -> tuple[int, set[int]]:
             if v in allowed and v not in seen:
                 seen.add(v)
                 stack.append((v, d + w))
-    return best, seen
-
-
-def _tree_dist(tree_adj, a: int, b: int, allowed: set[int]) -> float:
-    stack = [(a, 0.0)]
-    seen = {a}
-    while stack:
-        u, d = stack.pop()
-        if u == b:
-            return d
-        for v, w in tree_adj[u]:
-            if v in allowed and v not in seen:
-                seen.add(v)
-                stack.append((v, d + w))
-    return 0.0
+    return best, best_d, seen

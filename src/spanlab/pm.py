@@ -58,6 +58,31 @@ def dedupe_source_edges(
     return best
 
 
+def select_bucket(norm: WeightedGraph, bucket: list[int], k: int,
+                  rep: Callable[[int], int], spanner_eids: set[int], ops: dict):
+    """One level's selection, for pm and linear: dedupe the bucket in
+    cluster space, run the unweighted (2k-1)-spanner on the representative
+    graph, add the matching source edges to `spanner_eids`.  Returns (kept
+    edge ids, dedupe map rep pair -> edge id, sorted representatives, the
+    representative graph's edges over local ids 0..len(reps)-1)."""
+    best = dedupe_source_edges(bucket, norm, rep)
+    if not best:
+        return [], best, [], []
+    reps = sorted({r for pair in best for r in pair})
+    local = {r: idx for idx, r in enumerate(reps)}
+    r_edges = [(local[a], local[b]) for (a, b) in best]
+    stats: dict = {"ops": 0}
+    chosen = hz_spanner(UnweightedGraph(len(reps), r_edges), k, stats=stats)
+    ops["hz"] += stats["ops"]
+    kept = []
+    for a, b in chosen:
+        ra, rb = reps[a], reps[b]
+        eid = best[(ra, rb) if ra < rb else (rb, ra)]
+        spanner_eids.add(eid)
+        kept.append(eid)
+    return kept, best, reps, r_edges
+
+
 # ---------------------------------------------------------------- cover
 
 
@@ -107,13 +132,12 @@ def build_pm(
     k: int,
     eps: float,
     nominal_eps: bool = False,
-    instrument: bool = False,
     check: Optional[Callable[[str, bool, str], None]] = None,
 ) -> Spanner:
     """(2k-1)(1+eps)-spanner via the classic union-find level framework.
 
-    `check(name, ok, detail)` receives structural-invariant outcomes when
-    instrument=True (tests plug an assertion sink here).
+    `check(name, ok, detail)`, when given, turns the structural audits on
+    and receives their outcomes (tests plug an assertion sink here).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -130,7 +154,7 @@ def build_pm(
             uf.reset()
             _build_class(
                 norm, k, eps_i, sigma, buckets, uf, spanner_eids, levels_log,
-                ops, instrument=instrument, check=check,
+                ops, check,
             )
         ops["uf"] = uf.cost
 
@@ -151,42 +175,27 @@ def _build_class(
     spanner_eids: set[int],
     levels_log: list[dict],
     ops: dict,
-    instrument: bool,
     check: Optional[Callable[[str, bool, str], None]],
 ) -> None:
     """Run class sigma's levels on `uf`, which enters as n singletons."""
     class_eids: set[int] = set()
     for i in buckets.levels(sigma):
         bucket = buckets.edges(sigma, i)
-        if instrument:
+        if check is not None:
             _check_p1_p2(
                 norm, uf, class_eids,
                 budget=G_PM * level_scale(sigma, i - 1, eps_i),
                 check=check, tag=f"sigma={sigma} level={i}",
             )
-        best = dedupe_source_edges(bucket, norm, uf.find)
+        kept, best, reps, r_edges = select_bucket(
+            norm, bucket, k, uf.find, spanner_eids, ops)
         if not best:
             levels_log.append(
                 {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
                  "rep_nodes": 0, "kept_edges": 0, "delta": 0}
             )
             continue
-
-        reps = sorted({r for pair in best for r in pair})
-        index = {r: idx for idx, r in enumerate(reps)}
-        r_edges = [(index[a], index[b]) for (a, b) in best]
-        rg = UnweightedGraph(len(reps), r_edges)
-        stats: dict = {"ops": 0}
-        chosen = hz_spanner(rg, k, stats=stats)
-        ops["hz"] += stats["ops"]
-        pair_of = {(index[a], index[b]): (a, b) for (a, b) in best}
-        kept = 0
-        for a, b in chosen:
-            key = pair_of[(a, b) if (a, b) in pair_of else (b, a)]
-            eid = best[key]
-            spanner_eids.add(eid)
-            class_eids.add(eid)
-            kept += 1
+        class_eids.update(kept)
 
         adj: list[list[int]] = [[] for _ in range(len(reps))]
         for a, b in r_edges:
@@ -217,7 +226,7 @@ def _build_class(
             )
         levels_log.append(
             {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
-             "rep_nodes": len(reps), "kept_edges": kept,
+             "rep_nodes": len(reps), "kept_edges": len(kept),
              "merge_edges": merge_edges, "delta": delta}
         )
 
@@ -227,11 +236,11 @@ def _check_p1_p2(
     uf: ClassicUF,
     class_eids: set[int],
     budget: float,
-    check: Optional[Callable[[str, bool, str], None]],
+    check: Callable[[str, bool, str], None],
     tag: str,
 ) -> None:
     """Clusters partition V; each induces a subgraph of bounded diameter."""
-    if check is None or norm.n > 200:
+    if norm.n > 200:
         return
     clusters: dict[int, list[int]] = {}
     for v in range(norm.n):

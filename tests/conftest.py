@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from spanlab.graphs import WeightedGraph
+from spanlab.graphs import WeightedGraph, induced_subgraph
+from spanlab.spanner import graph_hash
 
 # checker names that flag measured-constant shortfalls, not contract breaks
 WARN_NAMES = {"p2-size-warning", "step1-size"}
@@ -37,3 +38,23 @@ def wgraph(n: int, edges) -> WeightedGraph:
 
 def triangle(w01=1.0, w12=1.0, w02=1.0) -> WeightedGraph:
     return wgraph(3, [(0, 1, w01), (1, 2, w12), (0, 2, w02)])
+
+
+def assert_built_per_component(build, g: WeightedGraph, comps, k=2, eps=0.25):
+    """`build(g)` must be its builds of g's components `comps` (in order)
+    mapped back to g's ids: edges sorted, levels concatenated in component
+    order, ops summed over the parts' keys, and g's own source hash."""
+    sp = build(g, k, eps)
+    edges, levels, ops = [], [], {}
+    for comp in comps:
+        sub, back = induced_subgraph(g, comp)
+        part = build(sub, k, eps)
+        edges += [(back[u], back[v], w) for u, v, w in part.edges]
+        levels += part.levels
+        for key, val in part.ops.items():
+            ops[key] = ops.get(key, 0) + val
+    assert sp.edges == sorted(edges)
+    assert sp.levels == levels
+    assert sp.ops == ops and list(sp.ops) == list(part.ops)
+    assert sp.source_hash == graph_hash(g)
+    return sp

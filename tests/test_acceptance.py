@@ -238,12 +238,12 @@ def test_criterion_5_small_instance_lemma_oracles():
     cases = 0
     for g in _tiny_cases(10_000):
         sink = CheckSink()
-        build_linear(g, 2, 0.5, instrument=True, check=sink)
+        build_linear(g, 2, 0.5, check=sink)
         xy = [f for f in sink.failures if f[0] == "x-subset-y"]
         if xy:
             _report(5, "lemma-oracles", False, f"x-subset-y broke: {xy[0]}")
         sink2 = CheckSink()
-        build_light(g, 2, 0.5, instrument=True, check=sink2)
+        build_light(g, 2, 0.5, check=sink2)
         cyc = [f for f in sink2.failures if f[0] == "cycle-property"]
         if cyc:
             _report(5, "lemma-oracles", False, f"cycle-property broke: {cyc[0]}")
@@ -299,7 +299,7 @@ def test_criterion_7_potential_accounting(pool):
     checked = 0
     for g, _law in pool[:60]:
         sink = CheckSink()
-        sp = build_light(g, 2, 0.25, instrument=True, check=sink)
+        sp = build_light(g, 2, 0.25, check=sink)
         hard = [f for f in sink.failures
                 if f[0] in ("dplus-nonnegative", "coarsen-dplus", "phi1-bound",
                             "n-reduction")]
@@ -334,7 +334,7 @@ def test_criterion_8_structural_checkers(pool):
         for fn in (build_pm, build_linear, build_light):
             sink = CheckSink()
             fn(g, rng.choice([2, 3]), rng.choice([0.1, 0.25, 0.5]),
-               instrument=True, check=sink)
+               check=sink)
             total_checks += sink.seen
             if sink.failures:
                 _report(8, "structural-checkers", False, str(sink.failures[0]))

@@ -11,6 +11,9 @@ import pytest
 import spanlab
 from spanlab.cli import main
 from spanlab.graphs import load_graph
+from spanlab.light import build_light
+from spanlab.linear import build_linear
+from spanlab.pm import build_pm
 from spanlab.spanner import load_spanner
 
 def test_gen_is_byte_deterministic(tmp_path):
@@ -102,7 +105,7 @@ def test_build_extreme_weight_ratio_exit_2(tmp_path, algo):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: weight inf over base 1.0")
+    assert proc.stderr.startswith("error: weight ratio 1e+300 / 1e-300 ")
     assert not spath.exists()
 
 
@@ -114,11 +117,31 @@ def test_build_metrics_and_instrument(tmp_path):
     main(["gen", "--type", "gnp", "--n", "30", "--seed", "4", "-o", str(gpath)])
     rc = main(["build", "--algo", "light", "--k", "2", "--eps", "0.25",
                "-i", str(gpath), "-o", str(spath), "--metrics", str(mpath),
-               "--instrument", "--instrument-out", str(ipath)])
+               "--instrument-out", str(ipath)])
     assert rc == 0
     met = json.loads(mpath.read_text())
     assert {"edges", "weight", "sparsity", "lightness"} <= set(met)
     assert met["lightness"] >= 1.0
+
+
+@pytest.mark.parametrize("algo", ["pm", "linear", "light"])
+def test_instrument_out_writes_level_rows(tmp_path, algo):
+    # --instrument-out alone writes one JSON line per `levels` row and
+    # leaves the spanner file as a build without it writes it
+    gpath = tmp_path / "g.txt"
+    main(["gen", "--type", "gnm", "--n", "40", "--m", "200", "--weights",
+          "loguniform", "--wmax", "1e6", "--seed", "3", "-o", str(gpath)])
+    plain, rowed = tmp_path / "plain.txt", tmp_path / "rowed.txt"
+    rows = tmp_path / "rows.jsonl"
+    base = ["build", "--algo", algo, "-i", str(gpath)]
+    assert main(base + ["-o", str(plain)]) == 0
+    assert main(base + ["-o", str(rowed), "--instrument-out", str(rows)]) == 0
+    assert rowed.read_bytes() == plain.read_bytes()
+    build = {"pm": build_pm, "linear": build_linear, "light": build_light}[algo]
+    levels = build(load_graph(str(gpath)), 2, 0.25).levels
+    assert levels
+    got = [json.loads(line) for line in rows.read_text().splitlines()]
+    assert got == json.loads(json.dumps(levels))
 
 
 def test_bench_csv_schema(tmp_path):

@@ -227,17 +227,6 @@ def test_cross_engine_equivalence_random():
         assert stat == classic
 
 
-def test_table_and_compress_modes_agree():
-    rng = random.Random(77)
-    for _ in range(40):
-        n = rng.randint(2, 80)
-        parent = _random_tree(rng, n)
-        ops = _random_legal_trace(rng, n, parent)
-        a, _ = static_tree_uf_session(parent, ops, mode="tables")
-        b, _ = static_tree_uf_session(parent, ops, mode="compress")
-        assert a == b
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_cross_engine_equivalence_property(data):

@@ -13,7 +13,7 @@ from spanlab.light import (
 )
 from spanlab import lightsteps as steps
 from spanlab.oracle import spanner_metrics, verify_stretch
-from conftest import CheckSink, wgraph
+from conftest import CheckSink, assert_built_per_component, wgraph
 
 
 # ---------------------------------------------------------------- split
@@ -93,7 +93,7 @@ def test_subdivide_parent_tracking():
 # ---------------------------------------------------------------- cluster graph
 
 
-def _mini_ctx(g, k=2, eps=0.25, tau=None, instrument=True, check=None):
+def _mini_ctx(g, k=2, eps=0.25, tau=None, check=None):
     from spanlab.light import FILTER_SLACK, G_LIGHT
 
     mst = minimum_spanning_tree(g)
@@ -103,7 +103,7 @@ def _mini_ctx(g, k=2, eps=0.25, tau=None, instrument=True, check=None):
     ctx = steps.StepContext(
         g=g, sub=sub, k=k, eps=eps_i, gconst=G_LIGHT,
         filter_factor=(2 * k - 1) * (1 + FILTER_SLACK * eps_i),
-        check=check, instrument=instrument, tau_override=tau,
+        check=check, tau_override=tau,
     )
     return ctx, sub, mst
 
@@ -203,7 +203,7 @@ def _level_for_path(weights, pots, virtual, nonisolated, li, tau=10**9):
     sink = CheckSink()
     ctx = steps.StepContext(
         g=wgraph(2, [(0, 1, 1.0)]), sub=None, k=2, eps=0.05, gconst=42,
-        filter_factor=3.0, check=sink, instrument=True, tau_override=tau,
+        filter_factor=3.0, check=sink, tau_override=tau,
     )
     ei = []
     for v, flag in enumerate(nonisolated):
@@ -274,7 +274,7 @@ def test_tree_input_lightness_one():
 
 def test_unit_k16(sink):
     g = wgraph(16, [(u, v, 1.0) for u in range(16) for v in range(u + 1, 16)])
-    sp = build_light(g, 2, 0.25, instrument=True, check=sink)
+    sp = build_light(g, 2, 0.25, check=sink)
     sink.assert_clean()
     rep = verify_stretch(g, sp, 3 * 1.25)
     assert rep.ok
@@ -303,7 +303,7 @@ def test_mst_always_contained():
 
 def test_potential_rows_telescope(sink):
     g = gnm_graph(60, 380, seed=11, law="loguniform", wmax=1000)
-    sp = build_light(g, 2, 0.25, instrument=True, check=sink)
+    sp = build_light(g, 2, 0.25, check=sink)
     sink.assert_clean()
     per_sigma: dict[int, list[dict]] = {}
     for row in sp.levels:
@@ -333,7 +333,7 @@ def test_forced_high_degree_path(sink):
     eps_i = 0.05
     ctx = steps.StepContext(
         g=g, sub=sub, k=2, eps=eps_i, gconst=G_LIGHT,
-        filter_factor=3.0, check=sink, instrument=True, tau_override=3,
+        filter_factor=3.0, check=sink, tau_override=3,
     )
     state = steps.singleton_state(sub)
     lca = steps.TreeLCA(state)
@@ -349,13 +349,13 @@ def test_forced_high_degree_path(sink):
 
 
 def test_fast_path_and_full_path_agree():
-    # without instrumentation single-level classes take a shortcut; the
-    # chosen edge set must match the instrumented run
+    # unaudited builds let single-level classes take a shortcut; the
+    # chosen edge set must match the audited run
     for seed in range(6):
         g = gnm_graph(30, 120, seed=seed, law="loguniform", wmax=300)
         fast = build_light(g, 2, 0.25)
         sink = CheckSink()
-        full = build_light(g, 2, 0.25, instrument=True, check=sink)
+        full = build_light(g, 2, 0.25, check=sink)
         sink.assert_clean()
         assert fast.edge_key_set() == full.edge_key_set()
 
@@ -365,15 +365,24 @@ def test_oracle_random_grid(sink):
         for eps in (0.1, 0.5):
             g = gnp_graph(70, 0.12, seed=int(100 * eps) + k, law="uniform",
                           wmax=120)
-            sp = build_light(g, k, eps, instrument=True, check=sink)
+            sp = build_light(g, k, eps, check=sink)
             assert verify_stretch(g, sp, (2 * k - 1) * (1 + eps)).ok
     sink.assert_clean()
 
 
 def test_disconnected_components():
-    g = wgraph(8, [(0, 1, 1), (1, 2, 5), (0, 2, 2), (3, 4, 1), (4, 5, 1),
-                   (5, 6, 1), (3, 6, 9), (6, 7, 2)])
-    sp = build_light(g, 2, 0.25)
+    # vertex 8 is isolated; the pieces at 9..20 and 21..32 have heavy-side
+    # levels
+    pieces = [gnm_graph(12, 30, seed=s, law="loguniform", wmax=1e4)
+              for s in (0, 1)]
+    g = wgraph(33, [(0, 1, 1), (1, 2, 5), (0, 2, 2), (3, 4, 1), (4, 5, 1),
+                    (5, 6, 1), (3, 6, 9), (6, 7, 2)]
+               + [(u + 9 + 12 * p, v + 9 + 12 * p, w)
+                  for p, piece in enumerate(pieces) for u, v, w in piece.edges])
+    comps = [[0, 1, 2], [3, 4, 5, 6, 7], [8], list(range(9, 21)),
+             list(range(21, 33))]
+    sp = assert_built_per_component(build_light, g, comps)
+    assert sp.levels
     assert verify_stretch(g, sp, 3.75).ok
 
 
@@ -423,7 +432,7 @@ def test_state_totals_match_plain_sums():
     # rows read Phi and the real-cluster count from the state's cached
     # totals, which must equal plain sums over the state's lists bit for bit
     g = gnm_graph(60, 240, seed=21, law="loguniform", wmax=1e4)
-    ctx, sub, mst = _mini_ctx(g, instrument=False)
+    ctx, sub, mst = _mini_ctx(g)
     base = steps.singleton_state(sub)
     states = [base] + [steps.carved_state(sub, sub.wbar * mult, ctx)
                        for mult in (1.0, 3.0, 16.0)]
@@ -467,12 +476,39 @@ def test_lca_tables_built_once_per_state(monkeypatch):
     assert calls["starts"] > bound  # one table per class would break it
 
 
+def test_level_work_counts_buckets_and_processed_levels(monkeypatch):
+    # every level costs its bucket; only a level that runs the five steps
+    # also costs its entering cluster count
+    seen = {"bucket": 0, "count": 0, "levels": 0, "process": 0}
+
+    def cluster_graph(state, bucket, *args):
+        seen["bucket"] += len(bucket)
+        seen["levels"] += 1
+        return build_cluster_graph(state, bucket, *args)
+
+    def process(state, *args):
+        seen["count"] += state.count
+        seen["process"] += 1
+        return process_level(state, *args)
+
+    build_cluster_graph, process_level = steps.build_cluster_graph, steps.process_level
+    monkeypatch.setattr(steps, "build_cluster_graph", cluster_graph)
+    monkeypatch.setattr(steps, "process_level", process)
+    # audited, so that levels also run the five steps on a graph this small
+    g = gnm_graph(40, 160, seed=1, law="loguniform", wmax=1e3)
+    sink = CheckSink()
+    sp = build_light(g, 2, 0.25, check=sink)
+    sink.assert_clean()
+    assert 0 < seen["process"] < seen["levels"]
+    assert sp.ops["level_work"] == seen["bucket"] + seen["count"]
+
+
 def test_deep_level_cells_exercise_carved_base():
     # at eps=0.5 and m*eps past 1/eps' the heavy grid reaches level >= 1,
     # which routes through the carve ladder rather than singleton bases
     g = gnm_graph(120, 2400, seed=5, law="loguniform", wmax=10_000)
     sink = CheckSink()
-    sp = build_light(g, 2, 0.5, instrument=True, check=sink)
+    sp = build_light(g, 2, 0.5, check=sink)
     sink.assert_clean()
     assert any(row.get("i", 0) >= 1 for row in sp.levels)
     assert verify_stretch(g, sp, 3 * 1.5).ok

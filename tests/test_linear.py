@@ -8,7 +8,7 @@ from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import WeightedGraph, minimum_spanning_tree
 from spanlab.linear import build_linear
 from spanlab.oracle import verify_stretch
-from conftest import CheckSink, triangle, wgraph
+from conftest import CheckSink, assert_built_per_component, triangle, wgraph
 
 
 def _mst_keys(g: WeightedGraph) -> set[tuple[int, int]]:
@@ -44,7 +44,7 @@ def test_mst_containment_random():
 def test_random_instances_oracle(sink):
     for k in (2, 3):
         g = gnp_graph(100, 0.1, seed=40 + k, law="uniform", wmax=100)
-        sp = build_linear(g, k, 0.25, instrument=True, check=sink)
+        sp = build_linear(g, k, 0.25, check=sink)
         sink.assert_clean()
         assert verify_stretch(g, sp, (2 * k - 1) * 1.25).ok
         assert _mst_keys(g) <= sp.edge_key_set()
@@ -52,7 +52,7 @@ def test_random_instances_oracle(sink):
 
 def test_instrumentation_counters_present(sink):
     g = gnp_graph(60, 0.25, seed=77, law="unit")
-    sp = build_linear(g, 2, 0.25, instrument=True, check=sink)
+    sp = build_linear(g, 2, 0.25, check=sink)
     sink.assert_clean()
     assert sp.levels
     for row in sp.levels:
@@ -60,6 +60,21 @@ def test_instrumentation_counters_present(sink):
         if row["y_nodes"]:
             assert row["links"] >= row["y_nodes"] / 2
     assert sp.ops["links"] <= g.n
+
+
+def test_uf_cost_is_links_plus_finds():
+    # an unaudited build spends every union-find step inside a level, so the
+    # per-level links and finds add up to the sessions' cost
+    k4 = [(0, 1, 1.0), (0, 2, 7.0), (0, 3, 40.0), (1, 2, 300.0), (1, 3, 2.0),
+          (2, 3, 900.0)]
+    pieces = wgraph(40, [(u + 4 * p, v + 4 * p, w * (p + 1))
+                         for p in range(10) for u, v, w in k4])
+    wide = gnm_graph(80, 640, seed=3, law="loguniform", wmax=1e6)
+    for g in (wide, pieces):
+        ops = build_linear(g, 2, 0.25).ops
+        assert ops["uf_cost"] == ops["links"] + ops["finds"]
+    ops = build_linear(wide, 2, 0.25).ops
+    assert ops["finds"] > 0 and ops["links"] > 0
 
 
 def _connected_graphs_upto(n_max: int):
@@ -88,14 +103,14 @@ def test_cluster_forest_covers_bucket_clusters_small_sweep():
     # forest edge at its level (cross-checked by the builder's own assert)
     for g in _connected_graphs_upto(8):
         s = CheckSink()
-        build_linear(g, 2, 0.5, instrument=True, check=s)
+        build_linear(g, 2, 0.5, check=s)
         assert not [f for f in s.failures if f[0] == "x-subset-y"], s.failures
         s.assert_clean()
 
 
 def test_subtree_clusters_checked(sink):
     g = gnp_graph(50, 0.3, seed=8, law="unit")
-    build_linear(g, 2, 0.25, instrument=True, check=sink)
+    build_linear(g, 2, 0.25, check=sink)
     assert sink.seen > 0
     sink.assert_clean()
 
@@ -106,9 +121,14 @@ def test_deterministic_output():
 
 
 def test_disconnected_handled_per_component():
-    g = wgraph(7, [(0, 1, 1), (1, 2, 4), (0, 2, 2), (3, 4, 1), (4, 5, 1),
-                   (3, 5, 5), (5, 6, 2)])
-    sp = build_linear(g, 2, 0.25)
+    # vertex 7 is isolated; the piece at 8..19 has multi-level classes
+    piece = gnm_graph(12, 30, seed=0, law="loguniform", wmax=1e4)
+    g = wgraph(20, [(0, 1, 1), (1, 2, 4), (0, 2, 2), (3, 4, 1), (4, 5, 1),
+                    (3, 5, 5), (5, 6, 2)]
+               + [(u + 8, v + 8, w) for u, v, w in piece.edges])
+    comps = [[0, 1, 2], [3, 4, 5, 6], [7], list(range(8, 20))]
+    sp = assert_built_per_component(build_linear, g, comps)
+    assert sp.levels
     assert verify_stretch(g, sp, 3.75).ok
     # the per-component MSTs are both contained
     keys = sp.edge_key_set()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 import random
 
@@ -156,7 +157,7 @@ def test_triangle_example():
 
 def test_random_instance_oracle_and_size(sink):
     g = gnp_graph(100, 0.1, seed=2, law="uniform", wmax=2.0)
-    sp = build_pm(g, 2, 0.25, instrument=True, check=sink)
+    sp = build_pm(g, 2, 0.25, check=sink)
     sink.assert_clean()
     assert verify_stretch(g, sp, 3 * 1.25).ok
     eps = 0.25
@@ -185,7 +186,7 @@ def _is_bridge(g: WeightedGraph, u: int, v: int, w: float) -> bool:
 
 def test_instrumentation_rows_and_charging(sink):
     g = gnp_graph(60, 0.3, seed=9, law="unit")
-    sp = build_pm(g, 2, 0.25, instrument=True, check=sink)
+    sp = build_pm(g, 2, 0.25, check=sink)
     sink.assert_clean()
     assert sp.levels
     for row in sp.levels:
@@ -197,7 +198,7 @@ def test_instrumentation_rows_and_charging(sink):
 
 def test_level_charging_sums_below_n(sink):
     g = gnp_graph(80, 0.2, seed=4, law="unit")
-    sp = build_pm(g, 3, 0.25, instrument=True, check=sink)
+    sp = build_pm(g, 3, 0.25, check=sink)
     sink.assert_clean()
     per_sigma: dict[int, int] = {}
     for row in sp.levels:
@@ -237,6 +238,13 @@ def test_one_union_find_per_build(monkeypatch):
 
 
 EXTREME = [(0, 1, 1e-300), (1, 2, 1e300), (0, 2, 1.0)]
+
+
+@pytest.mark.parametrize("build", [build_pm, build_linear, build_light])
+def test_builders_take_one_audit_switch(build):
+    # `check` alone turns the audits on; no builder grows another option
+    params = list(inspect.signature(build).parameters)
+    assert params == ["g", "k", "eps", "nominal_eps", "check"]
 
 
 @pytest.mark.parametrize("build", [build_pm, build_linear])
