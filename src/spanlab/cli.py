@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -91,24 +90,6 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _bench_cell(cell) -> dict:
-    algo, n, k, eps, seed, law = cell
-    g = generate("gnp", n, seed, p=min(1.0, 8.0 / n), law=law, wmax=2.0)
-    t0 = time.perf_counter()
-    sp = _build(algo, g, k, eps, nominal=False)
-    secs = time.perf_counter() - t0
-    rep = verify_stretch(g, sp, (2 * k - 1) * (1 + eps))
-    met = spanner_metrics(g, sp)
-    return {
-        "algo": algo, "n": n, "m": g.m, "k": k, "eps": eps,
-        "edges": sp.m, "sparsity": round(met.sparsity, 6),
-        "lightness": round(met.lightness, 6),
-        "max_stretch": round(rep.max_stretch, 9),
-        "ops": sum(sp.ops.values()) if sp.ops else 0,
-        "seconds": round(secs, 6),
-    }
-
-
 def _dsu_bench(seed: int) -> str:
     """Amortized-cost evidence for the static-tree engine: op count over
     (m+n) across a ladder of sizes, one CSV row per n."""
@@ -141,42 +122,7 @@ def _dsu_bench(seed: int) -> str:
 
 
 def cmd_bench(args) -> int:
-    if args.dsu:
-        text = _dsu_bench(args.seed)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    cells = [
-        (algo, n, k, eps, args.seed + idx, args.weights)
-        for idx, (algo, n, k, eps) in enumerate(
-            (algo, n, k, eps)
-            for algo in args.algos.split(",")
-            for n in (int(x) for x in args.ns.split(","))
-            for k in (int(x) for x in args.ks.split(","))
-            for eps in (float(x) for x in args.epss.split(","))
-        )
-    ]
-    for cell in cells:
-        if cell[0] not in ALGOS:
-            print(f"unknown algo {cell[0]!r}", file=sys.stderr)
-            return 2
-    workers = int(os.environ.get("SPANNER_THREADS", "1"))
-    rows: list[dict]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_cell, cells))
-    else:
-        rows = [_bench_cell(cell) for cell in cells]
-    header = ["algo", "n", "m", "k", "eps", "edges", "sparsity", "lightness",
-              "max_stretch", "ops", "seconds"]
-    lines = [",".join(header)]
-    lines += [",".join(str(row[h]) for h in header) for row in rows]
-    text = "\n".join(lines) + "\n"
+    text = _dsu_bench(args.seed)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -228,16 +174,11 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--report", default=None)
     v.set_defaults(func=cmd_verify)
 
-    be = sub.add_parser("bench", help="sweep a grid and emit CSV")
-    be.add_argument("--algos", default="pm,linear")
-    be.add_argument("--ns", default="128,256")
-    be.add_argument("--ks", default="2")
-    be.add_argument("--epss", default="0.25")
-    be.add_argument("--weights", choices=("unit", "uniform", "loguniform"),
-                    default="uniform")
+    be = sub.add_parser("bench", help="emit union-find amortized-cost evidence as CSV "
+                                      "(end-to-end benchmarks live in spanbench/)")
     be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--dsu", action="store_true",
-                    help="emit union-find amortized-cost evidence instead")
+    be.add_argument("--dsu", action="store_true", required=True,
+                    help="the static-tree union-find op-count ladder")
     be.add_argument("-o", "--output", default=None)
     be.set_defaults(func=cmd_bench)
     return ap

@@ -295,42 +295,3 @@ def static_tree_uf_session(
         else:
             raise ValueError(f"static session does not accept op {op!r}")
     return answers, uf.cost
-
-
-# trace files: one op per line, "L v" / "U a b" / "F v"
-
-
-def parse_trace(lines: Iterable[str]) -> list[Op]:
-    ops: list[Op] = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if parts[0] == "L" and len(parts) == 2:
-            ops.append(("L", int(parts[1])))
-        elif parts[0] == "U" and len(parts) == 3:
-            ops.append(("U", int(parts[1]), int(parts[2])))
-        elif parts[0] == "F" and len(parts) == 2:
-            ops.append(("F", int(parts[1])))
-        else:
-            raise ValueError(f"trace line {lineno}: cannot parse {text!r}")
-    return ops
-
-
-def replay_trace_file(path: str, n: Optional[int] = None,
-                      parent: Optional[Sequence[int]] = None) -> tuple[list[int], int]:
-    """Replay a trace file on the engine implied by its ops.
-
-    Pass `parent` for Link traces (static engine) or `n` for Union traces.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        ops = parse_trace(fh)
-    has_link = any(op[0] == "L" for op in ops)
-    if has_link:
-        if parent is None:
-            raise ValueError("Link trace requires the union tree's parent array")
-        return static_tree_uf_session(parent, ops)
-    if n is None:
-        raise ValueError("Union trace requires the element count n")
-    return classic_uf_session(n, ops)

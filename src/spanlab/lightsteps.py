@@ -6,6 +6,10 @@ Cluster state is rebuilt wholesale between levels: a level's subgraph
 collection becomes the next level's node set, node weights are the
 subgraphs' augmented diameters, and the contracted spanning tree is
 re-derived from the crossing subdivided-tree edges.
+
+The structural audits live in the `_audit_*` helpers and run only when the
+context carries a `check` callback; an unaudited build computes no value
+that only an audit reads.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
+from .dsu import ClassicUF
 from .graphs import WeightedGraph
 from .hz import UnweightedGraph, hz_spanner
 
@@ -35,10 +40,6 @@ class StepContext:
         if self.tau_override is not None:
             return self.tau_override
         return math.ceil(2 * self.gconst / self.eps)
-
-    def report(self, name: str, ok: bool, detail: str) -> None:
-        if self.check is not None:
-            self.check(name, ok, detail)
 
 
 @dataclass
@@ -92,16 +93,20 @@ def singleton_state(sub) -> ClassState:
 def carved_state(sub, scale: float, ctx: StepContext) -> ClassState:
     """Base clusters: subdivided tree carved into subtrees of diameter in
     [scale, ~6*scale] (single piece exempt from the lower bound)."""
-    base = singleton_state(sub)
-    state, _ = _carve_tree(base, scale, use_pot=False)
+    state, _ = _carve_tree(singleton_state(sub), scale)
+    if ctx.check is not None:
+        _audit_carve(state, scale, ctx)
+    return state
+
+
+def _audit_carve(state: ClassState, scale: float, ctx: StepContext) -> None:
     ok = all(d <= 14 * scale * (1 + 1e-9) for d in state.pot)
     if len(state.pot) > 1:
         ok = ok and all(d >= scale * (1 - 1e-9) for d in state.pot)
     lo = min(state.pot) if state.pot else 0.0
     hi = max(state.pot) if state.pot else 0.0
-    ctx.report("level1-diameter", ok,
-               f"scale={scale} diam range [{lo:.3g},{hi:.3g}]")
-    return state
+    ctx.check("level1-diameter", ok,
+              f"scale={scale} diam range [{lo:.3g},{hi:.3g}]")
 
 
 def coarsen(state: ClassState, scale: float, ctx: StepContext,
@@ -109,7 +114,7 @@ def coarsen(state: ClassState, scale: float, ctx: StepContext,
     """Merge clusters up to a coarser scale before a level jump; pure tree
     carve at the target scale, logged as a pseudo-level."""
     phi_before = state.phi
-    new, piece_of = _carve_tree(state, scale, use_pot=True)
+    new, piece_of = _carve_tree(state, scale)
     log.append({
         "sigma": sigma, "i": i, "coarsen": True,
         "v_nodes": state.count, "e_edges": 0, "y_nodes": 0,
@@ -118,28 +123,32 @@ def coarsen(state: ClassState, scale: float, ctx: StepContext,
         "a_i": 0.0, "step_edge_counts": [0, 0, 0], "degenerate": False,
     })
     if ctx.check is not None:
-        internal: dict[int, float] = {}
-        for a, b, w, sid in state.tree:
-            if piece_of[a] == piece_of[b]:
-                internal[piece_of[a]] = internal.get(piece_of[a], 0.0) + w
-        summed: dict[int, float] = {}
-        for c in range(state.count):
-            summed[piece_of[c]] = summed.get(piece_of[c], 0.0) + state.pot[c]
-        ok = all(
-            summed.get(p, 0.0) + internal.get(p, 0.0) - adm
-            >= -1e-9 * max(1.0, adm)
-            for p, adm in enumerate(new.pot)
-        )
-        ctx.report("coarsen-dplus", ok, f"sigma={sigma} i={i}")
+        _audit_coarsen(state, new, piece_of, ctx, sigma, i)
     return new
 
 
-def _carve_tree(state: ClassState, scale: float,
-                use_pot: bool) -> tuple[ClassState, list[int]]:
+def _audit_coarsen(state: ClassState, new: ClassState, piece_of: list[int],
+                   ctx: StepContext, sigma: int, i: int) -> None:
+    internal: dict[int, float] = {}
+    for a, b, w, sid in state.tree:
+        if piece_of[a] == piece_of[b]:
+            internal[piece_of[a]] = internal.get(piece_of[a], 0.0) + w
+    summed: dict[int, float] = {}
+    for c in range(state.count):
+        summed[piece_of[c]] = summed.get(piece_of[c], 0.0) + state.pot[c]
+    ok = all(
+        summed.get(p, 0.0) + internal.get(p, 0.0) - adm
+        >= -1e-9 * max(1.0, adm)
+        for p, adm in enumerate(new.pot)
+    )
+    ctx.check("coarsen-dplus", ok, f"sigma={sigma} i={i}")
+
+
+def _carve_tree(state: ClassState, scale: float) -> tuple[ClassState, list[int]]:
     """Carve the (possibly contracted) tree into pieces of augmented
     diameter >= scale (except a lone piece) and O(scale)."""
     count = state.count
-    nodew = state.pot if use_pot else [0.0] * count
+    pot = state.pot
     adj = state.adjacency()
 
     parent = [-2] * count
@@ -176,7 +185,7 @@ def _carve_tree(state: ClassState, scale: float,
             if parent[u] == v and piece_of[u] == -1:
                 res_children[v].append(u)
                 best = max(best, w + down[u])
-        down[v] = nodew[v] + best
+        down[v] = pot[v] + best
         if down[v] >= scale and v != 0:
             carve_at(v)
     # root leftover: absorb into an adjacent piece, or close as final piece
@@ -197,7 +206,12 @@ def _carve_tree(state: ClassState, scale: float,
                 piece_of[v] = target
                 pieces[target].append(v)
 
-    adm = _piece_adms(state, piece_of, pieces, nodew)
+    inside: list[list[tuple[int, float]]] = [[] for _ in range(count)]
+    for a, b, w, sid in state.tree:
+        if piece_of[a] == piece_of[b]:
+            inside[a].append((b, w))
+            inside[b].append((a, w))
+    adm = [_tree_adm(mem, inside, pot) for mem in pieces]
     n_pieces = len(pieces)
     virtual = [True] * n_pieces
     par_eid = [-1] * n_pieces
@@ -217,42 +231,40 @@ def _carve_tree(state: ClassState, scale: float,
     return new, piece_of
 
 
-def _piece_adms(state: ClassState, piece_of: list[int],
-                members: list[list[int]], nodew: list[float]) -> list[float]:
-    """Exact augmented diameter of each piece's induced subtree."""
-    adj = state.adjacency()
-    adm = [0.0] * len(members)
+def _tree_adm(nodes: list[int], nbrs, pot: list[float]) -> float:
+    """Augmented diameter of the tree on `nodes`: the heaviest path, edge
+    weights plus the potentials of its nodes (a lone node counts its own).
+    `nbrs[v]` lists v's tree neighbours as (u, w) pairs, none outside
+    `nodes`; the tree is rooted at nodes[0]."""
+    if not nodes:
+        return 0.0
+    root = nodes[0]
+    par = {root: -1}
+    order = [root]
+    st = [root]
+    while st:
+        v = st.pop()
+        for u, w in nbrs[v]:
+            if u not in par:
+                par[u] = v
+                order.append(u)
+                st.append(u)
+    if len(order) != len(nodes):
+        raise AssertionError("subgraph is not connected")
     down: dict[int, float] = {}
-    for pid, mem in enumerate(members):
-        memset = set(mem)
-        root = mem[0]
-        orderp: list[int] = []
-        par: dict[int, int] = {root: -1}
-        st = [root]
-        while st:
-            v = st.pop()
-            orderp.append(v)
-            for u, w, sid in adj[v]:
-                if u in memset and u not in par:
-                    par[u] = v
-                    st.append(u)
-        best_all = 0.0
-        for v in reversed(orderp):
-            top1 = 0.0
-            top2 = 0.0
-            for u, w, sid in adj[v]:
-                if u in memset and par.get(u) == v:
-                    val = w + down[u]
-                    if val > top1:
-                        top1, top2 = val, top1
-                    elif val > top2:
-                        top2 = val
-            down[v] = nodew[v] + top1
-            cand = nodew[v] + top1 + top2
-            if cand > best_all:
-                best_all = cand
-        adm[pid] = max(best_all, max(nodew[v] for v in mem))
-    return adm
+    best = max(pot[v] for v in nodes)
+    for v in reversed(order):
+        top1 = top2 = 0.0
+        for u, w in nbrs[v]:
+            if par[u] == v:
+                val = w + down[u]
+                if val > top1:
+                    top1, top2 = val, top1
+                elif val > top2:
+                    top2 = val
+        down[v] = pot[v] + top1
+        best = max(best, pot[v] + top1 + top2)
+    return best
 
 
 def _contract(tree_edges, piece_of: list[int], n_pieces: int):
@@ -263,19 +275,10 @@ def _contract(tree_edges, piece_of: list[int], n_pieces: int):
         if pa != pb:
             crossing.append((w, sid, pa, pb))
     crossing.sort()
-    parent = list(range(n_pieces))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = ClassicUF(n_pieces)
     out = []
     for w, sid, pa, pb in crossing:
-        ra, rb = find(pa), find(pb)
-        if ra != rb:
-            parent[ra] = rb
+        if uf.union(pa, pb):
             out.append((pa, pb, w, sid))
     if len(out) != n_pieces - 1:
         raise AssertionError("contracted tree failed to span the clusters")
@@ -418,44 +421,11 @@ class Subgraph:
     endpoint_piece: bool = False
 
     def adm(self, pot: list[float]) -> float:
-        return _subgraph_adm(self.nodes, self.graph_edges, pot)
-
-
-def _subgraph_adm(nodes: list[int], edges: list[tuple[int, int, float]],
-                  pot: list[float]) -> float:
-    if not nodes:
-        return 0.0
-    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in nodes}
-    for a, b, w in edges:
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-    root = nodes[0]
-    par: dict[int, int] = {root: -1}
-    order = [root]
-    st = [root]
-    while st:
-        v = st.pop()
-        for u, w in adj[v]:
-            if u not in par:
-                par[u] = v
-                order.append(u)
-                st.append(u)
-    if len(order) != len(nodes):
-        raise AssertionError("subgraph is not connected")
-    down: dict[int, float] = {}
-    best = max(pot[v] for v in nodes)
-    for v in reversed(order):
-        top1 = top2 = 0.0
-        for u, w in adj[v]:
-            if par.get(u) == v:
-                val = w + down[u]
-                if val > top1:
-                    top1, top2 = val, top1
-                elif val > top2:
-                    top2 = val
-        down[v] = pot[v] + top1
-        best = max(best, pot[v] + top1 + top2)
-    return best
+        nbrs: dict[int, list[tuple[int, float]]] = {v: [] for v in self.nodes}
+        for a, b, w in self.graph_edges:
+            nbrs[a].append((b, w))
+            nbrs[b].append((a, w))
+        return _tree_adm(self.nodes, nbrs, pot)
 
 
 # ---------------------------------------------------------------- level build
@@ -526,33 +496,14 @@ class _Level:
 
     def components(self) -> list[list[int]]:
         """Connected components of the contracted tree minus assigned nodes."""
-        seen = [False] * self.count
-        comps = []
-        for s in range(self.count):
-            if seen[s] or self.assigned[s] != -1:
-                continue
-            comp = [s]
-            seen[s] = True
-            st = [s]
-            while st:
-                v = st.pop()
-                for u, w, sid in self.adj[v]:
-                    if not seen[u] and self.assigned[u] == -1:
-                        seen[u] = True
-                        comp.append(u)
-                        st.append(u)
-            comps.append(comp)
-        return comps
+        return _split_components(
+            self, [v for v in range(self.count) if self.assigned[v] == -1])
 
     def comp_adm(self, comp: list[int]) -> float:
         memset = set(comp)
-        edges = [
-            (v, u, w)
-            for v in comp
-            for u, w, sid in self.adj[v]
-            if u in memset and v < u
-        ]
-        return _subgraph_adm(comp, edges, self.pot)
+        nbrs = {v: [(u, w) for u, w, sid in self.adj[v] if u in memset]
+                for v in comp}
+        return _tree_adm(comp, nbrs, self.pot)
 
 
 # the five steps live in dedicated helpers; `process_level` drives them
@@ -637,9 +588,9 @@ def step1_high(lvl: _Level) -> None:
         if x.step != "star" or not x.nodes:
             continue
         _pad_to_min_adm(lvl, xid)
-        ctx.report(
-            "step1-size", len(x.nodes) >= min(tau, lvl.count),
-            f"|V(X)|={len(x.nodes)} tau={tau}", )
+        if ctx.check is not None:
+            ctx.check("step1-size", len(x.nodes) >= min(tau, lvl.count),
+                      f"|V(X)|={len(x.nodes)} tau={tau}")
 
 
 def _pad_to_min_adm(lvl: _Level, xid: int) -> None:
@@ -705,19 +656,25 @@ def step2_branching(lvl: _Level) -> None:
             if hook is None:
                 hook = _adjacent_subgraph(lvl, xid, prefer="any")
             if hook is None:
-                ctx.report("step2-good-fixup", False,
-                           f"stranded ball of {len(x.nodes)} nodes")
+                if ctx.check is not None:
+                    ctx.check("step2-good-fixup", False,
+                              f"stranded ball of {len(x.nodes)} nodes")
                 continue
             other, bridge = hook
             lvl.merge_into(xid, other, bridge)
             changed = True
+    if ctx.check is not None:
+        _audit_balls(lvl, balls)
 
+
+def _audit_balls(lvl: _Level, balls: list[int]) -> None:
+    li = lvl.li
     for xid in balls:
         x = lvl.xs[xid]
         if x.nodes:
             adm = x.adm(lvl.pot)
-            ctx.report("step2-adm", li * (1 - 1e-9) <= adm <= 24 * li * (1 + 1e-9),
-                       f"ball adm={adm} li={li}")
+            lvl.ctx.check("step2-adm", li * (1 - 1e-9) <= adm <= 24 * li * (1 + 1e-9),
+                          f"ball adm={adm} li={li}")
 
 
 def _branching_nodes(lvl: _Level, comp: list[int]) -> list[int]:
@@ -882,13 +839,18 @@ def step4_blue_edges(lvl: _Level) -> None:
             run_b = _path_segment(lvl, b, li)
             _absorb_run(lvl, xid, run_b, bridge=(a, b, w))
         lvl.xs[xid].ei_idx.append(pick)
-        x = lvl.xs[xid]
-        adm = x.adm(lvl.pot)
-        lvl.ctx.report("step4-adm", li * (1 - 1e-9) <= adm <= 6 * li * (1 + 1e-9),
-                       f"blue-pair adm={adm} li={li}")
-        dplus = sum(lvl.pot[v] for v in x.nodes) - adm + x.tree_weight
-        lvl.ctx.report("step4-dplus", dplus >= -1e-9 * max(1.0, adm),
-                       f"dplus={dplus}")
+        if lvl.ctx.check is not None:
+            _audit_blue_pair(lvl, lvl.xs[xid])
+
+
+def _audit_blue_pair(lvl: _Level, x: Subgraph) -> None:
+    li = lvl.li
+    adm = x.adm(lvl.pot)
+    lvl.ctx.check("step4-adm", li * (1 - 1e-9) <= adm <= 6 * li * (1 + 1e-9),
+                  f"blue-pair adm={adm} li={li}")
+    dplus = sum(lvl.pot[v] for v in x.nodes) - adm + x.tree_weight
+    lvl.ctx.check("step4-dplus", dplus >= -1e-9 * max(1.0, adm),
+                  f"dplus={dplus}")
 
 
 def _blue_nodes(lvl: _Level) -> set[int]:
@@ -1144,20 +1106,23 @@ def break_long_path(lvl: _Level, path: list[int]) -> list[tuple[int, int]]:
     if flat != list(range(n)):
         raise AssertionError("path pieces do not partition the path")
     if lvl.ctx.check is not None:
-        for a, b in pieces:
-            adm = _range_adm(lvl, path, pos, a, b)
-            lvl.ctx.report(
-                "step5b-piece",
-                li * (1 - 1e-9) <= adm <= 7 * li * (1 + 1e-9),
-                f"piece adm={adm} li={li}",
-            )
-            seg = path[a:b + 1]
-            if any(lvl.nonisolated[v] for v in seg):
-                nonvirt = sum(1 for v in seg if not lvl.state.virtual[v])
-                endpoint = a == 0 or b == n - 1
-                lvl.ctx.report("step5b-good", nonvirt >= 2 or endpoint,
-                               f"nonvirt={nonvirt} endpoint={endpoint}")
+        _audit_path_pieces(lvl, path, pos, pieces)
     return pieces
+
+
+def _audit_path_pieces(lvl: _Level, path: list[int], pos: list[float],
+                       pieces: list[tuple[int, int]]) -> None:
+    li = lvl.li
+    for a, b in pieces:
+        adm = _range_adm(lvl, path, pos, a, b)
+        lvl.ctx.check("step5b-piece", li * (1 - 1e-9) <= adm <= 7 * li * (1 + 1e-9),
+                      f"piece adm={adm} li={li}")
+        seg = path[a:b + 1]
+        if any(lvl.nonisolated[v] for v in seg):
+            nonvirt = sum(1 for v in seg if not lvl.state.virtual[v])
+            endpoint = a == 0 or b == len(path) - 1
+            lvl.ctx.check("step5b-good", nonvirt >= 2 or endpoint,
+                          f"nonvirt={nonvirt} endpoint={endpoint}")
 
 
 def _chunk_edges(count: int) -> list[tuple[int, int]]:
@@ -1246,9 +1211,9 @@ def _force_min_adm(lvl: _Level) -> None:
             break
         hook = _adjacent_subgraph(lvl, worst, prefer="any")
         if hook is None:
-            if sum(1 for x in lvl.xs if x.nodes) > 1:
-                lvl.ctx.report("min-adm", False,
-                               f"isolated short subgraph size={len(lvl.xs[worst].nodes)}")
+            if lvl.ctx.check is not None and sum(1 for x in lvl.xs if x.nodes) > 1:
+                lvl.ctx.check("min-adm", False,
+                              f"isolated short subgraph size={len(lvl.xs[worst].nodes)}")
             break
         other, bridge = hook
         lvl.merge_into(worst, other, bridge)
@@ -1309,72 +1274,32 @@ def _finish_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
                   picked: set[int], counts: list[int]):
     ctx = lvl.ctx
     state = lvl.state
-    live = [(xid, x) for xid, x in enumerate(lvl.xs) if x.nodes]
-    remap = {xid: t for t, (xid, x) in enumerate(live)}
+    live = [x for x in lvl.xs if x.nodes]
     n_new = len(live)
-
-    ok_p1 = all(lvl.assigned[v] != -1 for v in range(lvl.count))
-    ctx.report("p1-partition", ok_p1, f"sigma={sigma} i={i}")
 
     adm = [0.0] * n_new
     virtual = [True] * n_new
     par_eid = [-1] * n_new
-    tree_w_inside = 0.0
-    dplus_ok = True
-    good_ok = True
-    y_count = sum(1 for v in range(lvl.count) if lvl.nonisolated[v])
-    for t, (xid, x) in enumerate(live):
+    piece_of = [0] * lvl.count
+    for t, x in enumerate(live):
         adm[t] = x.adm(lvl.pot)
-        vs = [state.virtual[v] for v in x.nodes]
-        virtual[t] = all(vs)
+        virtual[t] = all(state.virtual[v] for v in x.nodes)
         if virtual[t]:
             peids = {state.par_eid[v] for v in x.nodes}
             if len(peids) != 1:
                 raise AssertionError("virtual subgraph spans several parent paths")
             par_eid[t] = peids.pop()
-        tree_w_inside += x.tree_weight
-        dplus = sum(lvl.pot[v] for v in x.nodes) - adm[t] + x.tree_weight
-        if dplus < -1e-9 * max(1.0, adm[t]):
-            dplus_ok = False
-        if not _is_good(lvl, x):
-            good_ok = False
-        upper = ctx.gconst * lvl.li * (1 + 1e-9)
-        lower = lvl.li * (1 - 1e-9) if n_new > 1 else 0.0
-        ctx.report("p3-adm", lower <= adm[t] <= upper,
-                   f"sigma={sigma} i={i} step={x.step} adm={adm[t]} li={lvl.li}")
-        size_floor = 1.0 / (4 * ctx.eps)
-        ctx.report("p2-size-warning", len(x.nodes) >= min(size_floor, lvl.count),
-                   f"|V(X)|={len(x.nodes)}")
-    ctx.report("dplus-nonnegative", dplus_ok, f"sigma={sigma} i={i}")
-    ctx.report("goodness", good_ok, f"sigma={sigma} i={i}")
-
-    if not degenerate:
-        sep_ok = True
-        tau = ctx.tau_high
-        for a, b, w, eid in lvl.ei:
-            ka = "high" if lvl.deg[a] >= tau else lvl.xs[lvl.assigned[a]].kind
-            kb = "high" if lvl.deg[b] >= tau else lvl.xs[lvl.assigned[b]].kind
-            if {ka, kb} == {"high", "low-"} or (ka == kb == "low-"):
-                sep_ok = False
-        ctx.report("low-minus-separation", sep_ok, f"sigma={sigma} i={i}")
-
-    n_before = state.n_nodes
+        for v in x.nodes:
+            piece_of[v] = t
+    y_count = sum(1 for v in range(lvl.count) if lvl.nonisolated[v])
     n_after = sum(1 for v in virtual if not v)
-    ctx.report(
-        "n-reduction", n_before - n_after >= y_count / 2,
-        f"sigma={sigma} i={i} before={n_before} after={n_after} y={y_count}",
-    )
+    if ctx.check is not None:
+        _audit_level(lvl, sigma, i, degenerate, live, adm, n_after, y_count)
 
     phi_before = state.phi
     phi_after = sum(adm)
     a_i = sum(ctx.g.edges[eid][2] for eid in picked) if degenerate else 0.0
 
-    piece_of = [0] * lvl.count
-    for xid, x in enumerate(lvl.xs):
-        if not x.nodes:
-            continue
-        for v in x.nodes:
-            piece_of[v] = remap[xid]
     tree = _contract(state.tree, piece_of, n_new) if n_new > 1 else []
     new_state = ClassState(
         count=n_new, pot=adm, virtual=virtual, par_eid=par_eid, tree=tree,
@@ -1387,11 +1312,54 @@ def _finish_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
         "step_edge_counts": counts, "degenerate": degenerate,
     }
     if ctx.check is not None:
-        _cycle_property_check(lvl)
+        _audit_cycle_property(lvl)
     return row, new_state
 
 
-def _cycle_property_check(lvl: _Level) -> None:
+def _audit_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
+                 live: list[Subgraph], adm: list[float], n_after: int,
+                 y_count: int) -> None:
+    """The level's partition, per-subgraph Adm, size, potential and
+    separation invariants, and the real-node count it removed."""
+    ctx = lvl.ctx
+    ctx.check("p1-partition", all(lvl.assigned[v] != -1 for v in range(lvl.count)),
+              f"sigma={sigma} i={i}")
+    dplus_ok = True
+    good_ok = True
+    upper = ctx.gconst * lvl.li * (1 + 1e-9)
+    lower = lvl.li * (1 - 1e-9) if len(live) > 1 else 0.0
+    size_floor = 1.0 / (4 * ctx.eps)
+    for x, x_adm in zip(live, adm):
+        dplus = sum(lvl.pot[v] for v in x.nodes) - x_adm + x.tree_weight
+        if dplus < -1e-9 * max(1.0, x_adm):
+            dplus_ok = False
+        if not _is_good(lvl, x):
+            good_ok = False
+        ctx.check("p3-adm", lower <= x_adm <= upper,
+                  f"sigma={sigma} i={i} step={x.step} adm={x_adm} li={lvl.li}")
+        ctx.check("p2-size-warning", len(x.nodes) >= min(size_floor, lvl.count),
+                  f"|V(X)|={len(x.nodes)}")
+    ctx.check("dplus-nonnegative", dplus_ok, f"sigma={sigma} i={i}")
+    ctx.check("goodness", good_ok, f"sigma={sigma} i={i}")
+
+    if not degenerate:
+        sep_ok = True
+        tau = ctx.tau_high
+        for a, b, w, eid in lvl.ei:
+            ka = "high" if lvl.deg[a] >= tau else lvl.xs[lvl.assigned[a]].kind
+            kb = "high" if lvl.deg[b] >= tau else lvl.xs[lvl.assigned[b]].kind
+            if {ka, kb} == {"high", "low-"} or (ka == kb == "low-"):
+                sep_ok = False
+        ctx.check("low-minus-separation", sep_ok, f"sigma={sigma} i={i}")
+
+    n_before = lvl.state.n_nodes
+    ctx.check(
+        "n-reduction", n_before - n_after >= y_count / 2,
+        f"sigma={sigma} i={i} before={n_before} after={n_after} y={y_count}",
+    )
+
+
+def _audit_cycle_property(lvl: _Level) -> None:
     """Every virtual node on a level edge's fundamental tree cycle has a
     parent MST edge no heavier than the level edge."""
     if not lvl.ei:
@@ -1426,4 +1394,4 @@ def _cycle_property_check(lvl: _Level) -> None:
             peid = lvl.state.par_eid[x]
             if peid >= 0 and not mst_weight[peid] <= w * (1 + 1e-9):
                 ok = False
-    lvl.ctx.report("cycle-property", ok, f"edges={len(lvl.ei)}")
+    lvl.ctx.check("cycle-property", ok, f"edges={len(lvl.ei)}")

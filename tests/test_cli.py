@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -144,19 +145,23 @@ def test_instrument_out_writes_level_rows(tmp_path, algo):
     assert got == json.loads(json.dumps(levels))
 
 
-def test_bench_csv_schema(tmp_path):
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--algos", "pm,linear", "--ns", "32", "--ks", "2",
-               "--epss", "0.25", "-o", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == ("algo,n,m,k,eps,edges,sparsity,lightness,"
-                        "max_stretch,ops,seconds")
-    assert len(lines) == 3
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert fields[0] in ("pm", "linear")
-        assert float(fields[8]) <= 3.75 + 1e-9
+# sha256 of `bench --dsu --seed 0`: the op-count ladder is seeded, so its
+# output is pinned byte for byte
+DSU_BENCH_SHA256 = "765aca087337b884d1fd828457537146b7e616d0056806712ca8d4984003af0c"
+
+
+def test_bench_dsu_ladder(tmp_path):
+    out = tmp_path / "dsu.csv"
+    assert main(["bench", "--dsu", "--seed", "0", "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "engine,n,ops,m_plus_n,ratio"
+    assert [int(line.split(",")[1]) for line in lines[1:]] == [2 ** e for e in range(10, 17)]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DSU_BENCH_SHA256
+
+
+def test_bench_without_dsu_exit_2(capsys):
+    assert main(["bench"]) == 2
+    assert "--dsu" in capsys.readouterr().err
 
 
 def test_spanner_header_round_trip(tmp_path):

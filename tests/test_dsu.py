@@ -10,8 +10,6 @@ from spanlab.dsu import (
     StaticTreeIndex,
     StaticTreeUF,
     classic_uf_session,
-    parse_trace,
-    replay_trace_file,
     static_tree_uf_session,
 )
 
@@ -268,25 +266,3 @@ def test_topmost_is_ancestor_invariant():
                     x = parent[x]
                 assert seen
 
-
-# ---------------------------------------------------------------- traces
-
-
-def test_parse_trace_and_replay(tmp_path):
-    ops = parse_trace(["L 2", "F 2", "# comment", "F 0"])
-    assert ops == [("L", 2), ("F", 2), ("F", 0)]
-    p = tmp_path / "trace.txt"
-    p.write_text("L 2\nF 2\nL 1\nF 2\n")
-    answers, cost = replay_trace_file(str(p), parent=[-1, 0, 1])
-    assert answers == [1, 0]
-    assert cost > 0
-
-    q = tmp_path / "classic.txt"
-    q.write_text("U 0 1\nF 0\nF 2\n")
-    answers, _ = replay_trace_file(str(q), n=3)
-    assert answers[1] == 2
-
-
-def test_parse_trace_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_trace(["X 1 2"])

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from spanlab import lightsteps
 from spanlab.buckets import mu_classes, threshold
 from spanlab.generators import gnm_graph
 from spanlab.graphs import WeightedGraph
@@ -50,6 +51,17 @@ def two_level_classes() -> WeightedGraph:
     return WeightedGraph(base.n, [(u, v, rng.choice(grid)) for u, v, _ in base.edges])
 
 
+# `light` runs its five steps (`process_level`) unaudited on these two: some
+# class has several levels (2 and 10 calls).  The other cases never run them
+# unaudited.
+STEPS_CASES = {
+    "steps-gnm200-k2-e0.25": (
+        lambda: gnm_graph(200, 3000, 1, "loguniform", 1e9), 2, 0.25, True),
+    "steps-gnm500-k3-e0.5": (
+        lambda: gnm_graph(500, 6000, 3, "loguniform", 1e9), 3, 0.5, False),
+}
+
+
 def _cases():
     """name -> (graph factory, k, eps, nominal_eps)."""
     out = {}
@@ -67,6 +79,7 @@ def _cases():
     # `light` enters classes from three rungs of its carve ladder
     out["ladder-gnm100-k3-e0.5"] = (
         lambda: gnm_graph(100, 1500, 1, "loguniform", 1e9), 3, 0.5, True)
+    out.update(STEPS_CASES)
     return out
 
 
@@ -158,6 +171,16 @@ GOLDEN = {
         'linear': 'b4627b7f3124891dfa47961bca860e321ec8fb208ca6f05b109737427550e12b',
         'light': '9aac745e999363e819776d0f4a2cdd8e4ed69485091b0cd53a1515c131dd0bc9',
     },
+    'steps-gnm200-k2-e0.25': {
+        'pm': 'c8e15420fdb5f9f2a6727dae6f82ca3e4dff189ab10cca29544b4edd23e8ca37',
+        'linear': '88c41dbd5354c2a677083cc69b063c0f3599b3710cbed8e05c0c50cc7eb61950',
+        'light': '3eae7ef55a686cca4e941cb6f9d129abfd0037e8e291c5761e856cf8812ce284',
+    },
+    'steps-gnm500-k3-e0.5': {
+        'pm': '36d1fec376935673f95c21d65ae0c19047645ddf87c62a8d2fa43e4f2c767c37',
+        'linear': '728309f3b94ecd54f565d077a9feab20b274e4db6a307a7e9067d5ff881d2a1f',
+        'light': '73314c167bce715a3e60778c53c083ebf4d55a1146d134ff54bb78f09b7913bd',
+    },
     'two-level-classes-k2-e0.25': {
         'pm': '8784d2e2283e78c8cd1f7ca903fc13af9a85f0ac88edf35c9464e47b49af37fd',
         'linear': '5e3e359f9d4ab9bad6fab7210c3e6c517798d996bd9f8ced5fb1e818ddf02811',
@@ -169,6 +192,49 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_edge_sets(name):
     assert _digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(STEPS_CASES))
+def test_steps_cases_run_process_level(name, monkeypatch):
+    calls = []
+    real = lightsteps.process_level
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lightsteps, "process_level", counted)
+    make, k, eps, nominal = CASES[name]
+    build_light(make(), k, eps, nominal_eps=nominal)
+    assert calls
+
+
+# sha256 over "name\tok\tdetail\n" of every audit outcome of the audited
+# steps-gnm200 build, in report order (see `audit_stream`): moving an audit
+# must not change it
+AUDIT_STREAM = {
+    "outcomes": 3343,
+    "size_warnings_failed": 586,
+    "sha256": "ee1f04736833f960c4728dfb07e19c27e6ab4ee30652b1da3501843ed132dac9",
+}
+
+
+def audit_stream(name: str) -> list[tuple[str, bool, str]]:
+    make, k, eps, nominal = CASES[name]
+    out: list[tuple[str, bool, str]] = []
+    build_light(make(), k, eps, nominal_eps=nominal,
+                check=lambda n, ok, detail: out.append((n, ok, detail)))
+    return out
+
+
+def test_audit_stream_of_steps_case():
+    stream = audit_stream("steps-gnm200-k2-e0.25")
+    h = hashlib.sha256()
+    for n, ok, detail in stream:
+        h.update(f"{n}\t{ok}\t{detail}\n".encode())
+    warned = sum(1 for n, ok, _ in stream if n == "p2-size-warning" and not ok)
+    assert {"outcomes": len(stream), "size_warnings_failed": warned,
+            "sha256": h.hexdigest()} == AUDIT_STREAM
 
 
 if __name__ == "__main__":

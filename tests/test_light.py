@@ -3,6 +3,9 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import minimum_spanning_tree
 from spanlab.light import (
@@ -259,6 +262,99 @@ def test_break_path_boundary_diameter():
         adm = steps._range_adm(lvl, list(range(n)), pos, a, b)
         assert li * (1 - 1e-9) <= adm <= 7 * li * (1 + 1e-9)
     sink.assert_clean()
+
+
+# ---------------------------------------------------------------- Adm
+
+
+def _brute_adm(nbrs, pot) -> float:
+    """Largest augmented path length over all node pairs (a == b included),
+    each path found by its own search."""
+    best = 0.0
+    for a in nbrs:
+        length = {a: pot[a]}
+        st_ = [a]
+        while st_:
+            v = st_.pop()
+            for u, w in nbrs[v]:
+                if u not in length:
+                    length[u] = length[v] + w + pot[u]
+                    st_.append(u)
+        best = max(best, max(length.values()))
+    return best
+
+
+@st.composite
+def _trees(draw):
+    """A random tree on at most 12 labelled nodes, listed in random order,
+    with non-negative integer weights and potentials (so sums are exact)."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.permutations(range(n)))
+    nbrs = {v: [] for v in labels}
+    for child in range(1, n):
+        parent = draw(st.integers(0, child - 1))
+        w = float(draw(st.integers(0, 50)))
+        a, b = labels[child], labels[parent]
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    pot = [float(draw(st.integers(0, 50))) for _ in range(n)]
+    return list(labels), nbrs, pot
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees())
+def test_tree_adm_matches_brute_force(tree):
+    nodes, nbrs, pot = tree
+    assert steps._tree_adm(nodes, nbrs, pot) == _brute_adm(nbrs, pot)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12), st.data())
+def test_range_adm_matches_tree_adm_on_paths(pots, data):
+    n = len(pots)
+    weights = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n - 1, max_size=n - 1))
+    lvl, _ = _level_for_path(weights, pots, [True] * n, [False] * n, 1.0)
+    path = list(range(n))
+    _, pos = steps._path_positions(lvl, path)
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(a, n - 1))
+    seg = path[a:b + 1]
+    nbrs = {v: [(u, w) for u, w, _ in lvl.adj[v] if a <= u <= b] for v in seg}
+    want = steps._tree_adm(seg, nbrs, lvl.pot)
+    got = steps._range_adm(lvl, path, pos, a, b)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_unaudited_build_runs_no_audit(monkeypatch):
+    # the guard case runs `process_level`; without `check` no audit helper
+    # may be entered, with it the helpers run
+    audits = [name for name in vars(steps) if name.startswith("_audit_")]
+    assert len(audits) >= 6
+    entered = []
+
+    def refuse(name):
+        def helper(*args, **kwargs):
+            raise AssertionError(f"{name} entered by an unaudited build")
+        return helper
+
+    def counted(name, fn):
+        def helper(*args, **kwargs):
+            entered.append(name)
+            return fn(*args, **kwargs)
+        return helper
+
+    g = gnm_graph(200, 3000, seed=1, law="loguniform", wmax=1e9)
+    real = {name: getattr(steps, name) for name in audits}
+    with monkeypatch.context() as mp:
+        for name in audits:
+            mp.setattr(steps, name, refuse(name))
+        plain = build_light(g, 2, 0.25, nominal_eps=True)
+    for name in audits:
+        monkeypatch.setattr(steps, name, counted(name, real[name]))
+    audited = build_light(g, 2, 0.25, nominal_eps=True, check=CheckSink())
+    assert {"_audit_carve", "_audit_coarsen", "_audit_balls", "_audit_path_pieces",
+            "_audit_level", "_audit_cycle_property"} <= set(entered)
+    assert audited.edge_key_set() == plain.edge_key_set()
 
 
 # ---------------------------------------------------------------- build
