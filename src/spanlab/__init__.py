@@ -11,7 +11,7 @@ from .graphs import (
     save_graph,
     sssp_distances,
 )
-from .buckets import LevelBuckets, bucket_index, mst_edge_levels, partition_edges
+from .buckets import LevelBuckets, bucket_index, partition_edges
 from .dsu import ClassicUF, StaticTreeIndex, StaticTreeUF
 from .hz import UnweightedGraph, hz_spanner
 from .light import build_light, split_light_heavy, subdivide_mst
@@ -41,7 +41,6 @@ __all__ = [
     "load_graph",
     "load_spanner",
     "minimum_spanning_tree",
-    "mst_edge_levels",
     "normalize_weights",
     "partition_edges",
     "save_graph",

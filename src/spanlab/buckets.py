@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graphs import MstResult, WeightedGraph
+from .graphs import WeightedGraph
 
 
 def mu_classes(eps: float) -> int:
@@ -93,18 +93,6 @@ class LevelBuckets:
             len(ids) for levels in self.by_class.values() for ids in levels.values()
         )
 
-    def scale(self, sigma: int, i: int) -> float:
-        return level_scale(sigma, i, self.eps, self.base)
-
-    def dump_csv(self, graph: WeightedGraph) -> str:
-        """Debug dump: 'sigma,i,count,minw,maxw' rows."""
-        rows = ["sigma,i,count,minw,maxw"]
-        for sigma in self.classes():
-            for i in self.levels(sigma):
-                ws = [graph.edges[e][2] for e in self.edges(sigma, i)]
-                rows.append(f"{sigma},{i},{len(ws)},{min(ws)!r},{max(ws)!r}")
-        return "\n".join(rows) + "\n"
-
 
 def partition_edges(g: WeightedGraph, eps: float, base: float = 1.0) -> LevelBuckets:
     """Partition every edge into its (sigma, i) cell; levels stored sorted."""
@@ -115,17 +103,3 @@ def partition_edges(g: WeightedGraph, eps: float, base: float = 1.0) -> LevelBuc
         sigma, i = j % mu, j // mu
         buckets.by_class.setdefault(sigma, {}).setdefault(i, []).append(eid)
     return buckets
-
-
-def mst_edge_levels(mst: MstResult, eps: float, base: float = 1.0,
-                    sigma: int = 0) -> dict[int, list[tuple[int, int, float]]]:
-    """Level lists B_i of MST edges on class sigma's sub-grid: B_i holds the
-    edges with L_{i-1} < w <= L_i (L_{-1} = 0, so level 0 catches everything
-    at or below L_0)."""
-    mu = mu_classes(eps)
-    out: dict[int, list[tuple[int, int, float]]] = {}
-    for u, v, w in mst.edges:
-        j = bucket_raw_index(w, eps, base)
-        i = 0 if j <= sigma else -((sigma - j) // mu)  # ceil((j - sigma) / mu)
-        out.setdefault(i, []).append((u, v, w))
-    return out

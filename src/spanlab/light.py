@@ -230,7 +230,6 @@ def _build_heavy(
         single = len(level_ids) == 1
         state: Optional[steps.ClassState] = None
         lca: Optional[steps.TreeLCA] = None
-        phi_first = None
         for i in level_ids:
             li = level_scale(sigma, i, eps_i, wbar)
             prev = level_scale(sigma, i - 1, eps_i, wbar) if i > 0 \
@@ -239,16 +238,14 @@ def _build_heavy(
                 state, lca = _base_state(
                     sub, prev, wbar, ladder, shared_base, shared_lca, ctx
                 )
+                if check is not None:
+                    check("phi1-bound", state.phi <= mst.weight * (1 + 1e-9),
+                          f"sigma={sigma} phi1={state.phi} w(mst)={mst.weight}")
             elif state.scale < prev * (1 - 1e-12):
                 state = steps.coarsen(state, prev, ctx, levels_log, sigma, i)
                 lca = None
             if lca is None:
                 lca = steps.TreeLCA(state)
-            if phi_first is None:
-                phi_first = state.phi
-                if check is not None:
-                    check("phi1-bound", phi_first <= mst.weight * (1 + 1e-9),
-                          f"sigma={sigma} phi1={phi_first} w(mst)={mst.weight}")
 
             if check is not None:
                 check("imax-bound", i <= 4 * math.log2(max(g.n, 2)) + 20,

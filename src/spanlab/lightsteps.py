@@ -8,8 +8,9 @@ subgraphs' augmented diameters, and the contracted spanning tree is
 re-derived from the crossing subdivided-tree edges.
 
 The structural audits live in the `_audit_*` helpers and run only when the
-context carries a `check` callback; an unaudited build computes no value
-that only an audit reads.
+context carries a `check` callback.  A value that only an audit reads (a
+subgraph's high/low+/low- kind, its contracted-tree weight) is derived
+inside those helpers, so an unaudited build never computes it.
 """
 from __future__ import annotations
 
@@ -150,18 +151,7 @@ def _carve_tree(state: ClassState, scale: float) -> tuple[ClassState, list[int]]
     count = state.count
     pot = state.pot
     adj = state.adjacency()
-
-    parent = [-2] * count
-    order: list[int] = []
-    parent[0] = -1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u, w, sid in adj[v]:
-            if parent[u] == -2:
-                parent[u] = v
-                stack.append(u)
+    parent, order = _root_tree(adj, count)
 
     piece_of = [-1] * count
     pieces: list[list[int]] = []
@@ -212,23 +202,50 @@ def _carve_tree(state: ClassState, scale: float) -> tuple[ClassState, list[int]]
             inside[a].append((b, w))
             inside[b].append((a, w))
     adm = [_tree_adm(mem, inside, pot) for mem in pieces]
-    n_pieces = len(pieces)
-    virtual = [True] * n_pieces
-    par_eid = [-1] * n_pieces
-    for pid, mem in enumerate(pieces):
-        for c in mem:
-            if not state.virtual[c]:
-                virtual[pid] = False
-                par_eid[pid] = -1
+    return _next_state(state, pieces, piece_of, adm, scale), piece_of
+
+
+def _root_tree(adj, count: int) -> tuple[list[int], list[int]]:
+    """Parent of every node of the tree `adj` rooted at node 0 (-1 for the
+    root), and the nodes in a visit order that lists parents first."""
+    parent = [-2] * count
+    parent[0] = -1
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u, w, sid in adj[v]:
+            if parent[u] == -2:
+                parent[u] = v
+                stack.append(u)
+    return parent, order
+
+
+def _next_state(state: ClassState, parts: list[list[int]], part_of: list[int],
+                adm: list[float], scale: float) -> ClassState:
+    """The clusters formed at `scale` by merging each part (a list of
+    `state`'s nodes; `part_of` maps a node to its part) into one node of
+    potential `adm[part]`."""
+    n_parts = len(parts)
+    virtual = [True] * n_parts
+    par_eid = [-1] * n_parts
+    for t, mem in enumerate(parts):
+        peids = set()
+        for v in mem:
+            if not state.virtual[v]:
+                virtual[t] = False
                 break
-            par_eid[pid] = state.par_eid[c]
-    tree = _contract(state.tree, piece_of, n_pieces) if n_pieces > 1 else []
-    new = ClassState(
-        count=n_pieces, pot=adm, virtual=virtual, par_eid=par_eid,
-        tree=tree, cl_of_sub=[piece_of[c] for c in state.cl_of_sub],
-        scale=scale,
+            peids.add(state.par_eid[v])
+        if virtual[t]:
+            if len(peids) != 1:
+                raise AssertionError("virtual subgraph spans several parent paths")
+            par_eid[t] = peids.pop()
+    return ClassState(
+        count=n_parts, pot=adm, virtual=virtual, par_eid=par_eid,
+        tree=_contract(state.tree, part_of, n_parts) if n_parts > 1 else [],
+        cl_of_sub=[part_of[c] for c in state.cl_of_sub], scale=scale,
     )
-    return new, piece_of
 
 
 def _tree_adm(nodes: list[int], nbrs, pot: list[float]) -> float:
@@ -414,15 +431,14 @@ def trivial_row(sigma: int, i: int, state: ClassState, bucket: int,
 class Subgraph:
     step: str
     nodes: list[int] = field(default_factory=list)
-    graph_edges: list[tuple[int, int, float]] = field(default_factory=list)
-    tree_weight: float = 0.0     # total weight of contracted-tree edges inside
+    # (a, b, w, is_tree): is_tree marks a contracted-tree edge, not a level edge
+    graph_edges: list[tuple[int, int, float, bool]] = field(default_factory=list)
     ei_idx: list[int] = field(default_factory=list)
-    kind: str = ""               # high / low+ / low-
     endpoint_piece: bool = False
 
     def adm(self, pot: list[float]) -> float:
         nbrs: dict[int, list[tuple[int, float]]] = {v: [] for v in self.nodes}
-        for a, b, w in self.graph_edges:
+        for a, b, w, _ in self.graph_edges:
             nbrs[a].append((b, w))
             nbrs[b].append((a, w))
         return _tree_adm(self.nodes, nbrs, pot)
@@ -469,19 +485,15 @@ class _Level:
         self.assigned[node] = xid
         if via is not None:
             other, w, is_tree = via
-            x.graph_edges.append((other, node, w))
-            if is_tree:
-                x.tree_weight += w
+            x.graph_edges.append((other, node, w, is_tree))
 
     def merge_into(self, src: int, dst: int, bridge: tuple[int, int, float, bool]) -> None:
-        a, b, w, is_tree = bridge
         xs, xd = self.xs[src], self.xs[dst]
         for v in xs.nodes:
             self.assigned[v] = dst
         xd.nodes.extend(xs.nodes)
         xd.graph_edges.extend(xs.graph_edges)
-        xd.graph_edges.append((a, b, w))
-        xd.tree_weight += xs.tree_weight + (w if is_tree else 0.0)
+        xd.graph_edges.append(bridge)
         xd.ei_idx.extend(xs.ei_idx)
         xs.nodes = []
         xs.graph_edges = []
@@ -521,7 +533,6 @@ def process_level(state: ClassState, ei, li: float, sigma: int, i: int,
     )
     step5_paths(lvl)
     _force_min_adm(lvl)
-    _classify(lvl, degenerate)
     picked, counts = select_level_edges(lvl)
     row, new_state = _finish_level(lvl, sigma, i, degenerate, picked, counts)
     return new_state, picked, row
@@ -848,9 +859,18 @@ def _audit_blue_pair(lvl: _Level, x: Subgraph) -> None:
     adm = x.adm(lvl.pot)
     lvl.ctx.check("step4-adm", li * (1 - 1e-9) <= adm <= 6 * li * (1 + 1e-9),
                   f"blue-pair adm={adm} li={li}")
-    dplus = sum(lvl.pot[v] for v in x.nodes) - adm + x.tree_weight
+    dplus = sum(lvl.pot[v] for v in x.nodes) - adm + _audit_tree_weight(x)
     lvl.ctx.check("step4-dplus", dplus >= -1e-9 * max(1.0, adm),
                   f"dplus={dplus}")
+
+
+def _audit_tree_weight(x: Subgraph) -> float:
+    """Total weight of x's contracted-tree edges, summed in edge order."""
+    total = 0.0
+    for a, b, w, is_tree in x.graph_edges:
+        if is_tree:
+            total += w
+    return total
 
 
 def _blue_nodes(lvl: _Level) -> set[int]:
@@ -946,23 +966,21 @@ def _path_segment(lvl: _Level, center: int, radius: float) -> list[int]:
 
 def _absorb_run(lvl: _Level, xid: int, run: list[int],
                 bridge: Optional[tuple[int, int, float]] = None) -> None:
-    pending = [v for v in run if lvl.assigned[v] == -1]
-    first = None
-    for v in pending:
-        if first is None:
-            if bridge is not None:
-                lvl.xs[xid].graph_edges.append(bridge)
-            lvl.absorb(xid, v)
-            first = v
+    """Absorb a `_path_segment` run left to right.  Its centre enters
+    through the level edge `bridge` = (a, b, w), which ends at the centre
+    b, or alone when there is no bridge (the centre is then the first
+    node); every other node enters through its run neighbour toward the
+    centre, so the run adds a tree to the subgraph."""
+    centre = 0 if bridge is None else run.index(bridge[1])
+    for t, v in enumerate(run):
+        if t == centre:
+            if bridge is None:
+                lvl.absorb(xid, v)
+            else:
+                lvl.absorb(xid, v, via=(bridge[0], bridge[2], False))
         else:
-            prev = None
-            for u, w, sid in lvl.adj[v]:
-                if lvl.assigned[u] == xid:
-                    prev = (u, w)
-                    break
-            if prev is None:
-                raise AssertionError("run is not contiguous")
-            lvl.absorb(xid, v, via=(prev[0], prev[1], True))
+            u = run[t + 1] if t < centre else run[t - 1]
+            lvl.absorb(xid, v, via=(u, _tree_edge_weight(lvl, u, v), True))
 
 
 # ---------------------------------------------------------------- step 5
@@ -1067,10 +1085,11 @@ def break_long_path(lvl: _Level, path: list[int]) -> list[tuple[int, int]]:
         if keep and run_start is None:
             run_start = t
         if not keep and run_start is not None:
-            run_edges = list(range(run_start, t))   # kept-edge indices
-            for lo, hi in _chunk_edges(len(run_edges)):
-                ai = kept[run_edges[lo]]
-                bi = kept[run_edges[hi] + 1]
+            # adjacent chunks of the run share their boundary node; the
+            # left chunk keeps it, so the pieces stay disjoint
+            for lo, hi in _chunk_edges(t - run_start):
+                ai = kept[run_start + lo] + (1 if lo else 0)
+                bi = kept[run_start + hi + 1]
                 pieces.append((ai, bi))
                 for x in range(ai, bi + 1):
                     covered[x] = True
@@ -1088,19 +1107,6 @@ def break_long_path(lvl: _Level, path: list[int]) -> list[tuple[int, int]]:
         pieces.extend(_split_range(lvl, path, pos, idx, j))
         idx = j + 1
     pieces.sort()
-
-    # adjacent chunks of one skeleton run share their boundary node; clip
-    # so the pieces partition the path (the left piece keeps the node)
-    cleaned: list[tuple[int, int]] = []
-    prev_end = -1
-    for a, b in pieces:
-        a = max(a, prev_end + 1)
-        if a > b:
-            continue
-        cleaned.append((a, b))
-        prev_end = b
-    pieces = cleaned
-
     pieces = _repair_pieces(lvl, path, pos, pieces)
     flat = [x for a, b in pieces for x in range(a, b + 1)]
     if flat != list(range(n)):
@@ -1196,42 +1202,20 @@ def _repair_pieces(lvl: _Level, path, pos, pieces):
 
 
 def _force_min_adm(lvl: _Level) -> None:
-    """Last-resort: merge any under-length subgraph into a neighbor."""
-    guard = len(lvl.xs) + 4
-    while guard:
-        guard -= 1
-        worst = None
-        for xid, x in enumerate(lvl.xs):
-            if not x.nodes:
-                continue
-            if x.adm(lvl.pot) < lvl.li * (1 - 1e-12):
-                worst = xid
-                break
-        if worst is None:
-            break
-        hook = _adjacent_subgraph(lvl, worst, prefer="any")
-        if hook is None:
-            if lvl.ctx.check is not None and sum(1 for x in lvl.xs if x.nodes) > 1:
-                lvl.ctx.check("min-adm", False,
-                              f"isolated short subgraph size={len(lvl.xs[worst].nodes)}")
-            break
-        other, bridge = hook
-        lvl.merge_into(worst, other, bridge)
-
-
-def _classify(lvl: _Level, degenerate: bool) -> None:
-    tau = lvl.ctx.tau_high
-    for x in lvl.xs:
-        if not x.nodes:
+    """Last resort: merge each under-length subgraph into a neighbor, in one
+    pass in index order.  A merge only grows its target, and a tree's Adm
+    cannot shrink as it grows, so a subgraph that passed keeps passing."""
+    for xid, x in enumerate(lvl.xs):
+        if not x.nodes or x.adm(lvl.pot) >= lvl.li * (1 - 1e-12):
             continue
-        if degenerate:
-            x.kind = "low-"
-        elif any(lvl.deg[v] >= tau for v in x.nodes):
-            x.kind = "high"
-        elif x.step == "piece" and not x.endpoint_piece:
-            x.kind = "low-"
-        else:
-            x.kind = "low+"
+        hook = _adjacent_subgraph(lvl, xid, prefer="any")
+        if hook is None:
+            if lvl.ctx.check is not None and sum(1 for y in lvl.xs if y.nodes) > 1:
+                lvl.ctx.check("min-adm", False,
+                              f"isolated short subgraph size={len(x.nodes)}")
+            return
+        other, bridge = hook
+        lvl.merge_into(xid, other, bridge)
 
 
 def select_level_edges(lvl: _Level) -> tuple[set[int], list[int]]:
@@ -1273,38 +1257,21 @@ def select_level_edges(lvl: _Level) -> tuple[set[int], list[int]]:
 def _finish_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
                   picked: set[int], counts: list[int]):
     ctx = lvl.ctx
-    state = lvl.state
     live = [x for x in lvl.xs if x.nodes]
-    n_new = len(live)
-
-    adm = [0.0] * n_new
-    virtual = [True] * n_new
-    par_eid = [-1] * n_new
     piece_of = [0] * lvl.count
     for t, x in enumerate(live):
-        adm[t] = x.adm(lvl.pot)
-        virtual[t] = all(state.virtual[v] for v in x.nodes)
-        if virtual[t]:
-            peids = {state.par_eid[v] for v in x.nodes}
-            if len(peids) != 1:
-                raise AssertionError("virtual subgraph spans several parent paths")
-            par_eid[t] = peids.pop()
         for v in x.nodes:
             piece_of[v] = t
+    new_state = _next_state(lvl.state, [x.nodes for x in live], piece_of,
+                            [x.adm(lvl.pot) for x in live], lvl.li)
     y_count = sum(1 for v in range(lvl.count) if lvl.nonisolated[v])
-    n_after = sum(1 for v in virtual if not v)
+    n_after = new_state.n_nodes
     if ctx.check is not None:
-        _audit_level(lvl, sigma, i, degenerate, live, adm, n_after, y_count)
+        _audit_level(lvl, sigma, i, degenerate, live, new_state.pot, n_after, y_count)
 
-    phi_before = state.phi
-    phi_after = sum(adm)
+    phi_before = lvl.state.phi
+    phi_after = new_state.phi
     a_i = sum(ctx.g.edges[eid][2] for eid in picked) if degenerate else 0.0
-
-    tree = _contract(state.tree, piece_of, n_new) if n_new > 1 else []
-    new_state = ClassState(
-        count=n_new, pot=adm, virtual=virtual, par_eid=par_eid, tree=tree,
-        cl_of_sub=[piece_of[c] for c in state.cl_of_sub], scale=lvl.li,
-    )
     row = {
         "sigma": sigma, "i": i, "v_nodes": lvl.count, "e_edges": len(lvl.ei),
         "y_nodes": y_count, "n_nodes": n_after, "phi": phi_before,
@@ -1330,7 +1297,7 @@ def _audit_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
     lower = lvl.li * (1 - 1e-9) if len(live) > 1 else 0.0
     size_floor = 1.0 / (4 * ctx.eps)
     for x, x_adm in zip(live, adm):
-        dplus = sum(lvl.pot[v] for v in x.nodes) - x_adm + x.tree_weight
+        dplus = sum(lvl.pot[v] for v in x.nodes) - x_adm + _audit_tree_weight(x)
         if dplus < -1e-9 * max(1.0, x_adm):
             dplus_ok = False
         if not _is_good(lvl, x):
@@ -1343,11 +1310,21 @@ def _audit_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
     ctx.check("goodness", good_ok, f"sigma={sigma} i={i}")
 
     if not degenerate:
-        sep_ok = True
         tau = ctx.tau_high
+        kind = [""] * len(lvl.xs)       # high / low+ / low- of each live subgraph
+        for xid, x in enumerate(lvl.xs):
+            if not x.nodes:
+                continue
+            if any(lvl.deg[v] >= tau for v in x.nodes):
+                kind[xid] = "high"
+            elif x.step == "piece" and not x.endpoint_piece:
+                kind[xid] = "low-"
+            else:
+                kind[xid] = "low+"
+        sep_ok = True
         for a, b, w, eid in lvl.ei:
-            ka = "high" if lvl.deg[a] >= tau else lvl.xs[lvl.assigned[a]].kind
-            kb = "high" if lvl.deg[b] >= tau else lvl.xs[lvl.assigned[b]].kind
+            ka = "high" if lvl.deg[a] >= tau else kind[lvl.assigned[a]]
+            kb = "high" if lvl.deg[b] >= tau else kind[lvl.assigned[b]]
             if {ka, kb} == {"high", "low-"} or (ka == kb == "low-"):
                 sep_ok = False
         ctx.check("low-minus-separation", sep_ok, f"sigma={sigma} i={i}")
@@ -1365,17 +1342,7 @@ def _audit_cycle_property(lvl: _Level) -> None:
     if not lvl.ei:
         return
     mst_weight = lvl.ctx.sub.mst_weight
-    parent: list[int] = [-2] * lvl.count
-    order = [0]
-    parent[0] = -1
-    st = [0]
-    while st:
-        v = st.pop()
-        for u, w, sid in lvl.adj[v]:
-            if parent[u] == -2:
-                parent[u] = v
-                order.append(u)
-                st.append(u)
+    parent, order = _root_tree(lvl.adj, lvl.count)
     depth = [0] * lvl.count
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1

@@ -143,8 +143,6 @@ def _build_connected(
         ptr = 0
         for i in level_ids:
             bucket = [e for e in buckets_all.edges(sigma, i) if e not in mst_eids]
-            if not bucket:
-                continue
             if check is not None:
                 _check_p2_subtree(
                     norm, mst, session,

@@ -36,12 +36,6 @@ class Spanner:
     def weight(self) -> float:
         return sum(w for _, _, w in self.edges)
 
-    def target_stretch(self) -> float:
-        return (2 * self.k - 1) * (1.0 + self.eps)
-
-    def as_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.n, list(self.edges))
-
     def edge_key_set(self) -> set[tuple[int, int]]:
         return {(u, v) if u < v else (v, u) for u, v, _ in self.edges}
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from spanlab.graphs import WeightedGraph, induced_subgraph
 from spanlab.spanner import graph_hash
+
+# CI runs `pytest --hypothesis-profile=ci`: every run draws the same examples,
+# so a failure seen there reproduces locally with the same flag
+settings.register_profile("ci", derandomize=True)
 
 # checker names that flag measured-constant shortfalls, not contract breaks
 WARN_NAMES = {"p2-size-warning", "step1-size"}

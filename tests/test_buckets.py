@@ -9,12 +9,10 @@ from spanlab.buckets import (
     bucket_index,
     bucket_raw_index,
     level_scale,
-    mst_edge_levels,
     mu_classes,
     partition_edges,
     threshold,
 )
-from spanlab.graphs import minimum_spanning_tree
 from conftest import wgraph
 
 
@@ -145,39 +143,6 @@ def test_partition_covers_everything():
             for i in buckets.levels(sigma):
                 ws = [g.edges[e][2] for e in buckets.edges(sigma, i)]
                 assert max(ws) / min(ws) <= (1 + eps) * (1 + 1e-9)
-
-
-def test_dump_csv_shape():
-    g = wgraph(3, [(0, 1, 1.0), (1, 2, 4.0)])
-    buckets = partition_edges(g, 0.5)
-    text = buckets.dump_csv(g)
-    lines = text.strip().splitlines()
-    assert lines[0] == "sigma,i,count,minw,maxw"
-    assert len(lines) == 3
-
-
-def test_mst_levels_unit_tree():
-    g = wgraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    mst = minimum_spanning_tree(g)
-    levels = mst_edge_levels(mst, 0.5)
-    assert list(levels) == [0]
-    assert len(levels[0]) == 3
-
-
-def test_mst_levels_spread_weights():
-    g = wgraph(3, [(0, 1, 1), (1, 2, 10)])
-    mst = minimum_spanning_tree(g)
-    levels = mst_edge_levels(mst, 0.5)
-    assert len(levels) == 2  # 1 and 10 land on different levels of class 0
-
-
-def test_mst_levels_every_weight_above_lminus1():
-    # L_{-1} = 0: level 0 exists and catches the lightest edges vacuously
-    g = wgraph(3, [(0, 1, 1), (1, 2, 1.2)])
-    mst = minimum_spanning_tree(g)
-    levels = mst_edge_levels(mst, 0.5)
-    assert all(i >= 0 for i in levels)
-    assert sum(len(v) for v in levels.values()) == 2
 
 
 def test_level_scale_monotone():

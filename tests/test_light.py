@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -262,6 +263,100 @@ def test_break_path_boundary_diameter():
         adm = steps._range_adm(lvl, list(range(n)), pos, a, b)
         assert li * (1 - 1e-9) <= adm <= 7 * li * (1 + 1e-9)
     sink.assert_clean()
+
+
+# ---------------------------------------------------------------- step 4
+
+
+def test_blue_pair_beside_its_partner_run_is_a_tree():
+    # unit path, one level edge (16, 18) at L_i = 1: a = 16 takes the run
+    # [15, 16, 17], so b = 18's run stops at 17 and lists 19 before 18.
+    # Both runs and the level edge must form one tree
+    n, li = 26, 1.0
+    path_lvl, _ = _level_for_path([1.0] * (n - 1), [0.0] * n, [False] * n,
+                                  [False] * n, li)
+    state = path_lvl.state
+    ctx = dataclasses.replace(path_lvl.ctx, check=None)
+    ei = [(16, 18, 1.0, 0)]
+    lvl = steps._Level(state, ei, li, ctx)
+    steps.step4_blue_edges(lvl)
+    (blue,) = [x for x in lvl.xs if x.step == "blue"]
+    assert sorted(blue.nodes) == [15, 16, 17, 18, 19]
+    assert len(blue.graph_edges) == 4
+    assert blue.adm(lvl.pot) == 3.0   # raises when the edges leave a node out
+    new_state, picked, row = steps.process_level(state, ei, li, 0, 1, ctx)
+    assert picked == {0} and new_state.count < n
+
+
+# ---------------------------------------------------------------- min Adm
+
+
+def reference_force_min_adm(lvl, merges: list) -> None:
+    """`_force_min_adm` as a restart loop: after each merge, rescan every
+    subgraph from index 0 for the first under-length one.  Appends the
+    index of each subgraph it merges away to `merges`."""
+    guard = len(lvl.xs) + 4
+    while guard:
+        guard -= 1
+        worst = None
+        for xid, x in enumerate(lvl.xs):
+            if not x.nodes:
+                continue
+            if x.adm(lvl.pot) < lvl.li * (1 - 1e-12):
+                worst = xid
+                break
+        if worst is None:
+            break
+        hook = steps._adjacent_subgraph(lvl, worst, prefer="any")
+        if hook is None:
+            if lvl.ctx.check is not None and sum(1 for x in lvl.xs if x.nodes) > 1:
+                lvl.ctx.check("min-adm", False,
+                              f"isolated short subgraph size={len(lvl.xs[worst].nodes)}")
+            break
+        other, bridge = hook
+        merges.append(worst)
+        lvl.merge_into(worst, other, bridge)
+
+
+def _random_levels(seeds):
+    """(state, level edges, L_i, ctx) over carved states of small loguniform
+    gnm graphs, one level per tau in {3, 6, None} and seed; levels whose
+    cluster graph is empty are skipped."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        n = rng.randint(20, 80)
+        g = gnm_graph(n, rng.randint(3 * n, 6 * n), seed, "loguniform", 100)
+        base_ctx, sub, mst = _mini_ctx(g, eps=0.5)
+        mst_keys = {(min(u, v), max(u, v)) for u, v, _ in mst.edges}
+        for tau in (3, 6, None):
+            ctx = dataclasses.replace(base_ctx, tau_override=tau)
+            state = steps.carved_state(sub, sub.wbar * rng.choice([1, 2, 4]), ctx)
+            li = rng.choice([w for u, v, w in g.edges
+                             if (min(u, v), max(u, v)) not in mst_keys])
+            bucket = [e for e, (u, v, w) in enumerate(g.edges) if li / 10 < w <= li]
+            ei = steps.build_cluster_graph(state, bucket, g, li, steps.TreeLCA(state), ctx)
+            if ei:
+                yield state, ei, li, ctx
+
+
+def test_force_min_adm_matches_restart_reference(monkeypatch):
+    one_pass = steps._force_min_adm
+    merges: list[int] = []
+    levels = 0
+    for state, ei, li, ctx in _random_levels(range(40)):
+        levels += 1
+        for audited in (False, True):
+            runs = []
+            for force in (one_pass, lambda lvl: reference_force_min_adm(lvl, merges)):
+                monkeypatch.setattr(steps, "_force_min_adm", force)
+                stream: list[tuple[str, bool, str]] = []
+                check = (lambda *outcome: stream.append(outcome)) if audited else None
+                out = steps.process_level(state, ei, li, 0, 1,
+                                          dataclasses.replace(ctx, check=check))
+                runs.append((out, stream))
+            assert runs[0] == runs[1]
+    assert levels >= 100
+    assert merges   # the reference did merge, so the levels test the merge order
 
 
 # ---------------------------------------------------------------- Adm
