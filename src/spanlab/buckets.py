@@ -6,11 +6,16 @@ An edge with weight w lands in the unique half-open cell (T_{j-1}, T_j]
 sigma = j mod mu, level i = j // mu.  Within one (sigma, i) cell the
 max/min weight ratio is <= 1+eps; consecutive non-empty levels of the same
 class are >= 1/eps apart, because (1+eps)^mu >= 1/eps.
+
+`partition_edges` is the one bucketing routine of the builders: `pm` passes
+every edge on the unit grid, `linear` its non-MST edges, and `light` its
+heavy non-MST edges on the grid based at the subdivision granularity.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .graphs import WeightedGraph
 
@@ -72,10 +77,9 @@ def level_scale(sigma: int, i: int, eps: float, base: float = 1.0) -> float:
 
 @dataclass
 class LevelBuckets:
-    """Sparse per-(sigma, i) edge partition of a graph's edge list."""
+    """Sparse per-(sigma, i) partition of a set of edge ids; `mu` is the
+    grid's class count."""
 
-    eps: float
-    base: float
     mu: int
     by_class: dict[int, dict[int, list[int]]] = field(default_factory=dict)
 
@@ -94,12 +98,13 @@ class LevelBuckets:
         )
 
 
-def partition_edges(g: WeightedGraph, eps: float, base: float = 1.0) -> LevelBuckets:
-    """Partition every edge into its (sigma, i) cell; levels stored sorted."""
+def partition_edges(g: WeightedGraph, eids: Iterable[int], eps: float,
+                    base: float = 1.0) -> LevelBuckets:
+    """Put each of g's edges `eids` in its (sigma, i) cell on the (eps,
+    base) grid; a cell lists its ids in the order given."""
     mu = mu_classes(eps)
-    buckets = LevelBuckets(eps=eps, base=base, mu=mu)
-    for eid, (_, _, w) in enumerate(g.edges):
-        j = bucket_raw_index(w, eps, base)
-        sigma, i = j % mu, j // mu
-        buckets.by_class.setdefault(sigma, {}).setdefault(i, []).append(eid)
+    buckets = LevelBuckets(mu=mu)
+    for eid in eids:
+        j = bucket_raw_index(g.edges[eid][2], eps, base)
+        buckets.by_class.setdefault(j % mu, {}).setdefault(j // mu, []).append(eid)
     return buckets

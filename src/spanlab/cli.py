@@ -154,7 +154,9 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--k", type=int, default=2)
     b.add_argument("--eps", type=float, default=0.25)
     b.add_argument("--nominal-eps", action="store_true",
-                   help="skip the internal eps down-scaling (experiments)")
+                   help="skip the internal eps down-scaling; the (2k-1)(1+eps) "
+                        "stretch is then not guaranteed (light often exceeds "
+                        "it), so check the output with `verify -t`")
     b.add_argument("--instrument-out", default=None,
                    help="write the per-level rows here, one JSON line each")
     b.add_argument("--format", choices=("edge-list", "dimacs-gr"),

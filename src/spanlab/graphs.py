@@ -117,6 +117,7 @@ class MstResult:
     edges: list[tuple[int, int, float]]
     weight: float
     root: int = 0
+    eids: list[int] = field(default_factory=list)   # g's id of each edge
 
     def parent_weight(self) -> list[float]:
         w = [0.0] * len(self.parent)
@@ -268,21 +269,27 @@ def induced_subgraph(g: WeightedGraph, vertices: list[int]) -> tuple[WeightedGra
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> MstResult:
-    """Unique MST under the (w, min(u,v), max(u,v)) order, rooted at vertex 0.
+    """Unique MST under the (w, min(u,v), max(u,v)) order, rooted at vertex 0;
+    `eids` lists g's id of each tree edge, in the order of `edges`.
 
     Raises ValueError naming witnesses from two components if g is
     disconnected.
     """
-    order = sorted(
-        g.edges, key=lambda e: (e[2], min(e[0], e[1]), max(e[0], e[1]))
-    )
+    edges = g.edges
+
+    def order_key(eid: int) -> tuple[float, int, int]:
+        u, v, w = edges[eid]
+        return (w, u, v) if u < v else (w, v, u)
+
     uf = ClassicUF(g.n)
-    tree_edges: list[tuple[int, int, float]] = []
-    for u, v, w in order:
+    tree_eids: list[int] = []
+    for eid in sorted(range(g.m), key=order_key):
+        u, v, _ = edges[eid]
         if uf.union(u, v):
-            tree_edges.append((u, v, w))
-            if len(tree_edges) == g.n - 1:
+            tree_eids.append(eid)
+            if len(tree_eids) == g.n - 1:
                 break
+    tree_edges = [edges[eid] for eid in tree_eids]
     if len(tree_edges) != g.n - 1 and g.n > 0:
         comps = connected_components(g)
         a, b = comps[0][0], comps[1][0]
@@ -307,7 +314,9 @@ def minimum_spanning_tree(g: WeightedGraph) -> MstResult:
                     seen[v] = True
                     parent[v] = u
                     stack.append(v)
-    return MstResult(parent=parent, edges=tree_edges, weight=sum(w for _, _, w in tree_edges), root=root)
+    return MstResult(parent=parent, edges=tree_edges,
+                     weight=sum(w for _, _, w in tree_edges), root=root,
+                     eids=tree_eids)
 
 
 # ---------------------------------------------------------------- distances

@@ -5,8 +5,10 @@ The heavy side works over the MST subdivided at granularity
 wbar = w(MST)/(m*eps): clusters are subgraphs of the subdivided tree (plus
 selected bucket edges), each cluster carries a potential equal to the
 augmented diameter it was formed with, and every level's spanner weight is
-paid for by the potential drop.  Light edges plus the MST go through the
-pointer-machine construction and the MST itself is always included.
+paid for by the potential drop.  The heavy non-MST edges are bucketed by
+`buckets.partition_edges` on the grid based at wbar.  Light edges plus the
+MST go through the pointer-machine construction and the MST itself is
+always included.
 
 Per-class setup costs what the class touches: the singleton state, each
 carve-ladder rung and their tree LCAs are built once per build and shared
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .buckets import bucket_raw_index, level_scale, mu_classes
+from .buckets import partition_edges, threshold
 from .graphs import WeightedGraph, minimum_spanning_tree
 from .linear import per_component
 from .pm import build_pm
@@ -89,13 +91,6 @@ class SubdividedMst:
     def parent_edge_of(self, v: int) -> int:
         return self.virtual_parent[v - self.n_real] if v >= self.n_real else -1
 
-    def adjacency(self) -> list[list[tuple[int, float, int]]]:
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n_total)]
-        for sid, (a, b, w, _) in enumerate(self.edges):
-            adj[a].append((b, w, sid))
-            adj[b].append((a, w, sid))
-        return adj
-
 
 def subdivide_mst(mst, wbar: float, n_real: int) -> SubdividedMst:
     """Split every tree edge heavier than wbar into ceil(w/wbar) sub-edges
@@ -155,8 +150,7 @@ def _build_connected(
     if g.m == 0:
         return Spanner(algo="light", k=k, eps=eps, n=g.n, edges=[], ops=ops)
     mst = minimum_spanning_tree(g)
-    key_to_eid = {(min(u, v), max(u, v)): eid for eid, (u, v, _) in enumerate(g.edges)}
-    mst_eids = {key_to_eid[(min(u, v), max(u, v))] for u, v, _ in mst.edges}
+    mst_eids = set(mst.eids)
 
     light_ids, heavy_ids, discarded = split_light_heavy(g, eps, mst.weight)
 
@@ -201,19 +195,14 @@ def _build_heavy(
     ops: dict,
 ) -> None:
     eps_i = internal_eps_light(eps, nominal_eps)
-    mu = mu_classes(eps_i)
     wbar = mst.weight / (g.m * eps)
     sub = subdivide_mst(mst, wbar, g.n)
     if check is not None:
         check("virtual-count", sub.n_total <= 2 * (g.n + g.m) + 2,
               f"|V~|={sub.n_total} n={g.n} m={g.m}")
 
-    # bucket the heavy edges on the wbar-based grid
-    classes: dict[int, dict[int, list[int]]] = {}
-    for eid in heavy_pool:
-        w = g.edges[eid][2]
-        j = bucket_raw_index(w, eps_i, wbar)
-        classes.setdefault(j % mu, {}).setdefault(j // mu, []).append(eid)
+    buckets = partition_edges(g, heavy_pool, eps_i, wbar)
+    mu = buckets.mu
 
     filter_factor = (2 * k - 1) * (1.0 + FILTER_SLACK * eps_i)
     ctx = steps.StepContext(
@@ -224,16 +213,14 @@ def _build_heavy(
     shared_lca = steps.TreeLCA(shared_base)
     ladder: dict[int, tuple[steps.ClassState, steps.TreeLCA]] = {}
 
-    for sigma in sorted(classes):
-        per_level = classes[sigma]
-        level_ids = sorted(per_level)
+    for sigma in buckets.classes():
+        level_ids = buckets.levels(sigma)
         single = len(level_ids) == 1
         state: Optional[steps.ClassState] = None
         lca: Optional[steps.TreeLCA] = None
         for i in level_ids:
-            li = level_scale(sigma, i, eps_i, wbar)
-            prev = level_scale(sigma, i - 1, eps_i, wbar) if i > 0 \
-                else wbar * (1.0 + eps_i) ** (sigma - mu)
+            li = threshold(i * mu + sigma, eps_i, wbar)
+            prev = threshold((i - 1) * mu + sigma, eps_i, wbar)
             if state is None:
                 state, lca = _base_state(
                     sub, prev, wbar, ladder, shared_base, shared_lca, ctx
@@ -250,7 +237,7 @@ def _build_heavy(
             if check is not None:
                 check("imax-bound", i <= 4 * math.log2(max(g.n, 2)) + 20,
                       f"sigma={sigma} i={i} n={g.n}")
-            bucket = per_level[i]
+            bucket = buckets.edges(sigma, i)
             ei = steps.build_cluster_graph(state, bucket, g, li, lca, ctx)
             ops["level_work"] += len(bucket)
             if not ei:

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 from .dsu import ClassicUF
 from .graphs import WeightedGraph
 from .hz import UnweightedGraph, hz_spanner
+from .pm import dedupe_source_edges
 
 
 @dataclass
@@ -382,20 +383,13 @@ def build_cluster_graph(
     ctx: StepContext,
 ) -> list[tuple[int, int, float, int]]:
     """Level edge set: bucket edges mapped to cluster pairs, self-loops
-    dropped, parallels deduped to the lightest, and edges whose tree path
-    (augmented) already realizes the target stretch filtered out."""
-    best: dict[tuple[int, int], tuple[float, int]] = {}
-    for eid in bucket:
-        u, v, w = g.edges[eid]
-        ca, cb = state.cl_of_sub[u], state.cl_of_sub[v]
-        if ca == cb:
-            continue
-        key = (ca, cb) if ca < cb else (cb, ca)
-        cur = best.get(key)
-        if cur is None or (w, eid) < cur:
-            best[key] = (w, eid)
+    dropped, parallels deduped to the lightest (pm's dedupe), and edges
+    whose tree path (augmented) already realizes the target stretch
+    filtered out."""
+    best = dedupe_source_edges(bucket, g, state.cl_of_sub.__getitem__)
     out = []
-    for (ca, cb), (w, eid) in sorted(best.items()):
+    for (ca, cb), eid in sorted(best.items()):
+        w = g.edges[eid][2]
         if lca.aug_dist(ca, cb) <= ctx.filter_factor * w * (1 + 1e-12):
             continue
         out.append((ca, cb, w, eid))

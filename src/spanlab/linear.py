@@ -3,10 +3,12 @@
 Same representative-graph / inner-spanner scheme as pm.py (each level's
 selection is pm.select_bucket), but every cluster induces a connected MST
 subtree, so all merges are Link(v) operations along the MST, pre-declared
-as the union tree.  The whole MST enters the spanner up front.  Carried
-forest edges (inter-cluster MST edges of weight <= L_i) are exactly the
-level's merge candidates: the MST cycle property guarantees they reach
-every cluster touched by bucket edges.
+as the union tree.  The whole MST enters the spanner up front, known by
+the edge ids `minimum_spanning_tree` reports, so only the non-MST edges are
+bucketed and every bucketed level has work.  Carried forest edges
+(inter-cluster MST edges of weight <= L_i) are exactly the level's merge
+candidates: the MST cycle property guarantees they reach every cluster
+touched by bucket edges.
 
 `per_component` is the disconnected-input wrapper of this builder and of
 light's.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .buckets import bucket_raw_index, level_scale, mu_classes, partition_edges
+from .buckets import bucket_raw_index, level_scale, partition_edges
 from .dsu import StaticTreeIndex, StaticTreeUF
 from .graphs import (
     WeightedGraph,
@@ -92,43 +94,32 @@ def _build_connected(
 
     norm, _ = normalize_weights(g)
     mst = minimum_spanning_tree(norm)
-    key_to_eid = {
-        (min(u, v), max(u, v)): eid for eid, (u, v, _) in enumerate(norm.edges)
-    }
     # tree edges are in the spanner up front; the levels bucket only the
     # non-tree edges and consume tree edges as merge candidates instead
-    mst_eids = {key_to_eid[(min(u, v), max(u, v))] for u, v, _ in mst.edges}
+    mst_eids = set(mst.eids)
     spanner_eids: set[int] = set(mst_eids)
-    buckets_all = partition_edges(norm, eps_i)
-    mu = mu_classes(eps_i)
+    buckets = partition_edges(
+        norm, [e for e in range(norm.m) if e not in mst_eids], eps_i)
+    mu = buckets.mu
 
     # MST edges keyed by raw grid index, ascending; identified by child vertex
-    child_of_key = {}
-    for u, v, w in mst.edges:
-        child = u if mst.parent[u] == v else v
-        child_of_key[(min(u, v), max(u, v))] = child
     mst_sorted = sorted(
-        (bucket_raw_index(w, eps_i), child_of_key[(min(u, v), max(u, v))], w)
+        (bucket_raw_index(w, eps_i), u if mst.parent[u] == v else v, w)
         for u, v, w in mst.edges
     )
 
     index = StaticTreeIndex(mst.parent)
     levels_log: list[dict] = []
 
-    for sigma in buckets_all.classes():
-        level_ids = [
-            i for i in buckets_all.levels(sigma)
-            if not set(buckets_all.edges(sigma, i)) <= mst_eids
-        ]
-        if not level_ids:
-            continue
+    for sigma in buckets.classes():
+        level_ids = buckets.levels(sigma)
         if len(level_ids) == 1 and check is None:
             # single processed level: clusters are still singletons and no
             # later level consumes the merges, so dedupe with identity
             # representatives and skip the union-find session outright.
             # Audited builds take the full path so that the audits see it.
             i = level_ids[0]
-            bucket = [e for e in buckets_all.edges(sigma, i) if e not in mst_eids]
+            bucket = buckets.edges(sigma, i)
             kept, _, reps, _ = select_bucket(norm, bucket, k, lambda v: v,
                                              spanner_eids, ops)
             levels_log.append(
@@ -142,7 +133,7 @@ def _build_connected(
         carried: list[int] = []   # inter-cluster MST edges (child ids), w <= L_i
         ptr = 0
         for i in level_ids:
-            bucket = [e for e in buckets_all.edges(sigma, i) if e not in mst_eids]
+            bucket = buckets.edges(sigma, i)
             if check is not None:
                 _check_p2_subtree(
                     norm, mst, session,

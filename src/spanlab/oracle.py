@@ -2,8 +2,8 @@
 sparsity/lightness metrics.
 
 Deliberately self-contained: this module re-implements its own Dijkstra
-and a Prim-style MST so that nothing it certifies depends on the code
-paths under test.
+and a Prim-style spanning forest so that nothing it certifies depends on
+the code paths under test.
 
 Stretch verification runs one Dijkstra over H per source vertex, each
 stopping once its targets are settled, with one reused distance array:
@@ -61,27 +61,25 @@ def _adjacency(n: int, edges: list[tuple[int, int, float]]) -> list[list[tuple[i
     return adj
 
 
-def _prim_mst_weight(g: WeightedGraph) -> float:
-    """MST weight via Prim; raises on disconnected input."""
-    if g.n == 0:
-        return 0.0
+def _prim_msf_weight(g: WeightedGraph) -> float:
+    """Minimum spanning forest weight via Prim, restarted at every vertex
+    that no earlier tree reached."""
     adj = _adjacency(g.n, g.edges)
     in_tree = [False] * g.n
     total = 0.0
-    count = 0
-    heap: list[tuple[float, int]] = [(0.0, 0)]
-    while heap:
-        w, u = heapq.heappop(heap)
-        if in_tree[u]:
+    for root in range(g.n):
+        if in_tree[root]:
             continue
-        in_tree[u] = True
-        total += w
-        count += 1
-        for v, wv in adj[u]:
-            if not in_tree[v]:
-                heapq.heappush(heap, (wv, v))
-    if count != g.n:
-        raise ValueError("metrics need a connected graph")
+        heap: list[tuple[float, int]] = [(0.0, root)]
+        while heap:
+            w, u = heapq.heappop(heap)
+            if in_tree[u]:
+                continue
+            in_tree[u] = True
+            total += w
+            for v, wv in adj[u]:
+                if not in_tree[v]:
+                    heapq.heappush(heap, (wv, v))
     return total
 
 
@@ -232,12 +230,14 @@ class QualityMetrics:
 
 
 def spanner_metrics(g: WeightedGraph, h: Spanner | WeightedGraph) -> QualityMetrics:
-    mst_w = _prim_mst_weight(g)
+    """Size, weight, sparsity |H|/(n-1) and lightness w(H)/w(MSF) of H,
+    where MSF is G's minimum spanning forest (its MST when G is connected)."""
+    msf_w = _prim_msf_weight(g)
     hw = sum(w for _, _, w in h.edges)
     denom = max(g.n - 1, 1)
     return QualityMetrics(
         edges=len(h.edges),
         weight=hw,
         sparsity=len(h.edges) / denom,
-        lightness=hw / mst_w if mst_w > 0 else INF,
+        lightness=hw / msf_w if msf_w > 0 else INF,
     )

@@ -148,7 +148,7 @@ def build_pm(
 
     if g.m:
         norm, _ = normalize_weights(g)
-        buckets = partition_edges(norm, eps_i)
+        buckets = partition_edges(norm, range(norm.m), eps_i)
         uf = ClassicUF(norm.n)
         for sigma in buckets.classes():
             uf.reset()

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spanlab.buckets import (
     bucket_index,
@@ -107,7 +108,7 @@ def test_grid_consistency(eps):
 def test_partition_all_equal_single_bucket():
     g = wgraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 3)])
     norm = wgraph(4, [(u, v, w / 3) for u, v, w in g.edges])
-    buckets = partition_edges(norm, 0.5)
+    buckets = partition_edges(norm, range(norm.m), 0.5)
     cells = [(s, i) for s in buckets.classes() for i in buckets.levels(s)]
     assert len(cells) == 1
     assert buckets.total() == 3
@@ -115,13 +116,13 @@ def test_partition_all_equal_single_bucket():
 
 def test_partition_separated_weights_distinct_cells():
     g = wgraph(3, [(0, 1, 1.0), (1, 2, 4.0)])  # 4 = 1/eps^2 at eps = .5
-    buckets = partition_edges(g, 0.5)
+    buckets = partition_edges(g, range(g.m), 0.5)
     cells = {(s, i) for s in buckets.classes() for i in buckets.levels(s)}
     assert len(cells) == 2
 
 
 def test_partition_empty():
-    buckets = partition_edges(wgraph(3, []), 0.5)
+    buckets = partition_edges(wgraph(3, []), range(0), 0.5)
     assert buckets.total() == 0
     assert buckets.mu == 2
 
@@ -137,12 +138,37 @@ def test_partition_covers_everything():
 
     g = WeightedGraph.from_edges(g.n, g.edges)
     for eps in (0.1, 0.25, 0.5):
-        buckets = partition_edges(g, eps)
+        buckets = partition_edges(g, range(g.m), eps)
         assert buckets.total() == g.m
         for sigma in buckets.classes():
             for i in buckets.levels(sigma):
                 ws = [g.edges[e][2] for e in buckets.edges(sigma, i)]
                 assert max(ws) / min(ws) <= (1 + eps) * (1 + 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partition_of_subset_is_restriction(data):
+    """Bucketing an id subset, in any order, gives the full partition
+    restricted to that subset, each cell keeping the subset's order."""
+    weights = data.draw(st.lists(st.floats(1.0, 1e6), min_size=1, max_size=30))
+    g = wgraph(len(weights) + 1, [(i, i + 1, w) for i, w in enumerate(weights)])
+    eps = data.draw(st.sampled_from([0.1, 0.25, 0.5]))
+    base = data.draw(st.sampled_from([1.0, 0.5]))
+    eids = data.draw(st.permutations(range(g.m)))
+    eids = eids[:data.draw(st.integers(0, g.m))]
+    full = partition_edges(g, range(g.m), eps, base)
+    part = partition_edges(g, eids, eps, base)
+    assert part.mu == full.mu
+    rank = {e: r for r, e in enumerate(eids)}
+    expect = {
+        (sigma, i): sorted((e for e in full.edges(sigma, i) if e in rank),
+                           key=rank.__getitem__)
+        for sigma in full.classes() for i in full.levels(sigma)
+    }
+    got = {(sigma, i): part.edges(sigma, i)
+           for sigma in part.classes() for i in part.levels(sigma)}
+    assert got == {cell: ids for cell, ids in expect.items() if ids}
 
 
 def test_level_scale_monotone():

@@ -126,6 +126,18 @@ def test_build_metrics_and_instrument(tmp_path):
 
 
 @pytest.mark.parametrize("algo", ["pm", "linear", "light"])
+def test_build_metrics_on_a_forest(tmp_path, algo):
+    # lightness is measured against the minimum spanning forest, so a
+    # disconnected input the builders accept gets metrics too
+    gpath = tmp_path / "forest.txt"
+    gpath.write_text("4 2\n0 1 1.0\n2 3 2.0\n")
+    mpath = tmp_path / "m.json"
+    assert main(["build", "--algo", algo, "-i", str(gpath),
+                 "-o", str(tmp_path / "h.txt"), "--metrics", str(mpath)]) == 0
+    assert json.loads(mpath.read_text())["lightness"] == 1.0
+
+
+@pytest.mark.parametrize("algo", ["pm", "linear", "light"])
 def test_instrument_out_writes_level_rows(tmp_path, algo):
     # --instrument-out alone writes one JSON line per `levels` row and
     # leaves the spanner file as a build without it writes it

@@ -1,9 +1,10 @@
-"""Golden-output guard: the sha256 of each builder's sorted edge list over a
-fixed grid of inputs.
+"""Golden-output guard: the sha256 of each builder's sorted edge list, and
+of its `levels` rows and `ops` counters, over a fixed grid of inputs.
 
-Performance work and refactors must keep the spanners byte-identical; a
-digest that moves means the edge set changed.  If a change is meant to
-alter the output, regenerate the table with
+Performance work and refactors must keep the spanners and their level logs
+byte-identical; an edge digest that moves means the edge set changed, a row
+digest that moves means some level was processed differently.  If a change
+is meant to alter the output, regenerate both tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -11,7 +12,9 @@ and say why in the change log.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 import random
 
 import pytest
@@ -93,11 +96,27 @@ def edges_sha(sp) -> str:
     return h.hexdigest()
 
 
-def _digests(name: str) -> dict[str, str]:
+def rows_sha(sp) -> str:
+    """sha256 of the spanner's `levels` and `ops` as JSON with sorted keys."""
+    text = json.dumps({"levels": sp.levels, "ops": sp.ops}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _spanners(name: str) -> dict:
+    """Each builder's spanner of case `name`, built once per test session."""
     make, k, eps, nominal = CASES[name]
     g = make()
-    return {algo: edges_sha(build(g, k, eps, nominal_eps=nominal))
+    return {algo: build(g, k, eps, nominal_eps=nominal)
             for algo, build in BUILDERS.items()}
+
+
+def _digests(name: str) -> dict[str, str]:
+    return {algo: edges_sha(sp) for algo, sp in _spanners(name).items()}
+
+
+def _row_digests(name: str) -> dict[str, str]:
+    return {algo: rows_sha(sp) for algo, sp in _spanners(name).items()}
 
 
 GOLDEN = {
@@ -189,9 +208,103 @@ GOLDEN = {
 }
 
 
+GOLDEN_ROWS = {
+    'gnm48-loguniform-k2-e0.25': {
+        'pm': '18369f2c7905a51a711efacdb13539c0452f080bc291b3cd501db33f76ef4919',
+        'linear': '67a4c2e1a8756a2a06e2274b1d73d236b8bf5851d8d646362d8a1fd8c62af111',
+        'light': 'cc98b8149bcd61e038bbf48bd4d83959007361c156861c63b52d02c68bffb359',
+    },
+    'gnm48-loguniform-k2-e0.5': {
+        'pm': '4c99bbf3950718031139320c37ababbd68d7645da6288c381fa01e938ac79b66',
+        'linear': '8117cfae7b1714958678e80914f1692510b82d1cf1ff6915507261d6248f5287',
+        'light': '6233622ef2b0f26c8dabef026c7f8702722f8ef7637ab93d1836614000676933',
+    },
+    'gnm48-loguniform-k3-e0.25': {
+        'pm': '3eb36730a3ecd87ee6637d16901dab9784c26f476d2222cbface9fe54c1207f8',
+        'linear': '4631b9a3fd4928fc6d9be0fd54cf1d710b96c22e3b8be57ae55149d827f28df2',
+        'light': '9e065ec3e824e397c11acd36b7c45273240563a08cee2794c5a128d949d05d83',
+    },
+    'gnm48-loguniform-k3-e0.5': {
+        'pm': '0e30d0dd1b7696820d2049dabb6d30b9ae95eb3bdea4ee7fcb2e0a9ceb6a8810',
+        'linear': 'b7624e8877f1fbd0976597893a6826edcc573b3b2a91be53ca0286e104501f37',
+        'light': 'f9251a6f392ec9c9709700aa2a47f3de431f08f4ecd8afdd748ff8b33d256c35',
+    },
+    'gnm48-uniform-k2-e0.25': {
+        'pm': '76feff917f78505c1167bb72ea5841a207da9954e0230acb08ad308660ecefc1',
+        'linear': 'c7d54da7ca6e6c91905125b5add32cdbe81342997b8da3061e0f5137b7827a31',
+        'light': '653bd4337789a8185f8212c3430f104f3d5e571c4b03f0ce7d345af06108acee',
+    },
+    'gnm48-uniform-k2-e0.5': {
+        'pm': 'e870800bb80f2ba6cf0f9872d55437de53236b47ca2aa7d24d4e2e3bb14cf4d2',
+        'linear': '3be1b623a827a77b8453d1572428a172d9335c39a3ba43dc7ac956ceb4ab2916',
+        'light': '41f06956e9f26052b3f893597f3d0f308b795c777e7c224601115993163eb178',
+    },
+    'gnm48-uniform-k3-e0.25': {
+        'pm': '497f493ac15c4118a2bb17f82d5c45e74ac0eb846335f0cabf86d4e73efc21a2',
+        'linear': '0363595e13eb4dd658f081c0d7a92aad6aca2aad499489250175c5eb21783a50',
+        'light': '419b0b5037b86bfbb2efd176e172d1055ed9502ff57aea100362771268b41b3a',
+    },
+    'gnm48-uniform-k3-e0.5': {
+        'pm': '29a9a3e584530fca1af9a84009a1377f1abfb0b1cb717d2912c5ec561d215721',
+        'linear': '11e0390a4accdba2f5d7879b24e353207fe5e17901844406d4b5ae5f6597754c',
+        'light': 'aea5c6f3fc18447ed12f5ec7a9090c819d76a7eb74a1cedcd4f59a741d950bd4',
+    },
+    'gnm48-unit-k2-e0.25': {
+        'pm': '67b8c45863a1be770a8e7083adfaa5d36c09fcecf69a4e35942e68b1ac075bab',
+        'linear': '50c83a70915473639addd9f97bfae90e2e824001e681fb1852642463a5d3d243',
+        'light': '710d44218b414d48acbadb021faa53819eb50a07cec3f48fdac8813ff1d1e0a7',
+    },
+    'gnm48-unit-k2-e0.5': {
+        'pm': '67b8c45863a1be770a8e7083adfaa5d36c09fcecf69a4e35942e68b1ac075bab',
+        'linear': '50c83a70915473639addd9f97bfae90e2e824001e681fb1852642463a5d3d243',
+        'light': '8f5b5290080c06379bb7cac998a800c997256e6bf9e9b6b1a752b0e58f8c56bf',
+    },
+    'gnm48-unit-k3-e0.25': {
+        'pm': 'db5b8f127e1b52fdfcff0bd66e549d91c5c7873dfd27c5288ff18b82d289ea9e',
+        'linear': 'd9f762b2c070f740e4a99defe29d814039d4345b732d55f4e3816ab31202fca9',
+        'light': '187455bc2ddd094df50146d365bbdf756a80f5704bdf402a5fb19d8e2f725414',
+    },
+    'gnm48-unit-k3-e0.5': {
+        'pm': 'db5b8f127e1b52fdfcff0bd66e549d91c5c7873dfd27c5288ff18b82d289ea9e',
+        'linear': 'd9f762b2c070f740e4a99defe29d814039d4345b732d55f4e3816ab31202fca9',
+        'light': '3080b63f05292260ae8a94611fd83bbb7440efe5b8a35c008f6541b2eabd9b39',
+    },
+    'k4x30-k2-e0.25': {
+        'pm': 'ccfb4ef38b0922dc201bc6f00cc1011247db1dfd6a2ff8c4cb22440f46da719f',
+        'linear': '6e94ed637f2c72999de28a5985f2e1ad8baddf924ae095434a3c3e48634cb94d',
+        'light': 'f3437e593f023dfef68cfbf80f89583d7243fc070a7b71ccfcf952af31d84735',
+    },
+    'ladder-gnm100-k3-e0.5': {
+        'pm': '664dfe1ebe4ecd80d50a185d38588bbd62403d5bee429966fdc37ff4bc7c7c22',
+        'linear': 'bfbdf658eb6e660599cf12aa67512586ffeec14ab72c5d26f1b98cd04986a63d',
+        'light': '58b6999a8dd9c4fe2eb104c49bbfbe64391ca0bbb9a38ef98ef80de483bc2770',
+    },
+    'steps-gnm200-k2-e0.25': {
+        'pm': 'f29452ec73483a21ac4b547fa9a4bb88083c62c9c0cf314f3b0fcd626dfcafd4',
+        'linear': '1a07d89eb72b8a9668cb021589c42b1fa8d9a79b3b31ac72b7e59372145298df',
+        'light': '10f858cdfea93461e2f1b849532f51fc882865c81e6994bd3e0317beb659c1a6',
+    },
+    'steps-gnm500-k3-e0.5': {
+        'pm': 'f1e4b68e5af7a67d7053df39c038a1dc5b1a221216f64f5bd405374a54931793',
+        'linear': 'fd8924474360403617390de2876f75af359c042823cd98a96c1167fe13457e8f',
+        'light': '327e4dda523afd13d3f423942324484077141e92539d09573f2a4e5d8068bcc6',
+    },
+    'two-level-classes-k2-e0.25': {
+        'pm': '306d984e869cc17cef833ccfcf746d3ab1a8d0d8fa685bc6c25fd3a8c4bd9968',
+        'linear': '23d4aefd9a5ca5e9aca3e6de891fa145f8ba9da9706b9b3d3a6c5af788818ef7',
+        'light': 'b4f9eac7434949cfd7a9f1012f9e856d586cf5f234257149a46c172f61bbc957',
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_edge_sets(name):
     assert _digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_levels_and_ops(name):
+    assert _row_digests(name) == GOLDEN_ROWS[name]
 
 
 @pytest.mark.parametrize("name", sorted(STEPS_CASES))
@@ -238,10 +351,11 @@ def test_audit_stream_of_steps_case():
 
 
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for name in sorted(CASES):
-        print(f"    {name!r}: {{")
-        for algo, digest in _digests(name).items():
-            print(f"        {algo!r}: {digest!r},")
-        print("    },")
-    print("}")
+    for table, digests in (("GOLDEN", _digests), ("GOLDEN_ROWS", _row_digests)):
+        print(f"{table} = {{")
+        for name in sorted(CASES):
+            print(f"    {name!r}: {{")
+            for algo, digest in digests(name).items():
+                print(f"        {algo!r}: {digest!r},")
+            print("    },")
+        print("}")

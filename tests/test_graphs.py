@@ -171,6 +171,7 @@ def test_mst_deterministic():
     a = minimum_spanning_tree(g)
     b = minimum_spanning_tree(g)
     assert a.edges == b.edges and a.parent == b.parent
+    assert [g.edges[e] for e in a.eids] == a.edges
 
 
 def test_mst_disconnected_reports_witnesses():
