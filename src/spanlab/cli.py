@@ -170,7 +170,8 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("-g", "--graph", required=True)
     v.add_argument("-s", "--spanner", required=True)
     v.add_argument("-t", type=float, default=None,
-                   help="target stretch; defaults to (2k-1)(1+eps) from the header")
+                   help="target stretch, finite and >= 1; defaults to (2k-1)(1+eps) "
+                        "from the header")
     v.add_argument("--format", choices=("edge-list", "dimacs-gr"),
                    default="edge-list")
     v.add_argument("--report", default=None)

@@ -5,9 +5,19 @@ Deliberately self-contained: this module re-implements its own Dijkstra
 and a Prim-style spanning forest so that nothing it certifies depends on
 the code paths under test.
 
-Stretch verification runs one Dijkstra over H per source vertex, each
-stopping once its targets are settled, with one reused distance array:
-memory is O(n + m), and the reports equal those of full searches.
+Stretch verification runs one search over H per source vertex, each
+stopping once its targets are final, with one reused distance array:
+memory is O(n + m), and the reports equal those of full searches.  The
+kind of search is picked from H alone: when every edge of H has the same
+weight c (an H with no edges included), it is a breadth-first search;
+otherwise it is a heap Dijkstra.  The BFS is exact bit for bit.  In a
+graph with one weight, Dijkstra's distance to a vertex is a float sum
+c + c + ... + c added in order along a path; that sum depends only on the
+number of hops h and never falls as h grows, so the distance is the sum
+over the fewest hops.  The BFS sets each vertex, when first reached, to
+its parent's distance plus c, which is that same sum.  (Computing h * c
+instead can round differently: ten 0.1s add up to 0.9999999999999999,
+but 10 * 0.1 is 1.0.)
 """
 from __future__ import annotations
 
@@ -23,17 +33,37 @@ INF = math.inf
 
 
 def _dijkstra(adj: list[list[tuple[int, float]]], source: int, targets: set[int],
-              dist: list[float]) -> list[int]:
-    """Dijkstra from `source` into `dist`, which holds INF on every vertex
-    on entry; stops once every vertex of `targets` has been popped.
+              dist: list[float], step: float | None = None) -> list[int]:
+    """Shortest distances from `source` into `dist`, which holds INF on
+    every vertex on entry; stops once every vertex of `targets` is final.
 
-    A popped distance is final and later pops never lower it, so each
-    target's entry equals a full run's.  Returns the vertices whose entry
-    was set, for the caller to reset to INF.
+    With `step` None this is Dijkstra: a popped distance is final and
+    later pops never lower it, so each target's entry equals a full run's.
+    With `step` set, every edge of `adj` must weigh `step`, and this is a
+    breadth-first search: a vertex's distance is set once, when it is
+    first reached, to its parent's distance plus `step`, so it is final
+    at once and equals Dijkstra's (see the module docstring).  Returns
+    the vertices whose entry was set, for the caller to reset to INF.
     """
     dist[source] = 0.0
     touched = [source]
     left = len(targets)
+    if step is not None:
+        left -= source in targets
+        if not left:
+            return touched
+        # touched doubles as the FIFO queue: vertices enter it in BFS order
+        for u in touched:
+            nd = dist[u] + step
+            for v, _ in adj[u]:
+                if dist[v] == INF:
+                    dist[v] = nd
+                    touched.append(v)
+                    if v in targets:
+                        left -= 1
+                        if not left:
+                            return touched
+        return touched
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -154,15 +184,19 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
 
     The maximum of d_H(u,v)/w(u,v) over edges of g equals the stretch over
     all vertex pairs: any shortest g-path is a chain of edges, each
-    stretched at most that much.  Pass iff max <= t*(1+1e-9).
+    stretched at most that much.  Pass iff max <= t*(1+1e-9); t must be
+    finite and >= 1, else ValueError.
 
     Cost: edges of g are grouped by source in one scan of g.edges (u if
-    u is already a source or v is not, else v), then one Dijkstra over H
-    runs per source and stops once that source's targets are settled.
-    The searches share one distance array and reset only what they
-    touched, so memory is O(n + m) and a search costs what it explores.
-    The witness and the histogram are read in g.edges order.
+    u is already a source or v is not, else v), then one search over H
+    runs per source and stops once that source's targets are final: a
+    BFS when every edge of H has one weight, else a Dijkstra (see
+    `_dijkstra`).  The searches share one distance array and reset only
+    what they touched, so memory is O(n + m) and a search costs what it
+    explores.  The witness and the histogram are read in g.edges order.
     """
+    if not 1.0 <= t < INF:
+        raise ValueError(f"stretch target t must be finite and >= 1, got {t}")
     submap: dict[tuple[int, int], float] = {}
     for u, v, w in g.edges:
         key = (u, v) if u < v else (v, u)
@@ -180,11 +214,15 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
         else:
             by_source[v].append((eid, u))
 
+    # one weight on every edge of H (or no edge at all): BFS is exact
+    step = h.edges[0][2] if h.edges else 1.0
+    if any(w != step for _, _, w in h.edges):
+        step = None
     adj_h = _adjacency(g.n, h.edges)
     dist = [INF] * g.n
     ratios = [0.0] * g.m
     for src, pairs in by_source.items():
-        touched = _dijkstra(adj_h, src, {other for _, other in pairs}, dist)
+        touched = _dijkstra(adj_h, src, {other for _, other in pairs}, dist, step)
         for eid, other in pairs:
             ratios[eid] = dist[other] / g.edges[eid][2]
         for x in touched:

@@ -55,7 +55,7 @@ def load_spanner(path: str) -> Spanner:
     n: Optional[int] = None
     edges: list[tuple[int, int, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             text = line.strip()
             if not text:
                 continue
@@ -69,6 +69,8 @@ def load_spanner(path: str) -> Spanner:
             if n is None:
                 n = int(parts[0])
                 continue
+            if len(parts) < 3:
+                raise ValueError(f"{path}:{lineno}: edge line needs 'u v w', got {text!r}")
             edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
     if n is None:
         raise ValueError(f"{path}: not a spanner file")

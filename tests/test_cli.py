@@ -63,6 +63,24 @@ def test_verify_fails_with_exit_1(tmp_path):
     assert main(["verify", "-g", str(gpath), "-s", str(spath), "-t", "1.5"]) == 1
 
 
+@pytest.mark.parametrize("t", ["inf", "nan", "0.5"])
+def test_verify_rejects_bad_target_exit_2(tmp_path, capsys, t):
+    gpath, spath = tmp_path / "g.txt", tmp_path / "h.txt"
+    gpath.write_text("3 2\n0 1 1\n1 2 1\n")
+    # no spanner edges: every stretch is inf, which `-t inf` used to pass
+    spath.write_text("# algo=pm k=1 eps=0.25 n=3 source_hash=x\n3 0\n")
+    assert main(["verify", "-g", str(gpath), "-s", str(spath), "-t", t]) == 2
+    assert "stretch target t must be finite and >= 1" in capsys.readouterr().err
+
+
+def test_verify_short_spanner_line_exit_2(tmp_path, capsys):
+    gpath, spath = tmp_path / "g.txt", tmp_path / "h.txt"
+    gpath.write_text("3 2\n0 1 1\n1 2 1\n")
+    spath.write_text("# algo=pm k=1 eps=0.25 n=3 source_hash=x\n3 2\n0 1 1\n1 2\n")
+    assert main(["verify", "-g", str(gpath), "-s", str(spath)]) == 2
+    assert f"{spath}:4: edge line needs 'u v w'" in capsys.readouterr().err
+
+
 def test_greedy_on_tree_equals_input(tmp_path):
     gpath, spath = tmp_path / "g.txt", tmp_path / "h.txt"
     gpath.write_text("4 3\n0 1 2\n1 2 3\n2 3 4\n")

@@ -7,7 +7,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spanlab import build_light, build_linear, build_pm, oracle
 from spanlab.generators import gnm_graph
@@ -96,6 +96,14 @@ def test_verify_rejects_non_subgraph():
         verify_stretch(g, wgraph(3, [(0, 1, 2.0)]), 3.0)
     with pytest.raises(ValueError):
         verify_stretch(g, wgraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 0, 1)]), 3.0)
+
+
+@pytest.mark.parametrize("t", [INF, -INF, math.nan, 0.5])
+def test_verify_rejects_bad_target(t):
+    # an H with no edges has stretch inf everywhere, which t=inf used to pass
+    g = wgraph(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        verify_stretch(g, WeightedGraph(3, []), t)
 
 
 def test_verify_edge_max_equals_all_pairs_brute_force():
@@ -326,6 +334,62 @@ def test_streamed_matches_reference_property(gh, t):
     assert_matches_reference(g, h, t)
 
 
+# H with one edge weight: verify_stretch searches it breadth-first.  The
+# weights are not dyadic, so a distance taken as hops * c instead of a sum
+# added along the path rounds differently (ten 0.1s sum to 0.9999999999999999)
+
+ONE_WEIGHTS = [0.1, 1 / 3, 7.7, 1e-3]
+TEN_TENTHS = wgraph(11, [(i, i + 1, 0.1) for i in range(10)])
+
+
+@st.composite
+def graph_and_one_weight_subgraph(draw):
+    c = draw(st.sampled_from(ONE_WEIGHTS))
+    n = draw(st.integers(min_value=1, max_value=14))
+    # vertices 0..path-1 form a path of H, so chords see long hop counts
+    path = draw(st.integers(min_value=1, max_value=n))
+    keep = [(i, i + 1, c) for i in range(path - 1)]
+    edges = list(keep)
+    # every other pair, so no path edge is drawn twice
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if v > u + 1 or v >= path]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)
+                  if pairs else st.just([]))
+    for u, v in chosen:
+        if draw(st.booleans()):
+            keep.append((u, v, c))
+            edges.append((u, v, c))
+        else:
+            # G's other edges may weigh anything
+            edges.append((u, v, draw(st.sampled_from(ONE_WEIGHTS + [1.0, 2.5]))))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    rng.shuffle(edges)
+    # edge order and orientation pick the sources verify searches from
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in edges]
+    return WeightedGraph(n, edges), WeightedGraph(n, keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_one_weight_subgraph(), st.sampled_from([1.0, 3.0, 10.0]))
+# no edge in H
+@example((TEN_TENTHS, WeightedGraph(11, [])), 3.0)
+# H leaves 3 and 4 unreachable from 0..2: an "inf" bucket
+@example((wgraph(5, [(0, 1, 7.7), (1, 2, 7.7), (0, 2, 7.7), (2, 3, 1.0), (3, 4, 7.7)]),
+          wgraph(5, [(0, 1, 7.7), (1, 2, 7.7), (3, 4, 7.7)])), 3.0)
+# a chord over ten 0.1 edges: its distance is their sum, not 10 * 0.1
+@example((wgraph(11, TEN_TENTHS.edges + [(0, 10, 0.1)]), TEN_TENTHS), 10.0)
+def test_streamed_matches_reference_one_weight_property(gh, t):
+    g, h = gh
+    assert_matches_reference(g, h, t)
+
+
+def test_one_weight_distance_is_summed_along_the_path():
+    g = wgraph(11, TEN_TENTHS.edges + [(0, 10, 0.1)])
+    rep = assert_matches_reference(g, TEN_TENTHS, 10.0)
+    summed = sum([0.1] * 10)
+    assert summed != 10 * 0.1
+    assert rep.max_stretch == summed / 0.1 and rep.witness == (0, 10, 0.1)
+
+
 # ---------------------------------------------------------------- oracle cost
 
 
@@ -357,7 +421,8 @@ def test_verify_memory_is_linear_on_many_components():
 
 
 @pytest.mark.parametrize("g", [gnm_graph(80, 400, seed=9, law="uniform", wmax=50),
-                               _k4_pieces(50, seed=5)])
+                               _k4_pieces(50, seed=5),
+                               gnm_graph(80, 400, seed=9, law="unit")])
 def test_one_search_per_reference_source(g, monkeypatch):
     calls = []
     search = oracle._dijkstra
