@@ -12,7 +12,12 @@ the macro level.  The representative of a set is always its topmost member
 in the union tree.
 
 Both engines count their elementary steps in `.cost` so callers can record
-amortized-op evidence.
+amortized-op evidence.  For StaticTreeUF one unit is one of: a call (find
+or link), a fully linked microset that a find crosses, or a table step (one
+lookup in a partly linked microset's table).  What a step costs in Python
+is not part of the count: a session keeps each microset's current table
+until a link into that microset, and answers an unlinked vertex as itself,
+but both count the table step that the lookup would have taken.
 """
 from __future__ import annotations
 
@@ -183,7 +188,9 @@ class StaticTreeIndex:
         self.micro_of = micro_of
         self.local_of = local_of
         self.micro_members = micros
-        self.micro_top = [members[0] for members in micros]
+        # the parent of each microset's top member (-1 for the root's):
+        # where a find continues once a microset's ancestors are all linked
+        self.micro_above = [self.parent[members[0]] for members in micros]
         # local parent pointers (-1 at the microset top)
         shapes: list[tuple[int, ...]] = []
         for members in micros:
@@ -211,16 +218,27 @@ class StaticTreeUF:
 
     find(v) returns the topmost member of v's set, resolved through the
     microset tables of the shared StaticTreeIndex.
+
+    `cost` counts 1 per link and, per find, 1 for the call, 1 for each
+    fully linked microset crossed and 1 for each table step.  Two shortcuts
+    leave the count as it is.  The current table of each microset is kept
+    until a link changes its mask, which stands for the shared memo lookup
+    it replaces.  An unlinked v is its own topmost member: its microset is
+    not full and its table maps v to itself, so the answer is v after the
+    call and one table step, and 2 is counted.
     """
 
     def __init__(self, index: StaticTreeIndex):
         self.index = index
         self.linked = [False] * index.n
         self.cost = 0
-        self._mask = [0] * len(index.micro_members)
+        n_micro = len(index.micro_members)
+        self._mask = [0] * n_micro
+        # current table per microset; None once a link has changed its mask
+        self._table: list[Optional[tuple[int, ...]]] = [None] * n_micro
         # per-microset continuation node, cached once the set is fully
         # linked (a full microset stays full, so the cache never goes stale)
-        self._skip: list[Optional[int]] = [None] * len(index.micro_members)
+        self._skip: list[Optional[int]] = [None] * n_micro
 
     def link(self, v: int) -> None:
         idx = self.index
@@ -230,36 +248,46 @@ class StaticTreeUF:
             raise ValueError(f"vertex {v} already linked")
         self.linked[v] = True
         self.cost += 1
-        self._mask[idx.micro_of[v]] |= 1 << idx.local_of[v]
+        mid = idx.micro_of[v]
+        self._mask[mid] |= 1 << idx.local_of[v]
+        self._table[mid] = None
 
     def find(self, v: int) -> int:
-        if not (0 <= v < self.index.n):
+        idx = self.index
+        if not 0 <= v < idx.n:
             raise IndexError(f"element {v} out of range")
-        self.cost += 1
+        if not self.linked[v]:
+            self.cost += 2   # the call and the table step that returns v
+            return v
         # The root is never linkable, so the microset containing the root is
         # never full and its table always yields an answer: termination.
-        idx = self.index
+        micro_of, local_of, above = idx.micro_of, idx.local_of, idx.micro_above
+        masks, full, tables, skips = self._mask, idx.micro_full, self._table, self._skip
+        cost = 1
         trail: list[int] = []  # fully-linked microsets crossed, for caching
         while True:
-            mid = idx.micro_of[v]
-            mask = self._mask[mid]
-            if mask == idx.micro_full[mid]:
-                self.cost += 1
-                skip = self._skip[mid]
+            mid = micro_of[v]
+            mask = masks[mid]
+            cost += 1
+            if mask == full[mid]:
                 trail.append(mid)
                 # the answer is the first unlinked ancestor above this
                 # microset; a previously found one is still on that path
-                v = skip if skip is not None else idx.parent[idx.micro_top[mid]]
+                skip = skips[mid]
+                v = skip if skip is not None else above[mid]
                 continue
-            local = idx.table(mid, mask)[idx.local_of[v]]
-            self.cost += 1
+            table = tables[mid]
+            if table is None:
+                table = tables[mid] = idx.table(mid, mask)
+            local = table[local_of[v]]
             if local != -1:
+                self.cost += cost
                 ans = idx.micro_members[mid][local]
                 for m in trail:
-                    self._skip[m] = ans
+                    skips[m] = ans
                 return ans
             # every in-microset ancestor of v is linked; continue above
-            v = idx.parent[idx.micro_top[mid]]
+            v = above[mid]
 
 
 # ---------------------------------------------------------------- sessions

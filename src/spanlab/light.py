@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .buckets import partition_edges, threshold
 from .graphs import WeightedGraph, minimum_spanning_tree
 from .linear import per_component
-from .pm import build_pm
+from .pm import build_pm, check_eps
 from .spanner import Spanner
 from . import lightsteps as steps
 
@@ -39,8 +39,7 @@ FILTER_SLACK = 6 * G_LIGHT          # tree-path filter keeps only stretch > (2k-
 
 
 def internal_eps_light(eps: float, nominal: bool = False) -> float:
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+    check_eps(eps)
     cap = 1.0 / (4 * G_LIGHT)
     return min(eps, cap) if nominal else min(eps / EPS_SCALE_LIGHT, cap)
 
@@ -133,8 +132,11 @@ def build_light(
     + the MST itself.  `check(name, ok, detail)`, when given, turns the
     structural audits on and receives their outcomes.
     """
+    # checked here, not per component: the split divides by eps before the
+    # heavy side would check it, and an edgeless graph reaches neither
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_eps(eps)
     return per_component(g, "light", k, eps, _build_connected, nominal_eps, check)
 
 

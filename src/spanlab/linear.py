@@ -181,17 +181,16 @@ def cluster_forest_edges(
     (find(child), find(parent)) and every incident cluster joins the node
     set.  The MST cycle property guarantees this node set covers every
     cluster touched by a surviving bucket edge."""
+    find, parent = session.find, mst.parent
     pairs: list[tuple[int, int, int]] = []
     nodeset: dict[int, int] = {}
+    add = nodeset.setdefault
     for child in carried:
-        a = session.find(child)
-        b = session.find(mst.parent[child])
+        a = find(child)
+        b = find(parent[child])
         if a == b:
             raise AssertionError("carried MST edge became intra-cluster")
-        for r in (a, b):
-            if r not in nodeset:
-                nodeset[r] = len(nodeset)
-        pairs.append((nodeset[a], nodeset[b], child))
+        pairs.append((add(a, len(nodeset)), add(b, len(nodeset)), child))
     return pairs, nodeset
 
 
@@ -199,30 +198,35 @@ def merge_forest_subtrees(
     session: StaticTreeUF, pairs: list[tuple[int, int, int]], n_nodes: int
 ) -> tuple[int, list[int]]:
     """Star-cover the cluster forest and Link each in-subtree edge; returns
-    (links performed, leftover child ids crossing different subtrees)."""
+    (links performed, leftover child ids crossing different subtrees).
+
+    A pair (a, b, child) is the MST edge from cluster a's top vertex
+    `child` up to cluster b, and a cluster has at most one such edge, so a
+    star edge (x, y) is x's own edge when y is above x and y's otherwise.
+    The forest's edges inside one subtree are exactly its star edges, so
+    the leftovers are the pairs left unlinked."""
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    child_by_pair: dict[tuple[int, int], int] = {}
+    above = [-1] * n_nodes
+    up_edge = [0] * n_nodes
     for a, b, child in pairs:
+        if above[a] != -1:
+            raise AssertionError("cluster with two upward forest edges")
+        above[a] = b
+        up_edge[a] = child
         adj[a].append(b)
         adj[b].append(a)
-        key = (a, b) if a < b else (b, a)
-        if key in child_by_pair:
-            raise AssertionError("parallel cluster-forest edge")
-        child_by_pair[key] = child
     for lst in adj:
-        lst.sort()
+        if len(lst) > 1:
+            lst.sort()
 
-    owner = {}
+    link = session.link
     links = 0
-    for gid, (nodes, star_edges) in enumerate(grow_star_cover(n_nodes, adj)):
-        for x in nodes:
-            owner[x] = gid
-        for a, b in star_edges:
-            child = child_by_pair[(a, b) if a < b else (b, a)]
-            session.link(child)
-            links += 1
-    leftovers = [child for a, b, child in pairs if owner[a] != owner[b]]
-    return links, leftovers
+    for _, star_edges in grow_star_cover(n_nodes, adj):
+        for x, y in star_edges:
+            link(up_edge[x] if above[x] == y else up_edge[y])
+        links += len(star_edges)
+    linked = session.linked
+    return links, [child for _, _, child in pairs if not linked[child]]
 
 
 def _merge_level(

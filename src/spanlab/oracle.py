@@ -118,9 +118,11 @@ def _prim_msf_weight(g: WeightedGraph) -> float:
 
 def greedy_spanner(g: WeightedGraph, t: float) -> Spanner:
     """Classic greedy: scan edges by nondecreasing weight (ties by edge id);
-    keep an edge iff the spanner built so far has detour > t * w."""
-    if t < 1.0:
-        raise ValueError("t must be >= 1")
+    keep an edge iff the spanner built so far has detour > t * w.  t must
+    be finite and >= 1: no detour exceeds an infinite or NaN t * w, so
+    such a t would keep no edge."""
+    if not 1.0 <= t < INF:
+        raise ValueError(f"stretch target t must be finite and >= 1, got {t}")
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
     kept: list[tuple[int, int, float]] = []
     order = sorted(range(g.m), key=lambda e: (g.edges[e][2], e))

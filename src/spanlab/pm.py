@@ -27,9 +27,14 @@ G_PM = 9  # cluster-diameter constant; merges stay within g*L_i
 EPS_SCALE_PM = 8 * G_PM + 1
 
 
-def internal_eps(eps: float, nominal: bool = False) -> float:
+def check_eps(eps: float) -> None:
+    """Reject an eps outside (0, 1), NaN included."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
+
+
+def internal_eps(eps: float, nominal: bool = False) -> float:
+    check_eps(eps)
     cap = 1.0 / (2 * G_PM)
     return min(eps, cap) if nominal else min(eps / EPS_SCALE_PM, cap)
 

@@ -128,6 +128,30 @@ def test_build_extreme_weight_ratio_exit_2(tmp_path, algo):
     assert not spath.exists()
 
 
+@pytest.mark.parametrize("algo,eps,message", [
+    ("light", "0", "error: eps must lie in (0, 1)"),
+    ("greedy", "nan", "error: stretch target t must be finite and >= 1, got nan"),
+], ids=["light-eps0", "greedy-epsnan"])
+def test_build_bad_eps_exit_2(tmp_path, algo, eps, message):
+    # run as a process: light used to die with a ZeroDivisionError
+    # traceback, and greedy used to write an empty spanner and exit 0
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("3 3\n0 1 1.0\n1 2 2.0\n0 2 4.0\n")
+    spath = tmp_path / "h.txt"
+    src = str(Path(spanlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spanlab.cli", "build", "--algo", algo,
+         "--eps", eps, "-i", str(gpath), "-o", str(spath)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == message
+    assert not spath.exists()
+
+
 def test_build_metrics_and_instrument(tmp_path):
     gpath = tmp_path / "g.txt"
     spath = tmp_path / "h.txt"

@@ -266,3 +266,128 @@ def test_topmost_is_ancestor_invariant():
                     x = parent[x]
                 assert seen
 
+
+
+# ---------------------------------------------------------------- cost model
+
+
+class ReferenceStaticTreeUF:
+    """StaticTreeUF's link and find as they were before the session kept a
+    table per microset and answered unlinked vertices directly: every find
+    walks the microsets and looks each table up in the index's memo.  The
+    engine must give the same answer and the same `cost` increment on
+    every op."""
+
+    def __init__(self, index: StaticTreeIndex):
+        self.index = index
+        self.linked = [False] * index.n
+        self.cost = 0
+        self._mask = [0] * len(index.micro_members)
+        self._skip = [None] * len(index.micro_members)
+
+    def link(self, v: int) -> None:
+        idx = self.index
+        if v == idx.root:
+            raise ValueError("cannot Link the root of the union tree")
+        if self.linked[v]:
+            raise ValueError(f"vertex {v} already linked")
+        self.linked[v] = True
+        self.cost += 1
+        self._mask[idx.micro_of[v]] |= 1 << idx.local_of[v]
+
+    def find(self, v: int) -> int:
+        if not (0 <= v < self.index.n):
+            raise IndexError(f"element {v} out of range")
+        self.cost += 1
+        idx = self.index
+        trail = []
+        while True:
+            mid = idx.micro_of[v]
+            mask = self._mask[mid]
+            top_parent = idx.parent[idx.micro_members[mid][0]]
+            if mask == idx.micro_full[mid]:
+                self.cost += 1
+                skip = self._skip[mid]
+                trail.append(mid)
+                v = skip if skip is not None else top_parent
+                continue
+            local = idx.table(mid, mask)[idx.local_of[v]]
+            self.cost += 1
+            if local != -1:
+                ans = idx.micro_members[mid][local]
+                for m in trail:
+                    self._skip[m] = ans
+                return ans
+            v = top_parent
+
+
+def _assert_same_per_op(parent, ops) -> StaticTreeUF:
+    """Replay `ops` on the engine and on the reference side by side; returns
+    the engine."""
+    index = StaticTreeIndex(parent)
+    engines = (StaticTreeUF(index), ReferenceStaticTreeUF(index))
+    for step, op in enumerate(ops):
+        seen = []
+        for uf in engines:
+            before = uf.cost
+            ans = uf.link(op[1]) if op[0] == "L" else uf.find(op[1])
+            seen.append((ans, uf.cost - before))
+        assert seen[0] == seen[1], f"op {step} {op}: engine {seen[0]}, reference {seen[1]}"
+    return engines[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_static_cost_per_op_matches_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=64))
+    shape = [-1] + [data.draw(st.integers(min_value=0, max_value=v - 1))
+                    for v in range(1, n)]
+    # relabel, so that the root and the parent order vary
+    label = data.draw(st.permutations(list(range(n))))
+    parent = [-1] * n
+    for v in range(1, n):
+        parent[label[v]] = label[shape[v]]
+    root = label[0]
+    node = st.integers(min_value=0, max_value=n - 1)
+    order = data.draw(st.permutations([v for v in range(n) if v != root]))
+    cut = data.draw(st.integers(min_value=0, max_value=len(order)))
+    ops = [("F", v) for v in data.draw(st.lists(node, max_size=4))]
+    for v in order[:cut]:
+        ops.append(("L", v))
+        ops += [("F", x) for x in data.draw(st.lists(node, max_size=4))]
+    _assert_same_per_op(parent, ops)
+
+
+def _chain(n: int) -> list[int]:
+    return [-1] + list(range(n - 1))
+
+
+def _broom(handle: int, bristles: int) -> list[int]:
+    """A path of `handle` vertices from the root with `bristles` leaves
+    under its last vertex."""
+    return _chain(handle) + [handle - 1] * bristles
+
+
+@pytest.mark.parametrize("parent", [_chain(300), _broom(200, 100), _broom(100, 200)],
+                         ids=["chain300", "broom200+100", "broom100+200"])
+@pytest.mark.parametrize("order", ["bottom-up", "top-down", "shuffled"])
+def test_static_cost_per_op_matches_reference_on_deep_trees(parent, order):
+    # long paths stack dozens of microsets; finds from the bottom cross
+    # the fully linked ones and fill and then follow the skip cache
+    n = len(parent)
+    rng = random.Random(f"{n}-{order}")
+    links = list(range(1, n))
+    if order == "bottom-up":
+        links.reverse()
+    elif order == "shuffled":
+        rng.shuffle(links)
+    ops = []
+    for count, v in enumerate(links, 1):
+        ops.append(("L", v))
+        if count % 7 == 0:
+            ops += [("F", n - 1), ("F", rng.randrange(n)), ("F", n - 1)]
+    ops += [("F", v) for v in range(n - 1, -1, -1)]
+    ops += [("F", rng.randrange(n)) for _ in range(n)]
+    uf = _assert_same_per_op(parent, ops)
+    assert len(uf.index.micro_members) >= 15
+    assert any(skip is not None for skip in uf._skip)

@@ -582,6 +582,21 @@ def test_internal_eps_light_values():
     assert internal_eps_light(0.9, nominal=True) == 1 / 168
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan, math.inf])
+def test_build_rejects_eps_outside_unit_interval(eps):
+    # eps = 0 used to divide by zero in the light/heavy split, and an
+    # edgeless graph used to accept NaN; pm and linear reject both
+    for g in (gnm_graph(30, 80, seed=4, law="loguniform", wmax=1e3),
+              wgraph(3, [])):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            build_light(g, 2, eps)
+
+
+def test_build_rejects_k_below_one():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        build_light(wgraph(3, []), 0, 0.25)
+
+
 # ---------------------------------------------------------------- bases
 
 

@@ -64,6 +64,13 @@ def test_greedy_rejects_bad_t():
         greedy_spanner(triangle(), 0.5)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_greedy_rejects_non_finite_t(t):
+    # no detour exceeds a NaN or infinite t * w, so such a t keeps no edge
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        greedy_spanner(triangle(), t)
+
+
 # ---------------------------------------------------------------- verify
 
 
