@@ -2,16 +2,14 @@
 independent stretch/sparsity/lightness verifier."""
 
 from .graphs import (
-    DistanceMap,
     MstResult,
     WeightedGraph,
     load_graph,
     minimum_spanning_tree,
     normalize_weights,
     save_graph,
-    sssp_distances,
 )
-from .buckets import LevelBuckets, bucket_index, partition_edges
+from .buckets import LevelBuckets, partition_edges
 from .dsu import ClassicUF, StaticTreeIndex, StaticTreeUF
 from .hz import UnweightedGraph, hz_spanner
 from .light import build_light, split_light_heavy, subdivide_mst
@@ -22,7 +20,6 @@ from .spanner import Spanner, load_spanner
 
 __all__ = [
     "ClassicUF",
-    "DistanceMap",
     "LevelBuckets",
     "MstResult",
     "Spanner",
@@ -30,7 +27,6 @@ __all__ = [
     "StaticTreeUF",
     "UnweightedGraph",
     "WeightedGraph",
-    "bucket_index",
     "build_light",
     "build_linear",
     "build_pm",
@@ -46,7 +42,6 @@ __all__ = [
     "save_graph",
     "spanner_metrics",
     "split_light_heavy",
-    "sssp_distances",
     "subdivide_mst",
     "verify_stretch",
 ]

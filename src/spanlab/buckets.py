@@ -60,13 +60,6 @@ def bucket_raw_index(w: float, eps: float, base: float = 1.0) -> int:
     return j
 
 
-def bucket_index(w: float, eps: float, base: float = 1.0) -> tuple[int, int]:
-    """(sigma, i) coordinates of weight w on the (eps, base) grid."""
-    mu = mu_classes(eps)
-    j = bucket_raw_index(w, eps, base)
-    return j % mu, j // mu
-
-
 def level_scale(sigma: int, i: int, eps: float, base: float = 1.0) -> float:
     """Upper weight threshold L_i of cell (sigma, i); L_{-1} is 0."""
     if i < 0:

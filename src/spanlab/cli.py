@@ -1,4 +1,4 @@
-"""Command-line surface: gen | build | verify | bench.
+"""Command-line surface: gen | build | verify.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
@@ -15,9 +15,9 @@ from .light import build_light
 from .linear import build_linear
 from .oracle import greedy_spanner, spanner_metrics, verify_stretch
 from .pm import build_pm
-from .spanner import Spanner, graph_hash, load_spanner
+from .spanner import Spanner, load_spanner
 
-ALGOS = ("greedy", "hz", "pm", "linear", "light")
+ALGOS = ("greedy", "pm", "linear", "light")
 
 
 def _build(algo: str, g: WeightedGraph, k: int, eps: float,
@@ -32,15 +32,6 @@ def _build(algo: str, g: WeightedGraph, k: int, eps: float,
         sp = greedy_spanner(g, (2 * k - 1) * (1 + eps))
         sp.k, sp.eps = k, eps
         return sp
-    if algo == "hz":
-        # weights ignored: hop-based spanner of the unit-weight view
-        from .hz import UnweightedGraph, hz_spanner
-
-        ug = UnweightedGraph(g.n, [(u, v) for u, v, _ in g.edges])
-        wmap = {(min(u, v), max(u, v)): w for u, v, w in g.edges}
-        edges = sorted((u, v, wmap[(u, v)]) for u, v in hz_spanner(ug, k))
-        return Spanner(algo="hz", k=k, eps=eps, n=g.n, edges=edges,
-                       source_hash=graph_hash(g))
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -90,47 +81,6 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _dsu_bench(seed: int) -> str:
-    """Amortized-cost evidence for the static-tree engine: op count over
-    (m+n) across a ladder of sizes, one CSV row per n."""
-    import random
-
-    from .dsu import StaticTreeIndex, StaticTreeUF
-
-    rng = random.Random(seed)
-    lines = ["engine,n,ops,m_plus_n,ratio"]
-    for exp in range(10, 17):
-        n = 2 ** exp
-        parent = [-1] + [rng.randrange(v) for v in range(1, n)]
-        uf = StaticTreeUF(StaticTreeIndex(parent))
-        mops = 0
-        order = list(range(1, n))
-        rng.shuffle(order)
-        for v in order:
-            uf.link(v)
-            mops += 1
-            if mops % 2 == 0:
-                uf.find(rng.randrange(n))
-                mops += 1
-        for _ in range(n // 2):
-            uf.find(rng.randrange(n))
-            mops += 1
-        lines.append(
-            f"static-tree,{n},{uf.cost},{mops + n},{uf.cost / (mops + n):.4f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def cmd_bench(args) -> int:
-    text = _dsu_bench(args.seed)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spanlab",
                                  description="graph spanner construction toolkit")
@@ -176,14 +126,6 @@ def make_parser() -> argparse.ArgumentParser:
                    default="edge-list")
     v.add_argument("--report", default=None)
     v.set_defaults(func=cmd_verify)
-
-    be = sub.add_parser("bench", help="emit union-find amortized-cost evidence as CSV "
-                                      "(end-to-end benchmarks live in spanbench/)")
-    be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--dsu", action="store_true", required=True,
-                    help="the static-tree union-find op-count ladder")
-    be.add_argument("-o", "--output", default=None)
-    be.set_defaults(func=cmd_bench)
     return ap
 
 

@@ -21,7 +21,7 @@ but both count the table step that the lookup would have taken.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 # ---------------------------------------------------------------- classic
 
@@ -288,38 +288,3 @@ class StaticTreeUF:
                 return ans
             # every in-microset ancestor of v is linked; continue above
             v = above[mid]
-
-
-# ---------------------------------------------------------------- sessions
-
-Op = tuple  # ("U", a, b) | ("L", v) | ("F", v)
-
-
-def classic_uf_session(n: int, ops: Iterable[Op]) -> tuple[list[int], int]:
-    """Run a Union/Find trace on ClassicUF; returns (find answers, cost)."""
-    uf = ClassicUF(n)
-    answers: list[int] = []
-    for op in ops:
-        if op[0] == "U":
-            uf.union(op[1], op[2])
-        elif op[0] == "F":
-            answers.append(uf.find(op[1]))
-        else:
-            raise ValueError(f"classic session does not accept op {op!r}")
-    return answers, uf.cost
-
-
-def static_tree_uf_session(
-    parent: Sequence[int], ops: Iterable[Op]
-) -> tuple[list[int], int]:
-    """Run a Link/Find trace on StaticTreeUF; returns (find answers, cost)."""
-    uf = StaticTreeUF(StaticTreeIndex(parent))
-    answers: list[int] = []
-    for op in ops:
-        if op[0] == "L":
-            uf.link(op[1])
-        elif op[0] == "F":
-            answers.append(uf.find(op[1]))
-        else:
-            raise ValueError(f"static session does not accept op {op!r}")
-    return answers, uf.cost

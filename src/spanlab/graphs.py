@@ -79,9 +79,6 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def weight(self) -> float:
-        return sum(w for _, _, w in self.edges)
-
     def adjacency(self) -> list[list[tuple[int, float]]]:
         """(neighbor, weight) lists, built once on demand."""
         if self._adj is None:
@@ -118,22 +115,6 @@ class MstResult:
     weight: float
     root: int = 0
     eids: list[int] = field(default_factory=list)   # g's id of each edge
-
-    def parent_weight(self) -> list[float]:
-        w = [0.0] * len(self.parent)
-        for u, v, wt in self.edges:
-            child = u if self.parent[u] == v else v
-            w[child] = wt
-        return w
-
-
-@dataclass
-class DistanceMap:
-    source: int
-    dist: list[float] = field(default_factory=list)
-
-    def __getitem__(self, v: int) -> float:
-        return self.dist[v]
 
 
 # ---------------------------------------------------------------- file I/O
@@ -322,7 +303,7 @@ def minimum_spanning_tree(g: WeightedGraph) -> MstResult:
 # ---------------------------------------------------------------- distances
 
 
-def sssp_distances(g: WeightedGraph, source: int) -> DistanceMap:
+def sssp_distances(g: WeightedGraph, source: int) -> list[float]:
     """Exact Dijkstra distances; unreachable vertices get +inf."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
@@ -339,30 +320,7 @@ def sssp_distances(g: WeightedGraph, source: int) -> DistanceMap:
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return DistanceMap(source=source, dist=dist)
-
-
-def tree_path_max_weight(mst: MstResult, u: int, v: int) -> float:
-    """Max edge weight on the tree path u..v (naive walk; test helper)."""
-    pw = mst.parent_weight()
-    depth = [0] * len(mst.parent)
-    children: list[list[int]] = [[] for _ in mst.parent]
-    for x, p in enumerate(mst.parent):
-        if p >= 0:
-            children[p].append(x)
-    stack = [mst.root]
-    while stack:
-        x = stack.pop()
-        for c in children[x]:
-            depth[c] = depth[x] + 1
-            stack.append(c)
-    best = 0.0
-    while u != v:
-        if depth[u] < depth[v]:
-            u, v = v, u
-        best = max(best, pw[u])
-        u = mst.parent[u]
-    return best
+    return dist
 
 
 # ---------------------------------------------------------------- scaling
@@ -383,7 +341,4 @@ def normalize_weights(g: WeightedGraph) -> tuple[WeightedGraph, float]:
         raise ValueError(
             f"weight ratio {top!r} / {scale!r} is not a finite float; "
             "the weight range is too wide for the bucket grid")
-    scaled = WeightedGraph(g.n, [(u, v, w / scale) for u, v, w in g.edges])
-    scaled.collapsed_count = g.collapsed_count
-    scaled.selfloop_count = g.selfloop_count
-    return scaled, scale
+    return WeightedGraph(g.n, [(u, v, w / scale) for u, v, w in g.edges]), scale

@@ -9,8 +9,6 @@ charge to retired vertices at n^(1/k) apiece, giving O(n^(1+1/k)) edges.
 """
 from __future__ import annotations
 
-from collections import deque
-
 
 class UnweightedGraph:
     """Adjacency-list simple graph; rejects self-loops and parallel edges."""
@@ -100,21 +98,3 @@ def hz_spanner(g: UnweightedGraph, k: int, stats: dict | None = None) -> set[tup
     if stats is not None:
         stats["ops"] = stats.get("ops", 0) + work
     return out
-
-
-def hop_distances(g: UnweightedGraph, edges: set[tuple[int, int]], source: int) -> list[int]:
-    """BFS hop distances inside the subgraph `edges`; -1 if unreachable."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = [-1] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if dist[v] == -1:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist

@@ -151,9 +151,7 @@ def _build_connected(
                 carried.append(mst_sorted[ptr][1])
                 ptr += 1
             links, carried, ynodes = _merge_level(
-                mst, session, carried, check,
-                rep_nodes=reps, tag=f"sigma={sigma} i={i}",
-            )
+                mst, session, carried, check, reps, sigma, i)
             finds = session.cost - cost0 - links
             ops["links"] += links
             ops["finds"] += finds
@@ -178,19 +176,20 @@ def cluster_forest_edges(
     """Materialize the level's merge candidates as cluster pairs.
 
     `carried` holds the in-range MST edges by child vertex; each maps to
-    (find(child), find(parent)) and every incident cluster joins the node
-    set.  The MST cycle property guarantees this node set covers every
-    cluster touched by a surviving bucket edge."""
-    find, parent = session.find, mst.parent
+    (child, find(parent)) and every incident cluster joins the node set.
+    A cluster is a connected MST subtree, so an edge leaving it upward
+    leaves at its top: `child` is unlinked and is its own cluster's
+    representative.  The MST cycle property guarantees this node set
+    covers every cluster touched by a surviving bucket edge."""
+    find, parent, linked = session.find, mst.parent, session.linked
     pairs: list[tuple[int, int, int]] = []
     nodeset: dict[int, int] = {}
     add = nodeset.setdefault
     for child in carried:
-        a = find(child)
-        b = find(parent[child])
-        if a == b:
+        if linked[child]:
             raise AssertionError("carried MST edge became intra-cluster")
-        pairs.append((add(a, len(nodeset)), add(b, len(nodeset)), child))
+        a = add(child, len(nodeset))
+        pairs.append((a, add(find(parent[child]), len(nodeset)), child))
     return pairs, nodeset
 
 
@@ -235,10 +234,12 @@ def _merge_level(
     carried: list[int],
     check: Optional[Callable[[str, bool, str], None]],
     rep_nodes: list[int],
-    tag: str,
+    sigma: int,
+    i: int,
 ) -> tuple[int, list[int], int]:
     pairs, nodeset = cluster_forest_edges(session, mst, carried)
     if check is not None:
+        tag = f"sigma={sigma} i={i}"
         got = set(nodeset)
         ok = all(r in got for r in rep_nodes)
         check("x-subset-y", ok, f"{tag} |X|={len(rep_nodes)} |Y|={len(nodeset)}")

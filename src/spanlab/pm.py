@@ -266,8 +266,7 @@ def _check_p1_p2(
             [(idx[u], idx[v], w) for u, v, w in sub_edges if u in idx and v in idx],
         )
         for s in range(induced.n):
-            dmap = sssp_distances(induced, s)
-            worst = max(dmap.dist)
+            worst = max(sssp_distances(induced, s))
             if not (worst <= budget * (1 + 1e-9)):
                 ok = False
                 break

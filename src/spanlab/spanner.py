@@ -33,9 +33,6 @@ class Spanner:
     def m(self) -> int:
         return len(self.edges)
 
-    def weight(self) -> float:
-        return sum(w for _, _, w in self.edges)
-
     def edge_key_set(self) -> set[tuple[int, int]]:
         return {(u, v) if u < v else (v, u) for u, v, _ in self.edges}
 

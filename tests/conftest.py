@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+from collections import deque
+from typing import Iterable, Sequence
+
 import pytest
 from hypothesis import settings
 
+from spanlab.dsu import ClassicUF, StaticTreeIndex, StaticTreeUF
 from spanlab.graphs import WeightedGraph, induced_subgraph
+from spanlab.hz import UnweightedGraph
 from spanlab.spanner import graph_hash
 
 # CI runs `pytest --hypothesis-profile=ci`: every run draws the same examples,
@@ -63,3 +68,59 @@ def assert_built_per_component(build, g: WeightedGraph, comps, k=2, eps=0.25):
     assert sp.ops == ops and list(sp.ops) == list(part.ops)
     assert sp.source_hash == graph_hash(g)
     return sp
+
+
+# ---------------------------------------------------------------- union-find traces
+
+Op = tuple  # ("U", a, b) | ("L", v) | ("F", v)
+
+
+def classic_uf_session(n: int, ops: Iterable[Op]) -> tuple[list[int], int]:
+    """Run a Union/Find trace on ClassicUF; returns (find answers, cost)."""
+    uf = ClassicUF(n)
+    answers: list[int] = []
+    for op in ops:
+        if op[0] == "U":
+            uf.union(op[1], op[2])
+        elif op[0] == "F":
+            answers.append(uf.find(op[1]))
+        else:
+            raise ValueError(f"classic session does not accept op {op!r}")
+    return answers, uf.cost
+
+
+def static_tree_uf_session(
+    parent: Sequence[int], ops: Iterable[Op]
+) -> tuple[list[int], int]:
+    """Run a Link/Find trace on StaticTreeUF; returns (find answers, cost)."""
+    uf = StaticTreeUF(StaticTreeIndex(parent))
+    answers: list[int] = []
+    for op in ops:
+        if op[0] == "L":
+            uf.link(op[1])
+        elif op[0] == "F":
+            answers.append(uf.find(op[1]))
+        else:
+            raise ValueError(f"static session does not accept op {op!r}")
+    return answers, uf.cost
+
+
+# ---------------------------------------------------------------- hop distances
+
+
+def hop_distances(g: UnweightedGraph, edges: set[tuple[int, int]], source: int) -> list[int]:
+    """BFS hop distances inside the subgraph `edges`; -1 if unreachable."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [-1] * g.n
+    dist[source] = 0
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        for v in adj[u]:
+            if dist[v] == -1:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return dist

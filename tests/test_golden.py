@@ -276,22 +276,22 @@ GOLDEN_ROWS = {
     },
     'ladder-gnm100-k3-e0.5': {
         'pm': '664dfe1ebe4ecd80d50a185d38588bbd62403d5bee429966fdc37ff4bc7c7c22',
-        'linear': 'bfbdf658eb6e660599cf12aa67512586ffeec14ab72c5d26f1b98cd04986a63d',
+        'linear': '8ba42ac311b470382fabf9ced8dc803176393f4083c46bff6ad868157f8f5f88',
         'light': '58b6999a8dd9c4fe2eb104c49bbfbe64391ca0bbb9a38ef98ef80de483bc2770',
     },
     'steps-gnm200-k2-e0.25': {
         'pm': 'f29452ec73483a21ac4b547fa9a4bb88083c62c9c0cf314f3b0fcd626dfcafd4',
-        'linear': '1a07d89eb72b8a9668cb021589c42b1fa8d9a79b3b31ac72b7e59372145298df',
+        'linear': 'ffb80043f748cc814ef6d011959a949ed4d1960af9f0865a49ad4300177bdcc3',
         'light': '10f858cdfea93461e2f1b849532f51fc882865c81e6994bd3e0317beb659c1a6',
     },
     'steps-gnm500-k3-e0.5': {
         'pm': 'f1e4b68e5af7a67d7053df39c038a1dc5b1a221216f64f5bd405374a54931793',
-        'linear': 'fd8924474360403617390de2876f75af359c042823cd98a96c1167fe13457e8f',
+        'linear': '68680934e72b26fddaf3f8b1cef6b376e446a08882cabac18b7e24f7bee33442',
         'light': '327e4dda523afd13d3f423942324484077141e92539d09573f2a4e5d8068bcc6',
     },
     'two-level-classes-k2-e0.25': {
         'pm': '306d984e869cc17cef833ccfcf746d3ab1a8d0d8fa685bc6c25fd3a8c4bd9968',
-        'linear': '23d4aefd9a5ca5e9aca3e6de891fa145f8ba9da9706b9b3d3a6c5af788818ef7',
+        'linear': 'c94ffda275c1cc6421d84e060b9d053e3c62caa5d2bbbe4cb9bb2941abc34fdd',
         'light': 'b4f9eac7434949cfd7a9f1012f9e856d586cf5f234257149a46c172f61bbc957',
     },
 }

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spanlab.graphs import (
     GraphFormatError,
+    MstResult,
     WeightedGraph,
     induced_subgraph,
     load_graph,
@@ -180,6 +181,38 @@ def test_mst_disconnected_reports_witnesses():
         minimum_spanning_tree(g)
 
 
+def parent_weight(mst: MstResult) -> list[float]:
+    """Weight of each vertex's edge to its MST parent; 0.0 at the root."""
+    w = [0.0] * len(mst.parent)
+    for u, v, wt in mst.edges:
+        child = u if mst.parent[u] == v else v
+        w[child] = wt
+    return w
+
+
+def tree_path_max_weight(mst: MstResult, u: int, v: int) -> float:
+    """Max edge weight on the tree path u..v (naive walk)."""
+    pw = parent_weight(mst)
+    depth = [0] * len(mst.parent)
+    children: list[list[int]] = [[] for _ in mst.parent]
+    for x, p in enumerate(mst.parent):
+        if p >= 0:
+            children[p].append(x)
+    stack = [mst.root]
+    while stack:
+        x = stack.pop()
+        for c in children[x]:
+            depth[c] = depth[x] + 1
+            stack.append(c)
+    best = 0.0
+    while u != v:
+        if depth[u] < depth[v]:
+            u, v = v, u
+        best = max(best, pw[u])
+        u = mst.parent[u]
+    return best
+
+
 def test_mst_cycle_property_exhaustive_small():
     # for every non-tree edge, each tree edge on its tree path weighs no more
     rng = random.Random(11)
@@ -195,8 +228,6 @@ def test_mst_cycle_property_exhaustive_small():
         g = WeightedGraph.from_edges(n, edges)
         mst = minimum_spanning_tree(g)
         tree_keys = {(min(u, v), max(u, v)) for u, v, _ in mst.edges}
-        from spanlab.graphs import tree_path_max_weight
-
         for u, v, w in g.edges:
             if (min(u, v), max(u, v)) in tree_keys:
                 continue
@@ -208,17 +239,17 @@ def test_mst_cycle_property_exhaustive_small():
 
 def test_sssp_path():
     g = wgraph(3, [(0, 1, 1), (1, 2, 1)])
-    assert sssp_distances(g, 0).dist == [0, 1, 2]
+    assert sssp_distances(g, 0) == [0, 1, 2]
 
 
 def test_sssp_shortcut():
     g = triangle(1, 1, 10)
-    assert sssp_distances(g, 0).dist[2] == 2
+    assert sssp_distances(g, 0)[2] == 2
 
 
 def test_sssp_unreachable_is_inf():
     g = wgraph(3, [(0, 1, 1)])
-    assert sssp_distances(g, 0).dist[2] == INF
+    assert sssp_distances(g, 0)[2] == INF
 
 
 def test_sssp_source_out_of_range():
@@ -257,8 +288,8 @@ def test_normalize_distance_round_trip():
                + [(i, (i + 1) % 10, rng.uniform(0.5, 50)) for i in range(9)])
     g = WeightedGraph.from_edges(g.n, g.edges)
     norm, scale = normalize_weights(g)
-    before = sssp_distances(g, 0).dist
-    after = sssp_distances(norm, 0).dist
+    before = sssp_distances(g, 0)
+    after = sssp_distances(norm, 0)
     for b, a in zip(before, after):
         if math.isinf(b):
             assert math.isinf(a)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from spanlab.hz import UnweightedGraph, hop_distances, hz_spanner
+from spanlab.hz import UnweightedGraph, hz_spanner
+from conftest import hop_distances
 
 
 def petersen() -> UnweightedGraph:

@@ -124,8 +124,8 @@ def test_verify_edge_max_equals_all_pairs_brute_force():
         h = WeightedGraph(n, keep)
         rep = verify_stretch(g, h, 3.0)
         pair_max = 0.0
-        dg = [sssp_distances(g, s).dist for s in range(n)]
-        dh = [sssp_distances(h, s).dist for s in range(n)]
+        dg = [sssp_distances(g, s) for s in range(n)]
+        dh = [sssp_distances(h, s) for s in range(n)]
         for u in range(n):
             for v in range(u + 1, n):
                 if dg[u][v] == 0 or math.isinf(dg[u][v]):

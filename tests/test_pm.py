@@ -181,7 +181,7 @@ def _is_bridge(g: WeightedGraph, u: int, v: int, w: float) -> bool:
     rest = [(a, b, ww) for a, b, ww in g.edges
             if (min(a, b), max(a, b)) != (min(u, v), max(u, v))]
     h = WeightedGraph(g.n, rest)
-    return math.isinf(sssp_distances(h, u).dist[v])
+    return math.isinf(sssp_distances(h, u)[v])
 
 
 def test_instrumentation_rows_and_charging(sink):
