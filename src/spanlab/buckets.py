@@ -20,10 +20,15 @@ from typing import Iterable
 from .graphs import WeightedGraph
 
 
-def mu_classes(eps: float) -> int:
-    """Number of interleaved classes; ceiling keeps the 1/eps separation."""
+def check_eps(eps: float) -> None:
+    """Reject an eps outside (0, 1), NaN included."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
+
+
+def mu_classes(eps: float) -> int:
+    """Number of interleaved classes; ceiling keeps the 1/eps separation."""
+    check_eps(eps)
     raw = math.log(1.0 / eps) / math.log1p(eps)
     return max(1, math.ceil(raw - 1e-12))
 

@@ -20,14 +20,13 @@ from .spanner import Spanner, load_spanner
 ALGOS = ("greedy", "pm", "linear", "light")
 
 
-def _build(algo: str, g: WeightedGraph, k: int, eps: float,
-           nominal: bool) -> Spanner:
+def _build(algo: str, g: WeightedGraph, k: int, eps: float) -> Spanner:
     if algo == "pm":
-        return build_pm(g, k, eps, nominal_eps=nominal)
+        return build_pm(g, k, eps)
     if algo == "linear":
-        return build_linear(g, k, eps, nominal_eps=nominal)
+        return build_linear(g, k, eps)
     if algo == "light":
-        return build_light(g, k, eps, nominal_eps=nominal)
+        return build_light(g, k, eps)
     if algo == "greedy":
         sp = greedy_spanner(g, (2 * k - 1) * (1 + eps))
         sp.k, sp.eps = k, eps
@@ -51,7 +50,7 @@ def cmd_build(args) -> int:
         print(f"ingest: collapsed {g.collapsed_count} multi-edges, "
               f"dropped {g.selfloop_count} self-loops", file=sys.stderr)
     t0 = time.perf_counter()
-    sp = _build(args.algo, g, args.k, args.eps, args.nominal_eps)
+    sp = _build(args.algo, g, args.k, args.eps)
     elapsed = time.perf_counter() - t0
     sp.save(args.output)
     if args.metrics:
@@ -103,10 +102,6 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--algo", choices=ALGOS, required=True)
     b.add_argument("--k", type=int, default=2)
     b.add_argument("--eps", type=float, default=0.25)
-    b.add_argument("--nominal-eps", action="store_true",
-                   help="skip the internal eps down-scaling; the (2k-1)(1+eps) "
-                        "stretch is then not guaranteed (light often exceeds "
-                        "it), so check the output with `verify -t`")
     b.add_argument("--instrument-out", default=None,
                    help="write the per-level rows here, one JSON line each")
     b.add_argument("--format", choices=("edge-list", "dimacs-gr"),

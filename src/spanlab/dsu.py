@@ -116,7 +116,7 @@ def _first_free_table(shape: tuple[int, ...], mask: int) -> tuple[int, ...]:
 class StaticTreeIndex:
     """Microset decomposition of a rooted tree, shared by UF sessions."""
 
-    def __init__(self, parent: Sequence[int], root: Optional[int] = None):
+    def __init__(self, parent: Sequence[int]):
         n = len(parent)
         self.n = n
         self.parent = list(parent)
@@ -124,8 +124,6 @@ class StaticTreeIndex:
         if len(roots) != 1:
             raise ValueError(f"parent array must define one rooted tree, found roots {roots}")
         self.root = roots[0]
-        if root is not None and root != self.root:
-            raise ValueError(f"declared root {root} but parent array roots at {self.root}")
         self.parent[self.root] = -1
         self._validate_tree()
         self._decompose()

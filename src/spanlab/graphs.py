@@ -330,12 +330,15 @@ def normalize_weights(g: WeightedGraph) -> tuple[WeightedGraph, float]:
     """Divide every weight by the minimum weight; returns (graph, scale).
 
     The result has minimum weight exactly 1 (the minimum edge divides to
-    w/w == 1.0 without round-off).  Raises ValueError, naming the input's
-    extreme weights, when their ratio is not a finite float.
+    w/w == 1.0 without round-off).  Raises ValueError, naming the weight,
+    when the minimum weight is not positive, and naming the input's extreme
+    weights when their ratio is not a finite float.
     """
     if g.m == 0:
         raise ValueError("cannot normalize a graph with no edges")
     scale = min(w for _, _, w in g.edges)
+    if scale <= 0:
+        raise ValueError(f"weights must be positive, got weight {scale!r}")
     top = max(w for _, _, w in g.edges)
     if not math.isfinite(top / scale):
         raise ValueError(

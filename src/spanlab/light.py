@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .buckets import partition_edges, threshold
+from .buckets import check_eps, partition_edges, threshold
 from .graphs import WeightedGraph, minimum_spanning_tree
 from .linear import per_component
-from .pm import build_pm, check_eps
+from .pm import build_pm
 from .spanner import Spanner
 from . import lightsteps as steps
 
@@ -38,10 +38,9 @@ EPS_SCALE_LIGHT = 10 * G_LIGHT + 1  # stretch chain ends at (2k-1)(1+(10g+1)eps'
 FILTER_SLACK = 6 * G_LIGHT          # tree-path filter keeps only stretch > (2k-1)(1+6g*eps')
 
 
-def internal_eps_light(eps: float, nominal: bool = False) -> float:
+def internal_eps_light(eps: float) -> float:
     check_eps(eps)
-    cap = 1.0 / (4 * G_LIGHT)
-    return min(eps, cap) if nominal else min(eps / EPS_SCALE_LIGHT, cap)
+    return min(eps / EPS_SCALE_LIGHT, 1.0 / (4 * G_LIGHT))
 
 
 # ---------------------------------------------------------------- split
@@ -123,7 +122,6 @@ def build_light(
     g: WeightedGraph,
     k: int,
     eps: float,
-    nominal_eps: bool = False,
     check: Optional[Callable[[str, bool, str], None]] = None,
 ) -> Spanner:
     """(2k-1)(1+eps)-spanner with bounded lightness and sparsity.
@@ -137,14 +135,13 @@ def build_light(
     if k < 1:
         raise ValueError("k must be >= 1")
     check_eps(eps)
-    return per_component(g, "light", k, eps, _build_connected, nominal_eps, check)
+    return per_component(g, "light", k, eps, _build_connected, check)
 
 
 def _build_connected(
     g: WeightedGraph,
     k: int,
     eps: float,
-    nominal_eps: bool,
     check: Optional[Callable[[str, bool, str], None]],
 ) -> Spanner:
     """Spanner of a connected g; the caller fills in source_hash."""
@@ -161,7 +158,7 @@ def _build_connected(
     light_pool = sorted(set(light_ids) | mst_eids)
     if light_pool:
         lg = WeightedGraph(g.n, [g.edges[e] for e in light_pool])
-        hp = build_pm(lg, k, eps, nominal_eps=nominal_eps)
+        hp = build_pm(lg, k, eps)
         ops["pm_uf"] = hp.ops.get("uf", 0)
         ops["hz"] = hp.ops.get("hz", 0)
         back_key = {(min(u, v), max(u, v)): eid
@@ -173,7 +170,7 @@ def _build_connected(
     heavy_pool = [e for e in heavy_ids if e not in mst_eids]
     if heavy_pool:
         _build_heavy(
-            g, mst, heavy_pool, k, eps, nominal_eps, check,
+            g, mst, heavy_pool, k, eps, check,
             chosen, levels_log, ops,
         )
     if check is not None:
@@ -190,13 +187,12 @@ def _build_heavy(
     heavy_pool: list[int],
     k: int,
     eps: float,
-    nominal_eps: bool,
     check,
     chosen: set[int],
     levels_log: list[dict],
     ops: dict,
 ) -> None:
-    eps_i = internal_eps_light(eps, nominal_eps)
+    eps_i = internal_eps_light(eps)
     wbar = mst.weight / (g.m * eps)
     sub = subdivide_mst(mst, wbar, g.n)
     if check is not None:

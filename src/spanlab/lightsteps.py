@@ -35,12 +35,9 @@ class StepContext:
     gconst: int
     filter_factor: float
     check: Optional[Callable[[str, bool, str], None]] = None   # audits iff given
-    tau_override: Optional[int] = None
 
     @property
     def tau_high(self) -> int:
-        if self.tau_override is not None:
-            return self.tau_override
         return math.ceil(2 * self.gconst / self.eps)
 
 

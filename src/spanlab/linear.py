@@ -68,7 +68,6 @@ def build_linear(
     g: WeightedGraph,
     k: int,
     eps: float,
-    nominal_eps: bool = False,
     check: Optional[Callable[[str, bool, str], None]] = None,
 ) -> Spanner:
     """MST-containing (2k-1)(1+eps)-spanner; disconnected inputs are built
@@ -76,18 +75,17 @@ def build_linear(
     structural audits on and receives their outcomes."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return per_component(g, "linear", k, eps, _build_connected, nominal_eps, check)
+    return per_component(g, "linear", k, eps, _build_connected, check)
 
 
 def _build_connected(
     g: WeightedGraph,
     k: int,
     eps: float,
-    nominal_eps: bool,
     check: Optional[Callable[[str, bool, str], None]],
 ) -> Spanner:
     """Spanner of a connected g; the caller fills in source_hash."""
-    eps_i = internal_eps(eps, nominal_eps)
+    eps_i = internal_eps(eps)
     ops = {"links": 0, "finds": 0, "uf_cost": 0, "hz": 0}
     if g.m == 0:
         return Spanner(algo="linear", k=k, eps=eps, n=g.n, edges=[], ops=ops)

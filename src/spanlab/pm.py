@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .buckets import level_scale, partition_edges
+from .buckets import check_eps, level_scale, partition_edges
 from .dsu import ClassicUF
 from .graphs import WeightedGraph, normalize_weights, sssp_distances
 from .hz import UnweightedGraph, hz_spanner
@@ -27,16 +27,9 @@ G_PM = 9  # cluster-diameter constant; merges stay within g*L_i
 EPS_SCALE_PM = 8 * G_PM + 1
 
 
-def check_eps(eps: float) -> None:
-    """Reject an eps outside (0, 1), NaN included."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-
-
-def internal_eps(eps: float, nominal: bool = False) -> float:
+def internal_eps(eps: float) -> float:
     check_eps(eps)
-    cap = 1.0 / (2 * G_PM)
-    return min(eps, cap) if nominal else min(eps / EPS_SCALE_PM, cap)
+    return min(eps / EPS_SCALE_PM, 1.0 / (2 * G_PM))
 
 
 # ---------------------------------------------------------------- dedup
@@ -136,7 +129,6 @@ def build_pm(
     g: WeightedGraph,
     k: int,
     eps: float,
-    nominal_eps: bool = False,
     check: Optional[Callable[[str, bool, str], None]] = None,
 ) -> Spanner:
     """(2k-1)(1+eps)-spanner via the classic union-find level framework.
@@ -146,7 +138,7 @@ def build_pm(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    eps_i = internal_eps(eps, nominal_eps)
+    eps_i = internal_eps(eps)
     spanner_eids: set[int] = set()
     levels_log: list[dict] = []
     ops = {"uf": 0, "hz": 0}

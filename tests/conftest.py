@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import settings
 
+import spanlab.light
+import spanlab.pm
 from spanlab.dsu import ClassicUF, StaticTreeIndex, StaticTreeUF
 from spanlab.graphs import WeightedGraph, induced_subgraph
 from spanlab.hz import UnweightedGraph
@@ -48,6 +51,20 @@ def wgraph(n: int, edges) -> WeightedGraph:
 
 def triangle(w01=1.0, w12=1.0, w02=1.0) -> WeightedGraph:
     return wgraph(3, [(0, 1, w01), (1, 2, w12), (0, 2, w02)])
+
+
+@contextmanager
+def unscaled_eps():
+    """Build with eps' = eps (still capped) instead of the paper's eps/73
+    and eps/421, so that small graphs reach several levels per class.
+    Builds made inside carry no (2k-1)(1+eps) guarantee; tests use them to
+    reach multi-level code paths."""
+    saved = spanlab.pm.EPS_SCALE_PM, spanlab.light.EPS_SCALE_LIGHT
+    spanlab.pm.EPS_SCALE_PM = spanlab.light.EPS_SCALE_LIGHT = 1
+    try:
+        yield
+    finally:
+        spanlab.pm.EPS_SCALE_PM, spanlab.light.EPS_SCALE_LIGHT = saved
 
 
 def assert_built_per_component(build, g: WeightedGraph, comps, k=2, eps=0.25):

@@ -208,6 +208,7 @@ REMOVED_NAMES = [
     ("spanlab.dsu", "classic_uf_session"),
     ("spanlab.dsu", "static_tree_uf_session"),
     ("spanlab.hz", "hop_distances"),
+    ("spanlab.lightsteps", "StepContext.tau_override"),
     ("spanlab.buckets", "bucket_index"),
     ("spanlab.graphs", "DistanceMap"),
     ("spanlab.graphs", "tree_path_max_weight"),
@@ -240,6 +241,20 @@ def test_removed_cli_paths_exit_2(tmp_path, capsys, monkeypatch, argv, choice):
     err = capsys.readouterr().err
     assert err.startswith("usage: spanlab")
     assert f"invalid choice: '{choice}'" in err
+    assert not (tmp_path / "h.txt").exists()
+
+
+def test_removed_nominal_eps_flag_exit_2(tmp_path, capsys, monkeypatch):
+    # the flag skipped the eps scaling, so light wrote spanners that failed
+    # their own header's (2k-1)(1+eps)
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--type", "gnm", "--n", "30", "--m", "90", "-o", "g.txt"]) == 0
+    capsys.readouterr()
+    assert main(["build", "--algo", "light", "--nominal-eps",
+                 "-i", "g.txt", "-o", "h.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spanlab")
+    assert "unrecognized arguments: --nominal-eps" in err
     assert not (tmp_path / "h.txt").exists()
 
 

@@ -12,6 +12,7 @@ and say why in the change log.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -26,8 +27,10 @@ from spanlab.graphs import WeightedGraph
 from spanlab.light import build_light
 from spanlab.linear import build_linear
 from spanlab.pm import build_pm, internal_eps
+from conftest import unscaled_eps
 
 BUILDERS = {"pm": build_pm, "linear": build_linear, "light": build_light}
+SCALED = contextlib.nullcontext  # the builders' own eps scaling
 
 
 def k4_pieces(pieces: int, seed: int) -> WeightedGraph:
@@ -44,9 +47,10 @@ def k4_pieces(pieces: int, seed: int) -> WeightedGraph:
 
 
 def two_level_classes() -> WeightedGraph:
-    """gnm(48, 400) whose weights sit on the grid thresholds of pm's nominal
-    eps' at 0.25: classes 0, 1, 2, each with levels 0 and 1."""
-    eps_i = internal_eps(0.25, nominal=True)
+    """gnm(48, 400) whose weights sit on the grid thresholds of pm's
+    unscaled eps' at 0.25: classes 0, 1, 2, each with levels 0 and 1."""
+    with unscaled_eps():
+        eps_i = internal_eps(0.25)
     mu = mu_classes(eps_i)
     grid = [threshold(i * mu + sigma, eps_i) for sigma in (0, 1, 2) for i in (0, 1)]
     rng = random.Random("golden-two-level")
@@ -59,29 +63,29 @@ def two_level_classes() -> WeightedGraph:
 # unaudited.
 STEPS_CASES = {
     "steps-gnm200-k2-e0.25": (
-        lambda: gnm_graph(200, 3000, 1, "loguniform", 1e9), 2, 0.25, True),
+        lambda: gnm_graph(200, 3000, 1, "loguniform", 1e9), 2, 0.25, unscaled_eps),
     "steps-gnm500-k3-e0.5": (
-        lambda: gnm_graph(500, 6000, 3, "loguniform", 1e9), 3, 0.5, False),
+        lambda: gnm_graph(500, 6000, 3, "loguniform", 1e9), 3, 0.5, SCALED),
 }
 
 
 def _cases():
-    """name -> (graph factory, k, eps, nominal_eps)."""
+    """name -> (graph factory, k, eps, the eps scaling to build under)."""
     out = {}
     for law in ("uniform", "loguniform", "unit"):
         for k in (2, 3):
             for eps in (0.25, 0.5):
                 out[f"gnm48-{law}-k{k}-e{eps}"] = (
-                    lambda law=law: gnm_graph(48, 192, 5, law), k, eps, False)
-    out["k4x30-k2-e0.25"] = (lambda: k4_pieces(30, 1), 2, 0.25, False)
+                    lambda law=law: gnm_graph(48, 192, 5, law), k, eps, SCALED)
+    out["k4x30-k2-e0.25"] = (lambda: k4_pieces(30, 1), 2, 0.25, SCALED)
     # on the grid above pm and linear keep H = G for weighted laws; here
     # dense cells in three classes of two levels each make every class merge
     # clusters at its first level and dedupe through them at its second
-    out["two-level-classes-k2-e0.25"] = (two_level_classes, 2, 0.25, True)
-    # nominal eps keeps the level span near 1/eps, so the heavy side of
+    out["two-level-classes-k2-e0.25"] = (two_level_classes, 2, 0.25, unscaled_eps)
+    # unscaled eps keeps the level span near 1/eps, so the heavy side of
     # `light` enters classes from three rungs of its carve ladder
     out["ladder-gnm100-k3-e0.5"] = (
-        lambda: gnm_graph(100, 1500, 1, "loguniform", 1e9), 3, 0.5, True)
+        lambda: gnm_graph(100, 1500, 1, "loguniform", 1e9), 3, 0.5, unscaled_eps)
     out.update(STEPS_CASES)
     return out
 
@@ -105,10 +109,10 @@ def rows_sha(sp) -> str:
 @functools.lru_cache(maxsize=None)
 def _spanners(name: str) -> dict:
     """Each builder's spanner of case `name`, built once per test session."""
-    make, k, eps, nominal = CASES[name]
+    make, k, eps, scaling = CASES[name]
     g = make()
-    return {algo: build(g, k, eps, nominal_eps=nominal)
-            for algo, build in BUILDERS.items()}
+    with scaling():
+        return {algo: build(g, k, eps) for algo, build in BUILDERS.items()}
 
 
 def _digests(name: str) -> dict[str, str]:
@@ -317,8 +321,9 @@ def test_steps_cases_run_process_level(name, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lightsteps, "process_level", counted)
-    make, k, eps, nominal = CASES[name]
-    build_light(make(), k, eps, nominal_eps=nominal)
+    make, k, eps, scaling = CASES[name]
+    with scaling():
+        build_light(make(), k, eps)
     assert calls
 
 
@@ -333,10 +338,11 @@ AUDIT_STREAM = {
 
 
 def audit_stream(name: str) -> list[tuple[str, bool, str]]:
-    make, k, eps, nominal = CASES[name]
+    make, k, eps, scaling = CASES[name]
     out: list[tuple[str, bool, str]] = []
-    build_light(make(), k, eps, nominal_eps=nominal,
-                check=lambda n, ok, detail: out.append((n, ok, detail)))
+    with scaling():
+        build_light(make(), k, eps,
+                    check=lambda n, ok, detail: out.append((n, ok, detail)))
     return out
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,19 @@ from spanlab.light import (
 )
 from spanlab import lightsteps as steps
 from spanlab.oracle import spanner_metrics, verify_stretch
-from conftest import CheckSink, assert_built_per_component, wgraph
+from conftest import CheckSink, assert_built_per_component, unscaled_eps, wgraph
+
+
+@dataclasses.dataclass
+class FixedTauContext(steps.StepContext):
+    """A StepContext whose high-degree threshold is `tau` when given, so a
+    small level can reach step 1; None keeps the derived threshold."""
+
+    tau: Optional[int] = None
+
+    @property
+    def tau_high(self) -> int:
+        return super().tau_high if self.tau is None else self.tau
 
 
 # ---------------------------------------------------------------- split
@@ -104,10 +117,10 @@ def _mini_ctx(g, k=2, eps=0.25, tau=None, check=None):
     wbar = mst.weight / (g.m * eps)
     sub = subdivide_mst(mst, wbar, g.n)
     eps_i = internal_eps_light(eps)
-    ctx = steps.StepContext(
+    ctx = FixedTauContext(
         g=g, sub=sub, k=k, eps=eps_i, gconst=G_LIGHT,
         filter_factor=(2 * k - 1) * (1 + FILTER_SLACK * eps_i),
-        check=check, tau_override=tau,
+        check=check, tau=tau,
     )
     return ctx, sub, mst
 
@@ -205,9 +218,9 @@ def _level_for_path(weights, pots, virtual, nonisolated, li, tau=10**9):
         cl_of_sub=list(range(n)), scale=li,
     )
     sink = CheckSink()
-    ctx = steps.StepContext(
+    ctx = FixedTauContext(
         g=wgraph(2, [(0, 1, 1.0)]), sub=None, k=2, eps=0.05, gconst=42,
-        filter_factor=3.0, check=sink, tau_override=tau,
+        filter_factor=3.0, check=sink, tau=tau,
     )
     ei = []
     for v, flag in enumerate(nonisolated):
@@ -329,7 +342,7 @@ def _random_levels(seeds):
         base_ctx, sub, mst = _mini_ctx(g, eps=0.5)
         mst_keys = {(min(u, v), max(u, v)) for u, v, _ in mst.edges}
         for tau in (3, 6, None):
-            ctx = dataclasses.replace(base_ctx, tau_override=tau)
+            ctx = dataclasses.replace(base_ctx, tau=tau)
             state = steps.carved_state(sub, sub.wbar * rng.choice([1, 2, 4]), ctx)
             li = rng.choice([w for u, v, w in g.edges
                              if (min(u, v), max(u, v)) not in mst_keys])
@@ -443,10 +456,12 @@ def test_unaudited_build_runs_no_audit(monkeypatch):
     with monkeypatch.context() as mp:
         for name in audits:
             mp.setattr(steps, name, refuse(name))
-        plain = build_light(g, 2, 0.25, nominal_eps=True)
+        with unscaled_eps():
+            plain = build_light(g, 2, 0.25)
     for name in audits:
         monkeypatch.setattr(steps, name, counted(name, real[name]))
-    audited = build_light(g, 2, 0.25, nominal_eps=True, check=CheckSink())
+    with unscaled_eps():
+        audited = build_light(g, 2, 0.25, check=CheckSink())
     assert {"_audit_carve", "_audit_coarsen", "_audit_balls", "_audit_path_pieces",
             "_audit_level", "_audit_cycle_property"} <= set(entered)
     assert audited.edge_key_set() == plain.edge_key_set()
@@ -522,9 +537,9 @@ def test_forced_high_degree_path(sink):
     wbar = mst.weight / (g.m * 0.25)
     sub = subdivide_mst(mst, wbar, g.n)
     eps_i = 0.05
-    ctx = steps.StepContext(
+    ctx = FixedTauContext(
         g=g, sub=sub, k=2, eps=eps_i, gconst=G_LIGHT,
-        filter_factor=3.0, check=sink, tau_override=3,
+        filter_factor=3.0, check=sink, tau=3,
     )
     state = steps.singleton_state(sub)
     lca = steps.TreeLCA(state)
@@ -579,7 +594,9 @@ def test_disconnected_components():
 
 def test_internal_eps_light_values():
     assert internal_eps_light(0.25) == 0.25 / 421
-    assert internal_eps_light(0.9, nominal=True) == 1 / 168
+    with unscaled_eps():
+        assert internal_eps_light(0.9) == 1 / 168
+    assert internal_eps_light(0.9) == 0.9 / 421
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan, math.inf])
@@ -656,7 +673,7 @@ def test_state_totals_match_plain_sums():
 
 
 def test_lca_tables_built_once_per_state(monkeypatch):
-    # a wide weight range under nominal eps enters classes from several
+    # a wide weight range under unscaled eps enters classes from several
     # carve-ladder rungs; every class entering at a rung shares its LCA
     import spanlab.light
 
@@ -675,7 +692,8 @@ def test_lca_tables_built_once_per_state(monkeypatch):
     monkeypatch.setattr(spanlab.light, "_base_state",
                         counted("starts", spanlab.light._base_state))
     g = gnm_graph(100, 1500, seed=1, law="loguniform", wmax=1e9)
-    build_light(g, 3, 0.5, nominal_eps=True)
+    with unscaled_eps():
+        build_light(g, 3, 0.5)
     assert calls["rungs"] >= 2
     bound = 1 + calls["rungs"] + calls["process"] + calls["coarsen"]
     assert calls["lca"] <= bound

@@ -13,7 +13,7 @@ from spanlab.light import build_light
 from spanlab.linear import build_linear
 from spanlab.oracle import verify_stretch
 from spanlab.pm import build_pm, dedupe_source_edges, grow_star_cover, internal_eps
-from conftest import triangle, wgraph
+from conftest import triangle, unscaled_eps, wgraph
 
 
 # ---------------------------------------------------------------- dedup
@@ -137,7 +137,9 @@ def test_build_rejects_bad_params():
 
 def test_internal_eps_capped():
     assert internal_eps(0.5) == min(0.5 / 73, 1 / 18)
-    assert internal_eps(0.9, nominal=True) == 1 / 18
+    with unscaled_eps():
+        assert internal_eps(0.9) == 1 / 18
+    assert internal_eps(0.9) == 0.9 / 73
 
 
 def test_tree_input_identity():
@@ -244,7 +246,17 @@ EXTREME = [(0, 1, 1e-300), (1, 2, 1e300), (0, 2, 1.0)]
 def test_builders_take_one_audit_switch(build):
     # `check` alone turns the audits on; no builder grows another option
     params = list(inspect.signature(build).parameters)
-    assert params == ["g", "k", "eps", "nominal_eps", "check"]
+    assert params == ["g", "k", "eps", "check"]
+
+
+@pytest.mark.parametrize("build", [build_pm, build_linear, build_light])
+@pytest.mark.parametrize("w", [0.0, -1.0])
+def test_non_positive_weight_is_a_value_error(build, w):
+    # the raw constructor validates nothing; a zero weight used to divide
+    # by zero when the builders normalize weights by the minimum
+    g = WeightedGraph(3, [(0, 1, w), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match=f"weights must be positive, got weight {w!r}"):
+        build(g, 2, 0.25)
 
 
 @pytest.mark.parametrize("build", [build_pm, build_linear])
