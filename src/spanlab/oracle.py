@@ -1,23 +1,42 @@
 """Ground-truth machinery: greedy baseline, exact stretch verification, and
 sparsity/lightness metrics.
 
-Deliberately self-contained: this module re-implements its own Dijkstra
+Deliberately self-contained: this module re-implements its own searches
 and a Prim-style spanning forest so that nothing it certifies depends on
 the code paths under test.
 
-Stretch verification runs one search over H per source vertex, each
-stopping once its targets are final, with one reused distance array:
-memory is O(n + m), and the reports equal those of full searches.  The
-kind of search is picked from H alone: when every edge of H has the same
-weight c (an H with no edges included), it is a breadth-first search;
-otherwise it is a heap Dijkstra.  The BFS is exact bit for bit.  In a
-graph with one weight, Dijkstra's distance to a vertex is a float sum
-c + c + ... + c added in order along a path; that sum depends only on the
-number of hops h and never falls as h grows, so the distance is the sum
-over the fewest hops.  The BFS sets each vertex, when first reached, to
-its parent's distance plus c, which is that same sum.  (Computing h * c
-instead can round differently: ten 0.1s add up to 0.9999999999999999,
-but 10 * 0.1 is 1.0.)
+Stretch verification measures each edge (u, v) of G as d_H(u, v) / w.  How
+the distances are found is picked from H alone.
+
+When every edge of H has one weight c (an H with no edges included), one
+bit-parallel breadth-first search from all sources at once answers every
+query (multi-source BFS, after Then et al., PVLDB 8(4), 2014).  Each vertex
+holds Python-int bitsets of the sources that have reached it (`seen`) and
+that reached it on the last hop (the frontier); each hop ORs a vertex's
+frontier bits into its neighbours.  A source's bit is its rank among the
+sources of its own H-component: components share no vertex, so their bits
+never meet, all components run in the same sweep, and a bitset is only as
+wide as its component's source count.  A component with more than
+`_ROUND` sources runs in rounds of `_ROUND` ranks.  A source whose queries
+are all answered stops spreading its bit, and a round stops once every
+query is answered or the frontier is empty.  A query whose endpoints lie
+in different H-components is never searched: its distance is inf.
+
+The BFS is exact bit for bit.  A query is answered on the hop h at which
+its source's bit first reaches its target, with distance S[h], where
+S[0] = 0.0 and S[h] = S[h-1] + c.  In a graph with one weight, Dijkstra's
+distance to a vertex is a float sum c + c + ... + c added in order along a
+path; that sum depends only on the number of hops h and never falls as h
+grows, so the distance is the sum over the fewest hops, which is S[h] (and
+the same from either end).  Computing h * c instead can round differently:
+ten 0.1s add up to 0.9999999999999999, but 10 * 0.1 is 1.0.
+
+When H has several weights, one heap Dijkstra per source runs over H,
+each stopping once its targets are final, with one reused distance array.
+
+Either way the reports equal those of a full Dijkstra from every source.
+Memory is O(n + m), plus for the BFS three bitsets per vertex of at most
+`_ROUND` bits each.
 """
 from __future__ import annotations
 
@@ -32,38 +51,22 @@ from .spanner import Spanner, graph_hash
 INF = math.inf
 
 
+# a component with more sources than this is searched in rounds of this
+# many ranks, so no bitset is wider than this many bits
+_ROUND = 4096
+
+
 def _dijkstra(adj: list[list[tuple[int, float]]], source: int, targets: set[int],
-              dist: list[float], step: float | None = None) -> list[int]:
+              dist: list[float]) -> list[int]:
     """Shortest distances from `source` into `dist`, which holds INF on
     every vertex on entry; stops once every vertex of `targets` is final.
-
-    With `step` None this is Dijkstra: a popped distance is final and
-    later pops never lower it, so each target's entry equals a full run's.
-    With `step` set, every edge of `adj` must weigh `step`, and this is a
-    breadth-first search: a vertex's distance is set once, when it is
-    first reached, to its parent's distance plus `step`, so it is final
-    at once and equals Dijkstra's (see the module docstring).  Returns
-    the vertices whose entry was set, for the caller to reset to INF.
+    A popped distance is final and later pops never lower it, so each
+    target's entry equals a full run's.  Returns the vertices whose entry
+    was set, for the caller to reset to INF.
     """
     dist[source] = 0.0
     touched = [source]
     left = len(targets)
-    if step is not None:
-        left -= source in targets
-        if not left:
-            return touched
-        # touched doubles as the FIFO queue: vertices enter it in BFS order
-        for u in touched:
-            nd = dist[u] + step
-            for v, _ in adj[u]:
-                if dist[v] == INF:
-                    dist[v] = nd
-                    touched.append(v)
-                    if v in targets:
-                        left -= 1
-                        if not left:
-                            return touched
-        return touched
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -81,6 +84,169 @@ def _dijkstra(adj: list[list[tuple[int, float]]], source: int, targets: set[int]
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return touched
+
+
+class _Round:
+    """The sources of one round of ranks and the queries they answer."""
+
+    __slots__ = ("sources", "want", "wmask", "alive", "left")
+
+    def __init__(self, n: int) -> None:
+        self.sources: list[tuple[int, int]] = []    # (vertex, bit)
+        # target -> [bit, edge id, source, bit, edge id, source, ...]
+        self.want: dict[int, list[int]] = {}
+        self.wmask = [0] * n    # per target: the OR of its query bits
+        self.alive = [0] * n    # per component: bits of sources still waiting
+        self.left = 0           # queries not yet answered
+
+
+def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
+                          h_edges: list[tuple[int, int, float]], step: float) -> list[float]:
+    """d_H(u, v) for every edge (u, v) of G, in g_edges order, by one
+    bit-parallel BFS per round over H, whose edges all weigh `step` (see
+    the module docstring).  An edge is measured from u if u is already a
+    source or v is not, else from v; with one weight the distance is the
+    same both ways.  A pair that H does not connect gets INF."""
+    dists = [INF] * len(g_edges)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in h_edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    comp = [-1] * n     # H-component, labelled by one of its vertices
+    count = [0] * n     # per component: sources ranked so far
+    bit_of = [0] * n    # per source: 1 << (its rank mod _ROUND)
+    round_of = [0] * n  # per source: its rank // _ROUND
+    pend = [0] * n      # per source: queries not yet answered
+    rounds: list[_Round] = []
+    for eid, (u, v, _) in enumerate(g_edges):
+        if u == v:
+            dists[eid] = 0.0
+            continue
+        c = comp[u]
+        if c < 0:
+            c = comp[u] = u
+            queue = [u]
+            for x in queue:
+                for y in nbrs[x]:
+                    if comp[y] < 0:
+                        comp[y] = u
+                        queue.append(y)
+        if comp[v] != c:
+            continue
+        if not bit_of[u] and bit_of[v]:
+            u, v = v, u
+        bit = bit_of[u]
+        if bit:
+            rnd = rounds[round_of[u]]
+        else:
+            r, rank = divmod(count[c], _ROUND)
+            count[c] += 1
+            if r == len(rounds):
+                rounds.append(_Round(n))
+            rnd = rounds[r]
+            round_of[u] = r
+            bit = bit_of[u] = 1 << rank
+            rnd.sources.append((u, bit))
+            rnd.alive[c] |= bit
+        wmask = rnd.wmask
+        if wmask[v]:
+            rnd.want[v] += (bit, eid, u)
+        else:
+            rnd.want[v] = [bit, eid, u]
+        wmask[v] |= bit
+        pend[u] += 1
+        rnd.left += 1
+
+    sums = [0.0]    # sums[h]: step added h times, left to right
+    for rnd in rounds:
+        want, wmask, alive, left = rnd.want, rnd.wmask, rnd.alive, rnd.left
+        seen = [0] * n
+        cur = [0] * n   # bits a vertex first saw on the last hop
+        nxt = [0] * n   # and on this hop
+        frontier = []
+        for src, bit in rnd.sources:
+            seen[src] = cur[src] = bit
+            frontier.append(src)
+        hop = 0
+        while left and frontier:
+            hop += 1
+            if hop == len(sums):
+                sums.append(sums[-1] + step)
+            d = sums[hop]
+            touched = []
+            for v in frontier:
+                # a source whose queries are all answered spreads no
+                # further: bits nobody waits for would make a long, thin
+                # H cost a sweep of every vertex on every hop
+                bits = cur[v] & alive[comp[v]]
+                cur[v] = 0
+                if not bits:
+                    continue
+                for u in nbrs[v]:
+                    new = bits & ~seen[u]
+                    if new:
+                        seen[u] |= new
+                        if nxt[u]:
+                            nxt[u] |= new
+                        else:
+                            nxt[u] = new
+                            touched.append(u)
+            # once per vertex and hop, so a target's queries are scanned
+            # at most once a hop; a bit reaches a vertex once, so no query
+            # is answered twice
+            for u in touched:
+                hit = nxt[u] & wmask[u]
+                if hit:
+                    qs = want[u]
+                    for i in range(0, len(qs), 3):
+                        bit = qs[i]
+                        if bit & hit:
+                            dists[qs[i + 1]] = d
+                            left -= 1
+                            src = qs[i + 2]
+                            pend[src] -= 1
+                            if not pend[src]:
+                                alive[comp[u]] ^= bit
+            frontier = touched
+            cur, nxt = nxt, cur
+    return dists
+
+
+def _dijkstra_distances(n: int, g_edges: list[tuple[int, int, float]],
+                        h_edges: list[tuple[int, int, float]]) -> list[float]:
+    """d_H(u, v) for every edge (u, v) of G, in g_edges order, by one
+    `_dijkstra` per source.  Edges are grouped by source in one scan (u if
+    u is already a source or v is not, else v); the searches share one
+    distance array and reset only what they touched."""
+    by_source: dict[int, list[tuple[int, int]]] = {}   # source -> [(edge id, other)]
+    for eid, (u, v, _) in enumerate(g_edges):
+        if u in by_source or v not in by_source:
+            by_source.setdefault(u, []).append((eid, v))
+        else:
+            by_source[v].append((eid, u))
+    dists = [INF] * len(g_edges)
+    adj_h = _adjacency(n, h_edges)
+    dist = [INF] * n
+    for src, pairs in by_source.items():
+        touched = _dijkstra(adj_h, src, {other for _, other in pairs}, dist)
+        for eid, other in pairs:
+            dists[eid] = dist[other]
+        for x in touched:
+            dist[x] = INF
+    return dists
+
+
+def _vertex_id_error(n: int, edge: tuple[int, int, float]) -> ValueError:
+    return ValueError(f"edge {edge} has a vertex id outside 0..{n - 1} (n={n})")
+
+
+def _check_vertex_ids(g: WeightedGraph) -> None:
+    """A raw WeightedGraph skips from_edges' checks; an id past n would
+    raise IndexError, and a negative one index from the end of a list."""
+    n = g.n
+    for u, v, w in g.edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise _vertex_id_error(n, (u, v, w))
 
 
 def _adjacency(n: int, edges: list[tuple[int, int, float]]) -> list[list[tuple[int, float]]]:
@@ -123,6 +289,7 @@ def greedy_spanner(g: WeightedGraph, t: float) -> Spanner:
     such a t would keep no edge."""
     if not 1.0 <= t < INF:
         raise ValueError(f"stretch target t must be finite and >= 1, got {t}")
+    _check_vertex_ids(g)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
     kept: list[tuple[int, int, float]] = []
     order = sorted(range(g.m), key=lambda e: (g.edges[e][2], e))
@@ -181,6 +348,21 @@ class StretchReport:
         )
 
 
+def _check_subgraph(g: WeightedGraph, h: Spanner | WeightedGraph) -> None:
+    """ValueError unless every vertex id of g lies in 0..n-1 and every
+    edge of h matches some copy of its pair in g, weight included."""
+    n = g.n
+    in_g: set[tuple[int, int, float]] = set()   # (u, v, w), u <= v
+    for u, v, w in g.edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise _vertex_id_error(n, (u, v, w))
+        in_g.add((u, v, w) if u <= v else (v, u, w))
+    for u, v, w in h.edges:
+        if ((u, v, w) if u <= v else (v, u, w)) not in in_g:
+            key = (u, v) if u < v else (v, u)
+            raise ValueError(f"spanner edge {key} (w={w}) is not an edge of the graph")
+
+
 def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> StretchReport:
     """Exact per-edge stretch of h over g.
 
@@ -189,51 +371,31 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
     stretched at most that much.  Pass iff max <= t*(1+1e-9); t must be
     finite and >= 1, else ValueError.
 
-    Cost: edges of g are grouped by source in one scan of g.edges (u if
-    u is already a source or v is not, else v), then one search over H
-    runs per source and stops once that source's targets are final: a
-    BFS when every edge of H has one weight, else a Dijkstra (see
-    `_dijkstra`).  The searches share one distance array and reset only
-    what they touched, so memory is O(n + m) and a search costs what it
-    explores.  The witness and the histogram are read in g.edges order.
+    Cost: one scan of g.edges checks vertex ids and indexes every copy of
+    every edge, so that each edge of H is matched to one.  When every edge
+    of H has one weight c, one multi-source BFS per round of `_ROUND`
+    ranks answers all queries: a source's bit is its rank among the
+    sources of its H-component, all components share each sweep, and a
+    query answered on hop h gets S[h], c added h times from left to
+    right, which is the sum Dijkstra forms (h * c can round differently).
+    Otherwise one heap Dijkstra per source runs over H and stops once that
+    source's targets are final (see `_dijkstra_distances`).  The witness
+    and the histogram are read in g.edges order.
     """
     if not 1.0 <= t < INF:
         raise ValueError(f"stretch target t must be finite and >= 1, got {t}")
-    submap: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
-        key = (u, v) if u < v else (v, u)
-        submap[key] = w
-    for u, v, w in h.edges:
-        key = (u, v) if u < v else (v, u)
-        if key not in submap or submap[key] != w:
-            raise ValueError(f"spanner edge {key} (w={w}) is not an edge of the graph")
-
-    # source -> [(edge id, other endpoint)]
-    by_source: dict[int, list[tuple[int, int]]] = {}
-    for eid, (u, v, _) in enumerate(g.edges):
-        if u in by_source or v not in by_source:
-            by_source.setdefault(u, []).append((eid, v))
-        else:
-            by_source[v].append((eid, u))
-
-    # one weight on every edge of H (or no edge at all): BFS is exact
+    _check_subgraph(g, h)
     step = h.edges[0][2] if h.edges else 1.0
-    if any(w != step for _, _, w in h.edges):
-        step = None
-    adj_h = _adjacency(g.n, h.edges)
-    dist = [INF] * g.n
-    ratios = [0.0] * g.m
-    for src, pairs in by_source.items():
-        touched = _dijkstra(adj_h, src, {other for _, other in pairs}, dist, step)
-        for eid, other in pairs:
-            ratios[eid] = dist[other] / g.edges[eid][2]
-        for x in touched:
-            dist[x] = INF
+    if all(w == step for _, _, w in h.edges):
+        dists = _one_weight_distances(g.n, g.edges, h.edges, step)
+    else:
+        dists = _dijkstra_distances(g.n, g.edges, h.edges)
 
     max_stretch = 1.0 if g.m else 0.0
     witness = None
     hist: dict[str, int] = {}
-    for (u, v, w), ratio in zip(g.edges, ratios):
+    for (u, v, w), d in zip(g.edges, dists):
+        ratio = d / w
         if ratio > max_stretch:
             max_stretch = ratio
             witness = (u, v, w)
@@ -272,6 +434,7 @@ class QualityMetrics:
 def spanner_metrics(g: WeightedGraph, h: Spanner | WeightedGraph) -> QualityMetrics:
     """Size, weight, sparsity |H|/(n-1) and lightness w(H)/w(MSF) of H,
     where MSF is G's minimum spanning forest (its MST when G is connected)."""
+    _check_vertex_ids(g)
     msf_w = _prim_msf_weight(g)
     hw = sum(w for _, _, w in h.edges)
     denom = max(g.n - 1, 1)

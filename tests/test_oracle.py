@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -64,6 +65,12 @@ def test_greedy_rejects_bad_t():
         greedy_spanner(triangle(), 0.5)
 
 
+@pytest.mark.parametrize("bad", [(1, 5, 1.0), (-1, 2, 1.0)])
+def test_greedy_rejects_out_of_range_vertex(bad):
+    with pytest.raises(ValueError, match=r"vertex id outside 0\.\.2 \(n=3\)"):
+        greedy_spanner(WeightedGraph(3, [(0, 1, 1.0), bad]), 3.0)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_greedy_rejects_non_finite_t(t):
     # no detour exceeds a NaN or infinite t * w, so such a t keeps no edge
@@ -103,6 +110,30 @@ def test_verify_rejects_non_subgraph():
         verify_stretch(g, wgraph(3, [(0, 1, 2.0)]), 3.0)
     with pytest.raises(ValueError):
         verify_stretch(g, wgraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 0, 1)]), 3.0)
+
+
+@pytest.mark.parametrize("bad", [(1, 5, 1.0), (-1, 2, 1.0)])
+@pytest.mark.parametrize("h", [WeightedGraph(3, []), WeightedGraph(3, [(0, 1, 1.0)]),
+                               WeightedGraph(3, [(0, 1, 1.0), (0, 1, 2.0)])])
+def test_verify_rejects_out_of_range_vertex(bad, h):
+    # a raw WeightedGraph skips from_edges' checks: id 5 used to raise
+    # IndexError, and id -1 to index from the end of a list
+    g = WeightedGraph(3, [(0, 1, 1.0), (0, 1, 2.0), bad])
+    with pytest.raises(ValueError, match=r"vertex id outside 0\.\.2 \(n=3\)") as exc:
+        verify_stretch(g, h, 3.0)
+    assert str(bad) in str(exc.value)
+
+
+def test_verify_accepts_any_parallel_copy():
+    # H keeps the weight-5 copy of (0, 1); the weight-1 copy then has stretch 5
+    g = WeightedGraph(3, [(0, 1, 5.0), (0, 1, 1.0), (1, 2, 1.0)])
+    h = WeightedGraph(3, [(0, 1, 5.0), (1, 2, 1.0)])
+    rep = assert_matches_reference(g, h, 3.0)
+    assert rep.max_stretch == 5.0 and rep.witness == (0, 1, 1.0) and not rep.ok
+    assert rep.histogram == {"1.00": 2, "5.00": 1}
+    # a weight no copy has is still rejected
+    with pytest.raises(ValueError, match="not an edge of the graph"):
+        verify_stretch(g, WeightedGraph(3, [(1, 0, 2.0)]), 3.0)
 
 
 @pytest.mark.parametrize("t", [INF, -INF, math.nan, 0.5])
@@ -166,6 +197,14 @@ def test_metrics_unit_k4():
     assert met.sparsity == 2.0 and met.lightness == 2.0
 
 
+@pytest.mark.parametrize("bad", [(1, 5, 1.0), (-1, 2, 1.0)])
+def test_metrics_rejects_out_of_range_vertex(bad):
+    g = WeightedGraph(3, [(0, 1, 1.0), bad])
+    with pytest.raises(ValueError, match=r"vertex id outside 0\.\.2 \(n=3\)") as exc:
+        spanner_metrics(g, WeightedGraph(3, [(0, 1, 1.0)]))
+    assert str(bad) in str(exc.value)
+
+
 def test_metrics_match_naive_recomputation():
     rng = random.Random(44)
     for trial in range(10):
@@ -217,13 +256,14 @@ def _reference_sources(g):
 
 def reference_verify_stretch(g, h, t):
     h_edges = h.edges
-    submap = {}
+    # an edge of H must match some copy of its pair in g, weight included
+    weights = {}
     for u, v, w in g.edges:
         key = (u, v) if u < v else (v, u)
-        submap[key] = w
+        weights.setdefault(key, []).append(w)
     for u, v, w in h_edges:
         key = (u, v) if u < v else (v, u)
-        if key not in submap or submap[key] != w:
+        if w not in weights.get(key, []):
             raise ValueError(f"spanner edge {key} (w={w}) is not an edge of the graph")
 
     adj_h = [[] for _ in range(g.n)]
@@ -400,29 +440,46 @@ def test_one_weight_distance_is_summed_along_the_path():
 # ---------------------------------------------------------------- oracle cost
 
 
-def _k4_pieces(pieces, seed):
+def _k4_pieces(pieces, seed, unit=False):
     rng = random.Random(seed)
     label = list(range(4 * pieces))
     rng.shuffle(label)
     edges = []
     for p in range(pieces):
         ids = label[4 * p: 4 * p + 4]
-        edges.extend((ids[a], ids[b], 10 ** rng.uniform(0, 3))
+        edges.extend((ids[a], ids[b], 1.0 if unit else 10 ** rng.uniform(0, 3))
                      for a in range(4) for b in range(a + 1, 4))
     return WeightedGraph.from_edges(4 * pieces, edges)
+
+
+def _verify_peak(g, h, t):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rep = verify_stretch(g, h, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rep, peak
 
 
 def test_verify_memory_is_linear_on_many_components():
     # a distance list per source would hold ~3000 x 4000 floats (~94 MB)
     g = _k4_pieces(1000, seed=3)
     h = build_light(g, 2, 0.25)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        rep = verify_stretch(g, h, 3.75)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rep, peak = _verify_peak(g, h, 3.75)
+    assert rep.ok
+    assert peak < 10 * 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("build", [build_light, build_pm])
+def test_one_weight_verify_memory_is_linear_on_many_components(build):
+    # one global bit per source would make ~4000 bitsets ~3000 bits wide;
+    # ranks within a component keep each at most 4 bits
+    g = _k4_pieces(1000, seed=3, unit=True)
+    h = build(g, 2, 0.25)
+    assert {w for _, _, w in h.edges} == {1.0}
+    rep, peak = _verify_peak(g, h, 3.75)
     assert rep.ok
     assert peak < 10 * 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
 
@@ -441,4 +498,44 @@ def test_one_search_per_reference_source(g, monkeypatch):
     monkeypatch.setattr(oracle, "_dijkstra", counting)
     h = build_pm(g, 2, 0.25)
     assert verify_stretch(g, h, 3.75).ok
-    assert len(calls) == len(set(_reference_sources(g)))
+    if len({w for _, _, w in h.edges}) == 1:
+        # the unit-weight case: the multi-source BFS answers every query
+        assert len(calls) == 0
+    else:
+        assert len(calls) == len(set(_reference_sources(g)))
+
+
+# one H-component holds every source; G's edges into two more H-components
+# (and to an isolated vertex) are queries that no round answers
+_WIDE_H = gnm_graph(40, 160, seed=12, law="unit")
+_WIDE_G = WeightedGraph(
+    48, list(_WIDE_H.edges) + [(40, 41, 1.0), (41, 42, 1.0), (43, 44, 1.0),
+                               (0, 40, 1.0), (42, 43, 2.0), (5, 47, 1.0), (43, 7, 1.0)])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(gh=graph_and_one_weight_subgraph(), t=st.sampled_from([1.0, 3.0, 10.0]))
+@example(gh=(_WIDE_G, WeightedGraph(48, list(build_pm(_WIDE_H, 2, 0.25).edges)
+                                     + [(40, 41, 1.0), (41, 42, 1.0), (43, 44, 1.0)])),
+         t=3.0)
+@example(gh=(_WIDE_G, WeightedGraph(48, [e for e in _WIDE_G.edges if e[2] == 1.0])), t=1.0)
+def test_one_weight_rounds_match_reference(size, gh, t):
+    g, h = gh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_ROUND", size)
+        assert_matches_reference(g, h, t)
+
+
+def test_one_weight_answered_sources_stop_spreading():
+    # a 2000-vertex path H and one chord over it: every other query is
+    # answered on hop 1, so only the chord's source may spread for the
+    # 1999 hops it needs; were every bit spread to the end, each hop would
+    # sweep the whole path with 1000-bit sets (over 3 s, against ~0.02 s)
+    n = 2000
+    path = [(i, i + 1, 1.0) for i in range(n - 1)]
+    g = WeightedGraph(n, path + [(0, n - 1, 1.0)])
+    start = time.perf_counter()
+    rep = verify_stretch(g, WeightedGraph(n, path), float(n))
+    assert time.perf_counter() - start < 1.0
+    assert rep.max_stretch == n - 1 and rep.witness == (0, n - 1, 1.0)
