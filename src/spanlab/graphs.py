@@ -323,6 +323,21 @@ def sssp_distances(g: WeightedGraph, source: int) -> list[float]:
     return dist
 
 
+# ---------------------------------------------------------------- checks
+
+
+def check_vertex_ids(g: WeightedGraph) -> None:
+    """ValueError unless both ends of every edge of g lie in 0..n-1.
+
+    `from_edges` checks this, but a raw `WeightedGraph(n, edges)` does
+    not: an id past n would raise IndexError deep inside a build, and a
+    negative one would index from the end of a list."""
+    n = g.n
+    for u, v, _ in g.edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
+
+
 # ---------------------------------------------------------------- scaling
 
 

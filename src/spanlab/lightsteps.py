@@ -425,6 +425,7 @@ class Subgraph:
     # (a, b, w, is_tree): is_tree marks a contracted-tree edge, not a level edge
     graph_edges: list[tuple[int, int, float, bool]] = field(default_factory=list)
     ei_idx: list[int] = field(default_factory=list)
+    # a step-5 piece at an end of its path; set on audited builds only
     endpoint_piece: bool = False
 
     def adm(self, pot: list[float]) -> float:
@@ -1004,7 +1005,8 @@ def step5_paths(lvl: _Level) -> None:
         for piece, hook in zip(pieces, hooks):
             seg = path[piece[0]:piece[1] + 1]
             xid = lvl.new_x("piece")
-            lvl.xs[xid].endpoint_piece = piece[0] == 0 or piece[1] == len(path) - 1
+            if lvl.ctx.check is not None:
+                lvl.xs[xid].endpoint_piece = piece[0] == 0 or piece[1] == len(path) - 1
             _absorb_component(lvl, xid, seg)
             if hook is not None:
                 other, bridge = hook

@@ -32,7 +32,27 @@ the same from either end).  Computing h * c instead can round differently:
 ten 0.1s add up to 0.9999999999999999, but 10 * 0.1 is 1.0.
 
 When H has several weights, one heap Dijkstra per source runs over H,
-each stopping once its targets are final, with one reused distance array.
+each stopping once its targets are final, over adjacency lists sorted by
+weight once.  Sources run in order of first appearance in G's edges.
+The first source of each H-component is its anchor: it searches the whole
+component and keeps its distances A, one n-sized array for all components
+since they share no vertex; the vertices it reaches label the component.
+Every later source s runs on a shared distance array and skips any
+relaxation to more than B = (A[s] + max A[t]) * (1 + 1e-9) over its
+targets t in its component; since the lists are sorted, the first such
+edge ends the scan of its list.  By the triangle inequality through the
+anchor, B is at least d_H(s, t), and the 1e-9 covers the round-off of the
+float sums (cf. the landmark bounds of Goldberg and Harrelson, SODA 2005).
+Once the search has reached every target, the largest first tentative
+distance of a target tightens B: when the source's own edges reach them
+all, as on a dense H, that is a bound about the size of a G edge, where
+A[s] + A[t] can be the span of the component.
+The pruning checks itself, so no error analysis has to hold: a bounded
+search gives every vertex whose unbounded float distance is at most B
+exactly that distance, because the float sums along a shortest path never
+fall; should a target still go unreached when the heap empties, that one
+source searches again unbounded.  A query between two H-components gets
+inf without any search.
 
 Either way the reports equal those of a full Dijkstra from every source.
 Memory is O(n + m), plus for the BFS three bitsets per vertex of at most
@@ -43,7 +63,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graphs import WeightedGraph
 from .spanner import Spanner, graph_hash
@@ -57,16 +79,29 @@ _ROUND = 4096
 
 
 def _dijkstra(adj: list[list[tuple[int, float]]], source: int, targets: set[int],
-              dist: list[float]) -> list[int]:
+              dist: list[float], bound: float = INF) -> tuple[list[int], int]:
     """Shortest distances from `source` into `dist`, which holds INF on
-    every vertex on entry; stops once every vertex of `targets` is final.
-    A popped distance is final and later pops never lower it, so each
-    target's entry equals a full run's.  Returns the vertices whose entry
-    was set, for the caller to reset to INF.
+    every vertex on entry; stops once every vertex of `targets` is final
+    (an empty `targets` searches to the end).  A popped distance is final
+    and later pops never lower it, so each target's entry equals a full
+    run's.
+
+    A relaxation to more than `bound` is skipped.  Each list of `adj` is
+    sorted by weight, so the first such edge ends the scan of its list.
+    Every vertex whose unbounded distance is at most `bound` still gets
+    exactly that distance: the float sums along its shortest path never
+    fall, so none of them exceeds it.  Once every target has a tentative
+    distance, the largest first one, no lower than any final one, lowers
+    the bound; when the source's own edges reach every target, that is
+    the largest of their weights.  Returns the vertices whose entry was
+    set, for the caller to reset to INF, and the number of targets never
+    reached.
     """
     dist[source] = 0.0
     touched = [source]
     left = len(targets)
+    unseen = left - (source in targets)     # targets not yet reached
+    reach = 0.0     # the largest first tentative distance of a target
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -78,12 +113,20 @@ def _dijkstra(adj: list[list[tuple[int, float]]], source: int, targets: set[int]
                 break
         for v, w in adj[u]:
             nd = d + w
+            if nd > bound:
+                break
             if nd < dist[v]:
                 if dist[v] == INF:
                     touched.append(v)
+                    if v in targets:
+                        if nd > reach:
+                            reach = nd
+                        unseen -= 1
+                        if not unseen and reach < bound:
+                            bound = reach
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return touched
+    return touched, left
 
 
 class _Round:
@@ -215,9 +258,11 @@ def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
 def _dijkstra_distances(n: int, g_edges: list[tuple[int, int, float]],
                         h_edges: list[tuple[int, int, float]]) -> list[float]:
     """d_H(u, v) for every edge (u, v) of G, in g_edges order, by one
-    `_dijkstra` per source.  Edges are grouped by source in one scan (u if
-    u is already a source or v is not, else v); the searches share one
-    distance array and reset only what they touched."""
+    `_dijkstra` per source that has a target in its own H-component (see
+    the module docstring).  Edges are grouped by source in one scan (u if
+    u is already a source or v is not, else v).  An anchor searches into
+    `anchor` and is never reset; the later searches share `dist` and
+    reset only what they touched."""
     by_source: dict[int, list[tuple[int, int]]] = {}   # source -> [(edge id, other)]
     for eid, (u, v, _) in enumerate(g_edges):
         if u in by_source or v not in by_source:
@@ -226,9 +271,32 @@ def _dijkstra_distances(n: int, g_edges: list[tuple[int, int, float]],
             by_source[v].append((eid, u))
     dists = [INF] * len(g_edges)
     adj_h = _adjacency(n, h_edges)
+    by_weight = itemgetter(1)
+    for nbrs in adj_h:
+        nbrs.sort(key=by_weight)
+    anchor = [INF] * n
+    comp = [-1] * n     # per vertex: the anchor of its H-component
     dist = [INF] * n
     for src, pairs in by_source.items():
-        touched = _dijkstra(adj_h, src, {other for _, other in pairs}, dist)
+        c = comp[src]
+        if c < 0:
+            touched, _ = _dijkstra(adj_h, src, set(), anchor)
+            for x in touched:
+                comp[x] = src
+            for eid, other in pairs:
+                if comp[other] == src:
+                    dists[eid] = anchor[other]
+            continue
+        # a target outside the component keeps INF
+        targets = {other for _, other in pairs if comp[other] == c}
+        if not targets:
+            continue
+        bound = (anchor[src] + max([anchor[t] for t in targets])) * (1.0 + 1e-9)
+        touched, missed = _dijkstra(adj_h, src, targets, dist, bound)
+        if missed:
+            for x in touched:
+                dist[x] = INF
+            touched, _ = _dijkstra(adj_h, src, targets, dist)
         for eid, other in pairs:
             dists[eid] = dist[other]
         for x in touched:
@@ -378,9 +446,16 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
     sources of its H-component, all components share each sweep, and a
     query answered on hop h gets S[h], c added h times from left to
     right, which is the sum Dijkstra forms (h * c can round differently).
-    Otherwise one heap Dijkstra per source runs over H and stops once that
-    source's targets are final (see `_dijkstra_distances`).  The witness
-    and the histogram are read in g.edges order.
+    Otherwise one heap Dijkstra per source runs over H, with each list
+    sorted by weight, and stops once that source's targets are final.
+    The first source of each H-component, its anchor, searches the whole
+    component; each later source s skips relaxations past
+    B = (A[s] + max A[t]) * (1 + 1e-9), A being the anchor's distances,
+    tightens B once it has reached every target, and searches again
+    unbounded if a target goes unreached (see `_dijkstra_distances`).  A query between H-components is inf without a
+    search.  The witness and the histogram are read in g.edges order; the
+    histogram counts quarter indices floor(4 * ratio) and formats each
+    distinct one once.
     """
     if not 1.0 <= t < INF:
         raise ValueError(f"stretch target t must be finite and >= 1, got {t}")
@@ -391,19 +466,21 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
     else:
         dists = _dijkstra_distances(g.n, g.edges, h.edges)
 
-    max_stretch = 1.0 if g.m else 0.0
+    ratios = [d / w for (_, _, w), d in zip(g.edges, dists)]
+    max_stretch = max(ratios, default=0.0)
     witness = None
+    if max_stretch > 1.0:
+        u, v, w = g.edges[ratios.index(max_stretch)]
+        witness = (u, v, w)
+    elif g.m:
+        max_stretch = 1.0
+    # count by quarter index, then format each index once; counts are
+    # summed by label, so two indices that printed alike would share one
+    quarters = Counter([math.floor(r * 4) if r != INF else INF for r in ratios])
     hist: dict[str, int] = {}
-    for (u, v, w), d in zip(g.edges, dists):
-        ratio = d / w
-        if ratio > max_stretch:
-            max_stretch = ratio
-            witness = (u, v, w)
-        if math.isinf(ratio):
-            key = "inf"
-        else:
-            key = f"{math.floor(ratio * 4) / 4:.2f}"
-        hist[key] = hist.get(key, 0) + 1
+    for q, count in quarters.items():
+        key = "inf" if q == INF else f"{q / 4:.2f}"
+        hist[key] = hist.get(key, 0) + count
     ok = max_stretch <= t * (1.0 + 1e-9)
     return StretchReport(
         max_stretch=max_stretch, witness=witness, ok=ok, target=t, histogram=hist

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanlab.generators import gnm_graph, gnp_graph
-from spanlab.graphs import minimum_spanning_tree
+from spanlab.graphs import WeightedGraph, minimum_spanning_tree
 from spanlab.light import (
     build_light,
     internal_eps_light,
@@ -612,6 +612,12 @@ def test_build_rejects_eps_outside_unit_interval(eps):
 def test_build_rejects_k_below_one():
     with pytest.raises(ValueError, match="k must be >= 1"):
         build_light(wgraph(3, []), 0, 0.25)
+
+
+@pytest.mark.parametrize("bad", [(1, 5, 1.0), (-1, 2, 1.0)])
+def test_build_rejects_out_of_range_vertex(bad):
+    with pytest.raises(ValueError, match=r"vertex id out of range"):
+        build_light(WeightedGraph(3, [(0, 1, 1.0), bad]), 2, 0.25)
 
 
 # ---------------------------------------------------------------- bases

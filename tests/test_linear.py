@@ -4,6 +4,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import WeightedGraph, minimum_spanning_tree
 from spanlab.linear import build_linear
@@ -118,6 +120,12 @@ def test_subtree_clusters_checked(sink):
 def test_deterministic_output():
     g = gnp_graph(50, 0.2, seed=15, law="uniform", wmax=5)
     assert build_linear(g, 2, 0.25).edges == build_linear(g, 2, 0.25).edges
+
+
+@pytest.mark.parametrize("bad", [(1, 5, 1.0), (-1, 2, 1.0)])
+def test_build_rejects_out_of_range_vertex(bad):
+    with pytest.raises(ValueError, match=r"vertex id out of range"):
+        build_linear(WeightedGraph(3, [(0, 1, 1.0), bad]), 2, 0.25)
 
 
 def test_disconnected_handled_per_component():

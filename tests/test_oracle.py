@@ -437,6 +437,98 @@ def test_one_weight_distance_is_summed_along_the_path():
     assert rep.max_stretch == summed / 0.1 and rep.witness == (0, 10, 0.1)
 
 
+# H with several weights: the first source of each H-component searches
+# it whole, and every later source searches up to a bound taken from that
+# anchor's distances, again unbounded should a target go unreached
+
+
+@st.composite
+def graph_and_multi_weight_subgraph(draw):
+    n = draw(st.integers(min_value=3, max_value=16))
+    # an H-component label per vertex; label -1 leaves a vertex isolated
+    # in H.  Vertices 0, 1, 2 share a component and the H path 0-1-2 has
+    # two weights, so H never takes the one-weight BFS
+    parts = draw(st.integers(min_value=1, max_value=4))
+    label = [0, 0, 0] + draw(st.lists(st.integers(min_value=-1, max_value=parts - 1),
+                                      min_size=n - 3, max_size=n - 3))
+    weight = st.floats(min_value=-6, max_value=6).map(lambda x: 10.0 ** x)
+    wa, wb = draw(weight), draw(weight)
+    edges = [(0, 1, wa), (1, 2, wb if wb != wa else 2 * wa)]
+    keep = list(edges)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u, v) not in ((0, 1), (1, 2))]
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)):
+        w = draw(weight)
+        edges.append((u, v, w))
+        # an edge between two H-components, or at an isolated vertex, is
+        # a query H cannot answer
+        if label[u] == label[v] != -1 and draw(st.booleans()):
+            keep.append((u, v, w))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    rng.shuffle(edges)
+    # edge order and orientation pick the sources and so the anchors
+    edges = [(ids[v], ids[u], w) if rng.random() < 0.5 else (ids[u], ids[v], w)
+             for u, v, w in edges]
+    keep = [(ids[u], ids[v], w) for u, v, w in keep]
+    return WeightedGraph(n, edges), WeightedGraph(n, keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_multi_weight_subgraph(), st.sampled_from([1.0, 3.0, 1e6]))
+def test_streamed_matches_reference_multi_weight_property(gh, t):
+    g, h = gh
+    assert_matches_reference(g, h, t)
+
+
+def test_short_bound_falls_back_to_an_unbounded_search(monkeypatch):
+    # halve every finite bound: the searches it cuts short must notice
+    # an unreached target and search again, so the reports stay exact
+    search = oracle._dijkstra
+    reruns = []
+
+    def halved(*args):
+        if len(args) > 4 and args[4] < INF:
+            args = args[:4] + (args[4] / 2,)
+            touched, missed = search(*args)
+            if missed:
+                reruns.append(args[1])
+            return touched, missed
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_dijkstra", halved)
+    a = gnm_graph(40, 200, seed=3, law="loguniform", wmax=1e6)
+    b = _k4_pieces(20, seed=8)
+    apart = WeightedGraph.from_edges(
+        a.n + b.n, list(a.edges) + [(u + a.n, v + a.n, w) for u, v, w in b.edges])
+    for g in (a, b, apart):
+        for build in (build_pm, build_linear, build_light):
+            assert assert_matches_reference(g, build(g, 2, 0.25), 3.75).ok
+        assert_matches_reference(g, g, 1.0)
+    assert reruns
+
+
+def test_query_between_h_components_runs_no_search(monkeypatch):
+    # sources by edge order: 0 anchors {0, 1, 2}, 1 searches for 2, 3
+    # anchors {3, 4}; source 2 asks only for 4, in another H-component,
+    # so it gets inf without a search
+    g = wgraph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0), (2, 3, 1.0), (2, 4, 1.5)])
+    h = wgraph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
+    assert _reference_sources(g) == [0, 1, 3, 3, 2]
+    searched = []
+    search = oracle._dijkstra
+
+    def recording(*args):
+        searched.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_dijkstra", recording)
+    rep = assert_matches_reference(g, h, 3.0)
+    assert searched == [0, 1, 3]
+    assert rep.histogram == {"1.00": 3, "inf": 2}
+
+
 # ---------------------------------------------------------------- oracle cost
 
 

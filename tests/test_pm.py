@@ -135,6 +135,14 @@ def test_build_rejects_bad_params():
         build_pm(g, 2, 1.5)
 
 
+@pytest.mark.parametrize("bad", [(1, 5, 1.0), (-1, 2, 1.0)])
+def test_build_rejects_out_of_range_vertex(bad):
+    # a raw WeightedGraph skips from_edges' id check; id 5 used to raise
+    # IndexError, and -1 to index from the end of a list
+    with pytest.raises(ValueError, match=r"vertex id out of range"):
+        build_pm(WeightedGraph(3, [(0, 1, 1.0), bad]), 2, 0.25)
+
+
 def test_internal_eps_capped():
     assert internal_eps(0.5) == min(0.5 / 73, 1 / 18)
     with unscaled_eps():
