@@ -21,7 +21,8 @@ but both count the table step that the lookup would have taken.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import compress
+from typing import Iterable, Optional, Sequence
 
 # ---------------------------------------------------------------- classic
 
@@ -223,7 +224,8 @@ class StaticTreeUF:
     until a link changes its mask, which stands for the shared memo lookup
     it replaces.  An unlinked v is its own topmost member: its microset is
     not full and its table maps v to itself, so the answer is v after the
-    call and one table step, and 2 is counted.
+    call and one table step, and 2 is counted.  link is link_all of one
+    vertex, and find_all counts exactly what a loop of find would.
     """
 
     def __init__(self, index: StaticTreeIndex):
@@ -239,50 +241,87 @@ class StaticTreeUF:
         self._skip: list[Optional[int]] = [None] * n_micro
 
     def link(self, v: int) -> None:
+        self.link_all((v,))
+
+    def link_all(self, vs: Iterable[int]) -> None:
+        """Link every v of vs in order.  A bad v raises before it changes
+        anything, and the links before it stay made and counted."""
         idx = self.index
-        if v == idx.root:
-            raise ValueError("cannot Link the root of the union tree")
-        if self.linked[v]:
-            raise ValueError(f"vertex {v} already linked")
-        self.linked[v] = True
-        self.cost += 1
-        mid = idx.micro_of[v]
-        self._mask[mid] |= 1 << idx.local_of[v]
-        self._table[mid] = None
+        root, linked = idx.root, self.linked
+        micro_of, local_of = idx.micro_of, idx.local_of
+        masks, tables = self._mask, self._table
+        done = 0
+        try:
+            for v in vs:
+                if v == root:
+                    raise ValueError("cannot Link the root of the union tree")
+                if linked[v]:
+                    raise ValueError(f"vertex {v} already linked")
+                linked[v] = True
+                mid = micro_of[v]
+                masks[mid] |= 1 << local_of[v]
+                tables[mid] = None
+                done += 1
+        finally:
+            self.cost += done
+
+    def find_all(self, vs: Iterable[int]) -> list[int]:
+        """[find(v) for v in vs], with the same answers and cost.  Each
+        unlinked v is answered as itself and counted 2, as find counts it;
+        the linked ones climb in one batch."""
+        out = list(vs)
+        if out and not (0 <= min(out) and max(out) < self.index.n):
+            return [self.find(v) for v in out]   # raises find's error
+        hits = list(compress(range(len(out)), map(self.linked.__getitem__, out)))
+        if hits:
+            for j, top in zip(hits, self._climb([out[j] for j in hits])):
+                out[j] = top
+        self.cost += 2 * (len(out) - len(hits))
+        return out
 
     def find(self, v: int) -> int:
-        idx = self.index
-        if not 0 <= v < idx.n:
+        if not 0 <= v < self.index.n:
             raise IndexError(f"element {v} out of range")
         if not self.linked[v]:
             self.cost += 2   # the call and the table step that returns v
             return v
+        return self._climb([v])[0]
+
+    def _climb(self, vs: list[int]) -> list[int]:
+        """Topmost members of linked vertices, found in order and counted
+        as one find each."""
         # The root is never linkable, so the microset containing the root is
         # never full and its table always yields an answer: termination.
+        idx = self.index
         micro_of, local_of, above = idx.micro_of, idx.local_of, idx.micro_above
-        masks, full, tables, skips = self._mask, idx.micro_full, self._table, self._skip
-        cost = 1
-        trail: list[int] = []  # fully-linked microsets crossed, for caching
-        while True:
-            mid = micro_of[v]
-            mask = masks[mid]
-            cost += 1
-            if mask == full[mid]:
-                trail.append(mid)
-                # the answer is the first unlinked ancestor above this
-                # microset; a previously found one is still on that path
-                skip = skips[mid]
-                v = skip if skip is not None else above[mid]
-                continue
-            table = tables[mid]
-            if table is None:
-                table = tables[mid] = idx.table(mid, mask)
-            local = table[local_of[v]]
-            if local != -1:
-                self.cost += cost
-                ans = idx.micro_members[mid][local]
-                for m in trail:
-                    skips[m] = ans
-                return ans
-            # every in-microset ancestor of v is linked; continue above
-            v = above[mid]
+        members, full = idx.micro_members, idx.micro_full
+        masks, tables, skips = self._mask, self._table, self._skip
+        cost = len(vs)   # the calls
+        out: list[int] = []
+        for v in vs:
+            trail: list[int] = []  # fully-linked microsets crossed, for caching
+            while True:
+                mid = micro_of[v]
+                mask = masks[mid]
+                cost += 1
+                if mask == full[mid]:
+                    trail.append(mid)
+                    # the answer is the first unlinked ancestor above this
+                    # microset; a previously found one is still on that path
+                    skip = skips[mid]
+                    v = skip if skip is not None else above[mid]
+                    continue
+                table = tables[mid]
+                if table is None:
+                    table = tables[mid] = idx.table(mid, mask)
+                local = table[local_of[v]]
+                if local != -1:
+                    ans = members[mid][local]
+                    for m in trail:
+                        skips[m] = ans
+                    out.append(ans)
+                    break
+                # every in-microset ancestor of v is linked; continue above
+                v = above[mid]
+        self.cost += cost
+        return out

@@ -10,11 +10,28 @@ bucketed and every bucketed level has work.  Carried forest edges
 candidates: the MST cycle property guarantees they reach every cluster
 touched by bucket edges.
 
+Each level merges along a star cover of its cluster forest: the clusters
+are its nodes, numbered by first appearance along the carried edges, and
+each cluster has at most one carried edge up to its parent.  The cover
+runs on that parent/child structure.  Step 1 scans the nodes in id order;
+a node still unowned that has an unowned neighbour becomes a centre and
+takes its unowned children and its parent, if unowned.  Step 2 attaches
+each node left over through its lowest-id neighbour.  This is the
+partition pm.grow_star_cover gives on the forest's adjacency lists sorted
+by id, whose step 1 takes every unowned neighbour in any list order and
+whose step 2 takes the first, lowest, entry; no lists are built or
+sorted.  The star edges are linked in one `StaticTreeUF.link_all` and the
+carried edges' upper ends found in one `find_all`, both counted as the
+single calls would be.
+
 `per_component` is the disconnected-input wrapper of this builder and of
 light's.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import filterfalse
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .buckets import bucket_raw_index, level_scale, partition_edges
@@ -27,13 +44,14 @@ from .graphs import (
     minimum_spanning_tree,
     normalize_weights,
 )
-from .pm import G_PM, grow_star_cover, internal_eps, select_bucket
+from .pm import G_PM, internal_eps, select_bucket
 from .spanner import Spanner, graph_hash
 
 # spanbench's tracer looks these names up on this module with getattr; the
-# calls run through pm.select_bucket, so the names are only kept importable
+# calls run through pm.select_bucket, and the forest star cover is this
+# module's own, so the names are only kept importable
 from .hz import hz_spanner  # noqa: F401,E402
-from .pm import dedupe_source_edges  # noqa: F401,E402
+from .pm import dedupe_source_edges, grow_star_cover  # noqa: F401,E402
 
 
 def per_component(g: WeightedGraph, algo: str, k: int, eps: float,
@@ -104,9 +122,11 @@ def _build_connected(
 
     # MST edges keyed by raw grid index, ascending; identified by child vertex
     mst_sorted = sorted(
-        (bucket_raw_index(w, eps_i), u if mst.parent[u] == v else v, w)
+        (bucket_raw_index(w, eps_i), u if mst.parent[u] == v else v)
         for u, v, w in mst.edges
     )
+    mst_index = [j for j, _ in mst_sorted]
+    mst_child = [child for _, child in mst_sorted]
 
     index = StaticTreeIndex(mst.parent)
     levels_log: list[dict] = []
@@ -146,10 +166,9 @@ def _build_connected(
 
             # collect this level's merge candidates: carried forest edges
             # plus the newly in-range MST edges (weight <= L_i)
-            j_cap = i * mu + sigma
-            while ptr < len(mst_sorted) and mst_sorted[ptr][0] <= j_cap:
-                carried.append(mst_sorted[ptr][1])
-                ptr += 1
+            end = bisect_right(mst_index, i * mu + sigma, ptr)
+            carried += mst_child[ptr:end]
+            ptr = end
             links, carried, ynodes = _merge_level(
                 mst, session, carried, check, reps, sigma, i)
             finds = session.cost - cost0 - links
@@ -176,20 +195,21 @@ def cluster_forest_edges(
     """Materialize the level's merge candidates as cluster pairs.
 
     `carried` holds the in-range MST edges by child vertex; each maps to
-    (child, find(parent)) and every incident cluster joins the node set.
+    (child, find(parent)) and every incident cluster joins the node set,
+    numbered in order of first appearance along (child, top) per edge.
     A cluster is a connected MST subtree, so an edge leaving it upward
     leaves at its top: `child` is unlinked and is its own cluster's
     representative.  The MST cycle property guarantees this node set
     covers every cluster touched by a surviving bucket edge."""
-    find, parent, linked = session.find, mst.parent, session.linked
+    if any(map(session.linked.__getitem__, carried)):
+        raise AssertionError("carried MST edge became intra-cluster")
+    tops = session.find_all(map(mst.parent.__getitem__, carried))
     pairs: list[tuple[int, int, int]] = []
     nodeset: dict[int, int] = {}
     add = nodeset.setdefault
-    for child in carried:
-        if linked[child]:
-            raise AssertionError("carried MST edge became intra-cluster")
+    for child, top in zip(carried, tops):
         a = add(child, len(nodeset))
-        pairs.append((a, add(find(parent[child]), len(nodeset)), child))
+        pairs.append((a, add(top, len(nodeset)), child))
     return pairs, nodeset
 
 
@@ -200,32 +220,71 @@ def merge_forest_subtrees(
     (links performed, leftover child ids crossing different subtrees).
 
     A pair (a, b, child) is the MST edge from cluster a's top vertex
-    `child` up to cluster b, and a cluster has at most one such edge, so a
-    star edge (x, y) is x's own edge when y is above x and y's otherwise.
-    The forest's edges inside one subtree are exactly its star edges, so
-    the leftovers are the pairs left unlinked."""
-    adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    above = [-1] * n_nodes
+    `child` up to cluster b, and a cluster has at most one such edge, so
+    the forest is stored as `above[a]` = b and `up_edge[a]` = child, with
+    each node's children chained through `first_child` and `next_sibling`.
+    The star cover runs on that structure directly.  Step 1 scans the
+    nodes in id order; a node that is still unowned becomes a centre if it
+    has an unowned neighbour, and takes all of its unowned children and
+    its parent if that is unowned.  Step 2 attaches each node left unowned
+    to its lowest-id neighbour.  That is pm.grow_star_cover's partition on
+    the forest's adjacency sorted by id: its step 1 takes every unowned
+    neighbour whatever the list order, and its step 2 takes the first
+    entry of a sorted list, the minimum.  The link for a star edge is its
+    child end's `up_edge`, and the forest's edges inside one subtree are
+    exactly its star edges, so the leftovers are the pairs left
+    unlinked."""
+    none = n_nodes   # the parent of a root and the end of a child chain
+    above = [none] * n_nodes
     up_edge = [0] * n_nodes
+    first_child = [none] * n_nodes
+    next_sibling = [none] * n_nodes
     for a, b, child in pairs:
-        if above[a] != -1:
+        if above[a] != none:
             raise AssertionError("cluster with two upward forest edges")
         above[a] = b
         up_edge[a] = child
-        adj[a].append(b)
-        adj[b].append(a)
-    for lst in adj:
-        if len(lst) > 1:
-            lst.sort()
+        next_sibling[a] = first_child[b]
+        first_child[b] = a
 
-    link = session.link
-    links = 0
-    for _, star_edges in grow_star_cover(n_nodes, adj):
-        for x, y in star_edges:
-            link(up_edge[x] if above[x] == y else up_edge[y])
-        links += len(star_edges)
-    linked = session.linked
-    return links, [child for _, _, child in pairs if not linked[child]]
+    owned = [False] * n_nodes + [True]   # a missing parent is never free
+    to_link: list[int] = []
+    loners: list[int] = []
+    for v in range(n_nodes):
+        if owned[v]:
+            continue
+        took = False
+        c = first_child[v]
+        while c != none:
+            if not owned[c]:
+                owned[c] = took = True
+                to_link.append(up_edge[c])
+            c = next_sibling[c]
+        p = above[v]
+        if not owned[p]:
+            owned[p] = took = True
+            to_link.append(up_edge[v])
+        if took:
+            owned[v] = True
+        else:
+            loners.append(v)
+    # a loner's neighbours were all owned when step 1 reached it, so they
+    # are step-1 nodes and stay so
+    for v in loners:
+        u = c = first_child[v]
+        while c != none:
+            u = min(u, c)
+            c = next_sibling[c]
+        if above[v] < u:
+            to_link.append(up_edge[v])
+        elif u != none:
+            to_link.append(up_edge[u])
+        else:
+            raise ValueError(f"node {v} is isolated; star cover needs none")
+
+    session.link_all(to_link)
+    return len(to_link), list(filterfalse(session.linked.__getitem__,
+                                          map(itemgetter(2), pairs)))
 
 
 def _merge_level(

@@ -388,6 +388,100 @@ def test_static_cost_per_op_matches_reference_on_deep_trees(parent, order):
     assert any(skip is not None for skip in uf._skip)
 
 
+# ---------------------------------------------------------------- batched calls
+
+
+def _session_state(uf: StaticTreeUF):
+    return uf.cost, uf._mask, uf._table, uf._skip, uf.linked
+
+
+def _warm_pair(data, n_max: int = 64):
+    """Two sessions on one drawn tree, driven through the same links and
+    finds (so that tables and skip caches are filled), plus the drawn
+    link order of the vertices left unlinked."""
+    n = data.draw(st.integers(min_value=2, max_value=n_max))
+    parent = [-1] + [data.draw(st.integers(min_value=0, max_value=v - 1))
+                     for v in range(1, n)]
+    index = StaticTreeIndex(parent)
+    pair = (StaticTreeUF(index), StaticTreeUF(index))
+    order = data.draw(st.permutations(list(range(1, n))))
+    cut = data.draw(st.integers(min_value=0, max_value=n - 1))
+    probes = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=8))
+    for uf in pair:
+        for v in order[:cut]:
+            uf.link(v)
+        for v in probes:
+            uf.find(v)
+    assert _session_state(pair[0]) == _session_state(pair[1])
+    return n, pair, list(order[cut:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_static_link_all_equals_link_loop(data):
+    _, (batched, looped), rest = _warm_pair(data)
+    vs = rest[:data.draw(st.integers(min_value=0, max_value=len(rest)))]
+    batched.link_all(vs)
+    for v in vs:
+        looped.link(v)
+    assert _session_state(batched) == _session_state(looped)
+
+
+@pytest.mark.parametrize("vs, error", [([3, 0, 4], ValueError),    # the root
+                                       ([3, 5, 4], ValueError),    # linked
+                                       ([3, 4, 3], ValueError),    # repeated
+                                       ([3, 10, 4], IndexError)],  # out of range
+                         ids=["root", "linked", "repeated", "out-of-range"])
+def test_static_link_all_raises_like_link(vs, error):
+    # 0 <- 1 <- 2 <- ... <- 9, with 5 linked up front
+    index = StaticTreeIndex(_chain(10))
+    batched, looped = StaticTreeUF(index), StaticTreeUF(index)
+    errors = []
+    for uf in (batched, looped):
+        uf.link(5)
+        with pytest.raises(error) as info:
+            if uf is batched:
+                uf.link_all(vs)
+            else:
+                for v in vs:
+                    uf.link(v)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    # the links before the bad vertex happened on both sides
+    assert _session_state(batched) == _session_state(looped)
+    assert batched.linked[3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_static_find_all_equals_find_loop(data):
+    n, (batched, looped), _ = _warm_pair(data)
+    vs = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=40))
+    assert batched.find_all(vs) == [looped.find(v) for v in vs]
+    assert _session_state(batched) == _session_state(looped)
+
+
+def test_static_find_all_unlinked_costs_two_each():
+    uf = StaticTreeUF(StaticTreeIndex(_chain(8)))
+    uf.link(3)
+    assert uf.find_all([1, 2, 5]) == [1, 2, 5]
+    assert uf.cost == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("bad", [8, -1])
+def test_static_find_all_raises_like_find(bad):
+    index = StaticTreeIndex(_chain(8))
+    batched, looped = StaticTreeUF(index), StaticTreeUF(index)
+    for uf in (batched, looped):
+        uf.link(3)
+    with pytest.raises(IndexError):
+        batched.find_all([3, bad])
+    with pytest.raises(IndexError):
+        for v in [3, bad]:
+            looped.find(v)
+    assert _session_state(batched) == _session_state(looped)
+
+
 # ---------------------------------------------------------------- amortized cost
 
 # cost of the seeded trace below on each rung n = 2^10 .. 2^14

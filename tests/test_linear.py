@@ -4,12 +4,17 @@ import itertools
 import math
 import random
 
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spanlab.dsu import StaticTreeIndex, StaticTreeUF
 from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import WeightedGraph, minimum_spanning_tree
-from spanlab.linear import build_linear
+from spanlab.linear import build_linear, cluster_forest_edges, merge_forest_subtrees
 from spanlab.oracle import verify_stretch
+from spanlab.pm import grow_star_cover
 from conftest import CheckSink, assert_built_per_component, triangle, wgraph
 
 
@@ -207,3 +212,62 @@ def test_merge_forest_path_of_six_postconditions():
     assert links + len(leftover) == 5
     for child in leftover:
         assert session.find(child) != session.find(mst.parent[child])
+
+
+def reference_merge_forest_subtrees(session, pairs, n_nodes):
+    """merge_forest_subtrees as a generic star cover: pm.grow_star_cover
+    over the forest's adjacency lists sorted by node id, one link call
+    per star edge."""
+    adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    above = [-1] * n_nodes
+    up_edge = [0] * n_nodes
+    for a, b, child in pairs:
+        if above[a] != -1:
+            raise AssertionError("cluster with two upward forest edges")
+        above[a] = b
+        up_edge[a] = child
+        adj[a].append(b)
+        adj[b].append(a)
+    for lst in adj:
+        if len(lst) > 1:
+            lst.sort()
+
+    link = session.link
+    links = 0
+    for _, star_edges in grow_star_cover(n_nodes, adj):
+        for x, y in star_edges:
+            link(up_edge[x] if above[x] == y else up_edge[y])
+        links += len(star_edges)
+    linked = session.linked
+    return links, [child for _, _, child in pairs if not linked[child]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_merge_forest_subtrees_matches_reference(data):
+    # a random rooted tree under random labels; each round carries a
+    # random subset of the unlinked edges, in random order, and merges it
+    # on both sides: the forest star cover and the generic one
+    n = data.draw(st.integers(min_value=2, max_value=300))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    label = list(range(n))
+    rng.shuffle(label)
+    parent = [-1] * n
+    for v in range(1, n):
+        parent[label[v]] = label[rng.randrange(v)]
+    root = label[0]
+    mst = SimpleNamespace(parent=parent)
+    index = StaticTreeIndex(parent)
+    fast, ref = StaticTreeUF(index), StaticTreeUF(index)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        free = [v for v in range(n) if v != root and not fast.linked[v]]
+        carried = rng.sample(free, rng.randint(0, len(free)))
+        got = []
+        for uf, merge in ((fast, merge_forest_subtrees),
+                          (ref, reference_merge_forest_subtrees)):
+            pairs, nodes = cluster_forest_edges(uf, mst, carried)
+            got.append((pairs, merge(uf, pairs, len(nodes))))
+        assert got[0] == got[1]
+        assert fast.linked == ref.linked
+        assert fast.cost == ref.cost
+        assert [fast.find(v) for v in range(n)] == [ref.find(v) for v in range(n)]
