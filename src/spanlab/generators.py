@@ -23,11 +23,11 @@ def _weight(rng: random.Random, law: str, wmax: float) -> float:
     raise ValueError(f"unknown weight law {law!r}")
 
 
-def gnp_graph(n: int, p: float, seed: int, law: str = "uniform",
-              wmax: float = 100.0) -> WeightedGraph:
-    """Connected G(n, p)-style graph: random spanning tree + Bernoulli
-    extras, weights drawn per `law`."""
-    rng = random.Random(seed)
+def _spanning_tree(rng: random.Random, n: int, law: str,
+                   wmax: float) -> dict[tuple[int, int], float]:
+    """A random spanning tree on 0..n-1, keyed (u, v) with u < v: vertices
+    in shuffled order, each joined to a uniform earlier one, drawing that
+    choice and then the edge's weight per `law`."""
     edges: dict[tuple[int, int], float] = {}
     order = list(range(n))
     rng.shuffle(order)
@@ -36,6 +36,15 @@ def gnp_graph(n: int, p: float, seed: int, law: str = "uniform",
         v = order[rng.randrange(idx)]
         key = (u, v) if u < v else (v, u)
         edges[key] = _weight(rng, law, wmax)
+    return edges
+
+
+def gnp_graph(n: int, p: float, seed: int, law: str = "uniform",
+              wmax: float = 100.0) -> WeightedGraph:
+    """Connected G(n, p)-style graph: random spanning tree + Bernoulli
+    extras, weights drawn per `law`."""
+    rng = random.Random(seed)
+    edges = _spanning_tree(rng, n, law, wmax)
     for u in range(n):
         for v in range(u + 1, n):
             if (u, v) in edges:
@@ -49,14 +58,7 @@ def gnm_graph(n: int, m: int, seed: int, law: str = "uniform",
               wmax: float = 100.0) -> WeightedGraph:
     """Connected graph with exactly max(m, n-1) edges."""
     rng = random.Random(seed)
-    edges: dict[tuple[int, int], float] = {}
-    order = list(range(n))
-    rng.shuffle(order)
-    for idx in range(1, n):
-        u = order[idx]
-        v = order[rng.randrange(idx)]
-        key = (u, v) if u < v else (v, u)
-        edges[key] = _weight(rng, law, wmax)
+    edges = _spanning_tree(rng, n, law, wmax)
     cap = n * (n - 1) // 2
     target = min(max(m, n - 1), cap)
     guard = 50 * target + 100

@@ -326,16 +326,22 @@ def sssp_distances(g: WeightedGraph, source: int) -> list[float]:
 # ---------------------------------------------------------------- checks
 
 
-def check_vertex_ids(g: WeightedGraph) -> None:
-    """ValueError unless both ends of every edge of g lie in 0..n-1.
+def check_edges(g: WeightedGraph) -> None:
+    """ValueError unless both ends of every edge of g lie in 0..n-1 and its
+    weight is finite and positive.
 
     `from_edges` checks this, but a raw `WeightedGraph(n, edges)` does
     not: an id past n would raise IndexError deep inside a build, and a
-    negative one would index from the end of a list."""
-    n = g.n
-    for u, v, _ in g.edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
+    negative one would index from the end of a list; an infinite weight
+    could pass into a spanner, and a NaN one would be blamed on the weight
+    range."""
+    n, inf = g.n, INF
+    for u, v, w in g.edges:
+        if not (0 <= u < n and 0 <= v < n and 0 < w < inf):
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
+            need = "positive" if math.isfinite(w) else "finite"
+            raise ValueError(f"weights must be {need}, got weight {w!r} on edge ({u}, {v})")
 
 
 # ---------------------------------------------------------------- scaling

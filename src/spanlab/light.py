@@ -10,10 +10,11 @@ paid for by the potential drop.  The heavy non-MST edges are bucketed by
 MST go through the pointer-machine construction and the MST itself is
 always included.
 
-Per-class setup costs what the class touches: the singleton state, each
-carve-ladder rung and their tree LCAs are built once per build and shared
-by every class that enters there, and a state's potential total and real
-cluster count are summed once, however many trivial levels report them.
+Per-class setup costs what the class touches: the singleton state and each
+carve-ladder rung (a carve of that one singleton state) are built once per
+build and shared by every class that enters there.  A state owns its tree
+adjacency and LCA, built on first use, and sums its potential total and
+real cluster count once, however many trivial levels report them.
 """
 from __future__ import annotations
 
@@ -207,36 +208,29 @@ def _build_heavy(
         g=g, sub=sub, k=k, eps=eps_i, gconst=G_LIGHT,
         filter_factor=filter_factor, check=check,
     )
-    shared_base = steps.singleton_state(sub)
-    shared_lca = steps.TreeLCA(shared_base)
-    ladder: dict[int, tuple[steps.ClassState, steps.TreeLCA]] = {}
+    base = steps.singleton_state(sub)
+    ladder: dict[int, steps.ClassState] = {}
 
     for sigma in buckets.classes():
         level_ids = buckets.levels(sigma)
         single = len(level_ids) == 1
         state: Optional[steps.ClassState] = None
-        lca: Optional[steps.TreeLCA] = None
         for i in level_ids:
             li = threshold(i * mu + sigma, eps_i, wbar)
             prev = threshold((i - 1) * mu + sigma, eps_i, wbar)
             if state is None:
-                state, lca = _base_state(
-                    sub, prev, wbar, ladder, shared_base, shared_lca, ctx
-                )
+                state = _base_state(prev, wbar, ladder, base, ctx)
                 if check is not None:
                     check("phi1-bound", state.phi <= mst.weight * (1 + 1e-9),
                           f"sigma={sigma} phi1={state.phi} w(mst)={mst.weight}")
             elif state.scale < prev * (1 - 1e-12):
                 state = steps.coarsen(state, prev, ctx, levels_log, sigma, i)
-                lca = None
-            if lca is None:
-                lca = steps.TreeLCA(state)
 
             if check is not None:
                 check("imax-bound", i <= 4 * math.log2(max(g.n, 2)) + 20,
                       f"sigma={sigma} i={i} n={g.n}")
             bucket = buckets.edges(sigma, i)
-            ei = steps.build_cluster_graph(state, bucket, g, li, lca, ctx)
+            ei = steps.build_cluster_graph(state, bucket, g, li, ctx)
             ops["level_work"] += len(bucket)
             if not ei:
                 levels_log.append(steps.trivial_row(sigma, i, state, len(bucket)))
@@ -259,22 +253,20 @@ def _build_heavy(
 
             ops["level_work"] += state.count
             state, picked, row = steps.process_level(state, ei, li, sigma, i, ctx)
-            lca = None  # contracted tree changed; rebuilt on demand next level
             chosen.update(picked)
             levels_log.append(row)
 
 
-def _base_state(sub, prev_scale, wbar, ladder, shared_base, shared_lca, ctx):
-    """Entering clusters and their LCA for a class's first processed level:
-    singletons when the previous scale undercuts the subdivision
-    granularity, otherwise a carve of the subdivided tree at a power-of-two
-    scale in [prev_scale, 2*prev_scale).  Each rung is carved and indexed
-    once per build; states are immutable and the LCA is only read, so every
-    class entering at that rung shares the pair."""
+def _base_state(prev_scale, wbar, ladder, base, ctx):
+    """Entering clusters for a class's first processed level: the singleton
+    state `base` when the previous scale undercuts the subdivision
+    granularity, otherwise `base` carved at a power-of-two scale in
+    [prev_scale, 2*prev_scale).  Each rung is carved once per build and
+    kept in `ladder`; states are immutable and own their adjacency and LCA,
+    so every class entering at a rung shares them."""
     if prev_scale < wbar * (1 - 1e-12):
-        return shared_base, shared_lca
+        return base
     t = max(0, math.ceil(math.log2(prev_scale / wbar) - 1e-12))
     if t not in ladder:
-        st = steps.carved_state(sub, wbar * (2.0 ** t), ctx)
-        ladder[t] = (st, steps.TreeLCA(st))
+        ladder[t] = steps.carved_state(base, wbar * (2.0 ** t), ctx)
     return ladder[t]

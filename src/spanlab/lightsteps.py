@@ -5,12 +5,15 @@ and the three-step edge selection.
 Cluster state is rebuilt wholesale between levels: a level's subgraph
 collection becomes the next level's node set, node weights are the
 subgraphs' augmented diameters, and the contracted spanning tree is
-re-derived from the crossing subdivided-tree edges.
+re-derived from the crossing subdivided-tree edges.  A state owns the views
+derived from it: its tree adjacency and its `TreeLCA` are built on first
+use and once, however many carves, levels and classes read them.
 
 The structural audits live in the `_audit_*` helpers and run only when the
 context carries a `check` callback.  A value that only an audit reads (a
-subgraph's high/low+/low- kind, its contracted-tree weight) is derived
-inside those helpers, so an unaudited build never computes it.
+subgraph's high/low+/low- kind, its contracted-tree weight, a virtual
+cluster's parent MST edge) is derived inside those helpers, so an unaudited
+build never computes it.
 """
 from __future__ import annotations
 
@@ -48,13 +51,13 @@ class ClassState:
     count: int
     pot: list[float]            # node weight = potential = formation Adm
     virtual: list[bool]
-    par_eid: list[int]          # parent MST edge of an all-virtual cluster
     tree: list[tuple[int, int, float, int]]   # contracted spanning tree
     cl_of_sub: list[int]
     scale: float                # scale the clusters were formed at
 
     # a state outlives many levels (ladder rungs serve many classes), so its
-    # totals are summed once, over the same lists in the same order
+    # totals and tree views are built once, on first use; a total is summed
+    # over the same list in the same order as a plain sum
     @cached_property
     def phi(self) -> float:
         """Potential Phi: the sum of the node potentials."""
@@ -65,12 +68,19 @@ class ClassState:
         """Clusters holding at least one real vertex."""
         return sum(1 for v in self.virtual if not v)
 
-    def adjacency(self) -> list[list[tuple[int, float, int]]]:
+    @cached_property
+    def adj(self) -> list[list[tuple[int, float, int]]]:
+        """Each node's tree neighbours as (node, weight, sub-edge id)."""
         adj: list[list[tuple[int, float, int]]] = [[] for _ in range(self.count)]
         for a, b, w, sid in self.tree:
             adj[a].append((b, w, sid))
             adj[b].append((a, w, sid))
         return adj
+
+    @cached_property
+    def lca(self) -> TreeLCA:
+        """Augmented tree distances between this state's nodes."""
+        return TreeLCA(self)
 
 
 # ---------------------------------------------------------------- bases
@@ -82,17 +92,17 @@ def singleton_state(sub) -> ClassState:
         count=n,
         pot=[0.0] * n,
         virtual=[v >= sub.n_real for v in range(n)],
-        par_eid=[sub.parent_edge_of(v) for v in range(n)],
         tree=list(sub.edges),
         cl_of_sub=list(range(n)),
         scale=0.0,
     )
 
 
-def carved_state(sub, scale: float, ctx: StepContext) -> ClassState:
-    """Base clusters: subdivided tree carved into subtrees of diameter in
-    [scale, ~6*scale] (single piece exempt from the lower bound)."""
-    state, _ = _carve_tree(singleton_state(sub), scale)
+def carved_state(base: ClassState, scale: float, ctx: StepContext) -> ClassState:
+    """Base clusters: the singleton state `base` carved into subtrees of
+    diameter in [scale, ~6*scale] (single piece exempt from the lower
+    bound)."""
+    state, _ = _carve_tree(base, scale)
     if ctx.check is not None:
         _audit_carve(state, scale, ctx)
     return state
@@ -148,7 +158,7 @@ def _carve_tree(state: ClassState, scale: float) -> tuple[ClassState, list[int]]
     diameter >= scale (except a lone piece) and O(scale)."""
     count = state.count
     pot = state.pot
-    adj = state.adjacency()
+    adj = state.adj
     parent, order = _root_tree(adj, count)
 
     piece_of = [-1] * count
@@ -226,21 +236,9 @@ def _next_state(state: ClassState, parts: list[list[int]], part_of: list[int],
     `state`'s nodes; `part_of` maps a node to its part) into one node of
     potential `adm[part]`."""
     n_parts = len(parts)
-    virtual = [True] * n_parts
-    par_eid = [-1] * n_parts
-    for t, mem in enumerate(parts):
-        peids = set()
-        for v in mem:
-            if not state.virtual[v]:
-                virtual[t] = False
-                break
-            peids.add(state.par_eid[v])
-        if virtual[t]:
-            if len(peids) != 1:
-                raise AssertionError("virtual subgraph spans several parent paths")
-            par_eid[t] = peids.pop()
+    virtual = [all(state.virtual[v] for v in mem) for mem in parts]
     return ClassState(
-        count=n_parts, pot=adm, virtual=virtual, par_eid=par_eid,
+        count=n_parts, pot=adm, virtual=virtual,
         tree=_contract(state.tree, part_of, n_parts) if n_parts > 1 else [],
         cl_of_sub=[part_of[c] for c in state.cl_of_sub], scale=scale,
     )
@@ -309,7 +307,7 @@ class TreeLCA:
 
     def __init__(self, state: ClassState):
         count = state.count
-        adj = state.adjacency()
+        adj = state.adj
         self.pot = state.pot
         depth = [0] * count
         dist = [0.0] * count       # root path: all node weights + edges
@@ -376,7 +374,6 @@ def build_cluster_graph(
     bucket: list[int],
     g: WeightedGraph,
     li: float,
-    lca: TreeLCA,
     ctx: StepContext,
 ) -> list[tuple[int, int, float, int]]:
     """Level edge set: bucket edges mapped to cluster pairs, self-loops
@@ -384,6 +381,7 @@ def build_cluster_graph(
     whose tree path (augmented) already realizes the target stretch
     filtered out."""
     best = dedupe_source_edges(bucket, g, state.cl_of_sub.__getitem__)
+    lca = state.lca
     out = []
     for (ca, cb), eid in sorted(best.items()):
         w = g.edges[eid][2]
@@ -447,7 +445,7 @@ class _Level:
         self.ei = ei
         self.li = li
         self.ctx = ctx
-        self.adj = state.adjacency()
+        self.adj = state.adj
         self.pot = state.pot
         self.count = state.count
         self.deg = [0] * state.count
@@ -785,7 +783,6 @@ def step3_absorb_branching(lvl: _Level) -> None:
     for comp in lvl.components():
         if lvl.comp_adm(comp) < 6 * lvl.li or not _is_path(lvl, comp):
             continue
-        memset = set(comp)
         for v in sorted(comp):
             full_deg = len(lvl.adj[v])
             if full_deg < 3:
@@ -803,15 +800,10 @@ def step3_absorb_branching(lvl: _Level) -> None:
 
 
 def _is_path(lvl: _Level, comp: list[int]) -> bool:
+    """Whether the connected tree piece `comp` is a path: no node of it has
+    more than two neighbours in it."""
     memset = set(comp)
-    ends = 0
-    for v in comp:
-        d = sum(1 for u, w, sid in lvl.adj[v] if u in memset)
-        if d > 2:
-            return False
-        if d <= 1:
-            ends += 1
-    return ends <= 2
+    return all(sum(1 for u, w, sid in lvl.adj[v] if u in memset) <= 2 for v in comp)
 
 
 # ---------------------------------------------------------------- step 4
@@ -876,10 +868,7 @@ def _blue_nodes(lvl: _Level) -> set[int]:
             continue
         for idx, v in enumerate(path):
             if pos[idx] > lvl.li and total - pos[idx] + lvl.pot[v] > lvl.li:
-                head = pos[idx]
-                tail = total - pos[idx] + lvl.pot[v]
-                if head > lvl.li and tail > lvl.li:
-                    blue.add(v)
+                blue.add(v)
     return blue
 
 
@@ -1331,10 +1320,18 @@ def _audit_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
 
 def _audit_cycle_property(lvl: _Level) -> None:
     """Every virtual node on a level edge's fundamental tree cycle has a
-    parent MST edge no heavier than the level edge."""
+    parent MST edge no heavier than the level edge.  A virtual node's
+    parent MST edge is the one its subdivided vertices all subdivide."""
     if not lvl.ei:
         return
-    mst_weight = lvl.ctx.sub.mst_weight
+    sub, state = lvl.ctx.sub, lvl.state
+    par_eid: dict[int, int] = {}
+    for v, c in enumerate(state.cl_of_sub):
+        if state.virtual[c]:
+            peid = sub.parent_edge_of(v)
+            if par_eid.setdefault(c, peid) != peid:
+                raise AssertionError("virtual cluster spans several MST edges")
+    mst_weight = sub.mst_weight
     parent, order = _root_tree(lvl.adj, lvl.count)
     depth = [0] * lvl.count
     for v in order[1:]:
@@ -1345,13 +1342,9 @@ def _audit_cycle_property(lvl: _Level) -> None:
         while x != y:
             if depth[x] < depth[y]:
                 x, y = y, x
-            if lvl.state.virtual[x]:
-                peid = lvl.state.par_eid[x]
-                if peid >= 0 and not mst_weight[peid] <= w * (1 + 1e-9):
-                    ok = False
-            x = parent[x]
-        if lvl.state.virtual[x]:
-            peid = lvl.state.par_eid[x]
-            if peid >= 0 and not mst_weight[peid] <= w * (1 + 1e-9):
+            if x in par_eid and not mst_weight[par_eid[x]] <= w * (1 + 1e-9):
                 ok = False
+            x = parent[x]
+        if x in par_eid and not mst_weight[par_eid[x]] <= w * (1 + 1e-9):
+            ok = False
     lvl.ctx.check("cycle-property", ok, f"edges={len(lvl.ei)}")

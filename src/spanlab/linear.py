@@ -38,7 +38,7 @@ from .buckets import bucket_raw_index, level_scale, partition_edges
 from .dsu import StaticTreeIndex, StaticTreeUF
 from .graphs import (
     WeightedGraph,
-    check_vertex_ids,
+    check_edges,
     connected_components,
     induced_subgraph,
     minimum_spanning_tree,
@@ -63,7 +63,7 @@ def per_component(g: WeightedGraph, algo: str, k: int, eps: float,
     `ops` summed over the keys the parts report.  A connected g is built
     directly.  Either way `source_hash` is g's.
     """
-    check_vertex_ids(g)
+    check_edges(g)
     comps = connected_components(g)
     if len(comps) <= 1:
         out = build_connected(g, k, eps, *args)

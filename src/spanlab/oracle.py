@@ -5,6 +5,9 @@ Deliberately self-contained: this module re-implements its own searches
 and a Prim-style spanning forest so that nothing it certifies depends on
 the code paths under test.
 
+The greedy baseline runs the same bounded `_dijkstra` as verification, one
+search per edge of G, bounded by t * w over the spanner kept so far.
+
 Stretch verification measures each edge (u, v) of G as d_H(u, v) / w.  How
 the distances are found is picked from H alone.
 
@@ -359,37 +362,23 @@ def greedy_spanner(g: WeightedGraph, t: float) -> Spanner:
         raise ValueError(f"stretch target t must be finite and >= 1, got {t}")
     _check_vertex_ids(g)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    dist = [INF] * g.n
     kept: list[tuple[int, int, float]] = []
     order = sorted(range(g.m), key=lambda e: (g.edges[e][2], e))
     for eid in order:
         u, v, w = g.edges[eid]
-        d = _dijkstra_bounded(adj, u, v, t * w)
-        if d > t * w:
+        # edges are kept in nondecreasing weight order, so every list of
+        # adj stays sorted by weight, as _dijkstra's early break requires
+        touched, _ = _dijkstra(adj, u, {v}, dist, t * w)
+        if dist[v] > t * w:
             kept.append((u, v, w))
             adj[u].append((v, w))
             adj[v].append((u, w))
+        for x in touched:
+            dist[x] = INF
     return Spanner(
         algo="greedy", k=0, eps=0.0, n=g.n, edges=kept, source_hash=graph_hash(g)
     )
-
-
-def _dijkstra_bounded(adj: list[list[tuple[int, float]]], source: int,
-                      target: int, cutoff: float) -> float:
-    """Distance source->target, abandoning paths longer than cutoff."""
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == target:
-            return d
-        if d > dist.get(u, INF) or d > cutoff:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd <= cutoff and nd < dist.get(v, INF):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist.get(target, INF)
 
 
 # ---------------------------------------------------------------- verify
@@ -452,10 +441,10 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
     component; each later source s skips relaxations past
     B = (A[s] + max A[t]) * (1 + 1e-9), A being the anchor's distances,
     tightens B once it has reached every target, and searches again
-    unbounded if a target goes unreached (see `_dijkstra_distances`).  A query between H-components is inf without a
-    search.  The witness and the histogram are read in g.edges order; the
-    histogram counts quarter indices floor(4 * ratio) and formats each
-    distinct one once.
+    unbounded if a target goes unreached (see `_dijkstra_distances`).  A
+    query between H-components is inf without a search.  The witness and
+    the histogram are read in g.edges order; the histogram counts quarter
+    indices floor(4 * ratio) and formats each distinct one once.
     """
     if not 1.0 <= t < INF:
         raise ValueError(f"stretch target t must be finite and >= 1, got {t}")

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .buckets import check_eps, level_scale, partition_edges
 from .dsu import ClassicUF
-from .graphs import WeightedGraph, check_vertex_ids, normalize_weights, sssp_distances
+from .graphs import WeightedGraph, check_edges, normalize_weights, sssp_distances
 from .hz import UnweightedGraph, hz_spanner
 from .spanner import Spanner, graph_hash
 
@@ -139,7 +139,7 @@ def build_pm(
     if k < 1:
         raise ValueError("k must be >= 1")
     eps_i = internal_eps(eps)
-    check_vertex_ids(g)
+    check_edges(g)
     spanner_eids: set[int] = set()
     levels_log: list[dict] = []
     ops = {"uf": 0, "hz": 0}

@@ -129,8 +129,7 @@ def test_cluster_graph_tree_only_edge_is_empty():
     g = wgraph(2, [(0, 1, 1.0)])
     ctx, sub, _ = _mini_ctx(g)
     state = steps.singleton_state(sub)
-    lca = steps.TreeLCA(state)
-    assert steps.build_cluster_graph(state, [], g, 1.0, lca, ctx) == []
+    assert steps.build_cluster_graph(state, [], g, 1.0, ctx) == []
 
 
 def test_cluster_graph_parallel_bundle_keeps_lightest():
@@ -141,19 +140,18 @@ def test_cluster_graph_parallel_bundle_keeps_lightest():
     ctx, sub, _ = _mini_ctx(g)
     merged = [0, 1, 2, 2]
     state2 = steps.ClassState(
-        count=3, pot=[0.0, 0.0, 0.0], virtual=[False] * 3, par_eid=[-1] * 3,
+        count=3, pot=[0.0, 0.0, 0.0], virtual=[False] * 3,
         tree=[(0, 1, 12.5, 0), (1, 2, 12.5, 1)],
         cl_of_sub=[merged[v] for v in range(sub.n_total)], scale=1.0,
     )
-    lca = steps.TreeLCA(state2)
     eids = [i for i, (u, v, w) in enumerate(g.edges) if w in (7.0, 9.0)]
-    out = steps.build_cluster_graph(state2, eids, g, 10.0, lca, ctx)
+    out = steps.build_cluster_graph(state2, eids, g, 10.0, ctx)
     assert len(out) == 1
     assert out[0][2] == 7.0
 
 
 def _brute_aug_dist(state: steps.ClassState, a: int, b: int) -> float:
-    adj = state.adjacency()
+    adj = state.adj
     import heapq
 
     dist = {a: state.pot[a]}
@@ -183,7 +181,7 @@ def test_lca_matches_brute_force_tree_distance():
         state = steps.ClassState(
             count=state.count,
             pot=[rng.uniform(0, 2) for _ in range(state.count)],
-            virtual=state.virtual, par_eid=state.par_eid, tree=state.tree,
+            virtual=state.virtual, tree=state.tree,
             cl_of_sub=state.cl_of_sub, scale=0.0,
         )
         lca = steps.TreeLCA(state)
@@ -199,9 +197,8 @@ def test_filter_drops_tree_spanned_edges():
     g = wgraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 2.9)])
     ctx, sub, _ = _mini_ctx(g, k=2)
     state = steps.singleton_state(sub)
-    lca = steps.TreeLCA(state)
     eid = next(i for i, (u, v, w) in enumerate(g.edges) if w == 2.9)
-    out = steps.build_cluster_graph(state, [eid], g, 3.0, lca, ctx)
+    out = steps.build_cluster_graph(state, [eid], g, 3.0, ctx)
     assert out == []  # path weight 3 <= (2k-1)(1+...)*2.9
 
 
@@ -214,7 +211,7 @@ def _level_for_path(weights, pots, virtual, nonisolated, li, tau=10**9):
     tree = [(i, i + 1, float(weights[i]), i) for i in range(n - 1)]
     state = steps.ClassState(
         count=n, pot=[float(p) for p in pots], virtual=list(virtual),
-        par_eid=[0 if v else -1 for v in virtual], tree=tree,
+        tree=tree,
         cl_of_sub=list(range(n)), scale=li,
     )
     sink = CheckSink()
@@ -341,15 +338,82 @@ def _random_levels(seeds):
         g = gnm_graph(n, rng.randint(3 * n, 6 * n), seed, "loguniform", 100)
         base_ctx, sub, mst = _mini_ctx(g, eps=0.5)
         mst_keys = {(min(u, v), max(u, v)) for u, v, _ in mst.edges}
+        base = steps.singleton_state(sub)
         for tau in (3, 6, None):
             ctx = dataclasses.replace(base_ctx, tau=tau)
-            state = steps.carved_state(sub, sub.wbar * rng.choice([1, 2, 4]), ctx)
+            state = steps.carved_state(base, sub.wbar * rng.choice([1, 2, 4]), ctx)
             li = rng.choice([w for u, v, w in g.edges
                              if (min(u, v), max(u, v)) not in mst_keys])
             bucket = [e for e, (u, v, w) in enumerate(g.edges) if li / 10 < w <= li]
-            ei = steps.build_cluster_graph(state, bucket, g, li, steps.TreeLCA(state), ctx)
+            ei = steps.build_cluster_graph(state, bucket, g, li, ctx)
             if ei:
                 yield state, ei, li, ctx
+
+
+def _long_tree_levels():
+    """(state, level edges, L_i, ctx) over a random tree of 1200 vertices
+    (1457 subdivided nodes) plus two chords that the filter keeps, once on
+    the singleton state and once carved at the subdivision granularity."""
+    tree = gnm_graph(1200, 1199, 7, "loguniform", 100)
+    nbrs: dict[int, list[tuple[int, float]]] = {v: [] for v in range(tree.n)}
+    for u, v, w in tree.edges:
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+
+    def farthest(s):
+        dist = {s: 0.0}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y, w in nbrs[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + w
+                    stack.append(y)
+        return max(dist, key=dist.get), dist
+
+    a, _ = farthest(0)
+    b, from_a = farthest(a)
+    # chords a fifth of their tree detour, heavier than every tree edge
+    g = WeightedGraph(tree.n, tree.edges + [(a, b, from_a[b] / 5), (0, a, from_a[0] / 5)])
+    ctx, sub, _ = _mini_ctx(g, eps=0.5)
+    li = from_a[b] / 5
+    base = steps.singleton_state(sub)
+    for state in (base, steps.carved_state(base, sub.wbar, ctx)):
+        ei = steps.build_cluster_graph(state, [g.m - 2, g.m - 1], g, li, ctx)
+        assert len(ei) == 2
+        yield state, ei, li, ctx
+
+
+# sha256 of `process_level`'s outputs (new state without its derived views,
+# sorted picked ids, row) and of the audited outcome stream, over
+# `_random_levels(range(40))` and `_long_tree_levels()`
+PROCESS_LEVEL_DIGEST = {
+    "levels": 112,
+    "outputs": "75321734525eb5cc0f1a203f163d9f385ae1d6cf4711610a169b7009ebd974db",
+    "audits": "2ba1aa6c7cae94efdd9b8cf4375d33a9dc4f7d389c2a805779e5754583b1c6de",
+}
+
+
+def test_process_level_digest():
+    import hashlib
+    import itertools
+
+    outputs, audits = hashlib.sha256(), hashlib.sha256()
+    levels = 0
+    for state, ei, li, ctx in itertools.chain(_random_levels(range(40)),
+                                              _long_tree_levels()):
+        levels += 1
+        new, picked, row = steps.process_level(state, ei, li, 0, 1, ctx)
+        outputs.update(repr((new.count, new.pot, new.virtual, new.tree, new.cl_of_sub,
+                             new.scale, sorted(picked), row)).encode())
+        stream: list[tuple[str, bool, str]] = []
+        audited = steps.process_level(state, ei, li, 0, 1, dataclasses.replace(
+            ctx, check=lambda *outcome: stream.append(outcome)))
+        assert (audited[0].tree, audited[1], audited[2]) == (new.tree, picked, row)
+        for name, ok, detail in stream:
+            audits.update(f"{name}\t{ok}\t{detail}\n".encode())
+    assert {"levels": levels, "outputs": outputs.hexdigest(),
+            "audits": audits.hexdigest()} == PROCESS_LEVEL_DIGEST
 
 
 def test_force_min_adm_matches_restart_reference(monkeypatch):
@@ -542,10 +606,9 @@ def test_forced_high_degree_path(sink):
         filter_factor=3.0, check=sink, tau=3,
     )
     state = steps.singleton_state(sub)
-    lca = steps.TreeLCA(state)
     eids = [i for i, (u, v, w) in enumerate(g.edges) if w >= 10.0]
     li = 10.2
-    ei = steps.build_cluster_graph(state, eids, g, li, lca, ctx)
+    ei = steps.build_cluster_graph(state, eids, g, li, ctx)
     if ei and steps.has_high_degree(state, ei, ctx):
         new_state, picked, row = steps.process_level(state, ei, li, 0, 1, ctx)
         assert row["step_edge_counts"][1] >= 0
@@ -627,9 +690,10 @@ def test_carved_state_diameter_window():
     g = gnm_graph(40, 80, seed=12, law="loguniform", wmax=400)
     sink = CheckSink()
     ctx, sub, mst = _mini_ctx(g, check=sink)
+    base = steps.singleton_state(sub)
     for mult in (1.0, 2.0, 8.0):
         scale = sub.wbar * mult
-        state = steps.carved_state(sub, scale, ctx)
+        state = steps.carved_state(base, scale, ctx)
         if state.count > 1:
             assert all(scale * (1 - 1e-9) <= d <= 14 * scale * (1 + 1e-9)
                        for d in state.pot)
@@ -663,7 +727,7 @@ def test_state_totals_match_plain_sums():
     g = gnm_graph(60, 240, seed=21, law="loguniform", wmax=1e4)
     ctx, sub, mst = _mini_ctx(g)
     base = steps.singleton_state(sub)
-    states = [base] + [steps.carved_state(sub, sub.wbar * mult, ctx)
+    states = [base] + [steps.carved_state(base, sub.wbar * mult, ctx)
                        for mult in (1.0, 3.0, 16.0)]
     log: list[dict] = []
     states.append(steps.coarsen(states[1], sub.wbar * 6.0, ctx, log, sigma=2, i=1))
@@ -680,10 +744,15 @@ def test_state_totals_match_plain_sums():
 
 def test_lca_tables_built_once_per_state(monkeypatch):
     # a wide weight range under unscaled eps enters classes from several
-    # carve-ladder rungs; every class entering at a rung shares its LCA
+    # carve-ladder rungs; every class entering at a rung shares its LCA.
+    # On that build and on the golden case steps-gnm500-k3-e0.5, whose
+    # classes run the five steps 10 times, a build makes one singleton
+    # state and every state builds its adjacency and LCA at most once
+    import functools
     import spanlab.light
 
     calls = {"lca": 0, "rungs": 0, "process": 0, "coarsen": 0, "starts": 0}
+    built: dict[str, list] = {"adj": [], "lca": [], "singleton": []}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -691,12 +760,33 @@ def test_lca_tables_built_once_per_state(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(steps, "TreeLCA", counted("lca", steps.TreeLCA))
+    def recorded(key, fn):
+        def wrapper(arg, *args, **kwargs):
+            built[key].append(arg)   # held, so no two recorded states share an id
+            return fn(arg, *args, **kwargs)
+        return wrapper
+
+    adj = functools.cached_property(recorded("adj", steps.ClassState.adj.func))
+    adj.__set_name__(steps.ClassState, "adj")
+    monkeypatch.setattr(steps.ClassState, "adj", adj)
+    monkeypatch.setattr(steps, "singleton_state",
+                        recorded("singleton", steps.singleton_state))
+    monkeypatch.setattr(steps, "TreeLCA",
+                        counted("lca", recorded("lca", steps.TreeLCA)))
     monkeypatch.setattr(steps, "carved_state", counted("rungs", steps.carved_state))
     monkeypatch.setattr(steps, "process_level", counted("process", steps.process_level))
     monkeypatch.setattr(steps, "coarsen", counted("coarsen", steps.coarsen))
     monkeypatch.setattr(spanlab.light, "_base_state",
                         counted("starts", spanlab.light._base_state))
+
+    def assert_views_built_once():
+        assert len(built["singleton"]) == 1
+        for key in ("adj", "lca"):
+            assert built[key]
+            assert len({id(st) for st in built[key]}) == len(built[key])
+            built[key].clear()
+        built["singleton"].clear()
+
     g = gnm_graph(100, 1500, seed=1, law="loguniform", wmax=1e9)
     with unscaled_eps():
         build_light(g, 3, 0.5)
@@ -704,6 +794,12 @@ def test_lca_tables_built_once_per_state(monkeypatch):
     bound = 1 + calls["rungs"] + calls["process"] + calls["coarsen"]
     assert calls["lca"] <= bound
     assert calls["starts"] > bound  # one table per class would break it
+    assert_views_built_once()
+
+    calls["process"] = 0
+    build_light(gnm_graph(500, 6000, seed=3, law="loguniform", wmax=1e9), 3, 0.5)
+    assert calls["process"] == 10
+    assert_views_built_once()
 
 
 def test_level_work_counts_buckets_and_processed_levels(monkeypatch):
@@ -757,10 +853,9 @@ def test_adm_upper_bounds_cluster_diameter():
     sink = CheckSink()
     ctx, sub, mst = _mini_ctx(g, check=sink, tau=4)
     state = steps.singleton_state(sub)
-    lca = steps.TreeLCA(state)
     bucket = [i for i, (u, v, w) in enumerate(g.edges) if w == 4.0]
     li = 4.0
-    ei = steps.build_cluster_graph(state, bucket, g, li, lca, ctx)
+    ei = steps.build_cluster_graph(state, bucket, g, li, ctx)
     assert ei, "fixture chords must survive the tree-path filter"
     new_state, picked, row = steps.process_level(state, ei, li, 0, 1, ctx)
     sink.assert_clean()

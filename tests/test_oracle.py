@@ -60,6 +60,50 @@ def test_greedy_monotone_in_t():
         assert sizes == sorted(sizes, reverse=True)
 
 
+def reference_greedy(g: WeightedGraph, t: float) -> list[tuple[int, int, float]]:
+    """The classic greedy's kept edges, each edge tested by its own Dijkstra
+    over dicts that abandons paths longer than t * w."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    kept = []
+    for eid in sorted(range(g.m), key=lambda e: (g.edges[e][2], e)):
+        u, v, w = g.edges[eid]
+        cutoff = t * w
+        dist = {u: 0.0}
+        heap = [(0.0, u)]
+        d = INF
+        while heap:
+            du, x = heapq.heappop(heap)
+            if x == v:
+                d = du
+                break
+            if du > dist.get(x, INF) or du > cutoff:
+                continue
+            for y, wy in adj[x]:
+                nd = du + wy
+                if nd <= cutoff and nd < dist.get(y, INF):
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))
+        if d > cutoff:
+            kept.append((u, v, w))
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+    return kept
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5, 3.0])
+def test_greedy_matches_reference_with_tied_weights(t):
+    rng = random.Random(f"greedy-ties-{t}")
+    for trial in range(30):
+        n = rng.randint(4, 40)
+        edges = {}
+        for _ in range(rng.randint(n, 4 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges[min(u, v), max(u, v)] = float(rng.choice([1, 1, 2, 3, 5]))
+        g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+        assert greedy_spanner(g, t).edges == reference_greedy(g, t)
+
+
 def test_greedy_rejects_bad_t():
     with pytest.raises(ValueError):
         greedy_spanner(triangle(), 0.5)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
+import re
 
 import pytest
 
@@ -264,6 +265,19 @@ def test_non_positive_weight_is_a_value_error(build, w):
     # by zero when the builders normalize weights by the minimum
     g = WeightedGraph(3, [(0, 1, w), (1, 2, 1.0)])
     with pytest.raises(ValueError, match=f"weights must be positive, got weight {w!r}"):
+        build(g, 2, 0.25)
+
+
+@pytest.mark.parametrize("build", [build_pm, build_linear, build_light])
+@pytest.mark.parametrize("w, need", [(math.nan, "finite"), (math.inf, "finite"),
+                                     (0.0, "positive"), (-1.0, "positive")])
+def test_weight_outside_open_interval_names_its_edge(build, w, need):
+    # a raw graph's weights are checked with its vertex ids: an infinite
+    # weight once passed `light` into a verified spanner, and all three
+    # builders blamed a NaN weight on the weight range
+    g = WeightedGraph(3, [(1, 2, 1.0), (0, 1, w)])
+    with pytest.raises(ValueError, match=re.escape(
+            f"weights must be {need}, got weight {w!r} on edge (0, 1)")):
         build(g, 2, 0.25)
 
 
