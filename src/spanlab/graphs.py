@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .dsu import ClassicUF
 
@@ -327,42 +327,64 @@ def sssp_distances(g: WeightedGraph, source: int) -> list[float]:
 
 
 def check_edges(g: WeightedGraph) -> None:
-    """ValueError unless both ends of every edge of g lie in 0..n-1 and its
-    weight is finite and positive.
+    """ValueError unless both ends of every edge of g lie in 0..n-1, its
+    weight is finite and positive, and no vertex pair has two edges.
 
     `from_edges` checks this, but a raw `WeightedGraph(n, edges)` does
     not: an id past n would raise IndexError deep inside a build, and a
     negative one would index from the end of a list; an infinite weight
     could pass into a spanner, and a NaN one would be blamed on the weight
-    range."""
+    range; both copies of a repeated pair could enter a spanner."""
     n, inf = g.n, INF
+    # a pair is keyed by the int min*n + max, not a tuple: ints are not
+    # tracked by the garbage collector, so the keys trigger no collection
+    pairs: set[int] = set()
+    add = pairs.add
     for u, v, w in g.edges:
         if not (0 <= u < n and 0 <= v < n and 0 < w < inf):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
             need = "positive" if math.isfinite(w) else "finite"
             raise ValueError(f"weights must be {need}, got weight {w!r} on edge ({u}, {v})")
+        add(u * n + v if u < v else v * n + u)
+    if len(pairs) < g.m:
+        pairs.clear()
+        for eid, (u, v, _) in enumerate(g.edges):
+            key = u * n + v if u < v else v * n + u
+            if key in pairs:
+                raise ValueError(
+                    f"vertex pair {divmod(key, n)} has more than one edge (edge {eid} "
+                    "repeats it); WeightedGraph.from_edges keeps the lightest copy")
+            add(key)
 
 
 # ---------------------------------------------------------------- scaling
 
 
-def normalize_weights(g: WeightedGraph) -> tuple[WeightedGraph, float]:
-    """Divide every weight by the minimum weight; returns (graph, scale).
+def normalize_weights(g: WeightedGraph,
+                      eids: Optional[Sequence[int]] = None) -> tuple[WeightedGraph, float]:
+    """Divide the weights of g's edges `eids` (all of them by default) by
+    their minimum; returns (graph, scale).
 
-    The result has minimum weight exactly 1 (the minimum edge divides to
-    w/w == 1.0 without round-off).  Raises ValueError, naming the weight,
-    when the minimum weight is not positive, and naming the input's extreme
-    weights when their ratio is not a finite float.
+    The graph keeps g's vertex and edge ids; an edge outside `eids` keeps
+    its raw weight, for callers that read only `eids`.  The minimum edge
+    divides to w/w == 1.0 without round-off.  Raises ValueError, naming
+    the weight, when the minimum weight is not positive, and naming the
+    extreme weights of `eids` when their ratio is not a finite float.
     """
-    if g.m == 0:
+    ids = range(g.m) if eids is None else eids
+    if not ids:
         raise ValueError("cannot normalize a graph with no edges")
-    scale = min(w for _, _, w in g.edges)
+    edges = list(g.edges)
+    scale = min(edges[e][2] for e in ids)
     if scale <= 0:
         raise ValueError(f"weights must be positive, got weight {scale!r}")
-    top = max(w for _, _, w in g.edges)
+    top = max(edges[e][2] for e in ids)
     if not math.isfinite(top / scale):
         raise ValueError(
             f"weight ratio {top!r} / {scale!r} is not a finite float; "
             "the weight range is too wide for the bucket grid")
-    return WeightedGraph(g.n, [(u, v, w / scale) for u, v, w in g.edges]), scale
+    for e in ids:
+        u, v, w = edges[e]
+        edges[e] = (u, v, w / scale)
+    return WeightedGraph(g.n, edges), scale

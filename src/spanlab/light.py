@@ -7,8 +7,10 @@ selected bucket edges), each cluster carries a potential equal to the
 augmented diameter it was formed with, and every level's spanner weight is
 paid for by the potential drop.  The heavy non-MST edges are bucketed by
 `buckets.partition_edges` on the grid based at wbar.  Light edges plus the
-MST go through the pointer-machine construction and the MST itself is
-always included.
+MST go through pm's levels (`pm.build_levels`), run on g's own edge ids:
+the pool is not copied into a graph of its own, and only its weights are
+normalized, so a discarded edge may stretch g's weight range as far as it
+likes.  The MST itself is always included.
 
 Per-class setup costs what the class touches: the singleton state and each
 carve-ladder rung (a carve of that one singleton state) are built once per
@@ -25,13 +27,15 @@ from typing import Callable, Optional
 from .buckets import check_eps, partition_edges, threshold
 from .graphs import WeightedGraph, minimum_spanning_tree
 from .linear import per_component
-from .pm import build_pm
+from .pm import build_levels
 from .spanner import Spanner
 from . import lightsteps as steps
 
 # spanbench's tracer looks these names up on this module with getattr; the
-# calls run through linear.per_component, so the names are only kept importable
+# calls run through linear.per_component and pm.build_levels, so the names
+# are only kept importable
 from .graphs import connected_components, induced_subgraph  # noqa: F401,E402
+from .pm import build_pm  # noqa: F401,E402
 from .spanner import graph_hash  # noqa: F401,E402
 
 G_LIGHT = 42
@@ -154,18 +158,12 @@ def _build_connected(
 
     light_ids, heavy_ids, discarded = split_light_heavy(g, eps, mst.weight)
 
-    chosen: set[int] = set(mst_eids)
-    # light part through the sparse construction (light edges + the MST)
-    light_pool = sorted(set(light_ids) | mst_eids)
-    if light_pool:
-        lg = WeightedGraph(g.n, [g.edges[e] for e in light_pool])
-        hp = build_pm(lg, k, eps)
-        ops["pm_uf"] = hp.ops.get("uf", 0)
-        ops["hz"] = hp.ops.get("hz", 0)
-        back_key = {(min(u, v), max(u, v)): eid
-                    for eid, (u, v, _) in zip(light_pool, lg.edges)}
-        for u, v, _ in hp.edges:
-            chosen.add(back_key[(min(u, v), max(u, v))])
+    # light part through pm's levels, on g's own ids of the light edges
+    # and the MST; the MST enters whole, whatever those levels keep
+    pm_ops = {"uf": 0, "hz": 0}
+    chosen, _ = build_levels(g, sorted(mst_eids.union(light_ids)), k, eps, pm_ops)
+    chosen |= mst_eids
+    ops["pm_uf"], ops["hz"] = pm_ops["uf"], pm_ops["hz"]
 
     levels_log: list[dict] = []
     heavy_pool = [e for e in heavy_ids if e not in mst_eids]

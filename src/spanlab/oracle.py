@@ -307,17 +307,20 @@ def _dijkstra_distances(n: int, g_edges: list[tuple[int, int, float]],
     return dists
 
 
-def _vertex_id_error(n: int, edge: tuple[int, int, float]) -> ValueError:
-    return ValueError(f"edge {edge} has a vertex id outside 0..{n - 1} (n={n})")
-
-
-def _check_vertex_ids(g: WeightedGraph) -> None:
-    """A raw WeightedGraph skips from_edges' checks; an id past n would
-    raise IndexError, and a negative one index from the end of a list."""
+def _check_graph(g: WeightedGraph) -> None:
+    """ValueError, naming the edge, unless both ends of every edge of g lie
+    in 0..n-1 and its weight lies in (0, inf).  A raw WeightedGraph skips
+    from_edges' checks: an id past n would raise IndexError and a negative
+    one index from the end of a list; a negative weight would keep the
+    greedy search relaxing forever, a zero one divide by zero in a stretch,
+    and a NaN one pass unnoticed into lightness."""
     n = g.n
     for u, v, w in g.edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise _vertex_id_error(n, (u, v, w))
+        if not (0 <= u < n and 0 <= v < n and 0 < w < INF):
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(
+                    f"edge {(u, v, w)} has a vertex id outside 0..{n - 1} (n={n})")
+            raise ValueError(f"edge {(u, v, w)} has weight {w!r}, outside (0, inf)")
 
 
 def _adjacency(n: int, edges: list[tuple[int, int, float]]) -> list[list[tuple[int, float]]]:
@@ -360,7 +363,7 @@ def greedy_spanner(g: WeightedGraph, t: float) -> Spanner:
     such a t would keep no edge."""
     if not 1.0 <= t < INF:
         raise ValueError(f"stretch target t must be finite and >= 1, got {t}")
-    _check_vertex_ids(g)
+    _check_graph(g)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
     dist = [INF] * g.n
     kept: list[tuple[int, int, float]] = []
@@ -406,14 +409,9 @@ class StretchReport:
 
 
 def _check_subgraph(g: WeightedGraph, h: Spanner | WeightedGraph) -> None:
-    """ValueError unless every vertex id of g lies in 0..n-1 and every
-    edge of h matches some copy of its pair in g, weight included."""
-    n = g.n
-    in_g: set[tuple[int, int, float]] = set()   # (u, v, w), u <= v
-    for u, v, w in g.edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise _vertex_id_error(n, (u, v, w))
-        in_g.add((u, v, w) if u <= v else (v, u, w))
+    """ValueError unless every edge of h matches some copy of its pair in
+    g, weight included."""
+    in_g = {(u, v, w) if u <= v else (v, u, w) for u, v, w in g.edges}
     for u, v, w in h.edges:
         if ((u, v, w) if u <= v else (v, u, w)) not in in_g:
             key = (u, v) if u < v else (v, u)
@@ -426,15 +424,17 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
     The maximum of d_H(u,v)/w(u,v) over edges of g equals the stretch over
     all vertex pairs: any shortest g-path is a chain of edges, each
     stretched at most that much.  Pass iff max <= t*(1+1e-9); t must be
-    finite and >= 1, else ValueError.
+    finite and >= 1, and g's vertex ids and weights valid (see
+    `_check_graph`), else ValueError.
 
-    Cost: one scan of g.edges checks vertex ids and indexes every copy of
-    every edge, so that each edge of H is matched to one.  When every edge
-    of H has one weight c, one multi-source BFS per round of `_ROUND`
-    ranks answers all queries: a source's bit is its rank among the
-    sources of its H-component, all components share each sweep, and a
-    query answered on hop h gets S[h], c added h times from left to
-    right, which is the sum Dijkstra forms (h * c can round differently).
+    Cost: one scan of g.edges checks vertex ids and weights, and one
+    indexes every copy of every edge, so that each edge of H is matched to
+    one.  When every edge of H has one weight c, one multi-source BFS per
+    round of `_ROUND` ranks answers all queries: a source's bit is its
+    rank among the sources of its H-component, all components share each
+    sweep, and a query answered on hop h gets S[h], c added h times from
+    left to right, which is the sum Dijkstra forms (h * c can round
+    differently).
     Otherwise one heap Dijkstra per source runs over H, with each list
     sorted by weight, and stops once that source's targets are final.
     The first source of each H-component, its anchor, searches the whole
@@ -448,6 +448,7 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
     """
     if not 1.0 <= t < INF:
         raise ValueError(f"stretch target t must be finite and >= 1, got {t}")
+    _check_graph(g)
     _check_subgraph(g, h)
     step = h.edges[0][2] if h.edges else 1.0
     if all(w == step for _, _, w in h.edges):
@@ -500,7 +501,7 @@ class QualityMetrics:
 def spanner_metrics(g: WeightedGraph, h: Spanner | WeightedGraph) -> QualityMetrics:
     """Size, weight, sparsity |H|/(n-1) and lightness w(H)/w(MSF) of H,
     where MSF is G's minimum spanning forest (its MST when G is connected)."""
-    _check_vertex_ids(g)
+    _check_graph(g)
     msf_w = _prim_msf_weight(g)
     hw = sum(w for _, _, w in h.edges)
     denom = max(g.n - 1, 1)

@@ -9,10 +9,15 @@ count drops by at least half the representative-graph size.
 A build allocates one n-sized union-find and resets it between classes; the
 reset undoes only the previous class's unions, so a class costs what its
 edges touch rather than O(n).
+
+`build_pm` checks and hashes its input and runs `build_levels` on every
+edge.  `light` runs the same `build_levels` on the ids of its light edges
+and its MST, in its own graph: the pool is neither copied, checked again
+nor hashed.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .buckets import check_eps, level_scale, partition_edges
 from .dsu import ClassicUF
@@ -138,15 +143,38 @@ def build_pm(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    eps_i = internal_eps(eps)
+    check_eps(eps)
     check_edges(g)
+    ops = {"uf": 0, "hz": 0}
+    kept, levels_log = build_levels(g, range(g.m), k, eps, ops, check)
+    edges = [g.edges[e] for e in sorted(kept)]
+    return Spanner(
+        algo="pm", k=k, eps=eps, n=g.n, edges=edges,
+        source_hash=graph_hash(g), levels=levels_log, ops=ops,
+    )
+
+
+def build_levels(
+    g: WeightedGraph,
+    eids: Sequence[int],
+    k: int,
+    eps: float,
+    ops: dict,
+    check: Optional[Callable[[str, bool, str], None]] = None,
+) -> tuple[set[int], list[dict]]:
+    """pm's levels over g's edges `eids`, ascending, of a graph the caller
+    has checked: returns (the kept edge ids of g, the level rows), and adds
+    the union-find cost to ops["uf"] and the inner spanner's to ops["hz"].
+
+    Only `eids` are normalized and bucketed, so an edge outside them may
+    stretch g's weight range as far as it likes.
+    """
+    eps_i = internal_eps(eps)
     spanner_eids: set[int] = set()
     levels_log: list[dict] = []
-    ops = {"uf": 0, "hz": 0}
-
-    if g.m:
-        norm, _ = normalize_weights(g)
-        buckets = partition_edges(norm, range(norm.m), eps_i)
+    if eids:
+        norm, _ = normalize_weights(g, eids)
+        buckets = partition_edges(norm, eids, eps_i)
         uf = ClassicUF(norm.n)
         for sigma in buckets.classes():
             uf.reset()
@@ -154,13 +182,8 @@ def build_pm(
                 norm, k, eps_i, sigma, buckets, uf, spanner_eids, levels_log,
                 ops, check,
             )
-        ops["uf"] = uf.cost
-
-    edges = [g.edges[e] for e in sorted(spanner_eids)]
-    return Spanner(
-        algo="pm", k=k, eps=eps, n=g.n, edges=edges,
-        source_hash=graph_hash(g), levels=levels_log, ops=ops,
-    )
+        ops["uf"] += uf.cost
+    return spanner_eids, levels_log
 
 
 def _build_class(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import deque
 from contextlib import contextmanager
 from typing import Iterable, Sequence
@@ -65,6 +66,20 @@ def unscaled_eps():
         yield
     finally:
         spanlab.pm.EPS_SCALE_PM, spanlab.light.EPS_SCALE_LIGHT = saved
+
+
+def k4_pieces(pieces: int, seed: int, unit: bool = False) -> WeightedGraph:
+    """`pieces` disjoint K4s on shuffled vertex ids, with unit weights or
+    loguniform ones in [1, 1e3]."""
+    rng = random.Random(seed)
+    label = list(range(4 * pieces))
+    rng.shuffle(label)
+    edges = []
+    for p in range(pieces):
+        ids = label[4 * p: 4 * p + 4]
+        edges.extend((ids[a], ids[b], 1.0 if unit else 10 ** rng.uniform(0, 3))
+                     for a in range(4) for b in range(a + 1, 4))
+    return WeightedGraph.from_edges(4 * pieces, edges)
 
 
 def assert_built_per_component(build, g: WeightedGraph, comps, k=2, eps=0.25):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from spanlab.graphs import (
     GraphFormatError,
     MstResult,
     WeightedGraph,
+    check_edges,
     induced_subgraph,
     load_graph,
     minimum_spanning_tree,
@@ -281,6 +283,19 @@ def test_normalize_empty_errors():
         normalize_weights(wgraph(3, []))
 
 
+def test_normalize_divides_only_the_given_ids():
+    # the extreme pair lies outside ids 1 and 2, so its ratio is not checked
+    g = wgraph(4, [(0, 1, 1e-200), (1, 2, 4.0), (2, 3, 2.0), (0, 3, 1e200)])
+    norm, scale = normalize_weights(g, [1, 2])
+    assert scale == 2.0
+    assert norm.edges == [(0, 1, 1e-200), (1, 2, 2.0), (2, 3, 1.0), (0, 3, 1e200)]
+    assert g.edges[1] == (1, 2, 4.0)
+    with pytest.raises(ValueError, match="weight range is too wide"):
+        normalize_weights(g)
+    with pytest.raises(ValueError, match="no edges"):
+        normalize_weights(g, [])
+
+
 def test_normalize_distance_round_trip():
     rng = random.Random(3)
     g = wgraph(10, [(u, v, rng.uniform(0.5, 50)) for u in range(10)
@@ -295,6 +310,19 @@ def test_normalize_distance_round_trip():
             assert math.isinf(a)
         else:
             assert abs(b - a * scale) <= 1e-12 * max(1.0, abs(b))
+
+
+# ---------------------------------------------------------------- raw-graph checks
+
+
+@pytest.mark.parametrize("second", [(0, 2, 3.0), (2, 0, 3.0)])
+def test_check_edges_names_a_repeated_pair(second):
+    g = WeightedGraph(4, [(0, 2, 1.0), (1, 2, 1.0), second, (2, 3, 1.0)])
+    with pytest.raises(ValueError, match=re.escape(
+            "vertex pair (0, 2) has more than one edge (edge 2 repeats it); "
+            "WeightedGraph.from_edges keeps the lightest copy")):
+        check_edges(g)
+    check_edges(WeightedGraph.from_edges(4, g.edges))
 
 
 # ---------------------------------------------------------------- induced subgraphs

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import random
@@ -8,8 +9,15 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spanlab.linear
+import spanlab.pm
 from spanlab.generators import gnm_graph, gnp_graph
-from spanlab.graphs import WeightedGraph, minimum_spanning_tree
+from spanlab.graphs import (
+    WeightedGraph,
+    connected_components,
+    induced_subgraph,
+    minimum_spanning_tree,
+)
 from spanlab.light import (
     build_light,
     internal_eps_light,
@@ -17,8 +25,16 @@ from spanlab.light import (
     subdivide_mst,
 )
 from spanlab import lightsteps as steps
+from spanlab.linear import build_linear
 from spanlab.oracle import spanner_metrics, verify_stretch
-from conftest import CheckSink, assert_built_per_component, unscaled_eps, wgraph
+from spanlab.pm import build_levels, build_pm
+from conftest import (
+    CheckSink,
+    assert_built_per_component,
+    k4_pieces,
+    unscaled_eps,
+    wgraph,
+)
 
 
 @dataclasses.dataclass
@@ -653,6 +669,74 @@ def test_disconnected_components():
     sp = assert_built_per_component(build_light, g, comps)
     assert sp.levels
     assert verify_stretch(g, sp, 3.75).ok
+
+
+# ---------------------------------------------------------------- light pool
+
+
+def reference_pool_pm(g: WeightedGraph, pool: list[int], k: int, eps: float):
+    """The light part as light once built it: the pool copied into a graph
+    of its own, built by the public `build_pm`, and the kept edges mapped
+    back to g's ids by their endpoints.  Returns (g's kept ids, pm's ops)."""
+    lg = WeightedGraph(g.n, [g.edges[e] for e in pool])
+    hp = build_pm(lg, k, eps)
+    back_key = {(min(u, v), max(u, v)): eid for eid, (u, v, _) in zip(pool, lg.edges)}
+    return {back_key[(min(u, v), max(u, v))] for u, v, _ in hp.edges}, hp.ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pool_levels_match_nested_reference(data):
+    # tied weights from a short list; simple graphs, since the back-map
+    # keys by endpoints; each component's own light pool, as light passes
+    # it, and a random subset of g's ids over all components at once
+    n = data.draw(st.integers(min_value=2, max_value=12))
+    vid = st.integers(min_value=0, max_value=n - 1)
+    g = WeightedGraph.from_edges(n, data.draw(st.lists(
+        st.tuples(vid, vid, st.sampled_from([1.0, 1.5, 2.0, 7.0, 40.0, 1e3])),
+        min_size=1, max_size=40)))
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    eps = data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    cases = []
+    for comp in connected_components(g):
+        sub, _ = induced_subgraph(g, sorted(comp))
+        if sub.m:
+            mst = minimum_spanning_tree(sub)
+            light_ids, _, _ = split_light_heavy(sub, eps, mst.weight)
+            cases.append((sub, sorted(set(mst.eids) | set(light_ids))))
+    keep = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    cases.append((g, [e for e in range(g.m) if keep[e]]))
+    with unscaled_eps() if data.draw(st.booleans()) else contextlib.nullcontext():
+        for h, pool in cases:
+            ops = {"uf": 0, "hz": 0}
+            kept, _ = build_levels(h, pool, k, eps, ops)
+            assert (kept, ops) == reference_pool_pm(h, pool, k, eps)
+
+
+def test_light_checks_and_hashes_its_input_once(monkeypatch):
+    # the pool used to go through the public build_pm, once per component
+    calls = {"check_edges": 0, "graph_hash": 0}
+    for module in (spanlab.linear, spanlab.pm):
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counting)
+    build_light(k4_pieces(30, 1), 2, 0.25)
+    assert calls == {"check_edges": 1, "graph_hash": 1}
+
+
+def test_discarded_edge_may_stretch_the_weight_range():
+    # only the pool's weights are normalized: the 1e200 edge weighs at
+    # least w(MST) and never reaches pm's levels, where pm and linear
+    # reject the 1e400 ratio
+    g = WeightedGraph(3, [(0, 1, 1e-200), (1, 2, 1.0), (0, 2, 1e200)])
+    sp = build_light(g, 2, 0.25)
+    assert sp.edges == [(0, 1, 1e-200), (1, 2, 1.0)]
+    assert verify_stretch(g, sp, 3.75).ok
+    for build in (build_pm, build_linear):
+        with pytest.raises(ValueError, match="bucket grid"):
+            build(g, 2, 0.25)
 
 
 def test_internal_eps_light_values():

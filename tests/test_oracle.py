@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -14,7 +15,7 @@ from spanlab import build_light, build_linear, build_pm, oracle
 from spanlab.generators import gnm_graph
 from spanlab.graphs import WeightedGraph, sssp_distances
 from spanlab.oracle import StretchReport, greedy_spanner, spanner_metrics, verify_stretch
-from conftest import triangle, wgraph
+from conftest import k4_pieces, triangle, wgraph
 
 INF = math.inf
 
@@ -239,6 +240,22 @@ def test_metrics_unit_k4():
     g = wgraph(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
     met = spanner_metrics(g, g)
     assert met.sparsity == 2.0 and met.lightness == 2.0
+
+
+@pytest.mark.parametrize("w", [-1.0, 0.0, math.nan, INF])
+@pytest.mark.parametrize("judge", [
+    lambda g: greedy_spanner(g, 3.0),
+    lambda g: verify_stretch(g, WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]), 3.0),
+    lambda g: spanner_metrics(g, WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])),
+], ids=["greedy", "verify", "metrics"])
+def test_oracle_rejects_weight_outside_open_interval(judge, w):
+    # a raw WeightedGraph skips from_edges' checks: greedy never returned
+    # at -1, verify passed at -1, divided by zero at 0 and failed to
+    # convert NaN to an int, and metrics reported lightness inf
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, w)])
+    with pytest.raises(ValueError, match=re.escape(
+            f"edge (0, 2, {w!r}) has weight {w!r}, outside (0, inf)")):
+        judge(g)
 
 
 @pytest.mark.parametrize("bad", [(1, 5, 1.0), (-1, 2, 1.0)])
@@ -543,7 +560,7 @@ def test_short_bound_falls_back_to_an_unbounded_search(monkeypatch):
 
     monkeypatch.setattr(oracle, "_dijkstra", halved)
     a = gnm_graph(40, 200, seed=3, law="loguniform", wmax=1e6)
-    b = _k4_pieces(20, seed=8)
+    b = k4_pieces(20, seed=8)
     apart = WeightedGraph.from_edges(
         a.n + b.n, list(a.edges) + [(u + a.n, v + a.n, w) for u, v, w in b.edges])
     for g in (a, b, apart):
@@ -576,18 +593,6 @@ def test_query_between_h_components_runs_no_search(monkeypatch):
 # ---------------------------------------------------------------- oracle cost
 
 
-def _k4_pieces(pieces, seed, unit=False):
-    rng = random.Random(seed)
-    label = list(range(4 * pieces))
-    rng.shuffle(label)
-    edges = []
-    for p in range(pieces):
-        ids = label[4 * p: 4 * p + 4]
-        edges.extend((ids[a], ids[b], 1.0 if unit else 10 ** rng.uniform(0, 3))
-                     for a in range(4) for b in range(a + 1, 4))
-    return WeightedGraph.from_edges(4 * pieces, edges)
-
-
 def _verify_peak(g, h, t):
     tracemalloc.start()
     try:
@@ -601,7 +606,7 @@ def _verify_peak(g, h, t):
 
 def test_verify_memory_is_linear_on_many_components():
     # a distance list per source would hold ~3000 x 4000 floats (~94 MB)
-    g = _k4_pieces(1000, seed=3)
+    g = k4_pieces(1000, seed=3)
     h = build_light(g, 2, 0.25)
     rep, peak = _verify_peak(g, h, 3.75)
     assert rep.ok
@@ -612,7 +617,7 @@ def test_verify_memory_is_linear_on_many_components():
 def test_one_weight_verify_memory_is_linear_on_many_components(build):
     # one global bit per source would make ~4000 bitsets ~3000 bits wide;
     # ranks within a component keep each at most 4 bits
-    g = _k4_pieces(1000, seed=3, unit=True)
+    g = k4_pieces(1000, seed=3, unit=True)
     h = build(g, 2, 0.25)
     assert {w for _, _, w in h.edges} == {1.0}
     rep, peak = _verify_peak(g, h, 3.75)
@@ -621,7 +626,7 @@ def test_one_weight_verify_memory_is_linear_on_many_components(build):
 
 
 @pytest.mark.parametrize("g", [gnm_graph(80, 400, seed=9, law="uniform", wmax=50),
-                               _k4_pieces(50, seed=5),
+                               k4_pieces(50, seed=5),
                                gnm_graph(80, 400, seed=9, law="unit")])
 def test_one_search_per_reference_source(g, monkeypatch):
     calls = []

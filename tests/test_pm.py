@@ -281,6 +281,20 @@ def test_weight_outside_open_interval_names_its_edge(build, w, need):
         build(g, 2, 0.25)
 
 
+@pytest.mark.parametrize("build", [build_pm, build_linear, build_light])
+@pytest.mark.parametrize("copy", [(0, 1, 1.0), (1, 0, 1.0)])
+def test_repeated_pair_is_a_value_error(build, copy):
+    # pm and linear used to keep both copies of (0, 1) in H, and light only
+    # the lighter one, through a back-map keyed by endpoints
+    g = WeightedGraph(3, [(0, 1, 5.0), copy, (1, 2, 1.0)])
+    with pytest.raises(ValueError, match=re.escape(
+            "vertex pair (0, 1) has more than one edge (edge 1 repeats it); "
+            "WeightedGraph.from_edges keeps the lightest copy")):
+        build(g, 2, 0.25)
+    simple = WeightedGraph.from_edges(3, g.edges)
+    assert build(simple, 2, 0.25).edges == [(0, 1, 1.0), (1, 2, 1.0)]
+
+
 @pytest.mark.parametrize("build", [build_pm, build_linear])
 def test_extreme_weight_ratio_is_a_value_error(build):
     g = WeightedGraph.from_edges(3, EXTREME)
