@@ -119,13 +119,23 @@ def geometric_graph(n: int, seed: int, radius: float | None = None) -> WeightedG
 def generate(kind: str, n: int, seed: int, p: float | None = None,
              m: int | None = None, law: str = "uniform",
              wmax: float = 100.0) -> WeightedGraph:
+    """The `kind` generator's graph.  Raises ValueError on n < 0, and on a
+    `wmax` that is not a finite float >= 1 when the weights are drawn from
+    [1, wmax] (every law but unit; geometric draws no weight)."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if kind == "grid" and law == "uniform":
+        law = "unit"
+    if kind != "geometric" and law != "unit" and not 1.0 <= wmax < math.inf:
+        raise ValueError(f"{law} weights are drawn from [1, wmax]: wmax must be "
+                         f"finite and >= 1, got {wmax!r}")
     if kind == "gnp":
         return gnp_graph(n, p if p is not None else min(1.0, 8.0 / max(n, 2)),
                          seed, law, wmax)
     if kind == "gnm":
         return gnm_graph(n, m if m is not None else 3 * n, seed, law, wmax)
     if kind == "grid":
-        return grid_graph(n, seed, law if law != "uniform" else "unit", wmax)
+        return grid_graph(n, seed, law, wmax)
     if kind == "geometric":
         return geometric_graph(n, seed)
     raise ValueError(f"unknown generator {kind!r}")

@@ -50,8 +50,10 @@ class WeightedGraph:
     def from_edges(cls, n: int, raw: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
         """Build a simple graph: drop self-loops, keep lightest parallel copy.
 
-        Raises ValueError on a vertex id out of range or a weight that is
-        not in (0, inf), NaN included."""
+        Raises ValueError on n < 0, a vertex id out of range or a weight
+        that is not in (0, inf), NaN included."""
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got n={n}")
         best: dict[tuple[int, int], float] = {}
         selfloops = 0
         collapsed = 0
@@ -327,23 +329,29 @@ def sssp_distances(g: WeightedGraph, source: int) -> list[float]:
 
 
 def check_edges(g: WeightedGraph) -> None:
-    """ValueError unless both ends of every edge of g lie in 0..n-1, its
-    weight is finite and positive, and no vertex pair has two edges.
+    """ValueError unless both ends of every edge of g lie in 0..n-1 and
+    differ, its weight is finite and positive, and no vertex pair has two
+    edges.
 
     `from_edges` checks this, but a raw `WeightedGraph(n, edges)` does
     not: an id past n would raise IndexError deep inside a build, and a
     negative one would index from the end of a list; an infinite weight
     could pass into a spanner, and a NaN one would be blamed on the weight
-    range; both copies of a repeated pair could enter a spanner."""
+    range; a self-loop's weight would stretch the weight range although no
+    builder keeps it; both copies of a repeated pair could enter a
+    spanner."""
     n, inf = g.n, INF
     # a pair is keyed by the int min*n + max, not a tuple: ints are not
     # tracked by the garbage collector, so the keys trigger no collection
     pairs: set[int] = set()
     add = pairs.add
     for u, v, w in g.edges:
-        if not (0 <= u < n and 0 <= v < n and 0 < w < inf):
+        if not (0 <= u < n and 0 <= v < n and 0 < w < inf) or u == v:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
+            if u == v:
+                raise ValueError(f"edge ({u}, {v}) is a self-loop; "
+                                 "WeightedGraph.from_edges drops self-loops")
             need = "positive" if math.isfinite(w) else "finite"
             raise ValueError(f"weights must be {need}, got weight {w!r} on edge ({u}, {v})")
         add(u * n + v if u < v else v * n + u)

@@ -6,8 +6,14 @@ Cluster state is rebuilt wholesale between levels: a level's subgraph
 collection becomes the next level's node set, node weights are the
 subgraphs' augmented diameters, and the contracted spanning tree is
 re-derived from the crossing subdivided-tree edges.  A state owns the views
-derived from it: its tree adjacency and its `TreeLCA` are built on first
-use and once, however many carves, levels and classes read them.
+derived from it: its tree adjacency, its one rooting (parent, preorder and
+parent-edge weight) and its `TreeLCA` are built on first use and once,
+however many carves, levels, audits and classes read them.
+
+Steps 2-5 find the level's unassigned tree pieces with one walk per piece
+(`_pieces`), which records a piece's nodes in discovery order, each node's
+walk parent and in-piece neighbours; a piece's Adm, branching nodes, path
+order and absorption order are all read from that one walk.
 
 The structural audits live in the `_audit_*` helpers and run only when the
 context carries a `check` callback.  A value that only an audit reads (a
@@ -21,7 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .dsu import ClassicUF
 from .graphs import WeightedGraph
@@ -76,6 +82,11 @@ class ClassState:
             adj[a].append((b, w, sid))
             adj[b].append((a, w, sid))
         return adj
+
+    @cached_property
+    def rooted(self) -> tuple[list[int], list[int], list[float]]:
+        """The tree rooted at node 0: parents, preorder, parent-edge weights."""
+        return _root_tree(self.adj, self.count)
 
     @cached_property
     def lca(self) -> TreeLCA:
@@ -159,7 +170,7 @@ def _carve_tree(state: ClassState, scale: float) -> tuple[ClassState, list[int]]
     count = state.count
     pot = state.pot
     adj = state.adj
-    parent, order = _root_tree(adj, count)
+    parent, order, _ = state.rooted
 
     piece_of = [-1] * count
     pieces: list[list[int]] = []
@@ -213,11 +224,13 @@ def _carve_tree(state: ClassState, scale: float) -> tuple[ClassState, list[int]]
     return _next_state(state, pieces, piece_of, adm, scale), piece_of
 
 
-def _root_tree(adj, count: int) -> tuple[list[int], list[int]]:
-    """Parent of every node of the tree `adj` rooted at node 0 (-1 for the
-    root), and the nodes in a visit order that lists parents first."""
+def _root_tree(adj, count: int) -> tuple[list[int], list[int], list[float]]:
+    """The tree `adj` rooted at node 0: every node's parent (-1 for the
+    root), the nodes in preorder (each subtree a contiguous run), and every
+    node's parent-edge weight (0.0 for the root)."""
     parent = [-2] * count
     parent[0] = -1
+    up_w = [0.0] * count
     order: list[int] = []
     stack = [0]
     while stack:
@@ -226,8 +239,9 @@ def _root_tree(adj, count: int) -> tuple[list[int], list[int]]:
         for u, w, sid in adj[v]:
             if parent[u] == -2:
                 parent[u] = v
+                up_w[u] = w
                 stack.append(u)
-    return parent, order
+    return parent, order, up_w
 
 
 def _next_state(state: ClassState, parts: list[list[int]], part_of: list[int],
@@ -303,61 +317,46 @@ def _contract(tree_edges, piece_of: list[int], n_pieces: int):
 
 class TreeLCA:
     """Augmented tree distances (edges plus node weights, endpoints
-    included) via Euler tour + sparse-table minimum."""
+    included) over the state's rooting.
+
+    For nodes a != b with a first in preorder, the nodes after a up to b
+    lie in their LCA's subtree and include the LCA's child toward b, so the
+    LCA is the shallowest parent among them: the parent with the smallest
+    preorder position, a sparse-table minimum over those positions."""
 
     def __init__(self, state: ClassState):
-        count = state.count
-        adj = state.adj
-        self.pot = state.pot
-        depth = [0] * count
-        dist = [0.0] * count       # root path: all node weights + edges
-        parent = [-2] * count
-        parent[0] = -1
-        dist[0] = state.pot[0]
-        tour: list[int] = []
-        first = [-1] * count
-        stack: list[tuple[int, bool]] = [(0, False)]
-        while stack:
-            v, back = stack.pop()
-            tour.append(v)
-            if back:
-                continue
-            if first[v] == -1:
-                first[v] = len(tour) - 1
-            for u, w, sid in adj[v]:
-                if parent[u] == -2:
-                    parent[u] = v
-                    depth[u] = depth[v] + 1
-                    dist[u] = dist[v] + w + state.pot[u]
-                    stack.append((v, True))
-                    stack.append((u, False))
-        for idx, v in enumerate(tour):
-            if first[v] == -1:
-                first[v] = idx
-        self.first = first
+        parent, order, up_w = state.rooted
+        pot = state.pot
+        self.pot = pot
+        self.order = order
+        dist = [0.0] * state.count     # root path: all node weights + edges
+        dist[0] = pot[0]
+        for v in order[1:]:
+            dist[v] = dist[parent[v]] + up_w[v] + pot[v]
         self.dist = dist
-        seq = [(depth[v], v) for v in tour]
-        size = len(seq)
-        logs = [0] * (size + 1)
-        for x in range(2, size + 1):
-            logs[x] = logs[x // 2] + 1
-        table = [seq]
-        j = 1
-        while (1 << j) <= size:
-            prev = table[-1]
-            cur = [min(prev[x], prev[x + (1 << (j - 1))])
-                   for x in range(size - (1 << j) + 1)]
-            table.append(cur)
-            j += 1
+        pos = [0] * state.count
+        for t, v in enumerate(order):
+            pos[v] = t
+        self.pos = pos
+        # row j holds the minimum parent position over preorder windows of 2**j
+        row = [0] + [pos[parent[v]] for v in order[1:]]
+        table = [row]
+        span = 1
+        while 2 * span <= state.count:
+            table.append([x if x < y else y for x, y in zip(row, row[span:])])
+            row = table[-1]
+            span *= 2
         self.table = table
-        self.logs = logs
 
     def lca(self, a: int, b: int) -> int:
-        x, y = self.first[a], self.first[b]
+        if a == b:
+            return a
+        x, y = self.pos[a], self.pos[b]
         if x > y:
             x, y = y, x
-        j = self.logs[y - x + 1]
-        return min(self.table[j][x], self.table[j][y - (1 << j) + 1])[1]
+        j = (y - x).bit_length() - 1
+        row = self.table[j]
+        return self.order[min(row[x + 1], row[y - (1 << j) + 1])]
 
     def aug_dist(self, a: int, b: int) -> float:
         if a == b:
@@ -496,16 +495,78 @@ class _Level:
                 if self.assigned[u] == -1:
                     yield v, u, w
 
-    def components(self) -> list[list[int]]:
-        """Connected components of the contracted tree minus assigned nodes."""
-        return _split_components(
-            self, [v for v in range(self.count) if self.assigned[v] == -1])
+    def unassigned(self) -> list[int]:
+        return [v for v in range(self.count) if self.assigned[v] == -1]
 
-    def comp_adm(self, comp: list[int]) -> float:
-        memset = set(comp)
-        nbrs = {v: [(u, w) for u, w, sid in self.adj[v] if u in memset]
-                for v in comp}
-        return _tree_adm(comp, nbrs, self.pot)
+
+class _Piece(NamedTuple):
+    """A connected piece of the contracted tree, walked once from nodes[0]."""
+
+    nodes: list[int]                            # in discovery order
+    up: dict[int, tuple[int, float]]            # walk parent, edge weight (not nodes[0])
+    nbrs: dict[int, list[tuple[int, float]]]    # in-piece neighbours, in adj order
+
+    def adm(self, pot: list[float]) -> float:
+        return _tree_adm(self.nodes, self.nbrs, pot)
+
+    def branching(self) -> list[int]:
+        return sorted(v for v in self.nodes if len(self.nbrs[v]) >= 3)
+
+    def is_path(self) -> bool:
+        return all(len(nb) <= 2 for nb in self.nbrs.values())
+
+    def path(self) -> list[int]:
+        """A path piece's nodes in path order, from its smallest end."""
+        if len(self.nodes) == 1:
+            return list(self.nodes)
+        ends = [v for v in self.nodes if len(self.nbrs[v]) == 1]
+        if not ends:
+            raise AssertionError("path component without an endpoint")
+        prev, cur = -1, min(ends)
+        path = [cur]
+        while True:
+            nxt = next((u for u, w in self.nbrs[cur] if u != prev), None)
+            if nxt is None:
+                return path
+            path.append(nxt)
+            prev, cur = cur, nxt
+
+
+def _pieces(lvl: _Level, nodes: list[int]) -> list[_Piece]:
+    """The connected pieces of the tree restricted to `nodes`, each walked
+    once by a stack over `adj`, from its first node in `nodes`."""
+    adj = lvl.adj
+    member = set(nodes)
+    seen: set[int] = set()
+    out = []
+    for s in nodes:
+        if s in seen:
+            continue
+        seen.add(s)
+        order = [s]
+        up: dict[int, tuple[int, float]] = {}
+        nbrs: dict[int, list[tuple[int, float]]] = {}
+        st = [s]
+        while st:
+            v = st.pop()
+            inside = nbrs[v] = []
+            for u, w, sid in adj[v]:
+                if u in member:
+                    inside.append((u, w))
+                    if u not in seen:
+                        seen.add(u)
+                        up[u] = (v, w)
+                        order.append(u)
+                        st.append(u)
+        out.append(_Piece(order, up, nbrs))
+    return out
+
+
+def _absorb_piece(lvl: _Level, xid: int, piece: _Piece) -> None:
+    """Absorb a piece in walk order, each node through its walk parent."""
+    for v in piece.nodes:
+        up = piece.up.get(v)
+        lvl.absorb(xid, v, via=None if up is None else (up[0], up[1], True))
 
 
 # the five steps live in dedicated helpers; `process_level` drives them
@@ -598,9 +659,8 @@ def _pad_to_min_adm(lvl: _Level, xid: int) -> None:
     """Grow a subgraph along unassigned tree neighbors until Adm >= L_i."""
     x = lvl.xs[xid]
     adm = x.adm(lvl.pot)
-    guard = 4 * lvl.count + 4
-    while adm < lvl.li * (1 - 1e-12) and guard:
-        guard -= 1
+    # every pass absorbs one unassigned node or stops
+    while adm < lvl.li * (1 - 1e-12):
         pick = None
         for v, u, w in lvl.unassigned_tree_neighbors(xid):
             if pick is None or (v, u) < (pick[0], pick[1]):
@@ -619,33 +679,29 @@ def step2_branching(lvl: _Level) -> None:
     trees, then absorb not-good balls into neighbors or high trees."""
     ctx = lvl.ctx
     li = lvl.li
-    worklist = lvl.components()
+    worklist = _pieces(lvl, lvl.unassigned())
     balls: list[int] = []           # xid of carved balls
-    ball_center: dict[int, int] = {}
     while worklist:
-        comp = worklist.pop()
-        if len(comp) == 1:   # a lone node has no branching node
+        piece = worklist.pop()
+        if len(piece.nodes) == 1:   # a lone node has no branching node
             continue
-        if lvl.comp_adm(comp) < 6 * li:
+        if piece.adm(lvl.pot) < 6 * li:
             continue
-        branch = _branching_nodes(lvl, comp)
+        branch = piece.branching()
         if not branch:
             continue
         center = min(
             branch, key=lambda v: (not lvl.nonisolated[v], v)
         )
-        xid = _carve_ball(lvl, center, set(comp), 2 * li)
-        balls.append(xid)
-        ball_center[xid] = center
-        remaining = [v for v in comp if lvl.assigned[v] == -1]
-        worklist.extend(_split_components(lvl, remaining))
+        balls.append(_carve_ball(lvl, center, piece, 2 * li))
+        worklist.extend(_pieces(lvl, [v for v in piece.nodes if lvl.assigned[v] == -1]))
 
     # post-process: balls holding a non-isolated node need a second
-    # non-virtual node; attach to a high tree or merge into a neighbor ball
+    # non-virtual node; attach to a high tree or merge into a neighbor ball.
+    # Every pass that changes something empties a ball, and an empty ball
+    # is never a merge target again, so the passes end
     changed = True
-    guard = 4 * len(balls) + 4
-    while changed and guard:
-        guard -= 1
+    while changed:
         changed = False
         for xid in balls:
             x = lvl.xs[xid]
@@ -678,19 +734,10 @@ def _audit_balls(lvl: _Level, balls: list[int]) -> None:
                           f"ball adm={adm} li={li}")
 
 
-def _branching_nodes(lvl: _Level, comp: list[int]) -> list[int]:
-    memset = set(comp)
-    out = []
-    for v in comp:
-        d = sum(1 for u, w, sid in lvl.adj[v] if u in memset)
-        if d >= 3:
-            out.append(v)
-    return sorted(out)
-
-
-def _carve_ball(lvl: _Level, center: int, allowed: set[int], radius: float) -> int:
-    """Dijkstra ball by augmented distance; nodes reaching >= radius are
-    included but not expanded."""
+def _carve_ball(lvl: _Level, center: int, piece: _Piece, radius: float) -> int:
+    """Dijkstra ball inside `piece` (all of whose nodes are unassigned) by
+    augmented distance; nodes reaching >= radius are included but not
+    expanded."""
     xid = lvl.new_x("ball")
     dist = {center: lvl.pot[center]}
     via: dict[int, tuple[int, float]] = {}
@@ -705,8 +752,8 @@ def _carve_ball(lvl: _Level, center: int, allowed: set[int], radius: float) -> i
         orderd.append(v)
         if d >= radius:
             continue
-        for u, w, sid in lvl.adj[v]:
-            if u in allowed and lvl.assigned[u] == -1 and u not in popped:
+        for u, w in piece.nbrs[v]:
+            if u not in popped:
                 nd = d + w + lvl.pot[u]
                 if nd < dist.get(u, math.inf):
                     dist[u] = nd
@@ -719,27 +766,6 @@ def _carve_ball(lvl: _Level, center: int, allowed: set[int], radius: float) -> i
             pv, w = via[v]
             lvl.absorb(xid, v, via=(pv, w, True))
     return xid
-
-
-def _split_components(lvl: _Level, nodes: list[int]) -> list[list[int]]:
-    memset = set(nodes)
-    seen: set[int] = set()
-    comps = []
-    for s in nodes:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        st = [s]
-        while st:
-            v = st.pop()
-            for u, w, sid in lvl.adj[v]:
-                if u in memset and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    st.append(u)
-        comps.append(comp)
-    return comps
 
 
 def _is_good(lvl: _Level, x: Subgraph) -> bool:
@@ -780,10 +806,10 @@ def _adjacent_subgraph(lvl: _Level, xid: int, prefer: str):
 def step3_absorb_branching(lvl: _Level) -> None:
     """Remove tree-branching nodes from long paths by attaching each to an
     adjacent already-formed subgraph."""
-    for comp in lvl.components():
-        if lvl.comp_adm(comp) < 6 * lvl.li or not _is_path(lvl, comp):
+    for piece in _pieces(lvl, lvl.unassigned()):
+        if not piece.is_path() or piece.adm(lvl.pot) < 6 * lvl.li:
             continue
-        for v in sorted(comp):
+        for v in sorted(piece.nodes):
             full_deg = len(lvl.adj[v])
             if full_deg < 3:
                 continue
@@ -799,13 +825,6 @@ def step3_absorb_branching(lvl: _Level) -> None:
             lvl.absorb(other, v, via=(u, w, True))
 
 
-def _is_path(lvl: _Level, comp: list[int]) -> bool:
-    """Whether the connected tree piece `comp` is a path: no node of it has
-    more than two neighbours in it."""
-    memset = set(comp)
-    return all(sum(1 for u, w, sid in lvl.adj[v] if u in memset) <= 2 for v in comp)
-
-
 # ---------------------------------------------------------------- step 4
 
 
@@ -814,9 +833,9 @@ def step4_blue_edges(lvl: _Level) -> None:
     paths by carving radius-L_i segments around both endpoints into one
     subgraph holding that single edge."""
     li = lvl.li
-    guard = len(lvl.ei) + 4
-    while guard:
-        guard -= 1
+    # every pass absorbs `a`, the picked edge's unassigned end, so no edge
+    # is picked twice and the passes end
+    while True:
         blue = _blue_nodes(lvl)
         pick = None
         for idx, (a, b, w, eid) in enumerate(lvl.ei):
@@ -859,10 +878,10 @@ def _audit_tree_weight(x: Subgraph) -> float:
 
 def _blue_nodes(lvl: _Level) -> set[int]:
     blue: set[int] = set()
-    for comp in lvl.components():
-        if not _is_path(lvl, comp):
+    for piece in _pieces(lvl, lvl.unassigned()):
+        if not piece.is_path():
             continue
-        path = _order_path(lvl, comp)
+        path = piece.path()
         total, pos = _path_positions(lvl, path)
         if total < 6 * lvl.li:
             continue
@@ -870,34 +889,6 @@ def _blue_nodes(lvl: _Level) -> set[int]:
             if pos[idx] > lvl.li and total - pos[idx] + lvl.pot[v] > lvl.li:
                 blue.add(v)
     return blue
-
-
-def _order_path(lvl: _Level, comp: list[int]) -> list[int]:
-    memset = set(comp)
-    if len(comp) == 1:
-        return list(comp)
-    end = None
-    for v in sorted(comp):
-        d = sum(1 for u, w, sid in lvl.adj[v] if u in memset)
-        if d == 1:
-            end = v
-            break
-    if end is None:
-        raise AssertionError("path component without an endpoint")
-    path = [end]
-    prev = -1
-    cur = end
-    while True:
-        nxt = None
-        for u, w, sid in lvl.adj[cur]:
-            if u in memset and u != prev:
-                nxt = u
-                break
-        if nxt is None:
-            break
-        path.append(nxt)
-        prev, cur = cur, nxt
-    return path
 
 
 def _path_positions(lvl: _Level, path: list[int]) -> tuple[float, list[float]]:
@@ -969,34 +960,32 @@ def _absorb_run(lvl: _Level, xid: int, run: list[int],
 
 def step5_paths(lvl: _Level) -> None:
     li = lvl.li
-    for comp in lvl.components():
-        adm = lvl.comp_adm(comp)
-        if adm <= 6 * li:
-            hook = _component_hook(lvl, comp)
+    for piece in _pieces(lvl, lvl.unassigned()):
+        if piece.adm(lvl.pot) <= 6 * li:
+            hook = _component_hook(lvl, piece.nodes)
             if hook is not None:
                 other, bridge = hook
                 xid = lvl.new_x("small")
-                _absorb_component(lvl, xid, comp)
+                _absorb_piece(lvl, xid, piece)
                 lvl.merge_into(xid, other, bridge)
             else:
                 # whole remaining tree: a standalone subgraph
                 xid = lvl.new_x("whole")
-                _absorb_component(lvl, xid, comp)
+                _absorb_piece(lvl, xid, piece)
             continue
-        path = _order_path(lvl, comp)
-        pieces = break_long_path(lvl, path)
+        path = piece.path()
+        segs = [path[a:b + 1] for a, b in break_long_path(lvl, path)]
         # hooks must target subgraphs that existed before this path was
         # broken, never sibling pieces: resolve them before absorbing
-        hooks = []
-        for piece in pieces:
-            seg = path[piece[0]:piece[1] + 1]
-            hooks.append(_segment_hook(lvl, seg))
-        for piece, hook in zip(pieces, hooks):
-            seg = path[piece[0]:piece[1] + 1]
+        hooks = [_segment_hook(lvl, seg) for seg in segs]
+        for seg, hook in zip(segs, hooks):
             xid = lvl.new_x("piece")
             if lvl.ctx.check is not None:
-                lvl.xs[xid].endpoint_piece = piece[0] == 0 or piece[1] == len(path) - 1
-            _absorb_component(lvl, xid, seg)
+                lvl.xs[xid].endpoint_piece = seg[0] == path[0] or seg[-1] == path[-1]
+            walked = _pieces(lvl, seg)
+            if len(walked) != 1:
+                raise AssertionError("component absorption left nodes behind")
+            _absorb_piece(lvl, xid, walked[0])
             if hook is not None:
                 other, bridge = hook
                 lvl.merge_into(xid, other, bridge)
@@ -1023,23 +1012,6 @@ def _segment_hook(lvl: _Level, seg: list[int]):
             if other != -1 and lvl.xs[other].nodes:
                 return other, (u, v, w, True)
     return None
-
-
-def _absorb_component(lvl: _Level, xid: int, comp: list[int]) -> None:
-    memset = set(comp)
-    first = comp[0]
-    lvl.absorb(xid, first)
-    st = [first]
-    seen = {first}
-    while st:
-        v = st.pop()
-        for u, w, sid in lvl.adj[v]:
-            if u in memset and u not in seen:
-                seen.add(u)
-                lvl.absorb(xid, u, via=(v, w, True))
-                st.append(u)
-    if len(seen) != len(comp):
-        raise AssertionError("component absorption left nodes behind")
 
 
 def break_long_path(lvl: _Level, path: list[int]) -> list[tuple[int, int]]:
@@ -1332,7 +1304,7 @@ def _audit_cycle_property(lvl: _Level) -> None:
             if par_eid.setdefault(c, peid) != peid:
                 raise AssertionError("virtual cluster spans several MST edges")
     mst_weight = sub.mst_weight
-    parent, order = _root_tree(lvl.adj, lvl.count)
+    parent, order, _ = state.rooted
     depth = [0] * lvl.count
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1

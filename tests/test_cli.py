@@ -33,6 +33,49 @@ def test_gen_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, msg", [
+    (["--type", "gnm", "--n", "-3"], "n must be >= 0, got -3"),
+    (["--type", "gnp", "--n", "10", "--wmax", "-1"],
+     "uniform weights are drawn from [1, wmax]: wmax must be finite and >= 1, got -1.0"),
+    (["--type", "gnm", "--n", "10", "--weights", "loguniform", "--wmax", "0.5"],
+     "wmax must be finite and >= 1, got 0.5"),
+    (["--type", "grid", "--n", "16", "--weights", "loguniform", "--wmax", "inf"],
+     "wmax must be finite and >= 1, got inf"),
+    (["--type", "gnp", "--n", "10", "--wmax", "nan"], "wmax must be finite and >= 1, got nan"),
+])
+def test_gen_rejects_negative_n_or_bad_wmax_exit_2(tmp_path, capsys, argv, msg):
+    # gnm at n = -3 wrote the header "-3 0", which build and verify then
+    # passed; gnp at wmax = -1 wrote negative weights that build rejected
+    out = tmp_path / "g.txt"
+    assert main(["gen", *argv, "-o", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_ignores_wmax_for_weights_it_does_not_draw(tmp_path):
+    # unit weights, a grid's default unit weights and geometric's
+    # Euclidean weights never read wmax
+    for argv in (["--type", "gnm", "--weights", "unit"], ["--type", "grid"],
+                 ["--type", "geometric", "--weights", "loguniform"]):
+        assert main(["gen", *argv, "--n", "16", "--wmax", "-1",
+                     "-o", str(tmp_path / "g.txt")]) == 0
+
+
+@pytest.mark.parametrize("name, header, fmt", [("g.txt", "-3 0", "edge-list"),
+                                                ("g.gr", "p sp -3 0", "dimacs-gr")])
+def test_negative_vertex_count_exit_2(tmp_path, capsys, name, header, fmt):
+    # both formats reach WeightedGraph.from_edges, which now rejects n < 0;
+    # the spanner below is what build used to write for such a file
+    gpath, spath, out = tmp_path / name, tmp_path / "h.txt", tmp_path / "new.txt"
+    gpath.write_text(header + "\n")
+    spath.write_text("# algo=light k=2 eps=0.25 n=-3 source_hash=b0633f1a729c\n-3 0\n")
+    for argv in (["build", "--algo", "light", "-i", str(gpath), "-o", str(out)],
+                 ["verify", "-g", str(gpath), "-s", str(spath)]):
+        assert main([*argv, "--format", fmt]) == 2
+        assert "vertex count must be >= 0, got n=-3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("algo", ["pm", "linear", "light", "greedy"])
 def test_build_verify_roundtrip(tmp_path, algo):
     gpath = tmp_path / "g.txt"

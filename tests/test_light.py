@@ -452,6 +452,195 @@ def test_force_min_adm_matches_restart_reference(monkeypatch):
     assert merges   # the reference did merge, so the levels test the merge order
 
 
+# ---------------------------------------------------------------- piece walk
+
+
+# The per-component helpers that `_pieces` replaced, kept as references:
+# each walked or scanned a component again for one answer
+
+
+def reference_split_components(lvl, nodes: list[int]) -> list[list[int]]:
+    memset = set(nodes)
+    seen: set[int] = set()
+    comps = []
+    for s in nodes:
+        if s in seen:
+            continue
+        comp = [s]
+        seen.add(s)
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u, w, sid in lvl.adj[v]:
+                if u in memset and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    stack.append(u)
+        comps.append(comp)
+    return comps
+
+
+def reference_comp_adm(lvl, comp: list[int]) -> float:
+    memset = set(comp)
+    nbrs = {v: [(u, w) for u, w, sid in lvl.adj[v] if u in memset] for v in comp}
+    return steps._tree_adm(comp, nbrs, lvl.pot)
+
+
+def reference_branching_nodes(lvl, comp: list[int]) -> list[int]:
+    memset = set(comp)
+    return sorted(v for v in comp
+                  if sum(1 for u, w, sid in lvl.adj[v] if u in memset) >= 3)
+
+
+def reference_is_path(lvl, comp: list[int]) -> bool:
+    memset = set(comp)
+    return all(sum(1 for u, w, sid in lvl.adj[v] if u in memset) <= 2 for v in comp)
+
+
+def reference_order_path(lvl, comp: list[int]) -> list[int]:
+    memset = set(comp)
+    if len(comp) == 1:
+        return list(comp)
+    end = next(v for v in sorted(comp)
+               if sum(1 for u, w, sid in lvl.adj[v] if u in memset) == 1)
+    path = [end]
+    prev, cur = -1, end
+    while True:
+        nxt = next((u for u, w, sid in lvl.adj[cur] if u in memset and u != prev), None)
+        if nxt is None:
+            return path
+        path.append(nxt)
+        prev, cur = cur, nxt
+
+
+def reference_absorb_component(lvl, xid: int, comp: list[int]) -> None:
+    memset = set(comp)
+    lvl.absorb(xid, comp[0])
+    stack = [comp[0]]
+    seen = {comp[0]}
+    while stack:
+        v = stack.pop()
+        for u, w, sid in lvl.adj[v]:
+            if u in memset and u not in seen:
+                seen.add(u)
+                lvl.absorb(xid, u, via=(v, w, True))
+                stack.append(u)
+    assert len(seen) == len(comp)
+
+
+class ReferenceTreeLCA:
+    """`TreeLCA` over its own DFS: an Euler tour of 2n - 1 entries and a
+    sparse-table minimum of (depth, node) over it."""
+
+    def __init__(self, state: steps.ClassState):
+        count = state.count
+        depth = [0] * count
+        dist = [0.0] * count
+        parent = [-2] * count
+        parent[0] = -1
+        dist[0] = state.pot[0]
+        tour: list[int] = []
+        first = [-1] * count
+        stack: list[tuple[int, bool]] = [(0, False)]
+        while stack:
+            v, back = stack.pop()
+            tour.append(v)
+            if back:
+                continue
+            if first[v] == -1:
+                first[v] = len(tour) - 1
+            for u, w, sid in state.adj[v]:
+                if parent[u] == -2:
+                    parent[u] = v
+                    depth[u] = depth[v] + 1
+                    dist[u] = dist[v] + w + state.pot[u]
+                    stack.append((v, True))
+                    stack.append((u, False))
+        self.pot, self.first, self.dist = state.pot, first, dist
+        seq = [(depth[v], v) for v in tour]
+        self.table = [seq]
+        j = 1
+        while (1 << j) <= len(seq):
+            prev = self.table[-1]
+            self.table.append([min(prev[x], prev[x + (1 << (j - 1))])
+                               for x in range(len(seq) - (1 << j) + 1)])
+            j += 1
+
+    def lca(self, a: int, b: int) -> int:
+        x, y = sorted((self.first[a], self.first[b]))
+        j = (y - x + 1).bit_length() - 1
+        return min(self.table[j][x], self.table[j][y - (1 << j) + 1])[1]
+
+    def aug_dist(self, a: int, b: int) -> float:
+        if a == b:
+            return self.pot[a]
+        anc = self.lca(a, b)
+        return self.dist[a] + self.dist[b] - 2 * self.dist[anc] + self.pot[anc]
+
+
+def _masked_level(state, ei, li, ctx, held: list[int]):
+    """A bare level whose nodes `held` already belong to one subgraph."""
+    lvl = steps._Level(state, ei, li, ctx)
+    xid = lvl.new_x("held")
+    for v in held:
+        lvl.absorb(xid, v)
+    return lvl
+
+
+def test_pieces_match_component_references():
+    # one walk per piece answers what the references each walked for: the
+    # pieces, each one's Adm, branching nodes, path flag, path order and
+    # absorption, bit for bit; on sorted and shuffled node lists (step 2
+    # splits what a ball leaves in walk order), with random assigned masks
+    import itertools
+
+    rng = random.Random(18)
+    levels = paths = segments = 0
+    for state, ei, li, ctx in itertools.chain(_random_levels(range(40)),
+                                              _long_tree_levels()):
+        levels += 1
+        for frac in (0.0, 0.3, 0.7):
+            held = [v for v in range(state.count) if rng.random() < frac]
+            lvl, ref = (_masked_level(state, ei, li, ctx, held) for _ in range(2))
+            fresh, fresh_ref = (steps._Level(state, ei, li, ctx) for _ in range(2))
+            nodes = lvl.unassigned()
+            if frac == 0.3:
+                rng.shuffle(nodes)
+            pieces = steps._pieces(lvl, nodes)
+            assert [p.nodes for p in pieces] == reference_split_components(ref, nodes)
+            for piece in pieces:
+                comp = piece.nodes
+                assert piece.adm(lvl.pot) == reference_comp_adm(ref, comp)
+                assert piece.branching() == reference_branching_nodes(ref, comp)
+                assert piece.is_path() == reference_is_path(ref, comp)
+                steps._absorb_piece(lvl, lvl.new_x("small"), piece)
+                reference_absorb_component(ref, ref.new_x("small"), comp)
+                got, want = lvl.xs[-1], ref.xs[-1]
+                assert (got.nodes, got.graph_edges) == (want.nodes, want.graph_edges)
+                if not piece.is_path():
+                    continue
+                paths += 1
+                path = piece.path()
+                assert path == reference_order_path(ref, comp)
+                # a contiguous segment, as step 5 absorbs, walks as one piece
+                a = rng.randrange(len(path))
+                seg = path[a:rng.randrange(a, len(path)) + 1]
+                (walked,) = steps._pieces(fresh, seg)
+                assert [walked.nodes] == reference_split_components(fresh_ref, seg)
+                steps._absorb_piece(fresh, fresh.new_x("piece"), walked)
+                reference_absorb_component(fresh_ref, fresh_ref.new_x("piece"), seg)
+                got, want = fresh.xs[-1], fresh_ref.xs[-1]
+                assert (got.nodes, got.graph_edges) == (want.nodes, want.graph_edges)
+                segments += len(seg) > 2
+        lca, ref_lca = steps.TreeLCA(state), ReferenceTreeLCA(state)
+        for _ in range(200):
+            a, b = rng.randrange(state.count), rng.randrange(state.count)
+            assert lca.lca(a, b) == ref_lca.lca(a, b)
+            assert lca.aug_dist(a, b) == ref_lca.aug_dist(a, b)
+    assert levels == PROCESS_LEVEL_DIGEST["levels"]
+    assert paths > 1000 and segments > 20
+
+
 # ---------------------------------------------------------------- Adm
 
 
@@ -831,12 +1020,13 @@ def test_lca_tables_built_once_per_state(monkeypatch):
     # carve-ladder rungs; every class entering at a rung shares its LCA.
     # On that build and on the golden case steps-gnm500-k3-e0.5, whose
     # classes run the five steps 10 times, a build makes one singleton
-    # state and every state builds its adjacency and LCA at most once
+    # state and every state builds its adjacency, rooting and LCA at most
+    # once
     import functools
     import spanlab.light
 
     calls = {"lca": 0, "rungs": 0, "process": 0, "coarsen": 0, "starts": 0}
-    built: dict[str, list] = {"adj": [], "lca": [], "singleton": []}
+    built: dict[str, list] = {"adj": [], "rooted": [], "lca": [], "singleton": []}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -850,9 +1040,10 @@ def test_lca_tables_built_once_per_state(monkeypatch):
             return fn(arg, *args, **kwargs)
         return wrapper
 
-    adj = functools.cached_property(recorded("adj", steps.ClassState.adj.func))
-    adj.__set_name__(steps.ClassState, "adj")
-    monkeypatch.setattr(steps.ClassState, "adj", adj)
+    for key in ("adj", "rooted"):
+        view = functools.cached_property(recorded(key, getattr(steps.ClassState, key).func))
+        view.__set_name__(steps.ClassState, key)
+        monkeypatch.setattr(steps.ClassState, key, view)
     monkeypatch.setattr(steps, "singleton_state",
                         recorded("singleton", steps.singleton_state))
     monkeypatch.setattr(steps, "TreeLCA",
@@ -865,7 +1056,7 @@ def test_lca_tables_built_once_per_state(monkeypatch):
 
     def assert_views_built_once():
         assert len(built["singleton"]) == 1
-        for key in ("adj", "lca"):
+        for key in ("adj", "rooted", "lca"):
             assert built[key]
             assert len({id(st) for st in built[key]}) == len(built[key])
             built[key].clear()

@@ -295,6 +295,19 @@ def test_repeated_pair_is_a_value_error(build, copy):
     assert build(simple, 2, 0.25).edges == [(0, 1, 1.0), (1, 2, 1.0)]
 
 
+@pytest.mark.parametrize("build", [build_pm, build_linear, build_light])
+def test_self_loop_is_a_value_error(build):
+    # no builder keeps a self-loop, but pm and linear used to bucket its
+    # weight and blame the weight range, and light built around it
+    g = gnm_graph(60, 400, seed=3, law="loguniform", wmax=1e9)
+    raw = WeightedGraph(g.n, g.edges + [(5, 5, 1e-300)])
+    with pytest.raises(ValueError, match=re.escape(
+            "edge (5, 5) is a self-loop; WeightedGraph.from_edges drops self-loops")):
+        build(raw, 2, 0.25)
+    simple = WeightedGraph.from_edges(raw.n, raw.edges)
+    assert build(simple, 2, 0.25).edges == build(g, 2, 0.25).edges
+
+
 @pytest.mark.parametrize("build", [build_pm, build_linear])
 def test_extreme_weight_ratio_is_a_value_error(build):
     g = WeightedGraph.from_edges(3, EXTREME)
