@@ -69,7 +69,12 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph(args.graph, args.format)
     sp = load_spanner(args.spanner)
-    t = args.t if args.t is not None else (2 * sp.k - 1) * (1 + sp.eps)
+    t = args.t
+    if t is None:
+        if sp.k is None or sp.eps is None:
+            raise ValueError(f"{args.spanner}: the header gives no k and eps "
+                             "to take the target from; pass it with -t")
+        t = (2 * sp.k - 1) * (1 + sp.eps)
     report = verify_stretch(g, sp, t)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -156,7 +156,7 @@ def _build_connected(
     mst = minimum_spanning_tree(g)
     mst_eids = set(mst.eids)
 
-    light_ids, heavy_ids, discarded = split_light_heavy(g, eps, mst.weight)
+    light_ids, heavy_ids, _ = split_light_heavy(g, eps, mst.weight)
 
     # light part through pm's levels, on g's own ids of the light edges
     # and the MST; the MST enters whole, whatever those levels keep
@@ -172,8 +172,6 @@ def _build_connected(
             g, mst, heavy_pool, k, eps, check,
             chosen, levels_log, ops,
         )
-    if check is not None:
-        check("discarded-heaviest", discarded >= 0, f"discarded={discarded}")
 
     edges = [g.edges[e] for e in sorted(chosen)]
     return Spanner(algo="light", k=k, eps=eps, n=g.n, edges=edges,

@@ -10,19 +10,18 @@ bucketed and every bucketed level has work.  Carried forest edges
 candidates: the MST cycle property guarantees they reach every cluster
 touched by bucket edges.
 
-Each level merges along a star cover of its cluster forest: the clusters
-are its nodes, numbered by first appearance along the carried edges, and
-each cluster has at most one carried edge up to its parent.  The cover
-runs on that parent/child structure.  Step 1 scans the nodes in id order;
-a node still unowned that has an unowned neighbour becomes a centre and
-takes its unowned children and its parent, if unowned.  Step 2 attaches
-each node left over through its lowest-id neighbour.  This is the
-partition pm.grow_star_cover gives on the forest's adjacency lists sorted
-by id, whose step 1 takes every unowned neighbour in any list order and
-whose step 2 takes the first, lowest, entry; no lists are built or
-sorted.  The star edges are linked in one `StaticTreeUF.link_all` and the
-carried edges' upper ends found in one `find_all`, both counted as the
-single calls would be.
+A level merges its clusters only if a later level of the same class
+exists, since only such a level dedupes through them.  So a class's last
+level merges nothing, a one-level class opens no union-find session, and
+a component builds its static-tree index when its first session opens.
+A skipped merge changes no edge: a merge only links MST edges, and the
+whole MST is already in the spanner.
+
+Each merge runs a star cover on the level's cluster forest, in which a
+cluster has at most one carried edge up to its parent (see
+`merge_forest_subtrees`); the star edges are linked in one
+`StaticTreeUF.link_all` and the carried edges' upper ends found in one
+`find_all`, both counted as the single calls would be.
 
 `per_component` is the disconnected-input wrapper of this builder and of
 light's.
@@ -30,8 +29,6 @@ light's.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import filterfalse
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .buckets import bucket_raw_index, level_scale, partition_edges
@@ -128,59 +125,64 @@ def _build_connected(
     mst_index = [j for j, _ in mst_sorted]
     mst_child = [child for _, child in mst_sorted]
 
-    index = StaticTreeIndex(mst.parent)
+    index: Optional[StaticTreeIndex] = None
     levels_log: list[dict] = []
 
     for sigma in buckets.classes():
         level_ids = buckets.levels(sigma)
-        if len(level_ids) == 1 and check is None:
-            # single processed level: clusters are still singletons and no
-            # later level consumes the merges, so dedupe with identity
-            # representatives and skip the union-find session outright.
-            # Audited builds take the full path so that the audits see it.
-            i = level_ids[0]
-            bucket = buckets.edges(sigma, i)
-            kept, _, reps, _ = select_bucket(norm, bucket, k, lambda v: v,
-                                             spanner_eids, ops)
-            levels_log.append(
-                {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
-                 "rep_nodes": len(reps), "kept_edges": len(kept),
-                 "delta": 0, "links": 0, "finds": 0, "y_nodes": 0,
-                 "fast": True}
-            )
-            continue
-        session = StaticTreeUF(index)
+        last = level_ids[-1]
+        session: Optional[StaticTreeUF] = None
+        if len(level_ids) > 1:
+            if index is None:
+                index = StaticTreeIndex(mst.parent)
+            session = StaticTreeUF(index)
         carried: list[int] = []   # inter-cluster MST edges (child ids), w <= L_i
         ptr = 0
         for i in level_ids:
             bucket = buckets.edges(sigma, i)
-            if check is not None:
+            if check is not None and session is not None:
                 _check_p2_subtree(
                     norm, mst, session,
                     budget=G_PM * level_scale(sigma, i - 1, eps_i),
                     check=check, tag=f"sigma={sigma} level={i}",
                 )
-            cost0 = session.cost
-            kept, _, reps, _ = select_bucket(norm, bucket, k, session.find,
-                                             spanner_eids, ops)
+            cost0 = session.cost if session else 0
+            kept, _, reps, _ = select_bucket(
+                norm, bucket, k, session.find if session else _identity,
+                spanner_eids, ops)
 
-            # collect this level's merge candidates: carried forest edges
-            # plus the newly in-range MST edges (weight <= L_i)
+            # this level's merge candidates: carried forest edges plus the
+            # newly in-range MST edges (weight <= L_i)
             end = bisect_right(mst_index, i * mu + sigma, ptr)
             carried += mst_child[ptr:end]
             ptr = end
-            links, carried, ynodes = _merge_level(
-                mst, session, carried, check, reps, sigma, i)
-            finds = session.cost - cost0 - links
+            verts: list[int] = []
+            links = 0
+            if i != last:
+                verts, above = cluster_forest_edges(session, mst, carried)
+                links = merge_forest_subtrees(session, verts, above)
+                # leftovers in carried order, which numbers the next forest
+                linked = session.linked
+                carried = [c for c in carried if not linked[c]]
+            if check is not None:
+                tag = f"sigma={sigma} i={i}"
+                y = set(verts) if i != last else _in_range_clusters(
+                    session, mst, carried)
+                check("x-subset-y", all(r in y for r in reps),
+                      f"{tag} |X|={len(reps)} |Y|={len(y)}")
+                if i != last:
+                    check("merge-reduction", links >= len(verts) / 2,
+                          f"{tag} links={links} |Y|={len(verts)}")
+            spent = session.cost - cost0 if session else 0
             ops["links"] += links
-            ops["finds"] += finds
+            ops["finds"] += spent - links
+            ops["uf_cost"] += spent
             levels_log.append(
                 {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
                  "rep_nodes": len(reps), "kept_edges": len(kept),
-                 "delta": links, "links": links,
-                 "finds": finds, "y_nodes": ynodes}
+                 "delta": links, "links": links, "finds": spent - links,
+                 "y_nodes": len(verts), "fast": i == last}
             )
-        ops["uf_cost"] += session.cost
 
     edges = [g.edges[e] for e in sorted(spanner_eids)]
     return Spanner(
@@ -189,63 +191,63 @@ def _build_connected(
     )
 
 
+def _identity(v: int) -> int:
+    return v
+
+
 def cluster_forest_edges(
     session: StaticTreeUF, mst, carried: list[int]
-) -> tuple[list[tuple[int, int, int]], dict[int, int]]:
-    """Materialize the level's merge candidates as cluster pairs.
+) -> tuple[list[int], list[int]]:
+    """The level's cluster forest as (verts, above): node a is the cluster
+    whose representative is vertex verts[a], and above[a] is the node its
+    carried edge leads up to, or len(verts) for a root.
 
-    `carried` holds the in-range MST edges by child vertex; each maps to
-    (child, find(parent)) and every incident cluster joins the node set,
-    numbered in order of first appearance along (child, top) per edge.
-    A cluster is a connected MST subtree, so an edge leaving it upward
-    leaves at its top: `child` is unlinked and is its own cluster's
-    representative.  The MST cycle property guarantees this node set
-    covers every cluster touched by a surviving bucket edge."""
+    `carried` holds the in-range MST edges by child vertex; each joins
+    the cluster of `child` to that of top = find(parent), and the nodes
+    are numbered in order of first appearance along (child, top) per
+    edge.  A cluster is a connected MST subtree, so an edge leaving it
+    upward leaves at its top: `child` is unlinked and is its own
+    cluster's representative, so no cluster has two upward edges."""
     if any(map(session.linked.__getitem__, carried)):
         raise AssertionError("carried MST edge became intra-cluster")
     tops = session.find_all(map(mst.parent.__getitem__, carried))
-    pairs: list[tuple[int, int, int]] = []
-    nodeset: dict[int, int] = {}
-    add = nodeset.setdefault
+    node: dict[int, int] = {}
+    add = node.setdefault
     for child, top in zip(carried, tops):
-        a = add(child, len(nodeset))
-        pairs.append((a, add(top, len(nodeset)), child))
-    return pairs, nodeset
+        add(child, len(node))
+        add(top, len(node))
+    above = [len(node)] * len(node)
+    for child, top in zip(carried, tops):
+        above[node[child]] = node[top]
+    return list(node), above
 
 
 def merge_forest_subtrees(
-    session: StaticTreeUF, pairs: list[tuple[int, int, int]], n_nodes: int
-) -> tuple[int, list[int]]:
-    """Star-cover the cluster forest and Link each in-subtree edge; returns
-    (links performed, leftover child ids crossing different subtrees).
+    session: StaticTreeUF, verts: list[int], above: list[int]
+) -> int:
+    """Star-cover the cluster forest (verts, above) and Link each star
+    edge; returns the number of links.
 
-    A pair (a, b, child) is the MST edge from cluster a's top vertex
-    `child` up to cluster b, and a cluster has at most one such edge, so
-    the forest is stored as `above[a]` = b and `up_edge[a]` = child, with
-    each node's children chained through `first_child` and `next_sibling`.
-    The star cover runs on that structure directly.  Step 1 scans the
-    nodes in id order; a node that is still unowned becomes a centre if it
-    has an unowned neighbour, and takes all of its unowned children and
-    its parent if that is unowned.  Step 2 attaches each node left unowned
-    to its lowest-id neighbour.  That is pm.grow_star_cover's partition on
+    The cover runs on the forest itself, each node's children chained
+    through `first_child` and `next_sibling`.  Step 1 scans the nodes in
+    id order; a node that is still unowned becomes a centre if it has an
+    unowned neighbour, and takes all of its unowned children and its
+    parent if that is unowned.  Step 2 attaches each node left unowned to
+    its lowest-id neighbour.  That is pm.grow_star_cover's partition on
     the forest's adjacency sorted by id: its step 1 takes every unowned
     neighbour whatever the list order, and its step 2 takes the first
-    entry of a sorted list, the minimum.  The link for a star edge is its
-    child end's `up_edge`, and the forest's edges inside one subtree are
-    exactly its star edges, so the leftovers are the pairs left
-    unlinked."""
+    entry of a sorted list, the minimum.  A star edge is linked at its
+    lower node's representative, and the forest's edges inside one
+    subtree are exactly its star edges, so the carried edges left
+    unlinked cross different subtrees."""
+    n_nodes = len(verts)
     none = n_nodes   # the parent of a root and the end of a child chain
-    above = [none] * n_nodes
-    up_edge = [0] * n_nodes
     first_child = [none] * n_nodes
     next_sibling = [none] * n_nodes
-    for a, b, child in pairs:
-        if above[a] != none:
-            raise AssertionError("cluster with two upward forest edges")
-        above[a] = b
-        up_edge[a] = child
-        next_sibling[a] = first_child[b]
-        first_child[b] = a
+    for a, b in enumerate(above):
+        if b != none:
+            next_sibling[a] = first_child[b]
+            first_child[b] = a
 
     owned = [False] * n_nodes + [True]   # a missing parent is never free
     to_link: list[int] = []
@@ -258,12 +260,12 @@ def merge_forest_subtrees(
         while c != none:
             if not owned[c]:
                 owned[c] = took = True
-                to_link.append(up_edge[c])
+                to_link.append(verts[c])
             c = next_sibling[c]
         p = above[v]
         if not owned[p]:
             owned[p] = took = True
-            to_link.append(up_edge[v])
+            to_link.append(verts[v])
         if took:
             owned[v] = True
         else:
@@ -276,39 +278,26 @@ def merge_forest_subtrees(
             u = min(u, c)
             c = next_sibling[c]
         if above[v] < u:
-            to_link.append(up_edge[v])
+            to_link.append(verts[v])
         elif u != none:
-            to_link.append(up_edge[u])
+            to_link.append(verts[u])
         else:
             raise ValueError(f"node {v} is isolated; star cover needs none")
 
     session.link_all(to_link)
-    return len(to_link), list(filterfalse(session.linked.__getitem__,
-                                          map(itemgetter(2), pairs)))
+    return len(to_link)
 
 
-def _merge_level(
-    mst,
-    session: StaticTreeUF,
-    carried: list[int],
-    check: Optional[Callable[[str, bool, str], None]],
-    rep_nodes: list[int],
-    sigma: int,
-    i: int,
-) -> tuple[int, list[int], int]:
-    pairs, nodeset = cluster_forest_edges(session, mst, carried)
-    if check is not None:
-        tag = f"sigma={sigma} i={i}"
-        got = set(nodeset)
-        ok = all(r in got for r in rep_nodes)
-        check("x-subset-y", ok, f"{tag} |X|={len(rep_nodes)} |Y|={len(nodeset)}")
-    if not pairs:
-        return 0, [], 0
-    links, leftovers = merge_forest_subtrees(session, pairs, len(nodeset))
-    if check is not None:
-        check("merge-reduction", links >= len(nodeset) / 2,
-              f"{tag} links={links} |Y|={len(nodeset)}")
-    return links, leftovers, len(nodeset)
+def _in_range_clusters(session: Optional[StaticTreeUF], mst,
+                       carried: list[int]) -> set[int]:
+    """Y of a level that merges nothing: the clusters at both ends of its
+    in-range MST edges, found without charging the session."""
+    ups = [mst.parent[c] for c in carried]
+    if session is not None:
+        cost = session.cost
+        ups = session.find_all(ups)
+        session.cost = cost
+    return set(carried).union(ups)
 
 
 def _check_p2_subtree(

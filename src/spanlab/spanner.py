@@ -21,8 +21,8 @@ def graph_hash(g: WeightedGraph) -> str:
 @dataclass
 class Spanner:
     algo: str
-    k: int
-    eps: float
+    k: Optional[int]      # None when a loaded file's header does not give it
+    eps: Optional[float]
     n: int
     edges: list[tuple[int, int, float]]
     source_hash: str = ""
@@ -73,8 +73,8 @@ def load_spanner(path: str) -> Spanner:
         raise ValueError(f"{path}: not a spanner file")
     return Spanner(
         algo=meta.get("algo", "?"),
-        k=int(meta.get("k", "1")),
-        eps=float(meta.get("eps", "0.5")),
+        k=int(meta["k"]) if "k" in meta else None,
+        eps=float(meta["eps"]) if "eps" in meta else None,
         n=n,
         edges=edges,
         source_hash=meta.get("source_hash", ""),

@@ -116,6 +116,21 @@ def test_verify_rejects_bad_target_exit_2(tmp_path, capsys, t):
     assert "stretch target t must be finite and >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["", "# algo=pm k=2 n=30\n", "# eps=0.25\n"])
+def test_verify_without_header_target_needs_t(tmp_path, capsys, header):
+    # a header without k or eps used to default to k=1, eps=0.5: verify
+    # then passed the spanner at t = 1.5, a target nobody asked for
+    gpath, spath = tmp_path / "g.txt", tmp_path / "h.txt"
+    main(["gen", "--type", "gnm", "--n", "30", "--m", "80", "--weights",
+          "loguniform", "--seed", "1", "-o", str(gpath)])
+    main(["build", "--algo", "pm", "-i", str(gpath), "-o", str(spath)])
+    body = spath.read_text().split("\n", 1)[1]
+    spath.write_text(header + body)
+    assert main(["verify", "-g", str(gpath), "-s", str(spath)]) == 2
+    assert "pass it with -t" in capsys.readouterr().err
+    assert main(["verify", "-g", str(gpath), "-s", str(spath), "-t", "3.75"]) == 0
+
+
 def test_verify_short_spanner_line_exit_2(tmp_path, capsys):
     gpath, spath = tmp_path / "g.txt", tmp_path / "h.txt"
     gpath.write_text("3 2\n0 1 1\n1 2 1\n")

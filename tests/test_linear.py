@@ -1,21 +1,30 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
+from bisect import bisect_right
+from collections import Counter
 
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spanlab.linear
+from spanlab.buckets import bucket_raw_index, mu_classes, partition_edges, threshold
 from spanlab.dsu import StaticTreeIndex, StaticTreeUF
 from spanlab.generators import gnm_graph, gnp_graph
-from spanlab.graphs import WeightedGraph, minimum_spanning_tree
-from spanlab.linear import build_linear, cluster_forest_edges, merge_forest_subtrees
+from spanlab.graphs import WeightedGraph, minimum_spanning_tree, normalize_weights
+from spanlab.linear import (build_linear, cluster_forest_edges,
+                            merge_forest_subtrees, per_component)
 from spanlab.oracle import verify_stretch
-from spanlab.pm import grow_star_cover
-from conftest import CheckSink, assert_built_per_component, triangle, wgraph
+from spanlab.pm import grow_star_cover, internal_eps, select_bucket
+from spanlab.spanner import Spanner
+from conftest import (CheckSink, assert_built_per_component, k4_pieces, triangle,
+                      unscaled_eps, wgraph)
+from test_golden import two_level_classes
 
 
 def _mst_keys(g: WeightedGraph) -> set[tuple[int, int]]:
@@ -107,18 +116,33 @@ def _connected_graphs_upto(n_max: int):
 
 def test_cluster_forest_covers_bucket_clusters_small_sweep():
     # every cluster touched by a bucket edge is incident to a carried
-    # forest edge at its level (cross-checked by the builder's own assert)
+    # forest edge at its level (cross-checked by the builder's own assert).
+    # Every level is audited, a last one too, which merges nothing and
+    # takes its Y from the in-range MST edges directly
     for g in _connected_graphs_upto(8):
         s = CheckSink()
-        build_linear(g, 2, 0.5, check=s)
+        names: list[str] = []
+        sp = build_linear(g, 2, 0.5, check=lambda name, ok, detail: (
+            names.append(name), s(name, ok, detail)))
         assert not [f for f in s.failures if f[0] == "x-subset-y"], s.failures
         s.assert_clean()
+        assert names.count("x-subset-y") == len(sp.levels)
+        # the audits ride on the plain build's path and leave it as it is
+        plain = build_linear(g, 2, 0.5)
+        assert (sp.edges, sp.levels, sp.ops) == (plain.edges, plain.levels, plain.ops)
 
 
 def test_subtree_clusters_checked(sink):
-    g = gnp_graph(50, 0.3, seed=8, law="unit")
-    build_linear(g, 2, 0.25, check=sink)
-    assert sink.seen > 0
+    # the P2 audits run wherever a session exists: on every level of a
+    # class with two levels or more, and of no other class
+    g = gnm_graph(120, 1500, 2, "loguniform", 1e9)
+    names: list[str] = []
+    sp = build_linear(g, 2, 0.25, check=lambda name, ok, detail: (
+        names.append(name), sink(name, ok, detail)))
+    per_class = Counter(row["sigma"] for row in sp.levels)
+    multi = sum(c for c in per_class.values() if c >= 2)
+    assert multi > 0
+    assert names.count("p2-subtree-connected") == multi
     sink.assert_clean()
 
 
@@ -156,54 +180,47 @@ def test_size_tracks_pm_shape():
     assert sp.m <= budget
 
 
-def test_forest_edge_ops_empty_and_single():
-    from spanlab.dsu import StaticTreeIndex, StaticTreeUF
-    from spanlab.linear import cluster_forest_edges, merge_forest_subtrees
-    from spanlab.graphs import minimum_spanning_tree
+def _leftovers(session, carried):
+    return [c for c in carried if not session.linked[c]]
 
+
+def test_forest_edge_ops_empty_and_single():
     g = wgraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     mst = minimum_spanning_tree(g)
     session = StaticTreeUF(StaticTreeIndex(mst.parent))
 
     # no in-range MST edges -> empty forest
-    pairs, nodes = cluster_forest_edges(session, mst, [])
-    assert pairs == [] and nodes == {}
+    assert cluster_forest_edges(session, mst, []) == ([], [])
 
     # a single in-range edge links two singleton clusters
     child = next(v for v in range(4) if mst.parent[v] == 0)
-    pairs, nodes = cluster_forest_edges(session, mst, [child])
-    assert len(pairs) == 1 and len(nodes) == 2
-    links, leftover = merge_forest_subtrees(session, pairs, len(nodes))
-    assert links == 1 and leftover == []
+    verts, above = cluster_forest_edges(session, mst, [child])
+    assert verts == [child, 0] and above == [1, 2]
+    assert merge_forest_subtrees(session, verts, above) == 1
+    assert _leftovers(session, [child]) == []
     assert session.find(child) == 0
 
 
 def test_merge_forest_star_of_five():
-    from spanlab.dsu import StaticTreeIndex, StaticTreeUF
-    from spanlab.linear import cluster_forest_edges, merge_forest_subtrees
-    from spanlab.graphs import minimum_spanning_tree
-
     g = wgraph(6, [(0, i, 1) for i in range(1, 6)])
     mst = minimum_spanning_tree(g)
     session = StaticTreeUF(StaticTreeIndex(mst.parent))
-    pairs, nodes = cluster_forest_edges(session, mst, [1, 2, 3, 4, 5])
-    assert len(nodes) == 6
-    links, leftover = merge_forest_subtrees(session, pairs, len(nodes))
-    assert links == 5 and leftover == []
+    carried = [1, 2, 3, 4, 5]
+    verts, above = cluster_forest_edges(session, mst, carried)
+    assert len(verts) == 6
+    assert merge_forest_subtrees(session, verts, above) == 5
+    assert _leftovers(session, carried) == []
     assert all(session.find(v) == 0 for v in range(6))
 
 
 def test_merge_forest_path_of_six_postconditions():
-    from spanlab.dsu import StaticTreeIndex, StaticTreeUF
-    from spanlab.linear import cluster_forest_edges, merge_forest_subtrees
-    from spanlab.graphs import minimum_spanning_tree
-
     g = wgraph(6, [(i, i + 1, 1) for i in range(5)])
     mst = minimum_spanning_tree(g)
     session = StaticTreeUF(StaticTreeIndex(mst.parent))
     children = [v for v in range(6) if mst.parent[v] >= 0]
-    pairs, nodes = cluster_forest_edges(session, mst, children)
-    links, leftover = merge_forest_subtrees(session, pairs, len(nodes))
+    verts, above = cluster_forest_edges(session, mst, children)
+    links = merge_forest_subtrees(session, verts, above)
+    leftover = _leftovers(session, children)
     # partition into >= 2-cluster groups; leftovers cross different groups
     groups: dict[int, int] = {}
     for v in range(6):
@@ -212,6 +229,22 @@ def test_merge_forest_path_of_six_postconditions():
     assert links + len(leftover) == 5
     for child in leftover:
         assert session.find(child) != session.find(mst.parent[child])
+
+
+def reference_cluster_forest_edges(session, mst, carried):
+    """The level's merge candidates as cluster pairs (a, b, child): the MST
+    edge from cluster a's top vertex `child` up to cluster b, with the
+    clusters numbered by first appearance along (child, top) per edge."""
+    if any(map(session.linked.__getitem__, carried)):
+        raise AssertionError("carried MST edge became intra-cluster")
+    tops = session.find_all(map(mst.parent.__getitem__, carried))
+    pairs = []
+    nodeset: dict[int, int] = {}
+    add = nodeset.setdefault
+    for child, top in zip(carried, tops):
+        a = add(child, len(nodeset))
+        pairs.append((a, add(top, len(nodeset)), child))
+    return pairs, nodeset
 
 
 def reference_merge_forest_subtrees(session, pairs, n_nodes):
@@ -247,7 +280,7 @@ def reference_merge_forest_subtrees(session, pairs, n_nodes):
 def test_merge_forest_subtrees_matches_reference(data):
     # a random rooted tree under random labels; each round carries a
     # random subset of the unlinked edges, in random order, and merges it
-    # on both sides: the forest star cover and the generic one
+    # on both sides: the forest star cover and the generic one on pairs
     n = data.draw(st.integers(min_value=2, max_value=300))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
     label = list(range(n))
@@ -262,12 +295,151 @@ def test_merge_forest_subtrees_matches_reference(data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
         free = [v for v in range(n) if v != root and not fast.linked[v]]
         carried = rng.sample(free, rng.randint(0, len(free)))
-        got = []
-        for uf, merge in ((fast, merge_forest_subtrees),
-                          (ref, reference_merge_forest_subtrees)):
-            pairs, nodes = cluster_forest_edges(uf, mst, carried)
-            got.append((pairs, merge(uf, pairs, len(nodes))))
-        assert got[0] == got[1]
+        verts, above = cluster_forest_edges(fast, mst, carried)
+        links = merge_forest_subtrees(fast, verts, above)
+        pairs, nodes = reference_cluster_forest_edges(ref, mst, carried)
+        assert verts == list(nodes)
+        assert (links, _leftovers(fast, carried)) == \
+            reference_merge_forest_subtrees(ref, pairs, len(nodes))
         assert fast.linked == ref.linked
         assert fast.cost == ref.cost
         assert [fast.find(v) for v in range(n)] == [ref.find(v) for v in range(n)]
+
+
+def reference_build_connected(g, k, eps):
+    """linear's level loop with one union-find session per class and a
+    merge after every level, the class's last level included; a row's
+    `fast` marks its class's last level."""
+    eps_i = internal_eps(eps)
+    ops = {"links": 0, "finds": 0, "uf_cost": 0, "hz": 0}
+    if g.m == 0:
+        return Spanner(algo="linear", k=k, eps=eps, n=g.n, edges=[], ops=ops)
+    norm, _ = normalize_weights(g)
+    mst = minimum_spanning_tree(norm)
+    spanner_eids = set(mst.eids)
+    buckets = partition_edges(
+        norm, [e for e in range(norm.m) if e not in spanner_eids], eps_i)
+    mst_sorted = sorted(
+        (bucket_raw_index(w, eps_i), u if mst.parent[u] == v else v)
+        for u, v, w in mst.edges)
+    mst_index = [j for j, _ in mst_sorted]
+    mst_child = [child for _, child in mst_sorted]
+    index = StaticTreeIndex(mst.parent)
+    levels = []
+    for sigma in buckets.classes():
+        session = StaticTreeUF(index)
+        carried: list[int] = []
+        ptr = 0
+        level_ids = buckets.levels(sigma)
+        for i in level_ids:
+            bucket = buckets.edges(sigma, i)
+            cost0 = session.cost
+            kept, _, reps, _ = select_bucket(norm, bucket, k, session.find,
+                                             spanner_eids, ops)
+            end = bisect_right(mst_index, i * buckets.mu + sigma, ptr)
+            carried += mst_child[ptr:end]
+            ptr = end
+            pairs, nodes = reference_cluster_forest_edges(session, mst, carried)
+            links, carried = reference_merge_forest_subtrees(
+                session, pairs, len(nodes))
+            finds = session.cost - cost0 - links
+            ops["links"] += links
+            ops["finds"] += finds
+            levels.append(
+                {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
+                 "rep_nodes": len(reps), "kept_edges": len(kept),
+                 "delta": links, "links": links, "finds": finds,
+                 "y_nodes": len(nodes), "fast": i == level_ids[-1]})
+        ops["uf_cost"] += session.cost
+    edges = [g.edges[e] for e in sorted(spanner_eids)]
+    return Spanner(algo="linear", k=k, eps=eps, n=g.n, edges=edges,
+                   levels=levels, ops=ops)
+
+
+@st.composite
+def tied_grid_graphs(draw):
+    """(g, k, eps, scaled): a graph, possibly disconnected, whose weights
+    repeat a few points of the bucket grid in classes 0..2, levels 0..3,
+    so that classes have several levels and cells tie."""
+    scaled = draw(st.booleans())
+    k = draw(st.integers(min_value=1, max_value=3))
+    eps = draw(st.sampled_from([0.25, 0.5]))
+    with contextlib.nullcontext() if scaled else unscaled_eps():
+        eps_i = internal_eps(eps)
+    mu = mu_classes(eps_i)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n = draw(st.integers(min_value=2, max_value=30))
+    grid = [threshold(i * mu + sigma, eps_i) for sigma in range(3) for i in range(4)]
+    pool = rng.sample(grid, rng.randint(1, len(grid)))
+    p = rng.uniform(0.05, 0.9)
+    edges = [(u, v, rng.choice(pool))
+             for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+    return WeightedGraph(n, edges), k, eps, scaled
+
+
+def _last_rows(levels) -> set[int]:
+    """Positions of each class's last row in a connected graph's build."""
+    return {j for j, row in enumerate(levels)
+            if j + 1 == len(levels) or levels[j + 1]["sigma"] != row["sigma"]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_grid_graphs())
+def test_level_loop_matches_merge_every_level_reference(case):
+    # skipping the last level's merge changes no edge and no earlier row:
+    # the merge only feeds later levels of the same class
+    g, k, eps, scaled = case
+    with contextlib.nullcontext() if scaled else unscaled_eps():
+        got = build_linear(g, k, eps)
+        ref = per_component(g, "linear", k, eps, reference_build_connected)
+    assert got.edges == ref.edges
+    assert len(got.levels) == len(ref.levels)
+    for row, want in zip(got.levels, ref.levels):
+        if want.pop("fast"):
+            # a last level's merge is the one whose counts may differ
+            for key in ("sigma", "i", "bucket_edges", "rep_nodes", "kept_edges"):
+                assert row[key] == want[key]
+            assert row["finds"] <= want["finds"]
+        else:
+            assert {key: v for key, v in row.items() if key != "fast"} == want
+
+
+def _count_union_find(monkeypatch) -> Counter:
+    counts: Counter = Counter()
+    for name in ("StaticTreeIndex", "StaticTreeUF"):
+        def counted(*args, _name=name, _cls=getattr(spanlab.linear, name)):
+            counts[_name] += 1
+            return _cls(*args)
+        monkeypatch.setattr(spanlab.linear, name, counted)
+    return counts
+
+
+def test_index_and_sessions_only_for_multi_level_classes(monkeypatch):
+    # every class of these K4 pieces has one level: nothing merges, so no
+    # component builds a static-tree index or opens a session
+    counts = _count_union_find(monkeypatch)
+    sp = build_linear(k4_pieces(30, 1), 2, 0.25)
+    assert counts == Counter()
+    assert sp.levels and all(row["fast"] for row in sp.levels)
+    assert sp.ops["uf_cost"] == sp.ops["finds"] == 0
+    # three classes of two levels each: one index, one session per class
+    with unscaled_eps():
+        sp = build_linear(two_level_classes(), 2, 0.25)
+    per_class = Counter(row["sigma"] for row in sp.levels)
+    assert sorted(per_class.values()) == [2, 2, 2]
+    assert counts == {"StaticTreeIndex": 1, "StaticTreeUF": 3}
+
+
+@pytest.mark.parametrize("make, scaling", [
+    (two_level_classes, unscaled_eps),
+    (lambda: gnm_graph(120, 1500, 2, "loguniform", 1e9), contextlib.nullcontext),
+])
+def test_last_level_of_each_class_merges_nothing(make, scaling):
+    with scaling():
+        sp = build_linear(make(), 2, 0.25)
+    last = _last_rows(sp.levels)
+    assert any(row["links"] > 0 for row in sp.levels)
+    for j, row in enumerate(sp.levels):
+        assert row["fast"] == (j in last)
+        if j in last:
+            assert row["links"] == 0
