@@ -240,6 +240,24 @@ class StaticTreeUF:
         # linked (a full microset stays full, so the cache never goes stale)
         self._skip: list[Optional[int]] = [None] * n_micro
 
+    def copy(self) -> "StaticTreeUF":
+        """An independent session on the same index, in this one's state
+        and with its `cost`."""
+        new = object.__new__(type(self))
+        new.index, new.cost = self.index, self.cost
+        new.restore(self)
+        return new
+
+    def restore(self, other: "StaticTreeUF") -> None:
+        """Put this session in `other`'s state (linked vertices, masks,
+        tables and skip caches), one list copy per array, so that neither
+        session sees the other's later steps.  `cost` is left as it is:
+        the caller charges whatever the restored state stands for."""
+        self.linked = other.linked[:]
+        self._mask = other._mask[:]
+        self._table = other._table[:]
+        self._skip = other._skip[:]
+
     def link(self, v: int) -> None:
         self.link_all((v,))
 

@@ -23,12 +23,28 @@ cluster has at most one carried edge up to its parent (see
 `StaticTreeUF.link_all` and the carried edges' upper ends found in one
 `find_all`, both counted as the single calls would be.
 
+A class's first merge depends on `end` alone, the number of MST edges
+in range at its first level.  Its session is fresh, so every cluster is
+a singleton: the selection's finds answer each vertex as itself and
+change nothing, and the forest is exactly the carried list
+`mst_child[0:end]`, whatever sigma, the bucket or the reps are.  The
+forest, its star cover, the links, the leftovers and the session's
+state after the merge are then the same for every class with that
+`end`, and many classes share one.  So each build computes a first
+merge once per `end` and restores the session's state on later classes.
+It keeps a merge only while some later class starts from its `end`;
+classes that share an `end` come nearly in a row, so few are held at
+once.  A restore counts its links as run, and a row records the finds
+it skips (2 per carried edge) as `reused`: `finds` and `uf_cost` count
+the steps that ran, and adding `reused` gives the paper's count.
+
 `per_component` is the disconnected-input wrapper of this builder and of
 light's.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from typing import Callable, Optional
 
 from .buckets import bucket_raw_index, level_scale, partition_edges
@@ -103,7 +119,7 @@ def _build_connected(
 ) -> Spanner:
     """Spanner of a connected g; the caller fills in source_hash."""
     eps_i = internal_eps(eps)
-    ops = {"links": 0, "finds": 0, "uf_cost": 0, "hz": 0}
+    ops = {"links": 0, "finds": 0, "uf_cost": 0, "uf_reused": 0, "hz": 0}
     if g.m == 0:
         return Spanner(algo="linear", k=k, eps=eps, n=g.n, edges=[], ops=ops)
 
@@ -127,16 +143,26 @@ def _build_connected(
 
     index: Optional[StaticTreeIndex] = None
     levels_log: list[dict] = []
+    # end -> (session after the first merge, verts, links, leftovers), kept
+    # only while a later class starts from that end
+    first_merges: dict[int, tuple[StaticTreeUF, list[int], int, list[int]]] = {}
+    starts_left: Counter[int] = Counter()
+    for sigma in buckets.classes():
+        level_ids = buckets.levels(sigma)
+        if len(level_ids) > 1:
+            starts_left[bisect_right(mst_index, level_ids[0] * mu + sigma)] += 1
 
     for sigma in buckets.classes():
         level_ids = buckets.levels(sigma)
-        last = level_ids[-1]
+        first, last = level_ids[0], level_ids[-1]
         session: Optional[StaticTreeUF] = None
         if len(level_ids) > 1:
             if index is None:
                 index = StaticTreeIndex(mst.parent)
             session = StaticTreeUF(index)
-        carried: list[int] = []   # inter-cluster MST edges (child ids), w <= L_i
+        # inter-cluster MST edges (child ids), w <= L_i; every update makes
+        # a new list, since a cached first merge shares its leftovers
+        carried: list[int] = []
         ptr = 0
         for i in level_ids:
             bucket = buckets.edges(sigma, i)
@@ -154,16 +180,27 @@ def _build_connected(
             # this level's merge candidates: carried forest edges plus the
             # newly in-range MST edges (weight <= L_i)
             end = bisect_right(mst_index, i * mu + sigma, ptr)
-            carried += mst_child[ptr:end]
+            carried = carried + mst_child[ptr:end]
             ptr = end
             verts: list[int] = []
-            links = 0
-            if i != last:
-                verts, above = cluster_forest_edges(session, mst, carried)
-                links = merge_forest_subtrees(session, verts, above)
-                # leftovers in carried order, which numbers the next forest
-                linked = session.linked
-                carried = [c for c in carried if not linked[c]]
+            links = reused = 0
+            if i != last and i == first:
+                # a first merge sees singletons and mst_child[0:end] only
+                starts_left[end] -= 1
+                hit = first_merges.get(end)
+                if hit is None:
+                    verts, links, carried = _merge(session, mst, carried)
+                    if starts_left[end]:
+                        first_merges[end] = (session.copy(), verts, links, carried)
+                else:
+                    state, verts, links, carried = hit
+                    session.restore(state)
+                    session.cost += links
+                    reused = 2 * end   # the skipped finds, 2 per unlinked top
+                    if not starts_left[end]:
+                        del first_merges[end]
+            elif i != last:
+                verts, links, carried = _merge(session, mst, carried)
             if check is not None:
                 tag = f"sigma={sigma} i={i}"
                 y = set(verts) if i != last else _in_range_clusters(
@@ -177,10 +214,11 @@ def _build_connected(
             ops["links"] += links
             ops["finds"] += spent - links
             ops["uf_cost"] += spent
+            ops["uf_reused"] += reused
             levels_log.append(
                 {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
                  "rep_nodes": len(reps), "kept_edges": len(kept),
-                 "delta": links, "links": links, "finds": spent - links,
+                 "links": links, "finds": spent - links, "reused": reused,
                  "y_nodes": len(verts), "fast": i == last}
             )
 
@@ -193,6 +231,17 @@ def _build_connected(
 
 def _identity(v: int) -> int:
     return v
+
+
+def _merge(session: StaticTreeUF, mst,
+           carried: list[int]) -> tuple[list[int], int, list[int]]:
+    """Merge the level's cluster forest: its nodes' representatives, the
+    number of links, and the carried edges left unlinked, in carried
+    order, which numbers the next forest."""
+    verts, above = cluster_forest_edges(session, mst, carried)
+    links = merge_forest_subtrees(session, verts, above)
+    linked = session.linked
+    return verts, links, [c for c in carried if not linked[c]]
 
 
 def cluster_forest_edges(

@@ -482,6 +482,34 @@ def test_static_find_all_raises_like_find(bad):
     assert _session_state(batched) == _session_state(looped)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_static_restore_is_independent_of_its_snapshot(data):
+    # `twin` stays in the snapshot's state throughout: later links and
+    # finds on either side of a copy or a restore must not reach the other
+    n, (uf, twin), rest = _warm_pair(data)
+    snap = uf.copy()
+    assert _session_state(snap) == _session_state(twin)
+    cut = data.draw(st.integers(min_value=0, max_value=len(rest)))
+    uf.link_all(rest[:cut])
+    uf.find_all(range(n))
+    assert _session_state(snap) == _session_state(twin)
+
+    cost = uf.cost
+    uf.restore(snap)
+    assert uf.cost == cost
+    assert _session_state(uf)[1:] == _session_state(twin)[1:]
+    uf.link_all(rest)
+    assert _session_state(snap) == _session_state(twin)
+
+    uf.restore(snap)
+    cost = uf.cost
+    vs = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=40))
+    assert uf.find_all(vs) == [twin.find(v) for v in vs]
+    assert uf.cost - cost == twin.cost - snap.cost
+    assert _session_state(uf)[1:] == _session_state(twin)[1:]
+
+
 # ---------------------------------------------------------------- amortized cost
 
 # cost of the seeded trace below on each rung n = 2^10 .. 2^14

@@ -215,87 +215,87 @@ GOLDEN = {
 GOLDEN_ROWS = {
     'gnm48-loguniform-k2-e0.25': {
         'pm': '18369f2c7905a51a711efacdb13539c0452f080bc291b3cd501db33f76ef4919',
-        'linear': '67a4c2e1a8756a2a06e2274b1d73d236b8bf5851d8d646362d8a1fd8c62af111',
+        'linear': '12aa513655281551f31e949e3604568d6402e2b4a5d518e64568cf5cb882d32f',
         'light': 'cc98b8149bcd61e038bbf48bd4d83959007361c156861c63b52d02c68bffb359',
     },
     'gnm48-loguniform-k2-e0.5': {
         'pm': '4c99bbf3950718031139320c37ababbd68d7645da6288c381fa01e938ac79b66',
-        'linear': '8117cfae7b1714958678e80914f1692510b82d1cf1ff6915507261d6248f5287',
+        'linear': 'd4e863cb7652c033228e1963b07d489e0f32c89f167bd277bf25d0c5beba6005',
         'light': '6233622ef2b0f26c8dabef026c7f8702722f8ef7637ab93d1836614000676933',
     },
     'gnm48-loguniform-k3-e0.25': {
         'pm': '3eb36730a3ecd87ee6637d16901dab9784c26f476d2222cbface9fe54c1207f8',
-        'linear': '4631b9a3fd4928fc6d9be0fd54cf1d710b96c22e3b8be57ae55149d827f28df2',
+        'linear': '5d11dd11a739cb6ef420ce22c47df7dd0816ada6f813b875f7a5beba6c7318a6',
         'light': '9e065ec3e824e397c11acd36b7c45273240563a08cee2794c5a128d949d05d83',
     },
     'gnm48-loguniform-k3-e0.5': {
         'pm': '0e30d0dd1b7696820d2049dabb6d30b9ae95eb3bdea4ee7fcb2e0a9ceb6a8810',
-        'linear': 'b7624e8877f1fbd0976597893a6826edcc573b3b2a91be53ca0286e104501f37',
+        'linear': '76d9fead13dfb8267afaef941d479648fc152bcf769408093f33fb64a78c058c',
         'light': 'f9251a6f392ec9c9709700aa2a47f3de431f08f4ecd8afdd748ff8b33d256c35',
     },
     'gnm48-uniform-k2-e0.25': {
         'pm': '76feff917f78505c1167bb72ea5841a207da9954e0230acb08ad308660ecefc1',
-        'linear': 'c7d54da7ca6e6c91905125b5add32cdbe81342997b8da3061e0f5137b7827a31',
+        'linear': 'ad7a81c7dcab6c6a9fc1d4a28cd1c3e97d1dc1009105d9783b71becae709d6a7',
         'light': '653bd4337789a8185f8212c3430f104f3d5e571c4b03f0ce7d345af06108acee',
     },
     'gnm48-uniform-k2-e0.5': {
         'pm': 'e870800bb80f2ba6cf0f9872d55437de53236b47ca2aa7d24d4e2e3bb14cf4d2',
-        'linear': '3be1b623a827a77b8453d1572428a172d9335c39a3ba43dc7ac956ceb4ab2916',
+        'linear': '698261b59d8663d739817ce7e534f4bf0d9a01107ff59cd2541e4577241b1ee4',
         'light': '41f06956e9f26052b3f893597f3d0f308b795c777e7c224601115993163eb178',
     },
     'gnm48-uniform-k3-e0.25': {
         'pm': '497f493ac15c4118a2bb17f82d5c45e74ac0eb846335f0cabf86d4e73efc21a2',
-        'linear': '0363595e13eb4dd658f081c0d7a92aad6aca2aad499489250175c5eb21783a50',
+        'linear': '22636ac463256c7df0512553e9d04bba78fc52de2db53470283b6604988f3dd4',
         'light': '419b0b5037b86bfbb2efd176e172d1055ed9502ff57aea100362771268b41b3a',
     },
     'gnm48-uniform-k3-e0.5': {
         'pm': '29a9a3e584530fca1af9a84009a1377f1abfb0b1cb717d2912c5ec561d215721',
-        'linear': '11e0390a4accdba2f5d7879b24e353207fe5e17901844406d4b5ae5f6597754c',
+        'linear': 'ec5faee5b5093bf278e25cdb0abeb8d569e9025e137637a8d3a7beeb7d52ecaf',
         'light': 'aea5c6f3fc18447ed12f5ec7a9090c819d76a7eb74a1cedcd4f59a741d950bd4',
     },
     'gnm48-unit-k2-e0.25': {
         'pm': '67b8c45863a1be770a8e7083adfaa5d36c09fcecf69a4e35942e68b1ac075bab',
-        'linear': '50c83a70915473639addd9f97bfae90e2e824001e681fb1852642463a5d3d243',
+        'linear': '76ad7785a06f5f88def484698c34907cb38b0a4ae1be33da2ad498f5ebbe3a51',
         'light': '710d44218b414d48acbadb021faa53819eb50a07cec3f48fdac8813ff1d1e0a7',
     },
     'gnm48-unit-k2-e0.5': {
         'pm': '67b8c45863a1be770a8e7083adfaa5d36c09fcecf69a4e35942e68b1ac075bab',
-        'linear': '50c83a70915473639addd9f97bfae90e2e824001e681fb1852642463a5d3d243',
+        'linear': '76ad7785a06f5f88def484698c34907cb38b0a4ae1be33da2ad498f5ebbe3a51',
         'light': '8f5b5290080c06379bb7cac998a800c997256e6bf9e9b6b1a752b0e58f8c56bf',
     },
     'gnm48-unit-k3-e0.25': {
         'pm': 'db5b8f127e1b52fdfcff0bd66e549d91c5c7873dfd27c5288ff18b82d289ea9e',
-        'linear': 'd9f762b2c070f740e4a99defe29d814039d4345b732d55f4e3816ab31202fca9',
+        'linear': '3018fe3b5ec4eaa296a70c9f02d03c431757c261c922511dd3a1868230cb265b',
         'light': '187455bc2ddd094df50146d365bbdf756a80f5704bdf402a5fb19d8e2f725414',
     },
     'gnm48-unit-k3-e0.5': {
         'pm': 'db5b8f127e1b52fdfcff0bd66e549d91c5c7873dfd27c5288ff18b82d289ea9e',
-        'linear': 'd9f762b2c070f740e4a99defe29d814039d4345b732d55f4e3816ab31202fca9',
+        'linear': '3018fe3b5ec4eaa296a70c9f02d03c431757c261c922511dd3a1868230cb265b',
         'light': '3080b63f05292260ae8a94611fd83bbb7440efe5b8a35c008f6541b2eabd9b39',
     },
     'k4x30-k2-e0.25': {
         'pm': 'ccfb4ef38b0922dc201bc6f00cc1011247db1dfd6a2ff8c4cb22440f46da719f',
-        'linear': '6e94ed637f2c72999de28a5985f2e1ad8baddf924ae095434a3c3e48634cb94d',
+        'linear': 'fe6a904ba8381fe175bb9205edf4bdbc01ae84dbf0452df9fc05aba0011e30e7',
         'light': 'f3437e593f023dfef68cfbf80f89583d7243fc070a7b71ccfcf952af31d84735',
     },
     'ladder-gnm100-k3-e0.5': {
         'pm': '664dfe1ebe4ecd80d50a185d38588bbd62403d5bee429966fdc37ff4bc7c7c22',
-        'linear': 'e01fb05e2ab228d190442957a119604c42df199b423196a40850b4bc6fd3f069',
+        'linear': '62f9fb4e07f5f56734f14f6a5d7aaa2c63cd884c82cf311eece040f5612a65dd',
         'light': '58b6999a8dd9c4fe2eb104c49bbfbe64391ca0bbb9a38ef98ef80de483bc2770',
     },
     'steps-gnm200-k2-e0.25': {
         'pm': 'f29452ec73483a21ac4b547fa9a4bb88083c62c9c0cf314f3b0fcd626dfcafd4',
-        'linear': 'b4e1f4ba66e98a9ae3ce5d1c59914d0d3a60d9b1035e359083de8a3e94fe8204',
+        'linear': 'f4fdb25437d78f2ae83ae2f77081c3ae31f7efcdb0454b7da52b86f136aa8ca4',
         'light': '10f858cdfea93461e2f1b849532f51fc882865c81e6994bd3e0317beb659c1a6',
     },
     'steps-gnm500-k3-e0.5': {
         'pm': 'f1e4b68e5af7a67d7053df39c038a1dc5b1a221216f64f5bd405374a54931793',
-        'linear': '01587b589f1c46f5773fa3bbe0d4610ed3cd3a45c61c112ad51cac85aa6e5aee',
+        'linear': '5cd59713f46836eeeb0d2eae7b1df0cebd9fb6e347ce37c81ccb4ed3a9bb6f57',
         'light': '327e4dda523afd13d3f423942324484077141e92539d09573f2a4e5d8068bcc6',
     },
     'two-level-classes-k2-e0.25': {
         'pm': '306d984e869cc17cef833ccfcf746d3ab1a8d0d8fa685bc6c25fd3a8c4bd9968',
-        'linear': '83bfec66eb9f0c9902e8a2e6150861c433bc118b86f037669b7dd68b8dd317a1',
+        'linear': 'a8d1fef47bcf33e149942f47e0d9beee2d9d28e00ee1d88afd19add524196c70',
         'light': 'b4f9eac7434949cfd7a9f1012f9e856d586cf5f234257149a46c172f61bbc957',
     },
 }

@@ -72,7 +72,7 @@ def test_instrumentation_counters_present(sink):
     sink.assert_clean()
     assert sp.levels
     for row in sp.levels:
-        assert {"links", "finds", "delta", "y_nodes"} <= set(row)
+        assert {"links", "finds", "reused", "y_nodes"} <= set(row)
         if row["y_nodes"]:
             assert row["links"] >= row["y_nodes"] / 2
     assert sp.ops["links"] <= g.n
@@ -306,10 +306,12 @@ def test_merge_forest_subtrees_matches_reference(data):
         assert [fast.find(v) for v in range(n)] == [ref.find(v) for v in range(n)]
 
 
-def reference_build_connected(g, k, eps):
-    """linear's level loop with one union-find session per class and a
-    merge after every level, the class's last level included; a row's
-    `fast` marks its class's last level."""
+def reference_build_connected(g, k, eps, merge_last=True):
+    """linear's level loop, every merge run in full.  With `merge_last`,
+    each class has its own union-find session and merges after every
+    level, the last one included; without it, as the builder does, a
+    last level merges nothing and a one-level class opens no session.
+    A row's `fast` marks its class's last level."""
     eps_i = internal_eps(eps)
     ops = {"links": 0, "finds": 0, "uf_cost": 0, "hz": 0}
     if g.m == 0:
@@ -327,30 +329,36 @@ def reference_build_connected(g, k, eps):
     index = StaticTreeIndex(mst.parent)
     levels = []
     for sigma in buckets.classes():
-        session = StaticTreeUF(index)
+        level_ids = buckets.levels(sigma)
+        session = None
+        if merge_last or len(level_ids) > 1:
+            session = StaticTreeUF(index)
         carried: list[int] = []
         ptr = 0
-        level_ids = buckets.levels(sigma)
         for i in level_ids:
             bucket = buckets.edges(sigma, i)
-            cost0 = session.cost
-            kept, _, reps, _ = select_bucket(norm, bucket, k, session.find,
-                                             spanner_eids, ops)
+            cost0 = session.cost if session else 0
+            kept, _, reps, _ = select_bucket(
+                norm, bucket, k, session.find if session else (lambda v: v),
+                spanner_eids, ops)
             end = bisect_right(mst_index, i * buckets.mu + sigma, ptr)
             carried += mst_child[ptr:end]
             ptr = end
-            pairs, nodes = reference_cluster_forest_edges(session, mst, carried)
-            links, carried = reference_merge_forest_subtrees(
-                session, pairs, len(nodes))
-            finds = session.cost - cost0 - links
+            nodes: dict[int, int] = {}
+            links = 0
+            if merge_last or i != level_ids[-1]:
+                pairs, nodes = reference_cluster_forest_edges(session, mst, carried)
+                links, carried = reference_merge_forest_subtrees(
+                    session, pairs, len(nodes))
+            spent = session.cost - cost0 if session else 0
             ops["links"] += links
-            ops["finds"] += finds
+            ops["finds"] += spent - links
+            ops["uf_cost"] += spent
             levels.append(
                 {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
                  "rep_nodes": len(reps), "kept_edges": len(kept),
-                 "delta": links, "links": links, "finds": finds,
+                 "links": links, "finds": spent - links,
                  "y_nodes": len(nodes), "fast": i == level_ids[-1]})
-        ops["uf_cost"] += session.cost
     edges = [g.edges[e] for e in sorted(spanner_eids)]
     return Spanner(algo="linear", k=k, eps=eps, n=g.n, edges=edges,
                    levels=levels, ops=ops)
@@ -395,13 +403,16 @@ def test_level_loop_matches_merge_every_level_reference(case):
     assert got.edges == ref.edges
     assert len(got.levels) == len(ref.levels)
     for row, want in zip(got.levels, ref.levels):
+        finds = row["finds"] + row["reused"]
         if want.pop("fast"):
             # a last level's merge is the one whose counts may differ
             for key in ("sigma", "i", "bucket_edges", "rep_nodes", "kept_edges"):
                 assert row[key] == want[key]
-            assert row["finds"] <= want["finds"]
+            assert finds <= want["finds"]
         else:
-            assert {key: v for key, v in row.items() if key != "fast"} == want
+            assert finds == want.pop("finds")
+            assert {key: v for key, v in row.items()
+                    if key not in ("fast", "finds", "reused")} == want
 
 
 def _count_union_find(monkeypatch) -> Counter:
@@ -443,3 +454,41 @@ def test_last_level_of_each_class_merges_nothing(make, scaling):
         assert row["fast"] == (j in last)
         if j in last:
             assert row["links"] == 0
+
+
+def _assert_matches_cache_free(g, k, eps) -> int:
+    """build_linear against the reference level loop, which merges where
+    the builder does but runs every first merge in full: the same edges
+    and rows, a restored first merge's skipped finds counted in `reused`.
+    Returns the number of rows that restored a first merge."""
+    got = build_linear(g, k, eps)
+    ref = per_component(g, "linear", k, eps, reference_build_connected, False)
+    assert got.edges == ref.edges
+    assert len(got.levels) == len(ref.levels)
+    for row, want in zip(got.levels, ref.levels):
+        assert row["finds"] + row["reused"] == want["finds"]
+        assert {key: v for key, v in row.items()
+                if key not in ("finds", "reused")} == \
+            {key: v for key, v in want.items() if key != "finds"}
+    ops = got.ops
+    assert (ops["links"], ops["hz"]) == (ref.ops["links"], ref.ops["hz"])
+    assert ops["finds"] + ops["uf_reused"] == ref.ops["finds"]
+    assert ops["uf_cost"] + ops["uf_reused"] == ref.ops["uf_cost"]
+    assert ops["uf_reused"] == sum(row["reused"] for row in got.levels)
+    return sum(1 for row in got.levels if row["reused"] > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_grid_graphs())
+def test_reused_first_merges_match_cache_free_build(case):
+    g, k, eps, scaled = case
+    with contextlib.nullcontext() if scaled else unscaled_eps():
+        _assert_matches_cache_free(g, k, eps)
+
+
+def test_reused_first_merges_match_cache_free_build_wide():
+    # wide-weights' shape: 614 classes of two levels or more start from
+    # only 59 distinct `end`s, and every class after the first with its
+    # `end` restores that first merge
+    g = gnm_graph(250, 3000, 11, "loguniform", 1e9)
+    assert _assert_matches_cache_free(g, 3, 0.5) == 614 - 59
