@@ -15,8 +15,18 @@ likes.  The MST itself is always included.
 Per-class setup costs what the class touches: the singleton state and each
 carve-ladder rung (a carve of that one singleton state) are built once per
 build and shared by every class that enters there.  A state owns its tree
-adjacency and LCA, built on first use, and sums its potential total and
-real cluster count once, however many trivial levels report them.
+adjacency and LCA, built on first use, and sums its potential total, its
+reach (potential plus tree weight) and real cluster count once, however
+many trivial levels report them.
+
+A plain build skips every level that a potential bound shows empty: no
+augmented tree distance exceeds a state's reach, and a level raises the
+reach by at most the weight of its cluster-graph edges, so once the filter
+factor times a level's cell floor passes that bound, the level and the
+rest of its class are logged as skipped, before any state, carve, LCA or
+cluster graph is built for them.  A level with no high-degree node whose
+later levels the bound rules out keeps its edges whole, without the five
+steps.  `_build_heavy` gives the proof; audited builds run every level.
 """
 from __future__ import annotations
 
@@ -41,6 +51,7 @@ from .spanner import graph_hash  # noqa: F401,E402
 G_LIGHT = 42
 EPS_SCALE_LIGHT = 10 * G_LIGHT + 1  # stretch chain ends at (2k-1)(1+(10g+1)eps')
 FILTER_SLACK = 6 * G_LIGHT          # tree-path filter keeps only stretch > (2k-1)(1+6g*eps')
+REACH_MARGIN = 1e-9                 # float slack of the empty-level bound (see _build_heavy)
 
 
 def internal_eps_light(eps: float) -> float:
@@ -189,6 +200,51 @@ def _build_heavy(
     levels_log: list[dict],
     ops: dict,
 ) -> None:
+    """Heavy side: each weight class's levels over the subdivided MST.
+
+    A plain build (no `check`) skips every level that a potential bound
+    shows empty.  Let F be the filter factor, reach = Phi + W (a state's
+    potential plus its contracted tree's weight, `ClassState.reach`), and
+    T the lower bound T_{j-1} of level i's grid cell j = i*mu + sigma:
+    every bucket edge of the level weighs w > T, in floats too
+    (`bucket_raw_index`), and later levels of the class have higher cells.
+
+    (a) A level with no high-degree node keeps all of `ei`: the third
+        selection step keeps every edge with a low-degree end.
+    (b) In any state, `aug_dist(a, b)` <= reach: an augmented tree path
+        sums some nodes' potentials and some tree edges, all nonnegative.
+    (c) A state's successor has reach at most reach + sum(w(ei)) after a
+        processed level, and at most reach after a carve or `coarsen`: a
+        new cluster's Adm is at most its nodes' potentials plus its
+        internal edges (tree edges and level edges), and the new tree
+        keeps only crossing edges of the old one.  The singleton state has
+        reach w(MST), so every state a class enters with has reach at most
+        w(MST).
+    (d) `build_cluster_graph` drops an edge whose `aug_dist` <= F*w.  If
+        F*T >= R for a bound R on the reach of every state the class can
+        hold from level i on, then by (b) every edge of those levels is
+        dropped, and by (c) the states they would build keep the bound.
+
+    So the class's remaining levels are empty, and logged as skipped rows
+    without a state, carve, `coarsen`, LCA or cluster graph, when F*T >= R
+    with R = w(MST) before the class built a state, and R = state.reach
+    once it has one (checked before a state is built or coarsened, and
+    again after).  A
+    level whose `ei` has no high-degree node keeps `ei` whole and ends the
+    class when no later level exists or F*T_next >= reach + sum(w(ei)).
+
+    Every test multiplies R by 1 + REACH_MARGIN.  Reach, w(MST) and
+    `aug_dist` are float sums of at most |V~| + |E~| nonnegative terms (a
+    potential being itself such a sum over the state before), whose
+    relative error is at most that count times 2**-53 per nesting; 1e-9
+    covers it up to millions of terms.  A level skipped within the margin
+    would drop only edges whose tree path is within F*(1 + 1e-9) of their
+    weight, still inside the stretch target, whose slack over F is
+    (4g+1)*eps'.
+
+    Audited builds run every level through `build_cluster_graph` and the
+    five steps, so that the audits see them.
+    """
     eps_i = internal_eps_light(eps)
     wbar = mst.weight / (g.m * eps)
     sub = subdivide_mst(mst, wbar, g.n)
@@ -207,11 +263,20 @@ def _build_heavy(
     base = steps.singleton_state(sub)
     ladder: dict[int, steps.ClassState] = {}
 
+    def empty_from(sigma: int, i: int, reach: float) -> bool:
+        """A plain build's test: class sigma's levels from i on are empty
+        in every state of reach at most `reach`."""
+        return check is None and filter_factor * threshold(
+            i * mu + sigma - 1, eps_i, wbar) >= reach * (1 + REACH_MARGIN)
+
     for sigma in buckets.classes():
         level_ids = buckets.levels(sigma)
-        single = len(level_ids) == 1
         state: Optional[steps.ClassState] = None
-        for i in level_ids:
+        done = len(level_ids)   # levels from here on are skipped
+        for t, i in enumerate(level_ids):
+            if empty_from(sigma, i, mst.weight if state is None else state.reach):
+                done = t
+                break
             li = threshold(i * mu + sigma, eps_i, wbar)
             prev = threshold((i - 1) * mu + sigma, eps_i, wbar)
             if state is None:
@@ -221,6 +286,9 @@ def _build_heavy(
                           f"sigma={sigma} phi1={state.phi} w(mst)={mst.weight}")
             elif state.scale < prev * (1 - 1e-12):
                 state = steps.coarsen(state, prev, ctx, levels_log, sigma, i)
+            if empty_from(sigma, i, state.reach):
+                done = t
+                break
 
             if check is not None:
                 check("imax-bound", i <= 4 * math.log2(max(g.n, 2)) + 20,
@@ -232,25 +300,26 @@ def _build_heavy(
                 levels_log.append(steps.trivial_row(sigma, i, state, len(bucket)))
                 continue
 
-            # a class's only level keeps all its cluster-graph edges when no
-            # node has high degree: no later level needs its clusters.
-            # Audited builds take the full path so that the audits see it
-            fast = (
-                single and check is None
-                and not steps.has_high_degree(state, ei, ctx)
-            )
-            if fast:
-                for entry in ei:
-                    chosen.add(entry[3])
+            if check is None and not steps.has_high_degree(state, ei, ctx) and (
+                t + 1 == len(level_ids)
+                or empty_from(sigma, level_ids[t + 1],
+                              state.reach + sum(e[2] for e in ei))
+            ):
+                chosen.update(e[3] for e in ei)
                 levels_log.append(
                     steps.trivial_row(sigma, i, state, len(bucket), added=len(ei))
                 )
-                continue
+                done = t + 1
+                break
 
             ops["level_work"] += state.count
             state, picked, row = steps.process_level(state, ei, li, sigma, i, ctx)
             chosen.update(picked)
             levels_log.append(row)
+
+        for i in level_ids[done:]:
+            levels_log.append(steps.trivial_row(
+                sigma, i, state, len(buckets.edges(sigma, i)), skipped=True))
 
 
 def _base_state(prev_scale, wbar, ladder, base, ctx):

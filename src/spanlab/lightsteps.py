@@ -70,6 +70,13 @@ class ClassState:
         return sum(self.pot)
 
     @cached_property
+    def reach(self) -> float:
+        """Phi + W: the potential plus the contracted tree's weight.  Every
+        augmented tree distance between two nodes sums some of these terms,
+        so none exceeds it."""
+        return self.phi + sum(w for _, _, w, _ in self.tree)
+
+    @cached_property
     def n_nodes(self) -> int:
         """Clusters holding at least one real vertex."""
         return sum(1 for v in self.virtual if not v)
@@ -401,15 +408,24 @@ def has_high_degree(state: ClassState, ei, ctx: StepContext) -> bool:
     return False
 
 
-def trivial_row(sigma: int, i: int, state: ClassState, bucket: int,
-                added: int = 0) -> dict:
-    return {
-        "sigma": sigma, "i": i, "v_nodes": state.count, "e_edges": added,
-        "y_nodes": 0, "n_nodes": state.n_nodes,
-        "phi": state.phi, "delta": 0.0, "a_i": 0.0,
+def trivial_row(sigma: int, i: int, state: Optional[ClassState], bucket: int,
+                added: int = 0, skipped: bool = False) -> dict:
+    """Row of a level that runs no step: its cluster graph is empty, or all
+    `added` of its edges are kept whole.  A `skipped` level built no cluster
+    graph at all; one skipped before its class built a state (`state` None)
+    reports no clusters and no potential."""
+    count, n_nodes, phi = (0, 0, 0.0) if state is None else (
+        state.count, state.n_nodes, state.phi)
+    row = {
+        "sigma": sigma, "i": i, "v_nodes": count, "e_edges": added,
+        "y_nodes": 0, "n_nodes": n_nodes,
+        "phi": phi, "delta": 0.0, "a_i": 0.0,
         "step_edge_counts": [0, 0, added], "degenerate": False,
         "bucket_edges": bucket,
     }
+    if skipped:
+        row["skipped"] = True
+    return row
 
 
 # ---------------------------------------------------------------- subgraphs

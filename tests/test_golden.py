@@ -58,14 +58,15 @@ def two_level_classes() -> WeightedGraph:
     return WeightedGraph(base.n, [(u, v, rng.choice(grid)) for u, v, _ in base.edges])
 
 
-# `light` runs its five steps (`process_level`) unaudited on these two: some
-# class has several levels (2 and 10 calls).  The other cases never run them
-# unaudited.
+# `light` runs its five steps (`process_level`) unaudited on these two (1
+# and 9 calls): at k = 1 the filter factor is about 1.3, so the potential
+# bound that skips a class's later levels leaves some level with a later
+# one it cannot rule out.  The other cases never run them unaudited.
 STEPS_CASES = {
-    "steps-gnm200-k2-e0.25": (
-        lambda: gnm_graph(200, 3000, 1, "loguniform", 1e9), 2, 0.25, unscaled_eps),
-    "steps-gnm500-k3-e0.5": (
-        lambda: gnm_graph(500, 6000, 3, "loguniform", 1e9), 3, 0.5, SCALED),
+    "steps-gnm300-k1-e0.5": (
+        lambda: gnm_graph(300, 3600, 2, "loguniform", 1e9), 1, 0.5, SCALED),
+    "steps-gnm500-k1-e0.5": (
+        lambda: gnm_graph(500, 6000, 3, "loguniform", 1e9), 1, 0.5, SCALED),
 }
 
 
@@ -86,6 +87,13 @@ def _cases():
     # `light` enters classes from three rungs of its carve ladder
     out["ladder-gnm100-k3-e0.5"] = (
         lambda: gnm_graph(100, 1500, 1, "loguniform", 1e9), 3, 0.5, unscaled_eps)
+    # plain builds ran the five steps on these two (2 and 10 calls) until
+    # the potential bound showed those levels' successors empty; audited
+    # builds still run them (AUDIT_STREAM reads the first)
+    out["steps-gnm200-k2-e0.25"] = (
+        lambda: gnm_graph(200, 3000, 1, "loguniform", 1e9), 2, 0.25, unscaled_eps)
+    out["steps-gnm500-k3-e0.5"] = (
+        lambda: gnm_graph(500, 6000, 3, "loguniform", 1e9), 3, 0.5, SCALED)
     out.update(STEPS_CASES)
     return out
 
@@ -199,6 +207,16 @@ GOLDEN = {
         'linear': '88c41dbd5354c2a677083cc69b063c0f3599b3710cbed8e05c0c50cc7eb61950',
         'light': '3eae7ef55a686cca4e941cb6f9d129abfd0037e8e291c5761e856cf8812ce284',
     },
+    'steps-gnm300-k1-e0.5': {
+        'pm': '287a3025e443104b0f6b69614e4cdc6636f7a5f1415e2a6114243b15becff512',
+        'linear': '9a02011c14efd2a31f7e618d8c3a2657cc38a4ac35e44316c4eb0c2d469fb79b',
+        'light': '1eb7e89abec7cbfa7db0dc0beb2549558cfb7ff3e280858430a44e51298d8b0f',
+    },
+    'steps-gnm500-k1-e0.5': {
+        'pm': '36d1fec376935673f95c21d65ae0c19047645ddf87c62a8d2fa43e4f2c767c37',
+        'linear': 'c9fefa1231b722e72e8d72176eae1e0c675c3af4aaddf53b71a95225eeef3ee8',
+        'light': '5abb25c2e46634a647e9711b20524dd84f85555e6086f86a9888161bf38c540e',
+    },
     'steps-gnm500-k3-e0.5': {
         'pm': '36d1fec376935673f95c21d65ae0c19047645ddf87c62a8d2fa43e4f2c767c37',
         'linear': '728309f3b94ecd54f565d077a9feab20b274e4db6a307a7e9067d5ff881d2a1f',
@@ -216,22 +234,22 @@ GOLDEN_ROWS = {
     'gnm48-loguniform-k2-e0.25': {
         'pm': '18369f2c7905a51a711efacdb13539c0452f080bc291b3cd501db33f76ef4919',
         'linear': '12aa513655281551f31e949e3604568d6402e2b4a5d518e64568cf5cb882d32f',
-        'light': 'cc98b8149bcd61e038bbf48bd4d83959007361c156861c63b52d02c68bffb359',
+        'light': 'ec60099ef5ce28acdcca839c04b6cadb98b1f2b9f113491c57d060b254c002fd',
     },
     'gnm48-loguniform-k2-e0.5': {
         'pm': '4c99bbf3950718031139320c37ababbd68d7645da6288c381fa01e938ac79b66',
         'linear': 'd4e863cb7652c033228e1963b07d489e0f32c89f167bd277bf25d0c5beba6005',
-        'light': '6233622ef2b0f26c8dabef026c7f8702722f8ef7637ab93d1836614000676933',
+        'light': '7ae432cee005b4ace14ca516673a5c83bd6b3e38004cef0ebf16783a54bc92e4',
     },
     'gnm48-loguniform-k3-e0.25': {
         'pm': '3eb36730a3ecd87ee6637d16901dab9784c26f476d2222cbface9fe54c1207f8',
         'linear': '5d11dd11a739cb6ef420ce22c47df7dd0816ada6f813b875f7a5beba6c7318a6',
-        'light': '9e065ec3e824e397c11acd36b7c45273240563a08cee2794c5a128d949d05d83',
+        'light': '91805fc6515d55fe79f37520494c69e62930da9ea5b8985d230bbae15f8c24cd',
     },
     'gnm48-loguniform-k3-e0.5': {
         'pm': '0e30d0dd1b7696820d2049dabb6d30b9ae95eb3bdea4ee7fcb2e0a9ceb6a8810',
         'linear': '76d9fead13dfb8267afaef941d479648fc152bcf769408093f33fb64a78c058c',
-        'light': 'f9251a6f392ec9c9709700aa2a47f3de431f08f4ecd8afdd748ff8b33d256c35',
+        'light': 'b31eb64ab453374961f029826ae96b12d96c69a4f812f445c977effbae11abb7',
     },
     'gnm48-uniform-k2-e0.25': {
         'pm': '76feff917f78505c1167bb72ea5841a207da9954e0230acb08ad308660ecefc1',
@@ -276,27 +294,37 @@ GOLDEN_ROWS = {
     'k4x30-k2-e0.25': {
         'pm': 'ccfb4ef38b0922dc201bc6f00cc1011247db1dfd6a2ff8c4cb22440f46da719f',
         'linear': 'fe6a904ba8381fe175bb9205edf4bdbc01ae84dbf0452df9fc05aba0011e30e7',
-        'light': 'f3437e593f023dfef68cfbf80f89583d7243fc070a7b71ccfcf952af31d84735',
+        'light': 'de07443f33417f5565b677b1ad25d2c53448822366ef25af2eeef4cba005618a',
     },
     'ladder-gnm100-k3-e0.5': {
         'pm': '664dfe1ebe4ecd80d50a185d38588bbd62403d5bee429966fdc37ff4bc7c7c22',
         'linear': '62f9fb4e07f5f56734f14f6a5d7aaa2c63cd884c82cf311eece040f5612a65dd',
-        'light': '58b6999a8dd9c4fe2eb104c49bbfbe64391ca0bbb9a38ef98ef80de483bc2770',
+        'light': '67c3475f4a726ecc21f30ef710a212ee9869de44e83353eccd5d4c042768872d',
     },
     'steps-gnm200-k2-e0.25': {
         'pm': 'f29452ec73483a21ac4b547fa9a4bb88083c62c9c0cf314f3b0fcd626dfcafd4',
         'linear': 'f4fdb25437d78f2ae83ae2f77081c3ae31f7efcdb0454b7da52b86f136aa8ca4',
-        'light': '10f858cdfea93461e2f1b849532f51fc882865c81e6994bd3e0317beb659c1a6',
+        'light': '0fc42cacd983ccb02b1ae1f5778df6c98fa229cd8b280a50b55cb285133cc37e',
+    },
+    'steps-gnm300-k1-e0.5': {
+        'pm': 'eee11ed9768ad3a65d3e875f71751c06b87c44658fa571a6ca103257d790182a',
+        'linear': '87b18fa51b32fc4a4e329c776902de070ecb7647815b66aebdff0557739dbbc9',
+        'light': '2ff307b428aa1a16769becf6002b55be0c5674b610d565ed4ee1f3f6fb1e13a7',
+    },
+    'steps-gnm500-k1-e0.5': {
+        'pm': '60b95af9c18a8b54d360aec2b9a2c8f950eeaa57a91e6ae4a7d3e8d8e502e104',
+        'linear': 'cb1ea12adbdbeb58f1a8c5bd78db33c0436993b1510ab1bfa083c84f496168af',
+        'light': 'b6187d5ae797a1d9603228e65c48ecfae6a0bbb61ecd86c1df500b5c810c3a86',
     },
     'steps-gnm500-k3-e0.5': {
         'pm': 'f1e4b68e5af7a67d7053df39c038a1dc5b1a221216f64f5bd405374a54931793',
         'linear': '5cd59713f46836eeeb0d2eae7b1df0cebd9fb6e347ce37c81ccb4ed3a9bb6f57',
-        'light': '327e4dda523afd13d3f423942324484077141e92539d09573f2a4e5d8068bcc6',
+        'light': '5e539743ed8a7cd16b69f6ef4a0848bd45809d94d3474de6e0f8a1c8818876e7',
     },
     'two-level-classes-k2-e0.25': {
         'pm': '306d984e869cc17cef833ccfcf746d3ab1a8d0d8fa685bc6c25fd3a8c4bd9968',
         'linear': 'a8d1fef47bcf33e149942f47e0d9beee2d9d28e00ee1d88afd19add524196c70',
-        'light': 'b4f9eac7434949cfd7a9f1012f9e856d586cf5f234257149a46c172f61bbc957',
+        'light': 'c866a1f3fb38a459eea6e234771bb79d17a29e14ee784d7fce791661af578b85',
     },
 }
 

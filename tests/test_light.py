@@ -7,10 +7,12 @@ import random
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import spanlab.light
 import spanlab.linear
 import spanlab.pm
+from spanlab.buckets import mu_classes, partition_edges, threshold
 from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import (
     WeightedGraph,
@@ -19,6 +21,8 @@ from spanlab.graphs import (
     minimum_spanning_tree,
 )
 from spanlab.light import (
+    FILTER_SLACK,
+    G_LIGHT,
     build_light,
     internal_eps_light,
     split_light_heavy,
@@ -703,8 +707,10 @@ def test_range_adm_matches_tree_adm_on_paths(pots, data):
 
 
 def test_unaudited_build_runs_no_audit(monkeypatch):
-    # the guard case runs `process_level`; without `check` no audit helper
-    # may be entered, with it the helpers run
+    # without `check` no audit helper may be entered, with it the helpers
+    # run.  The plain build of the audited case skips its later levels by
+    # the potential bound, so a k = 1 build (golden steps-gnm300-k1-e0.5)
+    # must run `process_level` with the helpers refused too
     audits = [name for name in vars(steps) if name.startswith("_audit_")]
     assert len(audits) >= 6
     entered = []
@@ -727,6 +733,10 @@ def test_unaudited_build_runs_no_audit(monkeypatch):
             mp.setattr(steps, name, refuse(name))
         with unscaled_eps():
             plain = build_light(g, 2, 0.25)
+        mp.setattr(steps, "process_level", counted("process_level", steps.process_level))
+        build_light(gnm_graph(300, 3600, seed=2, law="loguniform", wmax=1e9), 1, 0.5)
+    assert entered == ["process_level"]
+    entered.clear()
     for name in audits:
         monkeypatch.setattr(steps, name, counted(name, real[name]))
     with unscaled_eps():
@@ -832,6 +842,222 @@ def test_fast_path_and_full_path_agree():
         full = build_light(g, 2, 0.25, check=sink)
         sink.assert_clean()
         assert fast.edge_key_set() == full.edge_key_set()
+
+
+# ---------------------------------------------------------------- empty-level bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reach_bounds_every_aug_dist(data):
+    # premise (b) of the bound: on a random tree with random potentials,
+    # no augmented distance exceeds Phi + W
+    count = data.draw(st.integers(min_value=1, max_value=30))
+    size = st.floats(min_value=0.0, max_value=1e9)
+    pot = data.draw(st.lists(size, min_size=count, max_size=count))
+    parent = [data.draw(st.integers(min_value=0, max_value=v - 1))
+              for v in range(1, count)]
+    weights = data.draw(st.lists(size, min_size=count - 1, max_size=count - 1))
+    label = data.draw(st.permutations(range(count)))
+    tree = [(label[v + 1], label[p], w, v) for v, (p, w) in enumerate(zip(parent, weights))]
+    state = steps.ClassState(count=count, pot=pot, virtual=[False] * count,
+                             tree=tree, cl_of_sub=list(range(count)), scale=1.0)
+    assert state.reach == sum(pot) + sum(weights)
+    lca = state.lca
+    for a in range(count):
+        for b in range(count):
+            assert lca.aug_dist(a, b) <= state.reach * (1 + 1e-9)
+
+
+def test_reach_grows_by_at_most_the_level_edges():
+    # premise (c): a processed level's successor state has reach at most
+    # reach + sum(w(ei)), and a carve or `coarsen` does not raise it; over
+    # the levels of `test_process_level_digest` and their carves
+    import itertools
+
+    def assert_within(new, bound):
+        assert new.reach <= bound * (1 + 1e-9)
+
+    levels = 0
+    for state, ei, li, ctx in itertools.chain(_random_levels(range(40)),
+                                              _long_tree_levels()):
+        levels += 1
+        base = steps.singleton_state(ctx.sub)
+        assert_within(base, minimum_spanning_tree(ctx.g).weight)
+        assert_within(state, base.reach)
+        new, picked, row = steps.process_level(state, ei, li, 0, 1, ctx)
+        assert_within(new, state.reach + sum(e[2] for e in ei))
+        for grown in (state, new):
+            assert_within(steps.coarsen(grown, 4 * li, ctx, [], 0, 2), grown.reach)
+    assert levels == PROCESS_LEVEL_DIGEST["levels"]
+
+
+def reference_build_heavy(g, mst, heavy_pool, k, eps, check, chosen, levels_log, ops):
+    """`light._build_heavy`'s plain level loop before the empty-level
+    bound: every level builds its state and cluster graph, and only a
+    class's single level keeps its edges without the five steps."""
+    assert check is None
+    eps_i = internal_eps_light(eps)
+    wbar = mst.weight / (g.m * eps)
+    sub = subdivide_mst(mst, wbar, g.n)
+    buckets = partition_edges(g, heavy_pool, eps_i, wbar)
+    mu = buckets.mu
+    ctx = steps.StepContext(
+        g=g, sub=sub, k=k, eps=eps_i, gconst=G_LIGHT,
+        filter_factor=(2 * k - 1) * (1.0 + FILTER_SLACK * eps_i),
+    )
+    base = steps.singleton_state(sub)
+    ladder: dict = {}
+    for sigma in buckets.classes():
+        level_ids = buckets.levels(sigma)
+        state = None
+        for i in level_ids:
+            li = threshold(i * mu + sigma, eps_i, wbar)
+            prev = threshold((i - 1) * mu + sigma, eps_i, wbar)
+            if state is None:
+                state = spanlab.light._base_state(prev, wbar, ladder, base, ctx)
+            elif state.scale < prev * (1 - 1e-12):
+                state = steps.coarsen(state, prev, ctx, levels_log, sigma, i)
+            bucket = buckets.edges(sigma, i)
+            ei = steps.build_cluster_graph(state, bucket, g, li, ctx)
+            if not ei:
+                levels_log.append(steps.trivial_row(sigma, i, state, len(bucket)))
+                continue
+            if len(level_ids) == 1 and not steps.has_high_degree(state, ei, ctx):
+                chosen.update(e[3] for e in ei)
+                levels_log.append(
+                    steps.trivial_row(sigma, i, state, len(bucket), added=len(ei)))
+                continue
+            state, picked, row = steps.process_level(state, ei, li, sigma, i, ctx)
+            chosen.update(picked)
+            levels_log.append(row)
+
+
+def bound_case(n, per_vertex, wmax, seed, pieces, digits):
+    """gnm(n, per_vertex*n) with loguniform weights in [1, wmax], beside a
+    second, sparser piece when `pieces` is 2, and weights rounded to
+    `digits` significant digits (so that many edges tie) when given;
+    vertex 2n stays isolated."""
+    edges = list(gnm_graph(n, per_vertex * n, seed, "loguniform", wmax).edges)
+    if pieces == 2:
+        edges += [(u + n, v + n, w) for u, v, w in
+                  gnm_graph(n, per_vertex * n // 2, seed + 1, "loguniform", wmax).edges]
+    if digits is not None:
+        edges = [(u, v, float(f"{w:.{digits}g}")) for u, v, w in edges]
+    return WeightedGraph.from_edges(2 * n + 1, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=4, max_value=120),
+       per_vertex=st.integers(min_value=1, max_value=12),
+       wmax=st.sampled_from([10.0, 1e4, 1e12]),
+       seed=st.integers(min_value=0, max_value=2**16),
+       pieces=st.sampled_from([1, 2]),
+       digits=st.sampled_from([None, 1, 2]),
+       k=st.integers(min_value=1, max_value=3),
+       eps=st.sampled_from([0.1, 0.25, 0.5, 0.9]),
+       unscaled=st.booleans())
+# inputs where the reference runs the five steps: unskipped and processed
+# levels, `coarsen`, levels kept whole in their place, ties, two pieces
+@example(n=120, per_vertex=12, wmax=1e12, seed=3, pieces=1, digits=None, k=1, eps=0.5,
+         unscaled=True)
+@example(n=120, per_vertex=12, wmax=1e12, seed=3, pieces=1, digits=2, k=1, eps=0.9,
+         unscaled=True)
+@example(n=120, per_vertex=12, wmax=1e12, seed=5, pieces=2, digits=None, k=2, eps=0.9,
+         unscaled=True)
+def test_empty_level_bound_matches_reference_loop(n, per_vertex, wmax, seed, pieces,
+                                                  digits, k, eps, unscaled):
+    # the bound may only skip levels whose cluster graph the full loop
+    # finds empty, and keep `ei` whole only where the five steps would keep
+    # it all; every other level's row is the reference's own
+    g = bound_case(n, per_vertex, wmax, seed, pieces, digits)
+    with unscaled_eps() if unscaled else contextlib.nullcontext():
+        new = build_light(g, k, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spanlab.light, "_build_heavy", reference_build_heavy)
+            ref = build_light(g, k, eps)
+    assert new.edges == ref.edges
+    ref_rows = [row for row in ref.levels if not row.get("coarsen")]
+    new_rows = [row for row in new.levels if not row.get("coarsen")]
+    assert len(new_rows) == len(ref_rows)
+    for got, want in zip(new_rows, ref_rows):
+        assert (got["sigma"], got["i"]) == (want["sigma"], want["i"])
+        if got.get("skipped"):
+            assert "bucket_edges" in want and want["e_edges"] == 0
+        elif "bucket_edges" in got and got["e_edges"] and "bucket_edges" not in want:
+            # kept whole where the reference ran the five steps: they picked all
+            assert sum(want["step_edge_counts"]) == want["e_edges"] == got["e_edges"]
+        else:
+            assert got == want
+
+
+def _path_with_chords(n: int, chords: list[tuple[int, int, float]]) -> WeightedGraph:
+    """A unit-weight path on n vertices (the MST) plus `chords`."""
+    return WeightedGraph.from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)] + chords)
+
+
+def _grid(m: int, tree_weight: float, k: int, eps: float):
+    """The heavy side's grid threshold T(j), filter factor F and class
+    count mu, for m edges whose MST weighs `tree_weight`."""
+    eps_i = internal_eps_light(eps)
+    wbar = tree_weight / (m * eps)
+    return (lambda j: threshold(j, eps_i, wbar),
+            (2 * k - 1) * (1 + FILTER_SLACK * eps_i), mu_classes(eps_i))
+
+
+def _build_both(g, k, eps):
+    """(build_light, the reference loop's build, process_level calls of the first)."""
+    calls = []
+    real = steps.process_level
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steps, "process_level", lambda *a: calls.append(a[4]) or real(*a))
+        new = build_light(g, k, eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spanlab.light, "_build_heavy", reference_build_heavy)
+        ref = build_light(g, k, eps)
+    return new, ref, calls
+
+
+def test_bound_reads_the_cell_floor():
+    # one chord closes a unit path of weight W; its weight w lies in its
+    # cell (T_{j-1}, T_j] below W/F, so its tree path W exceeds F*w and it
+    # must be kept, although F*T_j >= W: the bound may only use T_{j-1}
+    n, k, eps = 10, 1, 0.5
+    big = float(n - 1)
+    T, F, _ = _grid(n, big, k, eps)
+    j = 0
+    while T(j) < big / F:
+        j += 1
+    assert T(j - 1) < big / F and F * T(j) >= big * (1 + 1e-6)
+    w = (T(j - 1) + big / F) / 2
+    g = _path_with_chords(n, [(0, n - 1, w)])
+    new, ref, _ = _build_both(g, k, eps)
+    assert (0, n - 1, w) in new.edges
+    assert new.edges == ref.edges
+
+
+def test_bound_counts_the_level_edges():
+    # a class with two levels on a unit path of weight W: 20 short chords
+    # at level 0 and the chord (0, n-1) at level 1, whose cell floor sits
+    # just above W/F.  Level 0 may lift reach by its edges' weight, past
+    # F*T_next, so it must run the five steps; its successor's reach then
+    # shows level 1 empty
+    n, k, eps = 1000, 1, 0.5
+    big = float(n - 1)
+    with unscaled_eps():
+        T, F, mu = _grid(n + 20, big, k, eps)
+        j1 = 1
+        while F * T(j1 - 1) < big * (1 + 1e-9):
+            j1 += 1
+        w0 = T(j1 - mu)
+        span = int(3 * F * w0) + 1
+        step = (n - span - 1) // 20
+        chords = [(c * step, c * step + span, w0) for c in range(20)]
+        g = _path_with_chords(n, chords + [(0, n - 1, T(j1))])
+        assert F * T(j1 - 1) < big + 20 * w0
+        new, ref, calls = _build_both(g, k, eps)
+    assert calls == [0]
+    assert new.edges == ref.edges
 
 
 def test_oracle_random_grid(sink):
@@ -1018,10 +1244,12 @@ def test_state_totals_match_plain_sums():
 def test_lca_tables_built_once_per_state(monkeypatch):
     # a wide weight range under unscaled eps enters classes from several
     # carve-ladder rungs; every class entering at a rung shares its LCA.
-    # On that build and on the golden case steps-gnm500-k3-e0.5, whose
-    # classes run the five steps 10 times, a build makes one singleton
+    # On that build and on the golden case steps-gnm500-k1-e0.5, whose
+    # classes run the five steps 9 times, a build makes one singleton
     # state and every state builds its adjacency, rooting and LCA at most
-    # once
+    # once.  Both are k = 1 builds: at k >= 2 the potential bound skips
+    # the classes that enter at a rung, and every level that would run
+    # the steps
     import functools
     import spanlab.light
 
@@ -1062,9 +1290,9 @@ def test_lca_tables_built_once_per_state(monkeypatch):
             built[key].clear()
         built["singleton"].clear()
 
-    g = gnm_graph(100, 1500, seed=1, law="loguniform", wmax=1e9)
+    g = gnm_graph(200, 3000, seed=1, law="loguniform", wmax=1e9)
     with unscaled_eps():
-        build_light(g, 3, 0.5)
+        build_light(g, 1, 0.25)
     assert calls["rungs"] >= 2
     bound = 1 + calls["rungs"] + calls["process"] + calls["coarsen"]
     assert calls["lca"] <= bound
@@ -1072,8 +1300,8 @@ def test_lca_tables_built_once_per_state(monkeypatch):
     assert_views_built_once()
 
     calls["process"] = 0
-    build_light(gnm_graph(500, 6000, seed=3, law="loguniform", wmax=1e9), 3, 0.5)
-    assert calls["process"] == 10
+    build_light(gnm_graph(500, 6000, seed=3, law="loguniform", wmax=1e9), 1, 0.5)
+    assert calls["process"] == 9
     assert_views_built_once()
 
 
