@@ -226,6 +226,13 @@ class StaticTreeUF:
     not full and its table maps v to itself, so the answer is v after the
     call and one table step, and 2 is counted.  link is link_all of one
     vertex, and find_all counts exactly what a loop of find would.
+
+    Only link, link_all, find and find_all write the session: a find
+    that crosses fully linked microsets records its answer in their skip
+    caches, and keeps each table it looks up.  peek is find without
+    those writes: it reads the skip caches and tables as they stand, so
+    it gives find's answer and counts find's cost, but leaves every
+    later answer and count as it was.
     """
 
     def __init__(self, index: StaticTreeIndex):
@@ -305,9 +312,20 @@ class StaticTreeUF:
             return v
         return self._climb([v])[0]
 
-    def _climb(self, vs: list[int]) -> list[int]:
+    def peek(self, v: int) -> int:
+        """find(v), with its answer and its cost, that writes no skip
+        cache and no table."""
+        if not 0 <= v < self.index.n:
+            raise IndexError(f"element {v} out of range")
+        if not self.linked[v]:
+            self.cost += 2
+            return v
+        return self._climb([v], record=False)[0]
+
+    def _climb(self, vs: list[int], record: bool = True) -> list[int]:
         """Topmost members of linked vertices, found in order and counted
-        as one find each."""
+        as one find each.  Without `record`, the skip caches and tables
+        are read but not written."""
         # The root is never linkable, so the microset containing the root is
         # never full and its table always yields an answer: termination.
         idx = self.index
@@ -331,12 +349,15 @@ class StaticTreeUF:
                     continue
                 table = tables[mid]
                 if table is None:
-                    table = tables[mid] = idx.table(mid, mask)
+                    table = idx.table(mid, mask)
+                    if record:
+                        tables[mid] = table
                 local = table[local_of[v]]
                 if local != -1:
                     ans = members[mid][local]
-                    for m in trail:
-                        skips[m] = ans
+                    if record:
+                        for m in trail:
+                            skips[m] = ans
                     out.append(ans)
                     break
                 # every in-microset ancestor of v is linked; continue above

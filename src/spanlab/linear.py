@@ -23,20 +23,23 @@ cluster has at most one carried edge up to its parent (see
 `StaticTreeUF.link_all` and the carried edges' upper ends found in one
 `find_all`, both counted as the single calls would be.
 
-A class's first merge depends on `end` alone, the number of MST edges
-in range at its first level.  Its session is fresh, so every cluster is
-a singleton: the selection's finds answer each vertex as itself and
-change nothing, and the forest is exactly the carried list
-`mst_child[0:end]`, whatever sigma, the bucket or the reps are.  The
-forest, its star cover, the links, the leftovers and the session's
-state after the merge are then the same for every class with that
-`end`, and many classes share one.  So each build computes a first
-merge once per `end` and restores the session's state on later classes.
-It keeps a merge only while some later class starts from its `end`;
-classes that share an `end` come nearly in a row, so few are held at
-once.  A restore counts its links as run, and a row records the finds
-it skips (2 per carried edge) as `reused`: `finds` and `uf_cost` count
-the steps that ran, and adding `reused` gives the paper's count.
+Only merges write a session.  A merge's find_all records skip caches
+and its link_all links; the selection reads the session through
+`StaticTreeUF.peek`, which counts find's cost but records nothing, and
+so do the audits, which also leave the cost as it was.  A class's
+session starts fresh, so its state after its t-th merge, and that merge
+itself (forest, star cover, links, leftovers and find cost), depend
+only on its first t `end`s, where a level's `end` is the number of MST
+edges in range at it; sigma, the buckets and the reps do not enter.
+Many classes share such a prefix.  So each build keys its merges by the
+tuple (end_1, ..., end_t): it counts each prefix's uses up front, runs
+a merge on its first use, restores the session's state after it on the
+later ones and drops the entry after its last use.  Classes that share
+a prefix come nearly in a row, so few are held at once.  A restore
+counts its links as run, and a row records the finds of the merge it
+restored as `reused` (2 per carried edge for a first merge, whose
+carried edges' upper ends are all singletons): `finds` and `uf_cost`
+count the steps that ran, and adding `reused` gives the paper's count.
 
 `per_component` is the disconnected-input wrapper of this builder and of
 light's.
@@ -143,27 +146,29 @@ def _build_connected(
 
     index: Optional[StaticTreeIndex] = None
     levels_log: list[dict] = []
-    # end -> (session after the first merge, verts, links, leftovers), kept
-    # only while a later class starts from that end
-    first_merges: dict[int, tuple[StaticTreeUF, list[int], int, list[int]]] = {}
-    starts_left: Counter[int] = Counter()
+    # (end_1, ..., end_t) -> (session after that merge, verts, links,
+    # finds, leftovers), kept only while a later class makes that merge
+    merges: dict[tuple[int, ...], tuple[StaticTreeUF, list[int], int, int, list[int]]] = {}
+    uses: Counter[tuple[int, ...]] = Counter()
     for sigma in buckets.classes():
-        level_ids = buckets.levels(sigma)
-        if len(level_ids) > 1:
-            starts_left[bisect_right(mst_index, level_ids[0] * mu + sigma)] += 1
+        key: tuple[int, ...] = ()
+        for i in buckets.levels(sigma)[:-1]:
+            key += (bisect_right(mst_index, i * mu + sigma),)
+            uses[key] += 1
 
     for sigma in buckets.classes():
         level_ids = buckets.levels(sigma)
-        first, last = level_ids[0], level_ids[-1]
+        last = level_ids[-1]
         session: Optional[StaticTreeUF] = None
         if len(level_ids) > 1:
             if index is None:
                 index = StaticTreeIndex(mst.parent)
             session = StaticTreeUF(index)
         # inter-cluster MST edges (child ids), w <= L_i; every update makes
-        # a new list, since a cached first merge shares its leftovers
+        # a new list, since a cached merge shares its leftovers
         carried: list[int] = []
         ptr = 0
+        key = ()
         for i in level_ids:
             bucket = buckets.edges(sigma, i)
             if check is not None and session is not None:
@@ -174,33 +179,34 @@ def _build_connected(
                 )
             cost0 = session.cost if session else 0
             kept, _, reps, _ = select_bucket(
-                norm, bucket, k, session.find if session else _identity,
+                norm, bucket, k, session.peek if session else _identity,
                 spanner_eids, ops)
 
             # this level's merge candidates: carried forest edges plus the
             # newly in-range MST edges (weight <= L_i)
             end = bisect_right(mst_index, i * mu + sigma, ptr)
-            carried = carried + mst_child[ptr:end]
-            ptr = end
             verts: list[int] = []
             links = reused = 0
-            if i != last and i == first:
-                # a first merge sees singletons and mst_child[0:end] only
-                starts_left[end] -= 1
-                hit = first_merges.get(end)
-                if hit is None:
+            hit = None
+            if i != last:
+                key += (end,)
+                uses[key] -= 1
+                hit = merges.get(key)
+            if hit is not None:
+                state, verts, links, reused, carried = hit
+                session.restore(state)
+                session.cost += links
+                if not uses[key]:
+                    del merges[key]
+            else:
+                carried = carried + mst_child[ptr:end]
+                if i != last:
+                    cost1 = session.cost
                     verts, links, carried = _merge(session, mst, carried)
-                    if starts_left[end]:
-                        first_merges[end] = (session.copy(), verts, links, carried)
-                else:
-                    state, verts, links, carried = hit
-                    session.restore(state)
-                    session.cost += links
-                    reused = 2 * end   # the skipped finds, 2 per unlinked top
-                    if not starts_left[end]:
-                        del first_merges[end]
-            elif i != last:
-                verts, links, carried = _merge(session, mst, carried)
+                    if uses[key]:
+                        merges[key] = (session.copy(), verts, links,
+                                       session.cost - cost1 - links, carried)
+            ptr = end
             if check is not None:
                 tag = f"sigma={sigma} i={i}"
                 y = set(verts) if i != last else _in_range_clusters(
@@ -344,7 +350,7 @@ def _in_range_clusters(session: Optional[StaticTreeUF], mst,
     ups = [mst.parent[c] for c in carried]
     if session is not None:
         cost = session.cost
-        ups = session.find_all(ups)
+        ups = list(map(session.peek, ups))
         session.cost = cost
     return set(carried).union(ups)
 
@@ -357,12 +363,15 @@ def _check_p2_subtree(
     check: Callable[[str, bool, str], None],
     tag: str,
 ) -> None:
-    """Each cluster induces a connected MST subtree of bounded diameter."""
+    """Each cluster induces a connected MST subtree of bounded diameter.
+    Read-only: the session's state and cost are left as they were."""
     if norm.n > 200:
         return
     clusters: dict[int, list[int]] = {}
+    cost = session.cost
     for v in range(norm.n):
-        clusters.setdefault(session.find(v), []).append(v)
+        clusters.setdefault(session.peek(v), []).append(v)
+    session.cost = cost
     check("p1-partition", sum(len(c) for c in clusters.values()) == norm.n, tag)
 
     tree_adj: list[list[tuple[int, float]]] = [[] for _ in range(norm.n)]

@@ -271,7 +271,7 @@ class ReferenceStaticTreeUF:
     table per microset and answered unlinked vertices directly: every find
     walks the microsets and looks each table up in the index's memo.  The
     engine must give the same answer and the same `cost` increment on
-    every op."""
+    every op.  peek is find that records no skip."""
 
     def __init__(self, index: StaticTreeIndex):
         self.index = index
@@ -290,7 +290,10 @@ class ReferenceStaticTreeUF:
         self.cost += 1
         self._mask[idx.micro_of[v]] |= 1 << idx.local_of[v]
 
-    def find(self, v: int) -> int:
+    def peek(self, v: int) -> int:
+        return self.find(v, record=False)
+
+    def find(self, v: int, record: bool = True) -> int:
         if not (0 <= v < self.index.n):
             raise IndexError(f"element {v} out of range")
         self.cost += 1
@@ -310,24 +313,33 @@ class ReferenceStaticTreeUF:
             self.cost += 1
             if local != -1:
                 ans = idx.micro_members[mid][local]
-                for m in trail:
-                    self._skip[m] = ans
+                if record:
+                    for m in trail:
+                        self._skip[m] = ans
                 return ans
             v = top_parent
 
 
+_CALLS = {"L": "link", "F": "find", "P": "peek"}
+
+
 def _assert_same_per_op(parent, ops) -> StaticTreeUF:
-    """Replay `ops` on the engine and on the reference side by side; returns
-    the engine."""
+    """Replay `ops` (L link, F find, P peek) on the engine and on the
+    reference side by side; a peek must also leave the engine's state and
+    the reference's skips as they were.  Returns the engine."""
     index = StaticTreeIndex(parent)
     engines = (StaticTreeUF(index), ReferenceStaticTreeUF(index))
     for step, op in enumerate(ops):
         seen = []
+        state = [x[:] for x in _session_state(engines[0])[1:]] + [engines[1]._skip[:]]
         for uf in engines:
             before = uf.cost
-            ans = uf.link(op[1]) if op[0] == "L" else uf.find(op[1])
+            ans = getattr(uf, _CALLS[op[0]])(op[1])
             seen.append((ans, uf.cost - before))
         assert seen[0] == seen[1], f"op {step} {op}: engine {seen[0]}, reference {seen[1]}"
+        if op[0] == "P":
+            assert [*_session_state(engines[0])[1:], engines[1]._skip] == state, \
+                f"op {step} {op} wrote the session"
     return engines[0]
 
 
@@ -343,13 +355,15 @@ def test_static_cost_per_op_matches_reference(data):
     for v in range(1, n):
         parent[label[v]] = label[shape[v]]
     root = label[0]
-    node = st.integers(min_value=0, max_value=n - 1)
+    probes = st.lists(st.tuples(st.sampled_from("FP"),
+                                st.integers(min_value=0, max_value=n - 1)),
+                      max_size=4)
     order = data.draw(st.permutations([v for v in range(n) if v != root]))
     cut = data.draw(st.integers(min_value=0, max_value=len(order)))
-    ops = [("F", v) for v in data.draw(st.lists(node, max_size=4))]
+    ops = data.draw(probes)
     for v in order[:cut]:
         ops.append(("L", v))
-        ops += [("F", x) for x in data.draw(st.lists(node, max_size=4))]
+        ops += data.draw(probes)
     _assert_same_per_op(parent, ops)
 
 
@@ -368,7 +382,8 @@ def _broom(handle: int, bristles: int) -> list[int]:
 @pytest.mark.parametrize("order", ["bottom-up", "top-down", "shuffled"])
 def test_static_cost_per_op_matches_reference_on_deep_trees(parent, order):
     # long paths stack dozens of microsets; finds from the bottom cross
-    # the fully linked ones and fill and then follow the skip cache
+    # the fully linked ones and fill and then follow the skip cache, and
+    # peeks climb them before and after a find has filled it
     n = len(parent)
     rng = random.Random(f"{n}-{order}")
     links = list(range(1, n))
@@ -380,9 +395,11 @@ def test_static_cost_per_op_matches_reference_on_deep_trees(parent, order):
     for count, v in enumerate(links, 1):
         ops.append(("L", v))
         if count % 7 == 0:
-            ops += [("F", n - 1), ("F", rng.randrange(n)), ("F", n - 1)]
+            ops += [("P", n - 1), ("F", n - 1), ("P", rng.randrange(n)),
+                    ("F", rng.randrange(n)), ("F", n - 1), ("P", n - 1)]
+    ops += [("P", v) for v in range(n - 1, -1, -1)]
     ops += [("F", v) for v in range(n - 1, -1, -1)]
-    ops += [("F", rng.randrange(n)) for _ in range(n)]
+    ops += [(rng.choice("FP"), rng.randrange(n)) for _ in range(n)]
     uf = _assert_same_per_op(parent, ops)
     assert len(uf.index.micro_members) >= 15
     assert any(skip is not None for skip in uf._skip)
@@ -466,6 +483,15 @@ def test_static_find_all_unlinked_costs_two_each():
     uf.link(3)
     assert uf.find_all([1, 2, 5]) == [1, 2, 5]
     assert uf.cost == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("bad", [8, -1])
+def test_static_peek_raises_like_find(bad):
+    uf = StaticTreeUF(StaticTreeIndex(_chain(8)))
+    uf.link(3)
+    for call in (uf.find, uf.peek):
+        with pytest.raises(IndexError, match="out of range"):
+            call(bad)
 
 
 @pytest.mark.parametrize("bad", [8, -1])

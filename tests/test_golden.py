@@ -298,27 +298,27 @@ GOLDEN_ROWS = {
     },
     'ladder-gnm100-k3-e0.5': {
         'pm': '664dfe1ebe4ecd80d50a185d38588bbd62403d5bee429966fdc37ff4bc7c7c22',
-        'linear': '62f9fb4e07f5f56734f14f6a5d7aaa2c63cd884c82cf311eece040f5612a65dd',
+        'linear': 'c67db3f8012a68bd5944011e8d3e5762723a81622861a228ef88ebf49c6193ae',
         'light': '67c3475f4a726ecc21f30ef710a212ee9869de44e83353eccd5d4c042768872d',
     },
     'steps-gnm200-k2-e0.25': {
         'pm': 'f29452ec73483a21ac4b547fa9a4bb88083c62c9c0cf314f3b0fcd626dfcafd4',
-        'linear': 'f4fdb25437d78f2ae83ae2f77081c3ae31f7efcdb0454b7da52b86f136aa8ca4',
+        'linear': 'cbe15bce06b3d25a64e5eb3925bfdbc3a43eb08f56adf34a39e6ad0f3c2f804d',
         'light': '0fc42cacd983ccb02b1ae1f5778df6c98fa229cd8b280a50b55cb285133cc37e',
     },
     'steps-gnm300-k1-e0.5': {
         'pm': 'eee11ed9768ad3a65d3e875f71751c06b87c44658fa571a6ca103257d790182a',
-        'linear': '87b18fa51b32fc4a4e329c776902de070ecb7647815b66aebdff0557739dbbc9',
+        'linear': 'bf2d436de1f020118b84a1ff7198b32d4476ee33a06c6bd0ee8ad3a5c8968560',
         'light': '2ff307b428aa1a16769becf6002b55be0c5674b610d565ed4ee1f3f6fb1e13a7',
     },
     'steps-gnm500-k1-e0.5': {
         'pm': '60b95af9c18a8b54d360aec2b9a2c8f950eeaa57a91e6ae4a7d3e8d8e502e104',
-        'linear': 'cb1ea12adbdbeb58f1a8c5bd78db33c0436993b1510ab1bfa083c84f496168af',
+        'linear': '9791340bbeb8db84f99b55c27bcb533101861e9bde8f4ffb073736efb889d3fa',
         'light': 'b6187d5ae797a1d9603228e65c48ecfae6a0bbb61ecd86c1df500b5c810c3a86',
     },
     'steps-gnm500-k3-e0.5': {
         'pm': 'f1e4b68e5af7a67d7053df39c038a1dc5b1a221216f64f5bd405374a54931793',
-        'linear': '5cd59713f46836eeeb0d2eae7b1df0cebd9fb6e347ce37c81ccb4ed3a9bb6f57',
+        'linear': 'f0d254cd60c09a2bee8cf98087a4789e50e8d15019c0ac4cd070405a64d9f051',
         'light': '5e539743ed8a7cd16b69f6ef4a0848bd45809d94d3474de6e0f8a1c8818876e7',
     },
     'two-level-classes-k2-e0.25': {

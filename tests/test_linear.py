@@ -311,6 +311,7 @@ def reference_build_connected(g, k, eps, merge_last=True):
     each class has its own union-find session and merges after every
     level, the last one included; without it, as the builder does, a
     last level merges nothing and a one-level class opens no session.
+    The selection reads the session through peek, as the builder's does.
     A row's `fast` marks its class's last level."""
     eps_i = internal_eps(eps)
     ops = {"links": 0, "finds": 0, "uf_cost": 0, "hz": 0}
@@ -339,7 +340,7 @@ def reference_build_connected(g, k, eps, merge_last=True):
             bucket = buckets.edges(sigma, i)
             cost0 = session.cost if session else 0
             kept, _, reps, _ = select_bucket(
-                norm, bucket, k, session.find if session else (lambda v: v),
+                norm, bucket, k, session.peek if session else (lambda v: v),
                 spanner_eids, ops)
             end = bisect_right(mst_index, i * buckets.mu + sigma, ptr)
             carried += mst_child[ptr:end]
@@ -456,11 +457,11 @@ def test_last_level_of_each_class_merges_nothing(make, scaling):
             assert row["links"] == 0
 
 
-def _assert_matches_cache_free(g, k, eps) -> int:
+def _assert_matches_cache_free(g, k, eps) -> Spanner:
     """build_linear against the reference level loop, which merges where
-    the builder does but runs every first merge in full: the same edges
-    and rows, a restored first merge's skipped finds counted in `reused`.
-    Returns the number of rows that restored a first merge."""
+    the builder does but runs every merge in full: the same edges and
+    rows, a restored merge's skipped finds counted in `reused`.  Returns
+    the build."""
     got = build_linear(g, k, eps)
     ref = per_component(g, "linear", k, eps, reference_build_connected, False)
     assert got.edges == ref.edges
@@ -475,20 +476,60 @@ def _assert_matches_cache_free(g, k, eps) -> int:
     assert ops["finds"] + ops["uf_reused"] == ref.ops["finds"]
     assert ops["uf_cost"] + ops["uf_reused"] == ref.ops["uf_cost"]
     assert ops["uf_reused"] == sum(row["reused"] for row in got.levels)
-    return sum(1 for row in got.levels if row["reused"] > 0)
+    return got
 
 
 @settings(max_examples=150, deadline=None)
 @given(tied_grid_graphs())
-def test_reused_first_merges_match_cache_free_build(case):
+def test_reused_merges_match_cache_free_build(case):
     g, k, eps, scaled = case
     with contextlib.nullcontext() if scaled else unscaled_eps():
         _assert_matches_cache_free(g, k, eps)
 
 
-def test_reused_first_merges_match_cache_free_build_wide():
-    # wide-weights' shape: 614 classes of two levels or more start from
-    # only 59 distinct `end`s, and every class after the first with its
-    # `end` restores that first merge
+def _merge_prefixes(g, eps) -> Counter:
+    """For a connected g: how many merges each prefix (end_1, ..., end_t)
+    of a class's `end`s names, where a level's `end` counts the MST edges
+    in range at it, over the merging levels (all but each class's last)."""
+    eps_i = internal_eps(eps)
+    norm, _ = normalize_weights(g)
+    mst = minimum_spanning_tree(norm)
+    tree = set(mst.eids)
+    buckets = partition_edges(norm, [e for e in range(norm.m) if e not in tree], eps_i)
+    grid = sorted(bucket_raw_index(w, eps_i) for _, _, w in mst.edges)
+    uses: Counter = Counter()
+    for sigma in buckets.classes():
+        ends = tuple(bisect_right(grid, i * buckets.mu + sigma)
+                     for i in buckets.levels(sigma)[:-1])
+        uses.update(ends[:t] for t in range(1, len(ends) + 1))
+    return uses
+
+
+def test_reused_merges_match_cache_free_build_wide():
+    # wide-weights' shape: many classes of two levels or more share a
+    # prefix of `end`s, and every merge after the first with its prefix
+    # is restored, a later level's merge as well as a first one
     g = gnm_graph(250, 3000, 11, "loguniform", 1e9)
-    assert _assert_matches_cache_free(g, 3, 0.5) == 614 - 59
+    got = _assert_matches_cache_free(g, 3, 0.5)
+    uses = _merge_prefixes(g, 0.5)
+    restored = [j for j, row in enumerate(got.levels) if row["reused"] > 0]
+    assert len(restored) == sum(uses.values()) - len(uses)
+    assert any(j and got.levels[j - 1]["sigma"] == got.levels[j]["sigma"]
+               for j in restored)
+
+
+@pytest.mark.parametrize("n, m, seed, k, eps", [
+    (200, 2400, 11, 3, 0.5),
+    (120, 1440, 2, 2, 0.25),
+])
+def test_audited_build_counts_like_plain(n, m, seed, k, eps):
+    # the audits read every vertex's cluster through the session before
+    # each level; they must leave its later answers and counts as they were
+    g = gnm_graph(n, m, seed, "loguniform", 1e9)
+    sink = CheckSink()
+    audited = build_linear(g, k, eps, check=sink)
+    sink.assert_clean()
+    plain = build_linear(g, k, eps)
+    assert any(row["reused"] > 0 for row in plain.levels)
+    assert (audited.edges, audited.levels, audited.ops) == \
+        (plain.edges, plain.levels, plain.ops)
