@@ -71,6 +71,15 @@ class ClassicUF:
             p[x], x = root, p[x]
         return self.label[root]
 
+    def peek(self, x: int) -> int:
+        """find(x)'s answer, without compressing a path or charging cost."""
+        if not (0 <= x < len(self.parent)):
+            raise IndexError(f"element {x} out of range")
+        p = self.parent
+        while p[x] != x:
+            x = p[x]
+        return self.label[x]
+
     def _root(self, x: int) -> int:
         p = self.parent
         root = x

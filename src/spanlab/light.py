@@ -19,14 +19,14 @@ adjacency and LCA, built on first use, and sums its potential total, its
 reach (potential plus tree weight) and real cluster count once, however
 many trivial levels report them.
 
-A plain build skips every level that a potential bound shows empty: no
+A build skips every level that a potential bound shows empty: no
 augmented tree distance exceeds a state's reach, and a level raises the
 reach by at most the weight of its cluster-graph edges, so once the filter
 factor times a level's cell floor passes that bound, the level and the
 rest of its class are logged as skipped, before any state, carve, LCA or
 cluster graph is built for them.  A level with no high-degree node whose
 later levels the bound rules out keeps its edges whole, without the five
-steps.  `_build_heavy` gives the proof; audited builds run every level.
+steps.  `_build_heavy` gives the proof; audited builds run the same levels.
 """
 from __future__ import annotations
 
@@ -202,12 +202,12 @@ def _build_heavy(
 ) -> None:
     """Heavy side: each weight class's levels over the subdivided MST.
 
-    A plain build (no `check`) skips every level that a potential bound
-    shows empty.  Let F be the filter factor, reach = Phi + W (a state's
-    potential plus its contracted tree's weight, `ClassState.reach`), and
-    T the lower bound T_{j-1} of level i's grid cell j = i*mu + sigma:
-    every bucket edge of the level weighs w > T, in floats too
-    (`bucket_raw_index`), and later levels of the class have higher cells.
+    A build skips every level that a potential bound shows empty.  Let F
+    be the filter factor, reach = Phi + W (a state's potential plus its
+    contracted tree's weight, `ClassState.reach`), and T the lower bound
+    T_{j-1} of level i's grid cell j = i*mu + sigma: every bucket edge of
+    the level weighs w > T, in floats too (`bucket_raw_index`), and later
+    levels of the class have higher cells.
 
     (a) A level with no high-degree node keeps all of `ei`: the third
         selection step keeps every edge with a low-degree end.
@@ -229,9 +229,9 @@ def _build_heavy(
     without a state, carve, `coarsen`, LCA or cluster graph, when F*T >= R
     with R = w(MST) before the class built a state, and R = state.reach
     once it has one (checked before a state is built or coarsened, and
-    again after).  A
-    level whose `ei` has no high-degree node keeps `ei` whole and ends the
-    class when no later level exists or F*T_next >= reach + sum(w(ei)).
+    again after).  A level whose `ei` has no high-degree node keeps `ei`
+    whole and ends the class when no later level exists or
+    F*T_next >= reach + sum(w(ei)).
 
     Every test multiplies R by 1 + REACH_MARGIN.  Reach, w(MST) and
     `aug_dist` are float sums of at most |V~| + |E~| nonnegative terms (a
@@ -242,8 +242,8 @@ def _build_heavy(
     weight, still inside the stretch target, whose slack over F is
     (4g+1)*eps'.
 
-    Audited builds run every level through `build_cluster_graph` and the
-    five steps, so that the audits see them.
+    `check` only turns the audits on: an audited build skips, keeps whole
+    and processes the same levels as a plain one.
     """
     eps_i = internal_eps_light(eps)
     wbar = mst.weight / (g.m * eps)
@@ -264,9 +264,9 @@ def _build_heavy(
     ladder: dict[int, steps.ClassState] = {}
 
     def empty_from(sigma: int, i: int, reach: float) -> bool:
-        """A plain build's test: class sigma's levels from i on are empty
-        in every state of reach at most `reach`."""
-        return check is None and filter_factor * threshold(
+        """Class sigma's levels from i on are empty in every state of
+        reach at most `reach`."""
+        return filter_factor * threshold(
             i * mu + sigma - 1, eps_i, wbar) >= reach * (1 + REACH_MARGIN)
 
     for sigma in buckets.classes():
@@ -300,7 +300,7 @@ def _build_heavy(
                 levels_log.append(steps.trivial_row(sigma, i, state, len(bucket)))
                 continue
 
-            if check is None and not steps.has_high_degree(state, ei, ctx) and (
+            if not steps.has_high_degree(state, ei, ctx) and (
                 t + 1 == len(level_ids)
                 or empty_from(sigma, level_ids[t + 1],
                               state.reach + sum(e[2] for e in ei))

@@ -260,12 +260,13 @@ def _check_p1_p2(
     check: Callable[[str, bool, str], None],
     tag: str,
 ) -> None:
-    """Clusters partition V; each induces a subgraph of bounded diameter."""
+    """Clusters partition V; each induces a subgraph of bounded diameter.
+    Read-only: `uf.peek` leaves the union-find and its cost as they were."""
     if norm.n > 200:
         return
     clusters: dict[int, list[int]] = {}
     for v in range(norm.n):
-        clusters.setdefault(uf.find(v), []).append(v)
+        clusters.setdefault(uf.peek(v), []).append(v)
     check("p1-partition", sum(len(c) for c in clusters.values()) == norm.n, tag)
     if budget <= 0:
         ok = all(len(c) == 1 for c in clusters.values())

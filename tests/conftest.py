@@ -11,9 +11,10 @@ from hypothesis import settings
 import spanlab.light
 import spanlab.pm
 from spanlab.dsu import ClassicUF, StaticTreeIndex, StaticTreeUF
+from spanlab.generators import gnm_graph
 from spanlab.graphs import WeightedGraph, induced_subgraph
 from spanlab.hz import UnweightedGraph
-from spanlab.spanner import graph_hash
+from spanlab.spanner import Spanner, graph_hash
 
 # CI runs `pytest --hypothesis-profile=ci`: every run draws the same examples,
 # so a failure seen there reproduces locally with the same flag
@@ -66,6 +67,23 @@ def unscaled_eps():
         yield
     finally:
         spanlab.pm.EPS_SCALE_PM, spanlab.light.EPS_SCALE_LIGHT = saved
+
+
+def five_step_build(check=None) -> tuple[WeightedGraph, Spanner]:
+    """(g, `light`'s build of g) for g = gnm(150, 1200, seed 2, loguniform
+    [1, 1e9]) at k = 1, eps = 0.5 under `unscaled_eps()`.  The build runs
+    the five steps once and `coarsen` four times, so an audited one reaches
+    every `_audit_*` helper of `lightsteps`."""
+    g = gnm_graph(150, 1200, 2, "loguniform", 1e9)
+    with unscaled_eps():
+        return g, spanlab.light.build_light(g, 1, 0.5, check=check)
+
+
+def processed_rows(sp: Spanner) -> list[dict]:
+    """`light`'s rows of the levels that ran the five steps: no trivial
+    row (which counts its bucket) and no `coarsen` row."""
+    return [row for row in sp.levels
+            if "bucket_edges" not in row and not row.get("coarsen")]
 
 
 def k4_pieces(pieces: int, seed: int, unit: bool = False) -> WeightedGraph:

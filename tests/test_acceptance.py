@@ -21,7 +21,14 @@ from spanlab.light import build_light
 from spanlab.linear import build_linear
 from spanlab.oracle import greedy_spanner, spanner_metrics, verify_stretch
 from spanlab.pm import build_pm, grow_star_cover
-from conftest import CheckSink, classic_uf_session, hop_distances, static_tree_uf_session
+from conftest import (
+    CheckSink,
+    classic_uf_session,
+    five_step_build,
+    hop_distances,
+    processed_rows,
+    static_tree_uf_session,
+)
 
 # frozen after calibration (observed maxima in parentheses)
 C_HZ = 4.0          # (0.44) kept at the implementation default
@@ -291,10 +298,15 @@ def test_criterion_6_union_find():
 
 
 def test_criterion_7_potential_accounting(pool):
-    checked = 0
-    for g, _law in pool[:60]:
+    # at k = 2 the potential bound skips the pool's heavy levels; the
+    # five-step case runs the steps, so some row pays from a Phi drop
+    builds = [lambda sink, g=g: (g, build_light(g, 2, 0.25, check=sink))
+              for g, _law in pool[:60]]
+    checked = processed = 0
+    for build in builds + [five_step_build]:
         sink = CheckSink()
-        sp = build_light(g, 2, 0.25, check=sink)
+        g, sp = build(sink)
+        processed += len(processed_rows(sp))
         hard = [f for f in sink.failures
                 if f[0] in ("dplus-nonnegative", "coarsen-dplus", "phi1-bound",
                             "n-reduction")]
@@ -317,7 +329,8 @@ def test_criterion_7_potential_accounting(pool):
                 _report(7, "potential-accounting", False,
                         f"telescoping broke at sigma={sigma}")
         checked += 1
-    _report(7, "potential-accounting", True, f"{checked} instrumented instances")
+    _report(7, "potential-accounting", processed > 0,
+            f"{checked} instrumented instances, {processed} processed levels")
 
 
 def test_criterion_8_structural_checkers(pool):

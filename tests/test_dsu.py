@@ -28,6 +28,8 @@ def test_classic_out_of_range():
     uf = ClassicUF(3)
     with pytest.raises(IndexError):
         uf.find(7)
+    with pytest.raises(IndexError):
+        uf.peek(-1)
 
 
 class NaiveSets:
@@ -128,6 +130,24 @@ def test_classic_reset_keeps_counting_cost():
     uf.reset()
     assert uf.cost == cost
     assert uf.find(0) == 0 and uf.find(1) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_classic_peek_answers_like_find_and_writes_nothing(data):
+    # pm's audit reads every vertex's cluster through `peek`; it must leave
+    # the paths and the cost that later finds see as they were
+    n = data.draw(st.integers(min_value=1, max_value=24))
+    uf, unpeeked, found = ClassicUF(n), ClassicUF(n), ClassicUF(n)
+    ops = data.draw(_classic_ops(n))
+    for twin in (uf, unpeeked, found):
+        _replay(twin, ops)
+    before = (list(uf.parent), list(uf.rank), list(uf.label), uf.cost)
+    peeked = [uf.peek(v) for v in range(n)]
+    assert (uf.parent, uf.rank, uf.label, uf.cost) == before
+    assert peeked == [found.find(v) for v in range(n)]
+    probe = data.draw(_classic_ops(n))
+    assert _replay(uf, probe) == _replay(unpeeked, probe)
 
 
 # ---------------------------------------------------------------- static

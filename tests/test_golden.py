@@ -3,8 +3,9 @@ of its `levels` rows and `ops` counters, over a fixed grid of inputs.
 
 Performance work and refactors must keep the spanners and their level logs
 byte-identical; an edge digest that moves means the edge set changed, a row
-digest that moves means some level was processed differently.  If a change
-is meant to alter the output, regenerate both tables with
+digest that moves means some level was processed differently.  The digest
+of an audited build's outcome stream guards the audits the same way.  If a
+change is meant to alter the output, regenerate all three tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,7 +28,7 @@ from spanlab.graphs import WeightedGraph
 from spanlab.light import build_light
 from spanlab.linear import build_linear
 from spanlab.pm import build_pm, internal_eps
-from conftest import unscaled_eps
+from conftest import CheckSink, unscaled_eps
 
 BUILDERS = {"pm": build_pm, "linear": build_linear, "light": build_light}
 SCALED = contextlib.nullcontext  # the builders' own eps scaling
@@ -58,10 +59,10 @@ def two_level_classes() -> WeightedGraph:
     return WeightedGraph(base.n, [(u, v, rng.choice(grid)) for u, v, _ in base.edges])
 
 
-# `light` runs its five steps (`process_level`) unaudited on these two (1
-# and 9 calls): at k = 1 the filter factor is about 1.3, so the potential
-# bound that skips a class's later levels leaves some level with a later
-# one it cannot rule out.  The other cases never run them unaudited.
+# `light` runs its five steps (`process_level`) on these two (1 and 9
+# calls): at k = 1 the filter factor is about 1.3, so the potential bound
+# that skips a class's later levels leaves some level with a later one it
+# cannot rule out.  The other cases never run them.
 STEPS_CASES = {
     "steps-gnm300-k1-e0.5": (
         lambda: gnm_graph(300, 3600, 2, "loguniform", 1e9), 1, 0.5, SCALED),
@@ -87,9 +88,8 @@ def _cases():
     # `light` enters classes from three rungs of its carve ladder
     out["ladder-gnm100-k3-e0.5"] = (
         lambda: gnm_graph(100, 1500, 1, "loguniform", 1e9), 3, 0.5, unscaled_eps)
-    # plain builds ran the five steps on these two (2 and 10 calls) until
-    # the potential bound showed those levels' successors empty; audited
-    # builds still run them (AUDIT_STREAM reads the first)
+    # builds ran the five steps on these two (2 and 10 calls) until the
+    # potential bound showed those levels' successors empty
     out["steps-gnm200-k2-e0.25"] = (
         lambda: gnm_graph(200, 3000, 1, "loguniform", 1e9), 2, 0.25, unscaled_eps)
     out["steps-gnm500-k3-e0.5"] = (
@@ -355,13 +355,38 @@ def test_steps_cases_run_process_level(name, monkeypatch):
     assert calls
 
 
+# six small graphs more for the audited-vs-plain test
+AUDIT_CASES = dict(CASES, **{
+    f"gnm30-loguniform-s{seed}-k2-e0.25": (
+        lambda seed=seed: gnm_graph(30, 120, seed, "loguniform", 300), 2, 0.25, SCALED)
+    for seed in range(6)
+})
+
+
+@pytest.mark.parametrize("algo", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(AUDIT_CASES))
+def test_audited_build_equals_plain(name, algo):
+    # the audits observe a build and never steer it: an audited build keeps
+    # the same edges, logs the same rows and counts the same ops
+    make, k, eps, scaling = AUDIT_CASES[name]
+    sink = CheckSink()
+    with scaling():
+        plain = (_spanners(name)[algo] if name in CASES
+                 else BUILDERS[algo](make(), k, eps))
+        audited = BUILDERS[algo](make(), k, eps, check=sink)
+    sink.assert_clean()
+    assert (audited.edges, audited.levels, audited.ops) == \
+        (plain.edges, plain.levels, plain.ops)
+
+
 # sha256 over "name\tok\tdetail\n" of every audit outcome of the audited
-# steps-gnm200 build, in report order (see `audit_stream`): moving an audit
-# must not change it
+# build of AUDIT_STREAM_CASE, in report order (see `audit_stream`): moving
+# an audit must not change it.  Its plain build runs the five steps once
+AUDIT_STREAM_CASE = "steps-gnm300-k1-e0.5"
 AUDIT_STREAM = {
-    "outcomes": 3342,
-    "size_warnings_failed": 586,
-    "sha256": "e4299b11c82126aee804bbe9824acc8dd5b64c6b55beef60063ab2a9fd64ebd6",
+    'outcomes': 3150,
+    'size_warnings_failed': 423,
+    'sha256': 'a6ea0a311ba63344fe8f3fe0bf0aa6ff3e4e66e602c69543f30302aa378c4591',
 }
 
 
@@ -374,14 +399,18 @@ def audit_stream(name: str) -> list[tuple[str, bool, str]]:
     return out
 
 
-def test_audit_stream_of_steps_case():
-    stream = audit_stream("steps-gnm200-k2-e0.25")
+def _audit_stream_digest(name: str) -> dict:
+    stream = audit_stream(name)
     h = hashlib.sha256()
     for n, ok, detail in stream:
         h.update(f"{n}\t{ok}\t{detail}\n".encode())
     warned = sum(1 for n, ok, _ in stream if n == "p2-size-warning" and not ok)
-    assert {"outcomes": len(stream), "size_warnings_failed": warned,
-            "sha256": h.hexdigest()} == AUDIT_STREAM
+    return {"outcomes": len(stream), "size_warnings_failed": warned,
+            "sha256": h.hexdigest()}
+
+
+def test_audit_stream_of_steps_case():
+    assert _audit_stream_digest(AUDIT_STREAM_CASE) == AUDIT_STREAM
 
 
 if __name__ == "__main__":
@@ -393,3 +422,7 @@ if __name__ == "__main__":
                 print(f"        {algo!r}: {digest!r},")
             print("    },")
         print("}")
+    print("AUDIT_STREAM = {")
+    for key, value in _audit_stream_digest(AUDIT_STREAM_CASE).items():
+        print(f"    {key!r}: {value!r},")
+    print("}")

@@ -35,7 +35,9 @@ from spanlab.pm import build_levels, build_pm
 from conftest import (
     CheckSink,
     assert_built_per_component,
+    five_step_build,
     k4_pieces,
+    processed_rows,
     unscaled_eps,
     wgraph,
 )
@@ -708,9 +710,8 @@ def test_range_adm_matches_tree_adm_on_paths(pots, data):
 
 def test_unaudited_build_runs_no_audit(monkeypatch):
     # without `check` no audit helper may be entered, with it the helpers
-    # run.  The plain build of the audited case skips its later levels by
-    # the potential bound, so a k = 1 build (golden steps-gnm300-k1-e0.5)
-    # must run `process_level` with the helpers refused too
+    # run.  The plain build of the five-step case runs `process_level` and
+    # `coarsen`, so the refused helpers sit on a path that it takes
     audits = [name for name in vars(steps) if name.startswith("_audit_")]
     assert len(audits) >= 6
     entered = []
@@ -726,21 +727,18 @@ def test_unaudited_build_runs_no_audit(monkeypatch):
             return fn(*args, **kwargs)
         return helper
 
-    g = gnm_graph(200, 3000, seed=1, law="loguniform", wmax=1e9)
     real = {name: getattr(steps, name) for name in audits}
     with monkeypatch.context() as mp:
         for name in audits:
             mp.setattr(steps, name, refuse(name))
-        with unscaled_eps():
-            plain = build_light(g, 2, 0.25)
-        mp.setattr(steps, "process_level", counted("process_level", steps.process_level))
-        build_light(gnm_graph(300, 3600, seed=2, law="loguniform", wmax=1e9), 1, 0.5)
-    assert entered == ["process_level"]
+        for name in ("process_level", "coarsen", "carved_state"):
+            mp.setattr(steps, name, counted(name, getattr(steps, name)))
+        _, plain = five_step_build()
+    assert set(entered) == {"process_level", "coarsen", "carved_state"}
     entered.clear()
     for name in audits:
         monkeypatch.setattr(steps, name, counted(name, real[name]))
-    with unscaled_eps():
-        audited = build_light(g, 2, 0.25, check=CheckSink())
+    _, audited = five_step_build(CheckSink())
     assert {"_audit_carve", "_audit_coarsen", "_audit_balls", "_audit_path_pieces",
             "_audit_level", "_audit_cycle_property"} <= set(entered)
     assert audited.edge_key_set() == plain.edge_key_set()
@@ -787,9 +785,10 @@ def test_mst_always_contained():
 
 
 def test_potential_rows_telescope(sink):
-    g = gnm_graph(60, 380, seed=11, law="loguniform", wmax=1000)
-    sp = build_light(g, 2, 0.25, check=sink)
+    # the five-step case drops Phi at a processed level and at `coarsen`
+    g, sp = five_step_build(sink)
     sink.assert_clean()
+    assert processed_rows(sp) and any(row.get("coarsen") for row in sp.levels)
     per_sigma: dict[int, list[dict]] = {}
     for row in sp.levels:
         per_sigma.setdefault(row["sigma"], []).append(row)
@@ -830,18 +829,6 @@ def test_forced_high_degree_path(sink):
         assert picked
     hard = [f for f in sink.failures]
     assert not hard, hard
-
-
-def test_fast_path_and_full_path_agree():
-    # unaudited builds let single-level classes take a shortcut; the
-    # chosen edge set must match the audited run
-    for seed in range(6):
-        g = gnm_graph(30, 120, seed=seed, law="loguniform", wmax=300)
-        fast = build_light(g, 2, 0.25)
-        sink = CheckSink()
-        full = build_light(g, 2, 0.25, check=sink)
-        sink.assert_clean()
-        assert fast.edge_key_set() == full.edge_key_set()
 
 
 # ---------------------------------------------------------------- empty-level bound
@@ -965,17 +952,24 @@ def bound_case(n, per_vertex, wmax, seed, pieces, digits):
          unscaled=True)
 @example(n=120, per_vertex=12, wmax=1e12, seed=5, pieces=2, digits=None, k=2, eps=0.9,
          unscaled=True)
+# fails a bound that drops sum(w(ei)) from the keep-whole test and divides
+# reach by 4 in `empty_from`
+@example(n=4, per_vertex=2, wmax=10.0, seed=1, pieces=1, digits=None, k=1, eps=0.25,
+         unscaled=False)
 def test_empty_level_bound_matches_reference_loop(n, per_vertex, wmax, seed, pieces,
                                                   digits, k, eps, unscaled):
     # the bound may only skip levels whose cluster graph the full loop
     # finds empty, and keep `ei` whole only where the five steps would keep
-    # it all; every other level's row is the reference's own
+    # it all; every other level's row is the reference's own.  An audited
+    # build takes the same path: equal edges, rows and ops
     g = bound_case(n, per_vertex, wmax, seed, pieces, digits)
     with unscaled_eps() if unscaled else contextlib.nullcontext():
         new = build_light(g, k, eps)
+        audited = build_light(g, k, eps, check=CheckSink())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spanlab.light, "_build_heavy", reference_build_heavy)
             ref = build_light(g, k, eps)
+    assert (audited.edges, audited.levels, audited.ops) == (new.edges, new.levels, new.ops)
     assert new.edges == ref.edges
     ref_rows = [row for row in ref.levels if not row.get("coarsen")]
     new_rows = [row for row in new.levels if not row.get("coarsen")]
@@ -1323,24 +1317,24 @@ def test_level_work_counts_buckets_and_processed_levels(monkeypatch):
     build_cluster_graph, process_level = steps.build_cluster_graph, steps.process_level
     monkeypatch.setattr(steps, "build_cluster_graph", cluster_graph)
     monkeypatch.setattr(steps, "process_level", process)
-    # audited, so that levels also run the five steps on a graph this small
-    g = gnm_graph(40, 160, seed=1, law="loguniform", wmax=1e3)
-    sink = CheckSink()
-    sp = build_light(g, 2, 0.25, check=sink)
-    sink.assert_clean()
+    _, sp = five_step_build()
     assert 0 < seen["process"] < seen["levels"]
     assert sp.ops["level_work"] == seen["bucket"] + seen["count"]
 
 
-def test_deep_level_cells_exercise_carved_base():
+def test_deep_level_cells_exercise_carved_base(monkeypatch):
     # at eps=0.5 and m*eps past 1/eps' the heavy grid reaches level >= 1,
-    # which routes through the carve ladder rather than singleton bases
+    # which routes through the carve ladder rather than singleton bases.
+    # At k = 1 the potential bound leaves such levels to build
+    real, rungs = steps.carved_state, []
+    monkeypatch.setattr(steps, "carved_state", lambda *a: rungs.append(a) or real(*a))
     g = gnm_graph(120, 2400, seed=5, law="loguniform", wmax=10_000)
     sink = CheckSink()
-    sp = build_light(g, 2, 0.5, check=sink)
+    sp = build_light(g, 1, 0.5, check=sink)
     sink.assert_clean()
-    assert any(row.get("i", 0) >= 1 for row in sp.levels)
-    assert verify_stretch(g, sp, 3 * 1.5).ok
+    assert rungs
+    assert any(row["i"] >= 1 and not row.get("skipped") for row in sp.levels)
+    assert verify_stretch(g, sp, 1.5).ok
 
 
 def test_adm_upper_bounds_cluster_diameter():
