@@ -6,6 +6,9 @@ a factor of n^(1/k); keep that ball's BFS tree, and retire the interior
 (radius r-1) together with its incident edges.  Every retired edge has
 both endpoints in the kept tree within 2r-1 <= 2k-1 hops, and tree sizes
 charge to retired vertices at n^(1/k) apiece, giving O(n^(1+1/k)) edges.
+
+Every edge of a forest is a bridge, so any spanner of a forest keeps it
+whole; `is_forest` lets a caller skip the construction there.
 """
 from __future__ import annotations
 
@@ -98,3 +101,32 @@ def hz_spanner(g: UnweightedGraph, k: int, stats: dict | None = None) -> set[tup
     if stats is not None:
         stats["ops"] = stats.get("ops", 0) + work
     return out
+
+
+def is_forest(n: int, edges: list[tuple[int, int]], stats: dict | None = None) -> bool:
+    """Whether the simple graph on vertices 0..n-1 with these edges is
+    acyclic: a union-find with path halving over the edges, stopping at the
+    first edge that closes a cycle.  A graph with |E| >= |V| > 0 has a cycle
+    and is rejected before any edge is examined.
+
+    When given, stats["ops"] accumulates the edges examined.
+    """
+    acyclic = len(edges) < n or not edges
+    examined = 0
+    if len(edges) < n:
+        parent = list(range(n))
+        for u, v in edges:
+            examined += 1
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u == v:
+                acyclic = False
+                break
+            parent[u] = v
+    if stats is not None:
+        stats["ops"] = stats.get("ops", 0) + examined
+    return acyclic

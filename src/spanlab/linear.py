@@ -1,7 +1,8 @@
 """Level framework over MST-subtree clusters and the static-tree union-find.
 
 Same representative-graph / inner-spanner scheme as pm.py (each level's
-selection is pm.select_bucket), but every cluster induces a connected MST
+selection is pm.select_bucket, which keeps a forest representative graph
+whole without running hz), but every cluster induces a connected MST
 subtree, so all merges are Link(v) operations along the MST, pre-declared
 as the union tree.  The whole MST enters the spanner up front, known by
 the edge ids `minimum_spanning_tree` reports, so only the non-MST edges are

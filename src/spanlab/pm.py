@@ -4,7 +4,9 @@ Per weight class, edges are consumed level by level; each level dedups its
 bucket in cluster space, runs the unweighted (2k-1)-spanner on the
 representative graph, keeps the matching source edges, and merges the
 participating clusters through a two-step star cover so that the cluster
-count drops by at least half the representative-graph size.
+count drops by at least half the representative-graph size.  A
+representative graph that is a forest keeps all its edges without the
+inner spanner: every edge of a forest is a bridge, which any spanner keeps.
 
 A build allocates one n-sized union-find and resets it between classes; the
 reset undoes only the previous class's unions, so a class costs what its
@@ -22,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from .buckets import check_eps, level_scale, partition_edges
 from .dsu import ClassicUF
 from .graphs import WeightedGraph, check_edges, normalize_weights, sssp_distances
-from .hz import UnweightedGraph, hz_spanner
+from .hz import UnweightedGraph, hz_spanner, is_forest
 from .spanner import Spanner, graph_hash
 
 G_PM = 9  # cluster-diameter constant; merges stay within g*L_i
@@ -64,10 +66,15 @@ def dedupe_source_edges(
 def select_bucket(norm: WeightedGraph, bucket: list[int], k: int,
                   rep: Callable[[int], int], spanner_eids: set[int], ops: dict):
     """One level's selection, for pm and linear: dedupe the bucket in
-    cluster space, run the unweighted (2k-1)-spanner on the representative
-    graph, add the matching source edges to `spanner_eids`.  Returns (kept
-    edge ids, dedupe map rep pair -> edge id, sorted representatives, the
-    representative graph's edges over local ids 0..len(reps)-1)."""
+    cluster space, select on the representative graph, add the matching
+    source edges to `spanner_eids`.  Returns (kept edge ids, dedupe map rep
+    pair -> edge id, sorted representatives, the representative graph's
+    edges over local ids 0..len(reps)-1).
+
+    A representative graph that is a forest keeps every edge, since each
+    edge of a forest is a bridge and any spanner keeps it; any other runs
+    the unweighted (2k-1)-spanner.  ops["hz"] counts the edges the forest
+    test examined plus that spanner's adjacency scans."""
     best = dedupe_source_edges(bucket, norm, rep)
     if not best:
         return [], best, [], []
@@ -75,14 +82,14 @@ def select_bucket(norm: WeightedGraph, bucket: list[int], k: int,
     local = {r: idx for idx, r in enumerate(reps)}
     r_edges = [(local[a], local[b]) for (a, b) in best]
     stats: dict = {"ops": 0}
-    chosen = hz_spanner(UnweightedGraph(len(reps), r_edges), k, stats=stats)
+    if is_forest(len(reps), r_edges, stats):
+        kept = list(best.values())
+    else:
+        # hz's pairs are ascending and reps sorted, so each is a key of best
+        chosen = hz_spanner(UnweightedGraph(len(reps), r_edges), k, stats=stats)
+        kept = [best[(reps[a], reps[b])] for a, b in chosen]
     ops["hz"] += stats["ops"]
-    kept = []
-    for a, b in chosen:
-        ra, rb = reps[a], reps[b]
-        eid = best[(ra, rb) if ra < rb else (rb, ra)]
-        spanner_eids.add(eid)
-        kept.append(eid)
+    spanner_eids.update(kept)
     return kept, best, reps, r_edges
 
 
@@ -164,7 +171,7 @@ def build_levels(
 ) -> tuple[set[int], list[dict]]:
     """pm's levels over g's edges `eids`, ascending, of a graph the caller
     has checked: returns (the kept edge ids of g, the level rows), and adds
-    the union-find cost to ops["uf"] and the inner spanner's to ops["hz"].
+    the union-find cost to ops["uf"] and the selection's to ops["hz"].
 
     Only `eids` are normalized and bucketed, so an edge outside them may
     stretch g's weight range as far as it likes.

@@ -232,99 +232,99 @@ GOLDEN = {
 
 GOLDEN_ROWS = {
     'gnm48-loguniform-k2-e0.25': {
-        'pm': '18369f2c7905a51a711efacdb13539c0452f080bc291b3cd501db33f76ef4919',
-        'linear': '12aa513655281551f31e949e3604568d6402e2b4a5d518e64568cf5cb882d32f',
-        'light': 'ec60099ef5ce28acdcca839c04b6cadb98b1f2b9f113491c57d060b254c002fd',
+        'pm': '258e5c815650f8ed7f33dd729746538b91bdf4431a8a7cb62ac95b1f49703796',
+        'linear': '68b5d9fa199517b36dfdaef2af84da063ffe61b40e23e899a2534bb1856092c4',
+        'light': 'abf647cf180b9d5fc2961191778e479278ffe9bbb5a202d73724570d2b3375ee',
     },
     'gnm48-loguniform-k2-e0.5': {
-        'pm': '4c99bbf3950718031139320c37ababbd68d7645da6288c381fa01e938ac79b66',
-        'linear': 'd4e863cb7652c033228e1963b07d489e0f32c89f167bd277bf25d0c5beba6005',
-        'light': '7ae432cee005b4ace14ca516673a5c83bd6b3e38004cef0ebf16783a54bc92e4',
+        'pm': 'ca8ab745a7b7db68728537b0db46696e4f0e0a4928070fa404779897e6355053',
+        'linear': '7193b04b6cc8aabfb35d1845147b16497e6f9776a20dbfc49120e6b37ca24289',
+        'light': '38b46f21f2fe4e94062e2deceec19a8962918a6b6e7d58c93e114b03eed64a28',
     },
     'gnm48-loguniform-k3-e0.25': {
-        'pm': '3eb36730a3ecd87ee6637d16901dab9784c26f476d2222cbface9fe54c1207f8',
-        'linear': '5d11dd11a739cb6ef420ce22c47df7dd0816ada6f813b875f7a5beba6c7318a6',
-        'light': '91805fc6515d55fe79f37520494c69e62930da9ea5b8985d230bbae15f8c24cd',
+        'pm': '258e5c815650f8ed7f33dd729746538b91bdf4431a8a7cb62ac95b1f49703796',
+        'linear': '68b5d9fa199517b36dfdaef2af84da063ffe61b40e23e899a2534bb1856092c4',
+        'light': 'a9bf8b3e9ebeba5c4e5e532ed7810e76dddb356e545d4fe3ad7a02c3d748e755',
     },
     'gnm48-loguniform-k3-e0.5': {
-        'pm': '0e30d0dd1b7696820d2049dabb6d30b9ae95eb3bdea4ee7fcb2e0a9ceb6a8810',
-        'linear': '76d9fead13dfb8267afaef941d479648fc152bcf769408093f33fb64a78c058c',
-        'light': 'b31eb64ab453374961f029826ae96b12d96c69a4f812f445c977effbae11abb7',
+        'pm': 'ca8ab745a7b7db68728537b0db46696e4f0e0a4928070fa404779897e6355053',
+        'linear': '7193b04b6cc8aabfb35d1845147b16497e6f9776a20dbfc49120e6b37ca24289',
+        'light': '3e73fc81c13a34af63aae64a73eca6d298461b35aa3eb398da3fec938fdb95e2',
     },
     'gnm48-uniform-k2-e0.25': {
-        'pm': '76feff917f78505c1167bb72ea5841a207da9954e0230acb08ad308660ecefc1',
-        'linear': 'ad7a81c7dcab6c6a9fc1d4a28cd1c3e97d1dc1009105d9783b71becae709d6a7',
-        'light': '653bd4337789a8185f8212c3430f104f3d5e571c4b03f0ce7d345af06108acee',
+        'pm': '882ef31b7c921c7fa8025294f9080238b643fa270b1684b8e0678eb28dd5bfd3',
+        'linear': '481cdd100e2a6af93567056a6f5ad123ba2cd6b832ab9535748aa1ebcdbf4956',
+        'light': 'e1582264405328fabec7749c571c07177e802387ec6dac1c161a465619a5301b',
     },
     'gnm48-uniform-k2-e0.5': {
-        'pm': 'e870800bb80f2ba6cf0f9872d55437de53236b47ca2aa7d24d4e2e3bb14cf4d2',
-        'linear': '698261b59d8663d739817ce7e534f4bf0d9a01107ff59cd2541e4577241b1ee4',
-        'light': '41f06956e9f26052b3f893597f3d0f308b795c777e7c224601115993163eb178',
+        'pm': '90b617c7d19b18a900dfc07c811495019c60464d81becf4df54e3b261d28bff6',
+        'linear': '8fac32727b35db9136d8025e45ba98f4c6e702be2212180b370fe615799e850d',
+        'light': '5b9752a447666aa4a1939f49fc3928b432bb3fd2842ae2df1c98a836f626c1f2',
     },
     'gnm48-uniform-k3-e0.25': {
-        'pm': '497f493ac15c4118a2bb17f82d5c45e74ac0eb846335f0cabf86d4e73efc21a2',
-        'linear': '22636ac463256c7df0512553e9d04bba78fc52de2db53470283b6604988f3dd4',
-        'light': '419b0b5037b86bfbb2efd176e172d1055ed9502ff57aea100362771268b41b3a',
+        'pm': '882ef31b7c921c7fa8025294f9080238b643fa270b1684b8e0678eb28dd5bfd3',
+        'linear': '481cdd100e2a6af93567056a6f5ad123ba2cd6b832ab9535748aa1ebcdbf4956',
+        'light': 'd7673f419b2151aedcb1fa9b1cbd2135f692ae42d6c5e0261c0beeacb0ae8a01',
     },
     'gnm48-uniform-k3-e0.5': {
-        'pm': '29a9a3e584530fca1af9a84009a1377f1abfb0b1cb717d2912c5ec561d215721',
-        'linear': 'ec5faee5b5093bf278e25cdb0abeb8d569e9025e137637a8d3a7beeb7d52ecaf',
-        'light': 'aea5c6f3fc18447ed12f5ec7a9090c819d76a7eb74a1cedcd4f59a741d950bd4',
+        'pm': '90b617c7d19b18a900dfc07c811495019c60464d81becf4df54e3b261d28bff6',
+        'linear': '8fac32727b35db9136d8025e45ba98f4c6e702be2212180b370fe615799e850d',
+        'light': 'd70c187499279a5bc7c77931ded9652b3ff64f6a54db0ae350171288076ce6ef',
     },
     'gnm48-unit-k2-e0.25': {
         'pm': '67b8c45863a1be770a8e7083adfaa5d36c09fcecf69a4e35942e68b1ac075bab',
         'linear': '76ad7785a06f5f88def484698c34907cb38b0a4ae1be33da2ad498f5ebbe3a51',
-        'light': '710d44218b414d48acbadb021faa53819eb50a07cec3f48fdac8813ff1d1e0a7',
+        'light': 'd2c9d5d3181b5d78dbf28c4a9791c65edf86797651a51da7c17de9efa3a7a5df',
     },
     'gnm48-unit-k2-e0.5': {
         'pm': '67b8c45863a1be770a8e7083adfaa5d36c09fcecf69a4e35942e68b1ac075bab',
         'linear': '76ad7785a06f5f88def484698c34907cb38b0a4ae1be33da2ad498f5ebbe3a51',
-        'light': '8f5b5290080c06379bb7cac998a800c997256e6bf9e9b6b1a752b0e58f8c56bf',
+        'light': 'aa800607bfe8442a5ed3cd08a054648dde0ce21f8dc1bd87f62c8ab64830929e',
     },
     'gnm48-unit-k3-e0.25': {
         'pm': 'db5b8f127e1b52fdfcff0bd66e549d91c5c7873dfd27c5288ff18b82d289ea9e',
         'linear': '3018fe3b5ec4eaa296a70c9f02d03c431757c261c922511dd3a1868230cb265b',
-        'light': '187455bc2ddd094df50146d365bbdf756a80f5704bdf402a5fb19d8e2f725414',
+        'light': '9f3d58b051a6ec75fc669563d80983e4c7db00b220f2085afdcc213e5173a979',
     },
     'gnm48-unit-k3-e0.5': {
         'pm': 'db5b8f127e1b52fdfcff0bd66e549d91c5c7873dfd27c5288ff18b82d289ea9e',
         'linear': '3018fe3b5ec4eaa296a70c9f02d03c431757c261c922511dd3a1868230cb265b',
-        'light': '3080b63f05292260ae8a94611fd83bbb7440efe5b8a35c008f6541b2eabd9b39',
+        'light': '9966b5632f5fefb18efb3d5866afbfe9aad61e9deeca4d1269fdf236126347f9',
     },
     'k4x30-k2-e0.25': {
-        'pm': 'ccfb4ef38b0922dc201bc6f00cc1011247db1dfd6a2ff8c4cb22440f46da719f',
-        'linear': 'fe6a904ba8381fe175bb9205edf4bdbc01ae84dbf0452df9fc05aba0011e30e7',
-        'light': 'de07443f33417f5565b677b1ad25d2c53448822366ef25af2eeef4cba005618a',
+        'pm': 'df7340cb9e1599cb06e9e94387df1762c14b4df23f6d81a6bddce06ee17d2c03',
+        'linear': '7dd2c86ae5a54b8a27024e783c5d94c8f02ac894cf3341ed033c58c945d729d2',
+        'light': '288addc712de921122802a58eddf9be99bf43e49c6da4ef50eaf607da3ece5f0',
     },
     'ladder-gnm100-k3-e0.5': {
-        'pm': '664dfe1ebe4ecd80d50a185d38588bbd62403d5bee429966fdc37ff4bc7c7c22',
-        'linear': 'c67db3f8012a68bd5944011e8d3e5762723a81622861a228ef88ebf49c6193ae',
-        'light': '67c3475f4a726ecc21f30ef710a212ee9869de44e83353eccd5d4c042768872d',
+        'pm': '4a4b6cc4eaa768c5d96c505ccc595ea52f6d380c0141c057407a6fa531de9c77',
+        'linear': 'ff51ead40eab94f15ccbad852ed8474c59d3df557bf01b88ad1704e7b8917bc3',
+        'light': 'e76ccbc4b4e146ddcfabf662f3b13ced450b1d3387bfce646dda35b3fe3cd827',
     },
     'steps-gnm200-k2-e0.25': {
-        'pm': 'f29452ec73483a21ac4b547fa9a4bb88083c62c9c0cf314f3b0fcd626dfcafd4',
-        'linear': 'cbe15bce06b3d25a64e5eb3925bfdbc3a43eb08f56adf34a39e6ad0f3c2f804d',
-        'light': '0fc42cacd983ccb02b1ae1f5778df6c98fa229cd8b280a50b55cb285133cc37e',
+        'pm': '9d87bfbf0da4eabe21813675c49e043986d5b25ce8bd6c22e2387532462b259e',
+        'linear': '45a94679fc148b0a5b19426576f0b85401ec0b301fd3a29f53cada7583c5af22',
+        'light': 'c051cf3922574fe43e62d68d97002b09026d9d3784515437df7b474394cdf85a',
     },
     'steps-gnm300-k1-e0.5': {
-        'pm': 'eee11ed9768ad3a65d3e875f71751c06b87c44658fa571a6ca103257d790182a',
-        'linear': 'bf2d436de1f020118b84a1ff7198b32d4476ee33a06c6bd0ee8ad3a5c8968560',
-        'light': '2ff307b428aa1a16769becf6002b55be0c5674b610d565ed4ee1f3f6fb1e13a7',
+        'pm': 'a426322241b34a60438cee05ec4839e0ef198792ef0e699ee821f8f299595ac2',
+        'linear': '5bb62d26f4b8180343a7ddaa413a1bd5106c3e537eb1d02e53767707dd8a5cc2',
+        'light': '53881003f9627fb1d5cc7ad343f554b0524ee1f9bdb4c34bf0b2b38857d8f766',
     },
     'steps-gnm500-k1-e0.5': {
-        'pm': '60b95af9c18a8b54d360aec2b9a2c8f950eeaa57a91e6ae4a7d3e8d8e502e104',
-        'linear': '9791340bbeb8db84f99b55c27bcb533101861e9bde8f4ffb073736efb889d3fa',
-        'light': 'b6187d5ae797a1d9603228e65c48ecfae6a0bbb61ecd86c1df500b5c810c3a86',
+        'pm': 'cbd79efc4b3667b5380e0fa34dc4d7b56c7bdf8dea55e707021cacb0fab84e3e',
+        'linear': '0ecd54ebdc3c062853abe8f0ea24d3dd6a64e29fbe27ed1e269cd8d905701bc8',
+        'light': '2fce54f3424098d327181aceffcdf3c091a8ded7cf18156e6f026c603babf662',
     },
     'steps-gnm500-k3-e0.5': {
-        'pm': 'f1e4b68e5af7a67d7053df39c038a1dc5b1a221216f64f5bd405374a54931793',
-        'linear': 'f0d254cd60c09a2bee8cf98087a4789e50e8d15019c0ac4cd070405a64d9f051',
-        'light': '5e539743ed8a7cd16b69f6ef4a0848bd45809d94d3474de6e0f8a1c8818876e7',
+        'pm': 'cbd79efc4b3667b5380e0fa34dc4d7b56c7bdf8dea55e707021cacb0fab84e3e',
+        'linear': 'de07aa4b3aaaaead0388b91c723513b46ffb9e25fc8a4cc690d06395d89cba81',
+        'light': '97436a07997eaa9d399cab3b4aaaf4ee98bc433c08d8fd2ad9eae48bd053e3c2',
     },
     'two-level-classes-k2-e0.25': {
         'pm': '306d984e869cc17cef833ccfcf746d3ab1a8d0d8fa685bc6c25fd3a8c4bd9968',
-        'linear': 'a8d1fef47bcf33e149942f47e0d9beee2d9d28e00ee1d88afd19add524196c70',
-        'light': 'c866a1f3fb38a459eea6e234771bb79d17a29e14ee784d7fce791661af578b85',
+        'linear': 'df1bb5e9231be71a117ee0a4c6185d173c8ba30e6a498043ee183e8d64f85791',
+        'light': '0ce32f103250be27bf4b554151cd6ccadfc0fca0184da909a4f875c89d5e81e8',
     },
 }
 

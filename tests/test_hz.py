@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spanlab.hz import UnweightedGraph, hz_spanner
+from spanlab.hz import UnweightedGraph, hz_spanner, is_forest
 from conftest import hop_distances
 
 
@@ -98,3 +100,94 @@ def test_linear_work_counter():
     stats: dict = {}
     hz_spanner(g, 2, stats=stats)
     assert stats["ops"] <= 40 * (g.n + m)
+
+
+# ---------------------------------------------------------------- forests
+
+
+@st.composite
+def forests(draw):
+    """(n, edges): a random forest under random labels; a vertex joins an
+    earlier one or starts a tree, so some vertices stay isolated."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    label = list(range(n))
+    rng.shuffle(label)
+    p_root = rng.random()
+    edges = [(label[v], label[rng.randrange(v)])
+             for v in range(1, n) if rng.random() >= p_root]
+    rng.shuffle(edges)
+    return n, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests(), st.integers(min_value=1, max_value=4))
+def test_hz_keeps_every_edge_of_a_forest(forest, k):
+    # every edge of a forest is a bridge: the rule select_bucket takes
+    # without running hz rests on this
+    n, edges = forest
+    assert is_forest(n, edges)
+    assert hz_spanner(UnweightedGraph(n, edges), k) == \
+        {(min(a, b), max(a, b)) for a, b in edges}
+
+
+def test_is_forest_small_graphs():
+    assert not is_forest(3, [(0, 1), (1, 2), (2, 0)])
+    assert is_forest(7, [(0, 1), (1, 2), (1, 3), (4, 5), (6, 5)])
+    assert is_forest(2, [(0, 1)])
+    assert is_forest(5, [])
+    assert is_forest(0, [])
+
+
+def _lines_run(fn, *args) -> int:
+    """Lines of `fn`'s own body executed by fn(*args)."""
+    count = 0
+    code = fn.__code__
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            count += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_is_forest_long_path_is_linear():
+    # 799 edges in several orders: a test that searched the forest built so
+    # far at each edge would run about 320,000 lines here
+    n = 800
+    path = [(i, i + 1) for i in range(n - 1)]
+    shuffled = path[:]
+    random.Random(5).shuffle(shuffled)
+    orders = (path, path[::-1], shuffled)
+    for edges in orders + tuple([(v, u) for u, v in e] for e in orders):
+        assert is_forest(n, edges)
+        assert _lines_run(is_forest, n, edges) <= 20 * len(edges)
+    assert not is_forest(n, path + [(0, n - 1)])
+
+
+def test_is_forest_counts_the_edges_it_examined():
+    stats: dict = {}
+    assert is_forest(6, [(0, 1), (2, 3), (3, 4)], stats)
+    assert stats["ops"] == 3
+    # the cycle closes at the third of four edges
+    assert not is_forest(6, [(0, 1), (1, 2), (2, 0), (3, 4)], stats)
+    assert stats["ops"] == 3 + 3
+
+
+def test_is_forest_exits_early_when_edges_reach_vertices():
+    # |E| >= |V| forces a cycle: no edge is examined
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    for n, edges in ((3, [(0, 1), (1, 2), (2, 0)]), (4, k4),
+                     (4, [(0, 1), (1, 2), (2, 3), (3, 0)])):
+        stats: dict = {}
+        assert not is_forest(n, edges, stats)
+        assert stats["ops"] == 0

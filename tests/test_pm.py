@@ -10,10 +10,13 @@ import pytest
 import spanlab.pm
 from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import WeightedGraph, sssp_distances
+from spanlab.hz import UnweightedGraph, hz_spanner
 from spanlab.light import build_light
 from spanlab.linear import build_linear
 from spanlab.oracle import verify_stretch
-from spanlab.pm import build_pm, dedupe_source_edges, grow_star_cover, internal_eps
+from spanlab.pm import (
+    build_pm, dedupe_source_edges, grow_star_cover, internal_eps, select_bucket,
+)
 from conftest import triangle, unscaled_eps, wgraph
 
 
@@ -44,6 +47,157 @@ def test_dedupe_tie_breaks_to_smaller_id():
     rep = {0: 0, 1: 0, 2: 2, 3: 2}.get
     best = dedupe_source_edges([1, 0], g, rep)
     assert best == {(0, 2): 0}
+
+
+# ---------------------------------------------------------------- select
+
+
+def reference_select_bucket(norm, bucket, k, rep, spanner_eids, ops):
+    """select_bucket as it reads without the forest rule: hz runs on every
+    representative graph."""
+    best = dedupe_source_edges(bucket, norm, rep)
+    if not best:
+        return [], best, [], []
+    reps = sorted({r for pair in best for r in pair})
+    local = {r: idx for idx, r in enumerate(reps)}
+    r_edges = [(local[a], local[b]) for (a, b) in best]
+    stats: dict = {"ops": 0}
+    chosen = hz_spanner(UnweightedGraph(len(reps), r_edges), k, stats=stats)
+    ops["hz"] += stats["ops"]
+    kept = [best[(reps[a], reps[b])] for a, b in chosen]
+    spanner_eids.update(kept)
+    return kept, best, reps, r_edges
+
+
+def first_cycle_prefix(n: int, edges: list[tuple[int, int]]) -> int | None:
+    """Length of the shortest prefix of `edges` that has a cycle (None for a
+    forest), by a search from one end of each edge over the edges before it."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(edges):
+        seen = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if v in seen:
+            return j + 1
+        adj[u].append(v)
+        adj[v].append(u)
+    return None
+
+
+def random_level(rng: random.Random):
+    """(g, bucket, rep) for one level: a random forest of representatives,
+    some of whose trees gain triangles, each representative expanded into
+    a cluster of 1 to 3 vertices under shuffled ids and each representative
+    edge into a bundle of 1 to 3 parallel source edges, plus some source
+    edges inside clusters."""
+    nr = rng.randint(2, 14)
+    p_root = rng.random() / 2
+    parent = [-1] + [rng.randrange(v) if rng.random() >= p_root else -1
+                     for v in range(1, nr)]
+    r_pairs = {(parent[v], v) for v in range(nr) if parent[v] >= 0}
+    # an edge to a grandparent closes a triangle inside its tree
+    deep = [v for v in range(nr) if parent[v] >= 0 and parent[parent[v]] >= 0]
+    for v in rng.sample(deep, min(len(deep), rng.choice([0, 1, 1, 2, 4]))):
+        r_pairs.add((parent[parent[v]], v))
+    if not r_pairs:
+        r_pairs.add((0, 1))
+    members, n = [], 0
+    for _ in range(nr):
+        size = rng.randint(1, 3)
+        members.append(list(range(n, n + size)))
+        n += size
+    label = list(range(n))
+    rng.shuffle(label)
+    cluster = [0] * n
+    for r, vs in enumerate(members):
+        for v in vs:
+            cluster[label[v]] = 7 * r
+    src = set()
+    for a, b in r_pairs:
+        for _ in range(rng.randint(1, 3)):
+            src.add((label[rng.choice(members[a])], label[rng.choice(members[b])]))
+    for vs in members:
+        if len(vs) > 1 and rng.random() < 0.5:
+            u, v = rng.sample(vs, 2)
+            src.add((label[u], label[v]))
+    edges = [(u, v, float(rng.randint(1, 3))) for u, v in src]
+    rng.shuffle(edges)
+    return WeightedGraph(n, edges), list(range(len(edges))), cluster.__getitem__
+
+
+def test_select_bucket_matches_hz_on_every_representative_graph():
+    # the forest rule changes no output, and ops["hz"] counts the edges the
+    # forest test examined plus hz's scans
+    rng = random.Random(24)
+    kinds = {"forest": 0, "cyclic": 0, "early": 0}
+    for trial in range(300):
+        g, bucket, rep = random_level(rng)
+        k = rng.randint(1, 3)
+        before = set(rng.sample(range(g.m), rng.randint(0, g.m)))
+        got_eids, ref_eids = set(before), set(before)
+        got_ops, ref_ops = {"hz": 0}, {"hz": 0}
+        kept, best, reps, r_edges = select_bucket(g, bucket, k, rep, got_eids, got_ops)
+        r_kept, r_best, r_reps, r_r_edges = reference_select_bucket(
+            g, bucket, k, rep, ref_eids, ref_ops)
+        assert sorted(kept) == sorted(r_kept) and len(set(kept)) == len(kept)
+        assert (best, reps, r_edges, got_eids) == (r_best, r_reps, r_r_edges, ref_eids)
+        cycle_at = first_cycle_prefix(len(reps), r_edges)
+        if cycle_at is None:
+            kinds["forest"] += 1
+            assert got_ops["hz"] == len(r_edges)
+        elif len(r_edges) >= len(reps):
+            kinds["early"] += 1
+            assert got_ops["hz"] == ref_ops["hz"]
+        else:
+            kinds["cyclic"] += 1
+            assert got_ops["hz"] == ref_ops["hz"] + cycle_at
+    assert min(kinds.values()) >= 20, kinds
+
+
+def _rep_graph_has_cycle(best: dict) -> bool:
+    reps = sorted({r for pair in best for r in pair})
+    local = {r: idx for idx, r in enumerate(reps)}
+    return first_cycle_prefix(
+        len(reps), [(local[a], local[b]) for a, b in best]) is not None
+
+
+@pytest.mark.parametrize("build", [build_pm, build_linear])
+@pytest.mark.parametrize("law", ["loguniform", "unit"])
+def test_hz_runs_once_per_cyclic_level(build, law, monkeypatch):
+    # selection calls hz through the spanlab.pm.hz_spanner global, which
+    # spanbench's tracer wraps: right after each level whose representative
+    # graph has a cycle, and after no other level
+    events = []
+    real_dedupe, real_hz = spanlab.pm.dedupe_source_edges, spanlab.pm.hz_spanner
+
+    def dedupe(*args):
+        best = real_dedupe(*args)
+        reps = {r for pair in best for r in pair}
+        events.append(("level", _rep_graph_has_cycle(best), len(reps), len(best)))
+        return best
+
+    def hz(g, k, stats=None):
+        events.append(("hz", g.n, g.m))
+        return real_hz(g, k, stats=stats)
+
+    monkeypatch.setattr(spanlab.pm, "dedupe_source_edges", dedupe)
+    monkeypatch.setattr(spanlab.pm, "hz_spanner", hz)
+    g = gnm_graph(40, 300, seed=5, law=law, wmax=2)
+    with unscaled_eps():
+        build(g, 2, 0.5)
+    levels = [e for e in events if e[0] == "level"]
+    expected = []
+    for e in levels:
+        expected.append(e)
+        if e[1]:
+            expected.append(("hz",) + e[2:])
+    assert events == expected
+    assert any(e[1] for e in levels)
 
 
 # ---------------------------------------------------------------- cover
