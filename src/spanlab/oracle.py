@@ -57,6 +57,17 @@ fall; should a target still go unreached when the heap empties, that one
 source searches again unbounded.  A query between two H-components gets
 inf without any search.
 
+The anchor's distances also settle most edges of a wide-weight G without
+a search.  A later source s drops each target t whose edge (s, t, w)
+passes fl(A[s] + A[t]) * 4 * (1 + slack) < w, where
+1 + slack = exp(n * 2^-50): the walk s -> anchor -> t bounds d_H(s, t)
+from above, so d_H(s, t) / w rounds below 1/4, the edge's quarter bucket
+is 0.00 and its ratio can never be the witness.  The slack covers the
+round-off of the float sums along both halves of that walk, each of at
+most n - 1 hops, for every n; `_dijkstra_distances` proves it.  Its B
+then runs over the targets left, and a source with none left runs no
+search.
+
 Either way the reports equal those of a full Dijkstra from every source.
 Memory is O(n + m), plus for the BFS three bitsets per vertex of at most
 `_ROUND` bits each.
@@ -260,23 +271,73 @@ def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
 
 def _dijkstra_distances(n: int, g_edges: list[tuple[int, int, float]],
                         h_edges: list[tuple[int, int, float]]) -> list[float]:
-    """d_H(u, v) for every edge (u, v) of G, in g_edges order, by one
-    `_dijkstra` per source that has a target in its own H-component (see
-    the module docstring).  Edges are grouped by source in one scan (u if
-    u is already a source or v is not, else v).  An anchor searches into
-    `anchor` and is never reset; the later searches share `dist` and
-    reset only what they touched."""
-    by_source: dict[int, list[tuple[int, int]]] = {}   # source -> [(edge id, other)]
-    for eid, (u, v, _) in enumerate(g_edges):
+    """For every edge (u, v, w) of G, in g_edges order, d_H(u, v), or a
+    stand-in below w / 4 where d_H(u, v) / w is sure to round below 1/4;
+    either way the ratio's quarter bucket is exact.  One `_dijkstra` runs
+    per anchor and per later source that has a target left to search (see
+    the module docstring).
+
+    Edges are grouped by source in one scan (u if u is already a source or
+    v is not, else v).  An anchor searches into `anchor` and is never
+    reset, and reads its own edges' distances there.  A later source s
+    skips each edge to a target t of its component with X * q < w, where
+    X = fl(A[s] + A[t]) and q = 4 * exp(n * 2^-50), and gives it the
+    stand-in X.  It searches only for the targets left, on the shared
+    `dist`, and resets only what it touched.  A sum or product that
+    overflows is inf, never below w, so such an edge is searched.
+
+    Why a skipped edge's ratio rounds below 1/4.  Let u = 2^-53.  A float
+    + of nonnegative operands with a finite result is the exact sum times
+    1 + d, |d| <= u, and exact below 2^-1022; a float * of positive
+    operands with a finite result of at least 2^-1022 is the exact
+    product times such a 1 + d; rounding never reverses an order.  D is
+    the float distance a full Dijkstra from s gives t, which is what the
+    reports hold for a searched edge.
+
+    1. D is at most the left-to-right float sum along any walk from s to
+       t: a full search leaves D(y) <= fl(D(x) + w) on every edge (x, y),
+       and fl(. + w) never falls as its argument grows.
+    2. A float sum of h >= 1 nonnegative terms, in any order, lies between
+       E (1-u)^(h-1) and E (1+u)^(h-1), E its exact value.
+    3. Walk from s up the anchor's search tree to the anchor, then down to
+       t.  The halves have h1, h2 <= n - 1 hops and exact lengths E1, E2,
+       and A[s], A[t] are their float sums taken from the anchor.  By 2,
+       E1 + E2 <= (A[s] + A[t]) (1-u)^-(n-2) <= X (1-u)^-(n-1), and by 1
+       and 2, D <= (E1 + E2) (1+u)^(2n-3) <= X (1-u)^-(3n-4), since
+       1 + u <= 1 / (1-u).  X obeys the same bound, as s is not the
+       anchor and so n >= 2.
+    4. If fl(X * q) >= 2^-1022, fl(X * q) < w gives X q (1-u) < w, so
+       D / w and X / w are below (1-u)^-(3n-3) / q.  Below 2^-1022 every
+       sum in 3 is smaller still, so exact, and D <= E1 + E2 = X; as
+       q >= 4, fl(X * q) >= 4X, which is exact, and the float just
+       below w is at most w (1-u), so D / w <= X / w <= (1-u) / 4.
+    5. (1-u) / 4 = 1/4 - 2^-55 is the float just below 1/4, so fl(D / w)
+       and fl(X / w) are below 1/4 once q >= 4 (1-u)^-(3n-2).  As
+       -ln(1-u) <= u (1+u), ln(q / 4) >= (3n-2) u (1+u) suffices.
+    6. n * 2^-50 is 8nu, exact below n = 2^53 and at least 8nu (1-u)
+       above.  CPython's math.exp calls the C library's exp, which is
+       within one ulp, a factor of at least 1 - 2u, so
+       ln(q / 4) >= 8nu (1-u) - 2u (1+2u).  That exceeds
+       (3n-2) u (1+u) by (n (5 - 11u) - 2u) u > 0 for every n >= 1.
+       Should exp overflow, q is inf and no edge is skipped.
+
+    Without the slack (q = 4) the rule fails: on the H path 3-2-1-0-4
+    with weights 0.1, 0.2, 0.3, 0.1 from 0, A[3] = (0.3 + 0.2) + 0.1 =
+    0.6 and X = 0.7, but D = ((0.1 + 0.2) + 0.3) + 0.1 is the next float
+    above 0.7, so an edge (3, 4) of weight 4D would be put in bucket 0.00
+    instead of 0.25."""
+    by_source: dict[int, list[tuple[int, int, float]]] = {}   # source -> [(edge id, other, w)]
+    for eid, (u, v, w) in enumerate(g_edges):
         if u in by_source or v not in by_source:
-            by_source.setdefault(u, []).append((eid, v))
+            by_source.setdefault(u, []).append((eid, v, w))
         else:
-            by_source[v].append((eid, u))
+            by_source[v].append((eid, u, w))
     dists = [INF] * len(g_edges)
     adj_h = _adjacency(n, h_edges)
     by_weight = itemgetter(1)
     for nbrs in adj_h:
         nbrs.sort(key=by_weight)
+    quarter = 4.0 * math.exp(n * 2.0 ** -50)
     anchor = [INF] * n
     comp = [-1] * n     # per vertex: the anchor of its H-component
     dist = [INF] * n
@@ -286,21 +347,31 @@ def _dijkstra_distances(n: int, g_edges: list[tuple[int, int, float]],
             touched, _ = _dijkstra(adj_h, src, set(), anchor)
             for x in touched:
                 comp[x] = src
-            for eid, other in pairs:
+            for eid, other, _ in pairs:
                 if comp[other] == src:
                     dists[eid] = anchor[other]
             continue
         # a target outside the component keeps INF
-        targets = {other for _, other in pairs if comp[other] == c}
+        a = anchor[src]
+        searched = []
+        targets = set()
+        for eid, other, w in pairs:
+            if comp[other] == c:
+                x = a + anchor[other]
+                if x * quarter < w:
+                    dists[eid] = x
+                else:
+                    searched.append((eid, other))
+                    targets.add(other)
         if not targets:
             continue
-        bound = (anchor[src] + max([anchor[t] for t in targets])) * (1.0 + 1e-9)
+        bound = (a + max([anchor[t] for t in targets])) * (1.0 + 1e-9)
         touched, missed = _dijkstra(adj_h, src, targets, dist, bound)
         if missed:
             for x in touched:
                 dist[x] = INF
             touched, _ = _dijkstra(adj_h, src, targets, dist)
-        for eid, other in pairs:
+        for eid, other in searched:
             dists[eid] = dist[other]
         for x in touched:
             dist[x] = INF
@@ -441,8 +512,12 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
     component; each later source s skips relaxations past
     B = (A[s] + max A[t]) * (1 + 1e-9), A being the anchor's distances,
     tightens B once it has reached every target, and searches again
-    unbounded if a target goes unreached (see `_dijkstra_distances`).  A
-    query between H-components is inf without a search.  The witness and
+    unbounded if a target goes unreached.  Before that, s drops each
+    target t whose edge (s, t, w) has
+    fl(A[s] + A[t]) * 4 * exp(n * 2^-50) < w: its ratio is proved to
+    round below 1/4, so it is counted in bucket 0.00 without a search
+    (see `_dijkstra_distances`).  A query between H-components is inf
+    without a search.  The witness and
     the histogram are read in g.edges order; the histogram counts quarter
     indices floor(4 * ratio) and formats each distinct one once.
     """

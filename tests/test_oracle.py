@@ -570,6 +570,19 @@ def test_short_bound_falls_back_to_an_unbounded_search(monkeypatch):
     assert reruns
 
 
+def _counted_searches(monkeypatch):
+    """The source of every `_dijkstra` call from now on, in call order."""
+    calls = []
+    search = oracle._dijkstra
+
+    def counting(*args):
+        calls.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_dijkstra", counting)
+    return calls
+
+
 def test_query_between_h_components_runs_no_search(monkeypatch):
     # sources by edge order: 0 anchors {0, 1, 2}, 1 searches for 2, 3
     # anchors {3, 4}; source 2 asks only for 4, in another H-component,
@@ -577,14 +590,7 @@ def test_query_between_h_components_runs_no_search(monkeypatch):
     g = wgraph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0), (2, 3, 1.0), (2, 4, 1.5)])
     h = wgraph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
     assert _reference_sources(g) == [0, 1, 3, 3, 2]
-    searched = []
-    search = oracle._dijkstra
-
-    def recording(*args):
-        searched.append(args[1])
-        return search(*args)
-
-    monkeypatch.setattr(oracle, "_dijkstra", recording)
+    searched = _counted_searches(monkeypatch)
     rep = assert_matches_reference(g, h, 3.0)
     assert searched == [0, 1, 3]
     assert rep.histogram == {"1.00": 3, "inf": 2}
@@ -625,25 +631,119 @@ def test_one_weight_verify_memory_is_linear_on_many_components(build):
     assert peak < 10 * 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
 
 
+def _h_adjacency(g, h):
+    adj = [[] for _ in range(g.n)]
+    for u, v, w in h.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def _expected_searches(g, h):
+    """The searches a several-weight H costs: one per anchor (the first
+    reference source of each H-component), plus one per later reference
+    source s with an edge (s, t, w), t in its component, that the anchor
+    bound does not skip, i.e. with (A[s] + A[t]) * 4 * exp(n * 2^-50) >= w."""
+    adj = _h_adjacency(g, h)
+    scale = 4 * math.exp(g.n * 2.0 ** -50)
+    anchor_of = {}      # vertex -> the anchor of its H-component
+    dist_a = {}         # vertex -> its distance from that anchor
+    searching = set()
+    for (u, v, w), src in zip(g.edges, _reference_sources(g)):
+        other = v if src == u else u
+        if src not in anchor_of:
+            for x, d in enumerate(_reference_dijkstra(g.n, adj, src)):
+                if d < INF:
+                    anchor_of[x], dist_a[x] = src, d
+            searching.add(src)
+        elif (anchor_of[src] != src and anchor_of.get(other) == anchor_of[src]
+              and not (dist_a[src] + dist_a[other]) * scale < w):
+            searching.add(src)
+    return len(searching)
+
+
 @pytest.mark.parametrize("g", [gnm_graph(80, 400, seed=9, law="uniform", wmax=50),
                                k4_pieces(50, seed=5),
                                gnm_graph(80, 400, seed=9, law="unit")])
-def test_one_search_per_reference_source(g, monkeypatch):
-    calls = []
-    search = oracle._dijkstra
-
-    def counting(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(oracle, "_dijkstra", counting)
+def test_one_search_per_anchor_and_unskipped_source(g, monkeypatch):
+    calls = _counted_searches(monkeypatch)
     h = build_pm(g, 2, 0.25)
     assert verify_stretch(g, h, 3.75).ok
     if len({w for _, _, w in h.edges}) == 1:
         # the unit-weight case: the multi-source BFS answers every query
         assert len(calls) == 0
     else:
-        assert len(calls) == len(set(_reference_sources(g)))
+        assert len(calls) == _expected_searches(g, h)
+
+
+def test_wide_weights_skip_whole_sources(monkeypatch):
+    # H = G over weights in [1, 1e9]: most edges are far heavier than the
+    # walk through their anchor, so some later sources have no target left
+    g = gnm_graph(250, 3000, seed=11, law="loguniform", wmax=1e9)
+    calls = _counted_searches(monkeypatch)
+    assert_matches_reference(g, g, 1.0)
+    assert len(calls) == _expected_searches(g, g) < len(set(_reference_sources(g)))
+
+
+# the H path 3-2-1-0-4, weights 0.3, 0.2, 0.1 from 0 and 0.1 to 4; source 0
+# anchors it and source 3 measures G's edge (3, 4).  From the anchor
+# A[3] = (0.3 + 0.2) + 0.1 = 0.6, so fl(A[3] + A[4]) = 0.7, but from 3,
+# d_H(3, 4) = ((0.1 + 0.2) + 0.3) + 0.1 is the float just above 0.7
+_ROUNDED_H = wgraph(5, [(0, 1, 0.3), (1, 2, 0.2), (2, 3, 0.1), (0, 4, 0.1)])
+_ROUNDED_G = wgraph(5, _ROUNDED_H.edges + [(3, 4, 1.0)])
+
+
+def test_anchor_sum_can_round_below_the_distance():
+    adj = _h_adjacency(_ROUNDED_G, _ROUNDED_H)
+    assert _reference_sources(_ROUNDED_G)[-1] == 3
+    a = _reference_dijkstra(5, adj, 0)
+    d = _reference_dijkstra(5, adj, 3)[4]
+    assert a[3] + a[4] < d == math.nextafter(0.7, 1.0)
+
+
+@st.composite
+def graph_subgraph_and_pair(draw):
+    """A several-weight (G, H), an ordered pair (x, y) that H connects, and
+    a place in G's edge order for one more edge (x, y)."""
+    g, h = draw(graph_and_multi_weight_subgraph())
+    adj = _h_adjacency(g, h)
+    pairs = [(x, y) for x in range(g.n)
+             for y, d in enumerate(_reference_dijkstra(g.n, adj, x)) if y != x and d < INF]
+    return g, h, draw(st.sampled_from(pairs)), draw(st.integers(0, g.m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_subgraph_and_pair(), st.sampled_from([1.0, 3.0]))
+# a rule without the slack puts (3, 4) at weight 4 * d_H in bucket 0.00
+@example((_ROUNDED_H, _ROUNDED_H, (3, 4), 4), 1.0)
+def test_quarter_boundary_matches_reference(case, t):
+    # G gains an edge (x, y) that weighs 4 * d_H(x, y), the reference float
+    # distance from the edge's source, or one of that weight's two float
+    # neighbours: its ratio sits on the 1/4 bucket boundary that the skip
+    # rule decides
+    g, h, (x, y), pos = case
+    edges = list(g.edges)
+    edges.insert(pos, (x, y, 1.0))
+    src = _reference_sources(WeightedGraph(g.n, edges))[pos]
+    d = _reference_dijkstra(g.n, _h_adjacency(g, h), src)[y if src == x else x]
+    for w in (math.nextafter(4 * d, 0.0), 4 * d, math.nextafter(4 * d, INF)):
+        edges[pos] = (x, y, w)
+        assert_matches_reference(WeightedGraph(g.n, edges), h, t)
+
+
+@pytest.mark.parametrize("big", [1e308, 5e307], ids=["sum", "product"])
+def test_overflowing_anchor_bound_searches(big, monkeypatch):
+    # 0 anchors all four vertices: A[1] = A[2] = big, A[3] = big + 1e307.
+    # At big = 1e308 fl(A[s] + A[t]) overflows for every later source; at
+    # 5e307 the sums stay finite and only their product with 4 overflows.
+    # inf is never below w, so (1, 2), of ratio 0.2, is searched
+    g = wgraph(4, [(0, 1, big), (0, 2, big), (1, 3, 1e307), (3, 2, 1e307),
+                   (1, 2, 1e308)])
+    h = WeightedGraph(4, g.edges[:4])
+    calls = _counted_searches(monkeypatch)
+    rep = assert_matches_reference(g, h, 3.0)
+    assert calls == [0, 1, 3]
+    assert rep.histogram == {"1.00": 4, "0.00": 1}
 
 
 # one H-component holds every source; G's edges into two more H-components
