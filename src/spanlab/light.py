@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .buckets import check_eps, partition_edges, threshold
 from .graphs import WeightedGraph, minimum_spanning_tree
 from .linear import per_component
 from .pm import build_levels
 from .spanner import Spanner
-from . import lightsteps as steps
+from . import audits, lightsteps as steps
 
 # spanbench's tracer looks these names up on this module with getattr; the
 # calls run through linear.per_component and pm.build_levels, so the names
@@ -94,16 +94,12 @@ def split_light_heavy(
 class SubdividedMst:
     n_real: int
     n_total: int
-    # tree edges (a, b, w, parent_eid); parent_eid indexes the MST edge list
+    # tree edges (a, b, w, parent_eid); parent_eid indexes the MST edge list,
+    # and ids >= n_real are virtual vertices inside one MST edge
     edges: list[tuple[int, int, float, int]]
-    # for virtual vertices (ids >= n_real): the MST edge they subdivide
-    virtual_parent: list[int] = field(default_factory=list)
     wbar: float = 0.0
     # weight of each MST edge, indexed like parent_eid
     mst_weight: list[float] = field(default_factory=list)
-
-    def parent_edge_of(self, v: int) -> int:
-        return self.virtual_parent[v - self.n_real] if v >= self.n_real else -1
 
 
 def subdivide_mst(mst, wbar: float, n_real: int) -> SubdividedMst:
@@ -123,7 +119,6 @@ def subdivide_mst(mst, wbar: float, n_real: int) -> SubdividedMst:
         for _ in range(pieces - 1):
             mid = out.n_total
             out.n_total += 1
-            out.virtual_parent.append(peid)
             out.edges.append((prev, mid, wbar, peid))
             prev = mid
             remaining -= wbar
@@ -138,7 +133,7 @@ def build_light(
     g: WeightedGraph,
     k: int,
     eps: float,
-    check: Optional[Callable[[str, bool, str], None]] = None,
+    check: Optional[audits.Check] = None,
 ) -> Spanner:
     """(2k-1)(1+eps)-spanner with bounded lightness and sparsity.
 
@@ -158,7 +153,7 @@ def _build_connected(
     g: WeightedGraph,
     k: int,
     eps: float,
-    check: Optional[Callable[[str, bool, str], None]],
+    check: Optional[audits.Check],
 ) -> Spanner:
     """Spanner of a connected g; the caller fills in source_hash."""
     ops: dict = {"pm_uf": 0, "hz": 0, "level_work": 0}
@@ -241,16 +236,10 @@ def _build_heavy(
     would drop only edges whose tree path is within F*(1 + 1e-9) of their
     weight, still inside the stretch target, whose slack over F is
     (4g+1)*eps'.
-
-    `check` only turns the audits on: an audited build skips, keeps whole
-    and processes the same levels as a plain one.
     """
     eps_i = internal_eps_light(eps)
     wbar = mst.weight / (g.m * eps)
     sub = subdivide_mst(mst, wbar, g.n)
-    if check is not None:
-        check("virtual-count", sub.n_total <= 2 * (g.n + g.m) + 2,
-              f"|V~|={sub.n_total} n={g.n} m={g.m}")
 
     buckets = partition_edges(g, heavy_pool, eps_i, wbar)
     mu = buckets.mu
@@ -282,17 +271,13 @@ def _build_heavy(
             if state is None:
                 state = _base_state(prev, wbar, ladder, base, ctx)
                 if check is not None:
-                    check("phi1-bound", state.phi <= mst.weight * (1 + 1e-9),
-                          f"sigma={sigma} phi1={state.phi} w(mst)={mst.weight}")
+                    audits.phi1_bound(check, state, mst.weight, sigma)
             elif state.scale < prev * (1 - 1e-12):
                 state = steps.coarsen(state, prev, ctx, levels_log, sigma, i)
             if empty_from(sigma, i, state.reach):
                 done = t
                 break
 
-            if check is not None:
-                check("imax-bound", i <= 4 * math.log2(max(g.n, 2)) + 20,
-                      f"sigma={sigma} i={i} n={g.n}")
             bucket = buckets.edges(sigma, i)
             ei = steps.build_cluster_graph(state, bucket, g, li, ctx)
             ops["level_work"] += len(bucket)

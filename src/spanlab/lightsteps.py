@@ -15,11 +15,8 @@ Steps 2-5 find the level's unassigned tree pieces with one walk per piece
 walk parent and in-piece neighbours; a piece's Adm, branching nodes, path
 order and absorption order are all read from that one walk.
 
-The structural audits live in the `_audit_*` helpers and run only when the
-context carries a `check` callback.  A value that only an audit reads (a
-subgraph's high/low+/low- kind, its contracted-tree weight, a virtual
-cluster's parent MST edge) is derived inside those helpers, so an unaudited
-build never computes it.
+Each audit hook is one call into `audits` under `if ctx.check is not
+None`, which derives what only it reads; a plain build enters no audit.
 """
 from __future__ import annotations
 
@@ -27,12 +24,13 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .dsu import ClassicUF
 from .graphs import WeightedGraph
 from .hz import UnweightedGraph, hz_spanner
 from .pm import dedupe_source_edges
+from . import audits
 
 
 @dataclass
@@ -43,7 +41,7 @@ class StepContext:
     eps: float
     gconst: int
     filter_factor: float
-    check: Optional[Callable[[str, bool, str], None]] = None   # audits iff given
+    check: Optional[audits.Check] = None    # audits iff given
 
     @property
     def tau_high(self) -> int:
@@ -122,18 +120,8 @@ def carved_state(base: ClassState, scale: float, ctx: StepContext) -> ClassState
     bound)."""
     state, _ = _carve_tree(base, scale)
     if ctx.check is not None:
-        _audit_carve(state, scale, ctx)
+        audits.carve(ctx.check, state, scale)
     return state
-
-
-def _audit_carve(state: ClassState, scale: float, ctx: StepContext) -> None:
-    ok = all(d <= 14 * scale * (1 + 1e-9) for d in state.pot)
-    if len(state.pot) > 1:
-        ok = ok and all(d >= scale * (1 - 1e-9) for d in state.pot)
-    lo = min(state.pot) if state.pot else 0.0
-    hi = max(state.pot) if state.pot else 0.0
-    ctx.check("level1-diameter", ok,
-              f"scale={scale} diam range [{lo:.3g},{hi:.3g}]")
 
 
 def coarsen(state: ClassState, scale: float, ctx: StepContext,
@@ -150,25 +138,8 @@ def coarsen(state: ClassState, scale: float, ctx: StepContext,
         "a_i": 0.0, "step_edge_counts": [0, 0, 0], "degenerate": False,
     })
     if ctx.check is not None:
-        _audit_coarsen(state, new, piece_of, ctx, sigma, i)
+        audits.coarsen(ctx.check, state, new, piece_of, sigma, i)
     return new
-
-
-def _audit_coarsen(state: ClassState, new: ClassState, piece_of: list[int],
-                   ctx: StepContext, sigma: int, i: int) -> None:
-    internal: dict[int, float] = {}
-    for a, b, w, sid in state.tree:
-        if piece_of[a] == piece_of[b]:
-            internal[piece_of[a]] = internal.get(piece_of[a], 0.0) + w
-    summed: dict[int, float] = {}
-    for c in range(state.count):
-        summed[piece_of[c]] = summed.get(piece_of[c], 0.0) + state.pot[c]
-    ok = all(
-        summed.get(p, 0.0) + internal.get(p, 0.0) - adm
-        >= -1e-9 * max(1.0, adm)
-        for p, adm in enumerate(new.pot)
-    )
-    ctx.check("coarsen-dplus", ok, f"sigma={sigma} i={i}")
 
 
 def _carve_tree(state: ClassState, scale: float) -> tuple[ClassState, list[int]]:
@@ -667,8 +638,7 @@ def step1_high(lvl: _Level) -> None:
             continue
         _pad_to_min_adm(lvl, xid)
         if ctx.check is not None:
-            ctx.check("step1-size", len(x.nodes) >= min(tau, lvl.count),
-                      f"|V(X)|={len(x.nodes)} tau={tau}")
+            audits.step1_size(ctx.check, x, tau, lvl.count)
 
 
 def _pad_to_min_adm(lvl: _Level, xid: int) -> None:
@@ -730,24 +700,13 @@ def step2_branching(lvl: _Level) -> None:
                 hook = _adjacent_subgraph(lvl, xid, prefer="any")
             if hook is None:
                 if ctx.check is not None:
-                    ctx.check("step2-good-fixup", False,
-                              f"stranded ball of {len(x.nodes)} nodes")
+                    audits.stranded_ball(ctx.check, x)
                 continue
             other, bridge = hook
             lvl.merge_into(xid, other, bridge)
             changed = True
     if ctx.check is not None:
-        _audit_balls(lvl, balls)
-
-
-def _audit_balls(lvl: _Level, balls: list[int]) -> None:
-    li = lvl.li
-    for xid in balls:
-        x = lvl.xs[xid]
-        if x.nodes:
-            adm = x.adm(lvl.pot)
-            lvl.ctx.check("step2-adm", li * (1 - 1e-9) <= adm <= 24 * li * (1 + 1e-9),
-                          f"ball adm={adm} li={li}")
+        audits.balls(ctx.check, lvl, balls)
 
 
 def _carve_ball(lvl: _Level, center: int, piece: _Piece, radius: float) -> int:
@@ -870,26 +829,7 @@ def step4_blue_edges(lvl: _Level) -> None:
             _absorb_run(lvl, xid, run_b, bridge=(a, b, w))
         lvl.xs[xid].ei_idx.append(pick)
         if lvl.ctx.check is not None:
-            _audit_blue_pair(lvl, lvl.xs[xid])
-
-
-def _audit_blue_pair(lvl: _Level, x: Subgraph) -> None:
-    li = lvl.li
-    adm = x.adm(lvl.pot)
-    lvl.ctx.check("step4-adm", li * (1 - 1e-9) <= adm <= 6 * li * (1 + 1e-9),
-                  f"blue-pair adm={adm} li={li}")
-    dplus = sum(lvl.pot[v] for v in x.nodes) - adm + _audit_tree_weight(x)
-    lvl.ctx.check("step4-dplus", dplus >= -1e-9 * max(1.0, adm),
-                  f"dplus={dplus}")
-
-
-def _audit_tree_weight(x: Subgraph) -> float:
-    """Total weight of x's contracted-tree edges, summed in edge order."""
-    total = 0.0
-    for a, b, w, is_tree in x.graph_edges:
-        if is_tree:
-            total += w
-    return total
+            audits.blue_pair(lvl.ctx.check, lvl, lvl.xs[xid])
 
 
 def _blue_nodes(lvl: _Level) -> set[int]:
@@ -1082,23 +1022,8 @@ def break_long_path(lvl: _Level, path: list[int]) -> list[tuple[int, int]]:
     if flat != list(range(n)):
         raise AssertionError("path pieces do not partition the path")
     if lvl.ctx.check is not None:
-        _audit_path_pieces(lvl, path, pos, pieces)
+        audits.path_pieces(lvl.ctx.check, lvl, path, pos, pieces)
     return pieces
-
-
-def _audit_path_pieces(lvl: _Level, path: list[int], pos: list[float],
-                       pieces: list[tuple[int, int]]) -> None:
-    li = lvl.li
-    for a, b in pieces:
-        adm = _range_adm(lvl, path, pos, a, b)
-        lvl.ctx.check("step5b-piece", li * (1 - 1e-9) <= adm <= 7 * li * (1 + 1e-9),
-                      f"piece adm={adm} li={li}")
-        seg = path[a:b + 1]
-        if any(lvl.nonisolated[v] for v in seg):
-            nonvirt = sum(1 for v in seg if not lvl.state.virtual[v])
-            endpoint = a == 0 or b == len(path) - 1
-            lvl.ctx.check("step5b-good", nonvirt >= 2 or endpoint,
-                          f"nonvirt={nonvirt} endpoint={endpoint}")
 
 
 def _chunk_edges(count: int) -> list[tuple[int, int]]:
@@ -1180,9 +1105,8 @@ def _force_min_adm(lvl: _Level) -> None:
             continue
         hook = _adjacent_subgraph(lvl, xid, prefer="any")
         if hook is None:
-            if lvl.ctx.check is not None and sum(1 for y in lvl.xs if y.nodes) > 1:
-                lvl.ctx.check("min-adm", False,
-                              f"isolated short subgraph size={len(x.nodes)}")
+            if lvl.ctx.check is not None:
+                audits.min_adm(lvl.ctx.check, lvl, x)
             return
         other, bridge = hook
         lvl.merge_into(xid, other, bridge)
@@ -1235,104 +1159,18 @@ def _finish_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
     new_state = _next_state(lvl.state, [x.nodes for x in live], piece_of,
                             [x.adm(lvl.pot) for x in live], lvl.li)
     y_count = sum(1 for v in range(lvl.count) if lvl.nonisolated[v])
-    n_after = new_state.n_nodes
     if ctx.check is not None:
-        _audit_level(lvl, sigma, i, degenerate, live, new_state.pot, n_after, y_count)
+        audits.level(ctx.check, lvl, sigma, i, degenerate, live, new_state, y_count)
 
     phi_before = lvl.state.phi
     phi_after = new_state.phi
     a_i = sum(ctx.g.edges[eid][2] for eid in picked) if degenerate else 0.0
     row = {
         "sigma": sigma, "i": i, "v_nodes": lvl.count, "e_edges": len(lvl.ei),
-        "y_nodes": y_count, "n_nodes": n_after, "phi": phi_before,
+        "y_nodes": y_count, "n_nodes": new_state.n_nodes, "phi": phi_before,
         "delta": phi_before - phi_after, "a_i": a_i,
         "step_edge_counts": counts, "degenerate": degenerate,
     }
     if ctx.check is not None:
-        _audit_cycle_property(lvl)
+        audits.cycle_property(ctx.check, lvl)
     return row, new_state
-
-
-def _audit_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
-                 live: list[Subgraph], adm: list[float], n_after: int,
-                 y_count: int) -> None:
-    """The level's partition, per-subgraph Adm, size, potential and
-    separation invariants, and the real-node count it removed."""
-    ctx = lvl.ctx
-    ctx.check("p1-partition", all(lvl.assigned[v] != -1 for v in range(lvl.count)),
-              f"sigma={sigma} i={i}")
-    dplus_ok = True
-    good_ok = True
-    upper = ctx.gconst * lvl.li * (1 + 1e-9)
-    lower = lvl.li * (1 - 1e-9) if len(live) > 1 else 0.0
-    size_floor = 1.0 / (4 * ctx.eps)
-    for x, x_adm in zip(live, adm):
-        dplus = sum(lvl.pot[v] for v in x.nodes) - x_adm + _audit_tree_weight(x)
-        if dplus < -1e-9 * max(1.0, x_adm):
-            dplus_ok = False
-        if not _is_good(lvl, x):
-            good_ok = False
-        ctx.check("p3-adm", lower <= x_adm <= upper,
-                  f"sigma={sigma} i={i} step={x.step} adm={x_adm} li={lvl.li}")
-        ctx.check("p2-size-warning", len(x.nodes) >= min(size_floor, lvl.count),
-                  f"|V(X)|={len(x.nodes)}")
-    ctx.check("dplus-nonnegative", dplus_ok, f"sigma={sigma} i={i}")
-    ctx.check("goodness", good_ok, f"sigma={sigma} i={i}")
-
-    if not degenerate:
-        tau = ctx.tau_high
-        kind = [""] * len(lvl.xs)       # high / low+ / low- of each live subgraph
-        for xid, x in enumerate(lvl.xs):
-            if not x.nodes:
-                continue
-            if any(lvl.deg[v] >= tau for v in x.nodes):
-                kind[xid] = "high"
-            elif x.step == "piece" and not x.endpoint_piece:
-                kind[xid] = "low-"
-            else:
-                kind[xid] = "low+"
-        sep_ok = True
-        for a, b, w, eid in lvl.ei:
-            ka = "high" if lvl.deg[a] >= tau else kind[lvl.assigned[a]]
-            kb = "high" if lvl.deg[b] >= tau else kind[lvl.assigned[b]]
-            if {ka, kb} == {"high", "low-"} or (ka == kb == "low-"):
-                sep_ok = False
-        ctx.check("low-minus-separation", sep_ok, f"sigma={sigma} i={i}")
-
-    n_before = lvl.state.n_nodes
-    ctx.check(
-        "n-reduction", n_before - n_after >= y_count / 2,
-        f"sigma={sigma} i={i} before={n_before} after={n_after} y={y_count}",
-    )
-
-
-def _audit_cycle_property(lvl: _Level) -> None:
-    """Every virtual node on a level edge's fundamental tree cycle has a
-    parent MST edge no heavier than the level edge.  A virtual node's
-    parent MST edge is the one its subdivided vertices all subdivide."""
-    if not lvl.ei:
-        return
-    sub, state = lvl.ctx.sub, lvl.state
-    par_eid: dict[int, int] = {}
-    for v, c in enumerate(state.cl_of_sub):
-        if state.virtual[c]:
-            peid = sub.parent_edge_of(v)
-            if par_eid.setdefault(c, peid) != peid:
-                raise AssertionError("virtual cluster spans several MST edges")
-    mst_weight = sub.mst_weight
-    parent, order, _ = state.rooted
-    depth = [0] * lvl.count
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-    ok = True
-    for a, b, w, eid in lvl.ei:
-        x, y = a, b
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y = y, x
-            if x in par_eid and not mst_weight[par_eid[x]] <= w * (1 + 1e-9):
-                ok = False
-            x = parent[x]
-        if x in par_eid and not mst_weight[par_eid[x]] <= w * (1 + 1e-9):
-            ok = False
-    lvl.ctx.check("cycle-property", ok, f"edges={len(lvl.ei)}")

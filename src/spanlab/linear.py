@@ -26,9 +26,9 @@ cluster has at most one carried edge up to its parent (see
 
 Only merges write a session.  A merge's find_all records skip caches
 and its link_all links; the selection reads the session through
-`StaticTreeUF.peek`, which counts find's cost but records nothing, and
-so do the audits, which also leave the cost as it was.  A class's
-session starts fresh, so its state after its t-th merge, and that merge
+`StaticTreeUF.peek`, which counts find's cost but records nothing (the
+audits peek too, and put the cost back).  A class's session starts
+fresh, so its state after its t-th merge, and that merge
 itself (forest, star cover, links, leftovers and find cost), depend
 only on its first t `end`s, where a level's `end` is the number of MST
 edges in range at it; sigma, the buckets and the reps do not enter.
@@ -63,6 +63,7 @@ from .graphs import (
 )
 from .pm import G_PM, internal_eps, select_bucket
 from .spanner import Spanner, graph_hash
+from . import audits
 
 # spanbench's tracer looks these names up on this module with getattr; the
 # calls run through pm.select_bucket, and the forest star cover is this
@@ -105,7 +106,7 @@ def build_linear(
     g: WeightedGraph,
     k: int,
     eps: float,
-    check: Optional[Callable[[str, bool, str], None]] = None,
+    check: Optional[audits.Check] = None,
 ) -> Spanner:
     """MST-containing (2k-1)(1+eps)-spanner; disconnected inputs are built
     per component.  `check(name, ok, detail)`, when given, turns the
@@ -119,7 +120,7 @@ def _build_connected(
     g: WeightedGraph,
     k: int,
     eps: float,
-    check: Optional[Callable[[str, bool, str], None]],
+    check: Optional[audits.Check],
 ) -> Spanner:
     """Spanner of a connected g; the caller fills in source_hash."""
     eps_i = internal_eps(eps)
@@ -173,11 +174,9 @@ def _build_connected(
         for i in level_ids:
             bucket = buckets.edges(sigma, i)
             if check is not None and session is not None:
-                _check_p2_subtree(
-                    norm, mst, session,
-                    budget=G_PM * level_scale(sigma, i - 1, eps_i),
-                    check=check, tag=f"sigma={sigma} level={i}",
-                )
+                audits.linear_clusters(
+                    check, norm, mst, session,
+                    G_PM * level_scale(sigma, i - 1, eps_i), sigma, i)
             cost0 = session.cost if session else 0
             kept, _, reps, _ = select_bucket(
                 norm, bucket, k, session.peek if session else _identity,
@@ -209,14 +208,8 @@ def _build_connected(
                                        session.cost - cost1 - links, carried)
             ptr = end
             if check is not None:
-                tag = f"sigma={sigma} i={i}"
-                y = set(verts) if i != last else _in_range_clusters(
-                    session, mst, carried)
-                check("x-subset-y", all(r in y for r in reps),
-                      f"{tag} |X|={len(reps)} |Y|={len(y)}")
-                if i != last:
-                    check("merge-reduction", links >= len(verts) / 2,
-                          f"{tag} links={links} |Y|={len(verts)}")
+                audits.linear_level(check, session, mst, carried, verts, links,
+                                    reps, i != last, sigma, i)
             spent = session.cost - cost0 if session else 0
             ops["links"] += links
             ops["finds"] += spent - links
@@ -342,80 +335,3 @@ def merge_forest_subtrees(
 
     session.link_all(to_link)
     return len(to_link)
-
-
-def _in_range_clusters(session: Optional[StaticTreeUF], mst,
-                       carried: list[int]) -> set[int]:
-    """Y of a level that merges nothing: the clusters at both ends of its
-    in-range MST edges, found without charging the session."""
-    ups = [mst.parent[c] for c in carried]
-    if session is not None:
-        cost = session.cost
-        ups = list(map(session.peek, ups))
-        session.cost = cost
-    return set(carried).union(ups)
-
-
-def _check_p2_subtree(
-    norm: WeightedGraph,
-    mst,
-    session: StaticTreeUF,
-    budget: float,
-    check: Callable[[str, bool, str], None],
-    tag: str,
-) -> None:
-    """Each cluster induces a connected MST subtree of bounded diameter.
-    Read-only: the session's state and cost are left as they were."""
-    if norm.n > 200:
-        return
-    clusters: dict[int, list[int]] = {}
-    cost = session.cost
-    for v in range(norm.n):
-        clusters.setdefault(session.peek(v), []).append(v)
-    session.cost = cost
-    check("p1-partition", sum(len(c) for c in clusters.values()) == norm.n, tag)
-
-    tree_adj: list[list[tuple[int, float]]] = [[] for _ in range(norm.n)]
-    for u, v, w in mst.edges:
-        tree_adj[u].append((v, w))
-        tree_adj[v].append((u, w))
-    ok_conn = True
-    ok_diam = True
-    for rep, members in clusters.items():
-        mem = set(members)
-        # connectivity plus eccentricity inside the induced subtree
-        far, _, reach = _tree_far(tree_adj, members[0], mem)
-        if len(reach) != len(mem):
-            ok_conn = False
-            break
-        _, dist, _ = _tree_far(tree_adj, far, mem)   # far's eccentricity
-        if budget <= 0:
-            if len(mem) > 1:
-                ok_diam = False
-        elif not dist <= budget * (1 + 1e-9):
-            ok_diam = False
-        if not (ok_conn and ok_diam):
-            break
-        if rep not in mem:
-            ok_conn = False
-            break
-    check("p2-subtree-connected", ok_conn, tag)
-    check("p2-subtree-diameter", ok_diam, tag)
-
-
-def _tree_far(tree_adj, start: int,
-              allowed: set[int]) -> tuple[int, float, set[int]]:
-    """Farthest node from start inside `allowed`, its distance, and every
-    node reached."""
-    best, best_d = start, 0.0
-    seen = {start}
-    stack = [(start, 0.0)]
-    while stack:
-        u, d = stack.pop()
-        if d > best_d:
-            best, best_d = u, d
-        for v, w in tree_adj[u]:
-            if v in allowed and v not in seen:
-                seen.add(v)
-                stack.append((v, d + w))
-    return best, best_d, seen

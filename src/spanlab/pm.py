@@ -23,9 +23,10 @@ from typing import Callable, Optional, Sequence
 
 from .buckets import check_eps, level_scale, partition_edges
 from .dsu import ClassicUF
-from .graphs import WeightedGraph, check_edges, normalize_weights, sssp_distances
+from .graphs import WeightedGraph, check_edges, normalize_weights
 from .hz import UnweightedGraph, hz_spanner, is_forest
 from .spanner import Spanner, graph_hash
+from . import audits
 
 G_PM = 9  # cluster-diameter constant; merges stay within g*L_i
 
@@ -141,7 +142,7 @@ def build_pm(
     g: WeightedGraph,
     k: int,
     eps: float,
-    check: Optional[Callable[[str, bool, str], None]] = None,
+    check: Optional[audits.Check] = None,
 ) -> Spanner:
     """(2k-1)(1+eps)-spanner via the classic union-find level framework.
 
@@ -167,7 +168,7 @@ def build_levels(
     k: int,
     eps: float,
     ops: dict,
-    check: Optional[Callable[[str, bool, str], None]] = None,
+    check: Optional[audits.Check] = None,
 ) -> tuple[set[int], list[dict]]:
     """pm's levels over g's edges `eids`, ascending, of a graph the caller
     has checked: returns (the kept edge ids of g, the level rows), and adds
@@ -203,18 +204,15 @@ def _build_class(
     spanner_eids: set[int],
     levels_log: list[dict],
     ops: dict,
-    check: Optional[Callable[[str, bool, str], None]],
+    check: Optional[audits.Check],
 ) -> None:
     """Run class sigma's levels on `uf`, which enters as n singletons."""
     class_eids: set[int] = set()
     for i in buckets.levels(sigma):
         bucket = buckets.edges(sigma, i)
         if check is not None:
-            _check_p1_p2(
-                norm, uf, class_eids,
-                budget=G_PM * level_scale(sigma, i - 1, eps_i),
-                check=check, tag=f"sigma={sigma} level={i}",
-            )
+            audits.pm_clusters(check, norm, uf, class_eids,
+                               G_PM * level_scale(sigma, i - 1, eps_i), sigma, i)
         kept, best, reps, r_edges = select_bucket(
             norm, bucket, k, uf.find, spanner_eids, ops)
         if not best:
@@ -248,53 +246,9 @@ def _build_class(
         delta = merged
 
         if check is not None:
-            check(
-                "charging", delta >= len(reps) / 2,
-                f"sigma={sigma} i={i} delta={delta} |V(R)|={len(reps)}",
-            )
+            audits.pm_charging(check, delta, len(reps), sigma, i)
         levels_log.append(
             {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
              "rep_nodes": len(reps), "kept_edges": len(kept),
              "merge_edges": merge_edges, "delta": delta}
         )
-
-
-def _check_p1_p2(
-    norm: WeightedGraph,
-    uf: ClassicUF,
-    class_eids: set[int],
-    budget: float,
-    check: Callable[[str, bool, str], None],
-    tag: str,
-) -> None:
-    """Clusters partition V; each induces a subgraph of bounded diameter.
-    Read-only: `uf.peek` leaves the union-find and its cost as they were."""
-    if norm.n > 200:
-        return
-    clusters: dict[int, list[int]] = {}
-    for v in range(norm.n):
-        clusters.setdefault(uf.peek(v), []).append(v)
-    check("p1-partition", sum(len(c) for c in clusters.values()) == norm.n, tag)
-    if budget <= 0:
-        ok = all(len(c) == 1 for c in clusters.values())
-        check("p2-diameter", ok, f"{tag} (singleton level)")
-        return
-    sub_edges = [norm.edges[e] for e in class_eids]
-    ok = True
-    for members in clusters.values():
-        if len(members) == 1:
-            continue
-        idx = {v: i for i, v in enumerate(members)}
-        induced = WeightedGraph(
-            len(members),
-            [(idx[u], idx[v], w) for u, v, w in sub_edges if u in idx and v in idx],
-        )
-        for s in range(induced.n):
-            worst = max(sssp_distances(induced, s))
-            if not (worst <= budget * (1 + 1e-9)):
-                ok = False
-                break
-        if not ok:
-            break
-    check("p2-diameter", ok, tag)
-

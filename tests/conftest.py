@@ -72,8 +72,9 @@ def unscaled_eps():
 def five_step_build(check=None) -> tuple[WeightedGraph, Spanner]:
     """(g, `light`'s build of g) for g = gnm(150, 1200, seed 2, loguniform
     [1, 1e9]) at k = 1, eps = 0.5 under `unscaled_eps()`.  The build runs
-    the five steps once and `coarsen` four times, so an audited one reaches
-    every `_audit_*` helper of `lightsteps`."""
+    the five steps once and `coarsen` four times, so an audited one enters
+    `light`'s hooks in `spanlab.audits`: `phi1_bound`, `carve`, `coarsen`,
+    `balls`, `path_pieces`, `level` and `cycle_property`."""
     g = gnm_graph(150, 1200, 2, "loguniform", 1e9)
     with unscaled_eps():
         return g, spanlab.light.build_light(g, 1, 0.5, check=check)

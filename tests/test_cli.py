@@ -267,6 +267,8 @@ REMOVED_NAMES = [
     ("spanlab.dsu", "static_tree_uf_session"),
     ("spanlab.hz", "hop_distances"),
     ("spanlab.lightsteps", "StepContext.tau_override"),
+    ("spanlab.light", "SubdividedMst.virtual_parent"),
+    ("spanlab.light", "SubdividedMst.parent_edge_of"),
     ("spanlab.buckets", "bucket_index"),
     ("spanlab.graphs", "DistanceMap"),
     ("spanlab.graphs", "tree_path_max_weight"),

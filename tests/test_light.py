@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 import math
 import random
 from typing import Optional
@@ -28,7 +29,7 @@ from spanlab.light import (
     split_light_heavy,
     subdivide_mst,
 )
-from spanlab import lightsteps as steps
+from spanlab import audits, lightsteps as steps
 from spanlab.linear import build_linear
 from spanlab.oracle import spanner_metrics, verify_stretch
 from spanlab.pm import build_levels, build_pm
@@ -41,6 +42,7 @@ from conftest import (
     unscaled_eps,
     wgraph,
 )
+from test_golden import two_level_classes
 
 
 @dataclasses.dataclass
@@ -121,12 +123,14 @@ def test_subdivide_conserves_weight():
 
 
 def test_subdivide_parent_tracking():
+    # the cycle-property audit reads a virtual vertex's MST edge from the
+    # parent_eid of the sub-edges at it
     g = wgraph(3, [(0, 1, 10.0), (1, 2, 1.0)])
     mst = minimum_spanning_tree(g)
     sub = subdivide_mst(mst, 3.0, g.n)
     heavy_eid = next(i for i, (u, v, w) in enumerate(mst.edges) if w == 10.0)
-    for v in range(g.n, sub.n_total):
-        assert sub.parent_edge_of(v) == heavy_eid
+    assert sub.n_total > g.n
+    assert audits.virtual_parents(sub) == dict.fromkeys(range(g.n, sub.n_total), heavy_eid)
 
 
 # ---------------------------------------------------------------- cluster graph
@@ -709,39 +713,61 @@ def test_range_adm_matches_tree_adm_on_paths(pots, data):
 
 
 def test_unaudited_build_runs_no_audit(monkeypatch):
-    # without `check` no audit helper may be entered, with it the helpers
-    # run.  The plain build of the five-step case runs `process_level` and
-    # `coarsen`, so the refused helpers sit on a path that it takes
-    audits = [name for name in vars(steps) if name.startswith("_audit_")]
-    assert len(audits) >= 6
+    # without `check` no builder may enter a public function of `audits`;
+    # with it each hook that a case reaches runs.  The plain build of the
+    # five-step case runs `process_level` and `coarsen`, and every class of
+    # the two-level case merges at its first level and dedupes at its
+    # second, so the refused hooks sit on paths that the plain builds take
+    public = [name for name, fn in vars(audits).items() if inspect.isfunction(fn)
+              and fn.__module__ == audits.__name__ and not name.startswith("_")]
+    assert len(public) >= 15
     entered = []
 
     def refuse(name):
-        def helper(*args, **kwargs):
-            raise AssertionError(f"{name} entered by an unaudited build")
-        return helper
+        def hook(*args, **kwargs):
+            raise AssertionError(f"audits.{name} entered by an unaudited build")
+        return hook
 
     def counted(name, fn):
-        def helper(*args, **kwargs):
+        def hook(*args, **kwargs):
             entered.append(name)
             return fn(*args, **kwargs)
-        return helper
+        return hook
 
-    real = {name: getattr(steps, name) for name in audits}
+    def two_level(build, check=None):
+        with unscaled_eps():
+            return build(two_level_classes(), 2, 0.25, check=check)
+
+    builds = {
+        "light": lambda check=None: five_step_build(check)[1],
+        "pm": lambda check=None: two_level(build_pm, check),
+        "linear": lambda check=None: two_level(build_linear, check),
+    }
+    reached = {
+        "light": {"phi1_bound", "carve", "coarsen", "balls", "path_pieces",
+                  "level", "cycle_property"},
+        "pm": {"pm_clusters", "pm_charging"},
+        "linear": {"linear_clusters", "linear_level"},
+    }
+    real = {name: getattr(audits, name) for name in public}
+    plain = {}
     with monkeypatch.context() as mp:
-        for name in audits:
-            mp.setattr(steps, name, refuse(name))
+        for name in public:
+            mp.setattr(audits, name, refuse(name))
         for name in ("process_level", "coarsen", "carved_state"):
             mp.setattr(steps, name, counted(name, getattr(steps, name)))
-        _, plain = five_step_build()
+        for algo, build in builds.items():
+            plain[algo] = build()
     assert set(entered) == {"process_level", "coarsen", "carved_state"}
-    entered.clear()
-    for name in audits:
-        monkeypatch.setattr(steps, name, counted(name, real[name]))
-    _, audited = five_step_build(CheckSink())
-    assert {"_audit_carve", "_audit_coarsen", "_audit_balls", "_audit_path_pieces",
-            "_audit_level", "_audit_cycle_property"} <= set(entered)
-    assert audited.edge_key_set() == plain.edge_key_set()
+    assert any(row["delta"] for row in plain["pm"].levels)
+    assert any(row["links"] for row in plain["linear"].levels)
+    for name in public:
+        monkeypatch.setattr(audits, name, counted(name, real[name]))
+    for algo, build in builds.items():
+        entered.clear()
+        audited = build(CheckSink())
+        assert reached[algo] <= set(entered), algo
+        assert audited.edge_key_set() == plain[algo].edge_key_set()
 
 
 # ---------------------------------------------------------------- build
