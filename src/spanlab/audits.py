@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .graphs import WeightedGraph, sssp_distances
+from .graphs import WeightedGraph, minimum_spanning_tree, sssp_distances
 
 Check = Callable[[str, bool, str], None]
 
@@ -25,12 +25,11 @@ def _peek_all(uf, vs) -> list[int]:
     return out
 
 
-def _partition(check: Check, uf, n: int, tag: str) -> dict[int, list[int]]:
-    """Cluster representative -> its vertices, in vertex order; checks P1."""
+def _clusters(uf, n: int) -> dict[int, list[int]]:
+    """Cluster representative -> its vertices, in vertex order."""
     clusters: dict[int, list[int]] = {}
     for v, rep in enumerate(_peek_all(uf, range(n))):
         clusters.setdefault(rep, []).append(v)
-    check("p1-partition", sum(len(c) for c in clusters.values()) == n, tag)
     return clusters
 
 
@@ -41,7 +40,7 @@ def pm_clusters(check: Check, norm: WeightedGraph, uf, class_eids: set[int],
     if norm.n > CLUSTER_AUDIT_MAX_N:
         return
     tag = f"sigma={sigma} level={i}"
-    clusters = _partition(check, uf, norm.n, tag)
+    clusters = _clusters(uf, norm.n)
     if budget <= 0:
         ok = all(len(c) == 1 for c in clusters.values())
         check("p2-diameter", ok, f"{tag} (singleton level)")
@@ -73,7 +72,7 @@ def linear_clusters(check: Check, norm: WeightedGraph, mst, session,
     if norm.n > CLUSTER_AUDIT_MAX_N:
         return
     tag = f"sigma={sigma} level={i}"
-    clusters = _partition(check, session, norm.n, tag)
+    clusters = _clusters(session, norm.n)
     tree_adj: list[list[tuple[int, float]]] = [[] for _ in range(norm.n)]
     for u, v, w in mst.edges:
         tree_adj[u].append((v, w))
@@ -278,7 +277,9 @@ def virtual_parents(sub) -> dict[int, int]:
 
 def cycle_property(check: Check, lvl) -> None:
     """Every virtual node on a level edge's fundamental tree cycle has a
-    parent MST edge (the one its vertices subdivide) no heavier than it."""
+    parent MST edge (the one its vertices subdivide) no heavier than it.
+    `ctx.sub` subdivides the MST of `ctx.g`, so `parent_eid` indexes that
+    MST's edge list, which gives each edge's exact weight."""
     if not lvl.ei:
         return
     sub, state = lvl.ctx.sub, lvl.state
@@ -287,7 +288,7 @@ def cycle_property(check: Check, lvl) -> None:
     for v, c in enumerate(state.cl_of_sub):
         if state.virtual[c] and par_eid.setdefault(c, parents[v]) != parents[v]:
             raise AssertionError("virtual cluster spans several MST edges")
-    mst_weight = sub.mst_weight
+    mst_weight = [w for _, _, w in minimum_spanning_tree(lvl.ctx.g).edges]
     parent, order, _ = state.rooted
     depth = [0] * lvl.count
     for v in order[1:]:

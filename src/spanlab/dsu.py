@@ -14,14 +14,12 @@ in the union tree.
 Both engines count their elementary steps in `.cost` so callers can record
 amortized-op evidence.  For StaticTreeUF one unit is one of: a call (find
 or link), a fully linked microset that a find crosses, or a table step (one
-lookup in a partly linked microset's table).  What a step costs in Python
-is not part of the count: a session keeps each microset's current table
-until a link into that microset, and answers an unlinked vertex as itself,
-but both count the table step that the lookup would have taken.
+lookup in a partly linked microset's table).  A find answers an unlinked
+vertex as itself, but counts the table step that the lookup would have
+taken.
 """
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 # ---------------------------------------------------------------- classic
@@ -210,14 +208,15 @@ class StaticTreeIndex:
             shapes.append(tuple(shape))
         self.micro_shape = shapes
         self.micro_full = [(1 << len(members)) - 1 for members in micros]
-        self._tables: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+        # one memo per distinct shape, mask -> table, shared by its microsets
+        memos: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+        self.micro_memo = [memos.setdefault(shape, {}) for shape in shapes]
 
     def table(self, mid: int, mask: int) -> tuple[int, ...]:
-        key = (self.micro_shape[mid], mask)
-        t = self._tables.get(key)
+        memo = self.micro_memo[mid]
+        t = memo.get(mask)
         if t is None:
-            t = _first_free_table(self.micro_shape[mid], mask)
-            self._tables[key] = t
+            t = memo[mask] = _first_free_table(self.micro_shape[mid], mask)
         return t
 
 
@@ -228,19 +227,15 @@ class StaticTreeUF:
     microset tables of the shared StaticTreeIndex.
 
     `cost` counts 1 per link and, per find, 1 for the call, 1 for each
-    fully linked microset crossed and 1 for each table step.  Two shortcuts
-    leave the count as it is.  The current table of each microset is kept
-    until a link changes its mask, which stands for the shared memo lookup
-    it replaces.  An unlinked v is its own topmost member: its microset is
-    not full and its table maps v to itself, so the answer is v after the
-    call and one table step, and 2 is counted.  link is link_all of one
-    vertex, and find_all counts exactly what a loop of find would.
+    fully linked microset crossed and 1 for each table step.  An unlinked
+    v is its own topmost member: its microset is not full and its table
+    maps v to itself, so find answers v without the lookup and counts the
+    call and that table step, 2.  link is link_all of one vertex.
 
-    Only link, link_all, find and find_all write the session: a find
-    that crosses fully linked microsets records its answer in their skip
-    caches, and keeps each table it looks up.  peek is find without
-    those writes: it reads the skip caches and tables as they stand, so
-    it gives find's answer and counts find's cost, but leaves every
+    Only link, link_all and find write the session: a find that crosses
+    fully linked microsets records its answer in their skip caches.  peek
+    is find without that write: it reads the skip caches as they stand,
+    so it gives find's answer and counts find's cost, but leaves every
     later answer and count as it was.
     """
 
@@ -250,8 +245,6 @@ class StaticTreeUF:
         self.cost = 0
         n_micro = len(index.micro_members)
         self._mask = [0] * n_micro
-        # current table per microset; None once a link has changed its mask
-        self._table: list[Optional[tuple[int, ...]]] = [None] * n_micro
         # per-microset continuation node, cached once the set is fully
         # linked (a full microset stays full, so the cache never goes stale)
         self._skip: list[Optional[int]] = [None] * n_micro
@@ -265,13 +258,12 @@ class StaticTreeUF:
         return new
 
     def restore(self, other: "StaticTreeUF") -> None:
-        """Put this session in `other`'s state (linked vertices, masks,
-        tables and skip caches), one list copy per array, so that neither
-        session sees the other's later steps.  `cost` is left as it is:
-        the caller charges whatever the restored state stands for."""
+        """Put this session in `other`'s state (linked vertices, masks and
+        skip caches), one list copy per array, so that neither session
+        sees the other's later steps.  `cost` is left as it is: the caller
+        charges whatever the restored state stands for."""
         self.linked = other.linked[:]
         self._mask = other._mask[:]
-        self._table = other._table[:]
         self._skip = other._skip[:]
 
     def link(self, v: int) -> None:
@@ -282,8 +274,7 @@ class StaticTreeUF:
         anything, and the links before it stay made and counted."""
         idx = self.index
         root, linked = idx.root, self.linked
-        micro_of, local_of = idx.micro_of, idx.local_of
-        masks, tables = self._mask, self._table
+        micro_of, local_of, masks = idx.micro_of, idx.local_of, self._mask
         done = 0
         try:
             for v in vs:
@@ -292,26 +283,10 @@ class StaticTreeUF:
                 if linked[v]:
                     raise ValueError(f"vertex {v} already linked")
                 linked[v] = True
-                mid = micro_of[v]
-                masks[mid] |= 1 << local_of[v]
-                tables[mid] = None
+                masks[micro_of[v]] |= 1 << local_of[v]
                 done += 1
         finally:
             self.cost += done
-
-    def find_all(self, vs: Iterable[int]) -> list[int]:
-        """[find(v) for v in vs], with the same answers and cost.  Each
-        unlinked v is answered as itself and counted 2, as find counts it;
-        the linked ones climb in one batch."""
-        out = list(vs)
-        if out and not (0 <= min(out) and max(out) < self.index.n):
-            return [self.find(v) for v in out]   # raises find's error
-        hits = list(compress(range(len(out)), map(self.linked.__getitem__, out)))
-        if hits:
-            for j, top in zip(hits, self._climb([out[j] for j in hits])):
-                out[j] = top
-        self.cost += 2 * (len(out) - len(hits))
-        return out
 
     def find(self, v: int) -> int:
         if not 0 <= v < self.index.n:
@@ -319,57 +294,47 @@ class StaticTreeUF:
         if not self.linked[v]:
             self.cost += 2   # the call and the table step that returns v
             return v
-        return self._climb([v])[0]
+        return self._climb(v, record=True)
 
     def peek(self, v: int) -> int:
         """find(v), with its answer and its cost, that writes no skip
-        cache and no table."""
+        cache."""
         if not 0 <= v < self.index.n:
             raise IndexError(f"element {v} out of range")
         if not self.linked[v]:
             self.cost += 2
             return v
-        return self._climb([v], record=False)[0]
+        return self._climb(v, record=False)
 
-    def _climb(self, vs: list[int], record: bool = True) -> list[int]:
-        """Topmost members of linked vertices, found in order and counted
-        as one find each.  Without `record`, the skip caches and tables
-        are read but not written."""
+    def _climb(self, v: int, record: bool) -> int:
+        """Topmost member of linked v's set, counted as one find.  With
+        `record`, the fully linked microsets crossed cache the answer."""
         # The root is never linkable, so the microset containing the root is
         # never full and its table always yields an answer: termination.
         idx = self.index
         micro_of, local_of, above = idx.micro_of, idx.local_of, idx.micro_above
-        members, full = idx.micro_members, idx.micro_full
-        masks, tables, skips = self._mask, self._table, self._skip
-        cost = len(vs)   # the calls
-        out: list[int] = []
-        for v in vs:
-            trail: list[int] = []  # fully-linked microsets crossed, for caching
-            while True:
-                mid = micro_of[v]
-                mask = masks[mid]
-                cost += 1
-                if mask == full[mid]:
-                    trail.append(mid)
-                    # the answer is the first unlinked ancestor above this
-                    # microset; a previously found one is still on that path
-                    skip = skips[mid]
-                    v = skip if skip is not None else above[mid]
-                    continue
-                table = tables[mid]
-                if table is None:
-                    table = idx.table(mid, mask)
-                    if record:
-                        tables[mid] = table
-                local = table[local_of[v]]
-                if local != -1:
-                    ans = members[mid][local]
-                    if record:
-                        for m in trail:
-                            skips[m] = ans
-                    out.append(ans)
-                    break
-                # every in-microset ancestor of v is linked; continue above
-                v = above[mid]
+        masks, full, skips = self._mask, idx.micro_full, self._skip
+        cost = 1   # the call
+        trail: list[int] = []  # fully-linked microsets crossed, for caching
+        while True:
+            mid = micro_of[v]
+            mask = masks[mid]
+            cost += 1
+            if mask == full[mid]:
+                trail.append(mid)
+                # the answer is the first unlinked ancestor above this
+                # microset; a previously found one is still on that path
+                skip = skips[mid]
+                v = skip if skip is not None else above[mid]
+                continue
+            local = idx.table(mid, mask)[local_of[v]]
+            if local != -1:
+                break
+            # every in-microset ancestor of v is linked; continue above
+            v = above[mid]
+        ans = idx.micro_members[mid][local]
+        if record:
+            for m in trail:
+                skips[m] = ans
         self.cost += cost
-        return out
+        return ans

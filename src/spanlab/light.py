@@ -31,7 +31,7 @@ steps.  `_build_heavy` gives the proof; audited builds run the same levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .buckets import check_eps, partition_edges, threshold
@@ -98,8 +98,6 @@ class SubdividedMst:
     # and ids >= n_real are virtual vertices inside one MST edge
     edges: list[tuple[int, int, float, int]]
     wbar: float = 0.0
-    # weight of each MST edge, indexed like parent_eid
-    mst_weight: list[float] = field(default_factory=list)
 
 
 def subdivide_mst(mst, wbar: float, n_real: int) -> SubdividedMst:
@@ -109,7 +107,6 @@ def subdivide_mst(mst, wbar: float, n_real: int) -> SubdividedMst:
         raise ValueError("wbar must be positive")
     out = SubdividedMst(n_real=n_real, n_total=n_real, edges=[], wbar=wbar)
     for peid, (u, v, w) in enumerate(mst.edges):
-        out.mst_weight.append(w)
         pieces = max(1, math.ceil(w / wbar - 1e-12))
         if pieces == 1:
             out.edges.append((u, v, w, peid))

@@ -21,11 +21,11 @@ whole MST is already in the spanner.
 Each merge runs a star cover on the level's cluster forest, in which a
 cluster has at most one carried edge up to its parent (see
 `merge_forest_subtrees`); the star edges are linked in one
-`StaticTreeUF.link_all` and the carried edges' upper ends found in one
-`find_all`, both counted as the single calls would be.
+`StaticTreeUF.link_all`, counted as the single links would be, and each
+carried edge's upper end is found by one `find`.
 
-Only merges write a session.  A merge's find_all records skip caches
-and its link_all links; the selection reads the session through
+Only merges write a session.  A merge's finds record skip caches and
+its link_all links; the selection reads the session through
 `StaticTreeUF.peek`, which counts find's cost but records nothing (the
 audits peek too, and put the cost back).  A class's session starts
 fresh, so its state after its t-th merge, and that merge
@@ -259,7 +259,8 @@ def cluster_forest_edges(
     cluster's representative, so no cluster has two upward edges."""
     if any(map(session.linked.__getitem__, carried)):
         raise AssertionError("carried MST edge became intra-cluster")
-    tops = session.find_all(map(mst.parent.__getitem__, carried))
+    find, parent = session.find, mst.parent
+    tops = [find(parent[c]) for c in carried]
     node: dict[int, int] = {}
     add = node.setdefault
     for child, top in zip(carried, tops):

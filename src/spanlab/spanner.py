@@ -1,13 +1,14 @@
 """Spanner artifact: edge subset plus provenance metadata and the
-spanner-file round-trip ("# algo=.. k=.. eps=.. n=.. source_hash=.."
-header followed by an ordinary edge list)."""
+spanner-file round-trip: an ordinary edge-list file, read and written by
+`graphs`, whose header comment is "# algo=.. k=.. eps=.. n=.. source_hash=..".
+"""
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import WeightedGraph
+from .graphs import GraphFormatError, WeightedGraph, _parse_edge_list, save_graph
 
 
 def graph_hash(g: WeightedGraph) -> str:
@@ -37,40 +38,23 @@ class Spanner:
         return {(u, v) if u < v else (v, u) for u, v, _ in self.edges}
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"# algo={self.algo} k={self.k} eps={self.eps!r} "
-                f"n={self.n} source_hash={self.source_hash}\n"
-            )
-            fh.write(f"{self.n} {self.m}\n")
-            for u, v, w in self.edges:
-                fh.write(f"{u} {v} {w!r}\n")
+        save_graph(WeightedGraph(self.n, self.edges), path,
+                   header_comment=f"algo={self.algo} k={self.k} eps={self.eps!r} "
+                                  f"n={self.n} source_hash={self.source_hash}")
 
 
 def load_spanner(path: str) -> Spanner:
-    meta: dict[str, str] = {}
-    n: Optional[int] = None
-    edges: list[tuple[int, int, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                for token in text[1:].split():
-                    if "=" in token:
-                        key, val = token.split("=", 1)
-                        meta[key] = val
-                continue
-            parts = text.split()
-            if n is None:
-                n = int(parts[0])
-                continue
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: edge line needs 'u v w', got {text!r}")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if n is None:
-        raise ValueError(f"{path}: not a spanner file")
+        lines = fh.readlines()
+    try:
+        n, edges = _parse_edge_list(lines)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
+    meta: dict[str, str] = {}
+    for line in lines:
+        text = line.strip()
+        if text.startswith("#"):
+            meta.update(token.split("=", 1) for token in text[1:].split() if "=" in token)
     return Spanner(
         algo=meta.get("algo", "?"),
         k=int(meta["k"]) if "k" in meta else None,

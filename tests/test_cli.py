@@ -136,7 +136,33 @@ def test_verify_short_spanner_line_exit_2(tmp_path, capsys):
     gpath.write_text("3 2\n0 1 1\n1 2 1\n")
     spath.write_text("# algo=pm k=1 eps=0.25 n=3 source_hash=x\n3 2\n0 1 1\n1 2\n")
     assert main(["verify", "-g", str(gpath), "-s", str(spath)]) == 2
-    assert f"{spath}:4: edge line needs 'u v w'" in capsys.readouterr().err
+    assert f"{spath}: line 4: expected 'u v w'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, error", [
+    ("3 3\n0 1 1\n1 2 1\n", "header announced 3 edges, found 2"),
+    ("3 2\n0 1 1\n1 2 1 7\n", "line 4: expected 'u v w'"),
+], ids=["truncated", "four-fields"])
+def test_verify_malformed_spanner_exit_2(tmp_path, capsys, body, error):
+    # a spanner file is read like a graph file: its header's edge count
+    # and each line's field count are checked, not skipped
+    gpath, spath = tmp_path / "g.txt", tmp_path / "h.txt"
+    gpath.write_text("3 3\n0 1 1\n1 2 1\n0 2 1\n")
+    spath.write_text("# algo=pm k=1 eps=0.25 n=3 source_hash=x\n" + body)
+    assert main(["verify", "-g", str(gpath), "-s", str(spath)]) == 2
+    out = capsys.readouterr()
+    assert "PASS" not in out.out
+    assert f"{spath}: {error}" in out.err
+
+
+def test_spanner_file_round_trips_byte_for_byte(tmp_path):
+    gpath, spath, again = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "h2.txt"
+    main(["gen", "--type", "gnm", "--n", "40", "--m", "160", "--weights", "loguniform",
+          "--wmax", "1e9", "--seed", "3", "-o", str(gpath)])
+    main(["build", "--algo", "linear", "--k", "2", "--eps", "0.3",
+          "-i", str(gpath), "-o", str(spath)])
+    load_spanner(str(spath)).save(str(again))
+    assert again.read_bytes() == spath.read_bytes()
 
 
 def test_greedy_on_tree_equals_input(tmp_path):

@@ -287,11 +287,10 @@ def test_topmost_is_ancestor_invariant():
 
 
 class ReferenceStaticTreeUF:
-    """StaticTreeUF's link and find as they were before the session kept a
-    table per microset and answered unlinked vertices directly: every find
-    walks the microsets and looks each table up in the index's memo.  The
-    engine must give the same answer and the same `cost` increment on
-    every op.  peek is find that records no skip."""
+    """StaticTreeUF's link and find without its answer for an unlinked
+    vertex: every find walks the microsets and looks each table up in the
+    index's memo.  The engine must give the same answer and the same
+    `cost` increment on every op.  peek is find that records no skip."""
 
     def __init__(self, index: StaticTreeIndex):
         self.index = index
@@ -429,12 +428,12 @@ def test_static_cost_per_op_matches_reference_on_deep_trees(parent, order):
 
 
 def _session_state(uf: StaticTreeUF):
-    return uf.cost, uf._mask, uf._table, uf._skip, uf.linked
+    return uf.cost, uf._mask, uf._skip, uf.linked
 
 
 def _warm_pair(data, n_max: int = 64):
     """Two sessions on one drawn tree, driven through the same links and
-    finds (so that tables and skip caches are filled), plus the drawn
+    finds (so that skip caches are filled), plus the drawn
     link order of the vertices left unlinked."""
     n = data.draw(st.integers(min_value=2, max_value=n_max))
     parent = [-1] + [data.draw(st.integers(min_value=0, max_value=v - 1))
@@ -489,20 +488,13 @@ def test_static_link_all_raises_like_link(vs, error):
     assert batched.linked[3]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_static_find_all_equals_find_loop(data):
-    n, (batched, looped), _ = _warm_pair(data)
-    vs = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=40))
-    assert batched.find_all(vs) == [looped.find(v) for v in vs]
-    assert _session_state(batched) == _session_state(looped)
-
-
-def test_static_find_all_unlinked_costs_two_each():
-    uf = StaticTreeUF(StaticTreeIndex(_chain(8)))
-    uf.link(3)
-    assert uf.find_all([1, 2, 5]) == [1, 2, 5]
-    assert uf.cost == 1 + 3 * 2
+def test_static_find_unlinked_costs_two_each():
+    index = StaticTreeIndex(_chain(8))
+    for call in ("find", "peek"):
+        uf = StaticTreeUF(index)
+        uf.link(3)
+        assert [getattr(uf, call)(v) for v in [1, 2, 5]] == [1, 2, 5]
+        assert uf.cost == 1 + 3 * 2
 
 
 @pytest.mark.parametrize("bad", [8, -1])
@@ -512,20 +504,6 @@ def test_static_peek_raises_like_find(bad):
     for call in (uf.find, uf.peek):
         with pytest.raises(IndexError, match="out of range"):
             call(bad)
-
-
-@pytest.mark.parametrize("bad", [8, -1])
-def test_static_find_all_raises_like_find(bad):
-    index = StaticTreeIndex(_chain(8))
-    batched, looped = StaticTreeUF(index), StaticTreeUF(index)
-    for uf in (batched, looped):
-        uf.link(3)
-    with pytest.raises(IndexError):
-        batched.find_all([3, bad])
-    with pytest.raises(IndexError):
-        for v in [3, bad]:
-            looped.find(v)
-    assert _session_state(batched) == _session_state(looped)
 
 
 @settings(max_examples=200, deadline=None)
@@ -538,7 +516,8 @@ def test_static_restore_is_independent_of_its_snapshot(data):
     assert _session_state(snap) == _session_state(twin)
     cut = data.draw(st.integers(min_value=0, max_value=len(rest)))
     uf.link_all(rest[:cut])
-    uf.find_all(range(n))
+    for v in range(n):
+        uf.find(v)
     assert _session_state(snap) == _session_state(twin)
 
     cost = uf.cost
@@ -551,7 +530,7 @@ def test_static_restore_is_independent_of_its_snapshot(data):
     uf.restore(snap)
     cost = uf.cost
     vs = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=40))
-    assert uf.find_all(vs) == [twin.find(v) for v in vs]
+    assert [uf.find(v) for v in vs] == [twin.find(v) for v in vs]
     assert uf.cost - cost == twin.cost - snap.cost
     assert _session_state(uf)[1:] == _session_state(twin)[1:]
 

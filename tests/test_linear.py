@@ -237,7 +237,7 @@ def reference_cluster_forest_edges(session, mst, carried):
     clusters numbered by first appearance along (child, top) per edge."""
     if any(map(session.linked.__getitem__, carried)):
         raise AssertionError("carried MST edge became intra-cluster")
-    tops = session.find_all(map(mst.parent.__getitem__, carried))
+    tops = [session.find(mst.parent[c]) for c in carried]
     pairs = []
     nodeset: dict[int, int] = {}
     add = nodeset.setdefault
