@@ -65,12 +65,12 @@ def bucket_raw_index(w: float, eps: float, base: float = 1.0) -> int:
     return j
 
 
-def level_scale(sigma: int, i: int, eps: float, base: float = 1.0) -> float:
+def level_scale(sigma: int, i: int, eps: float) -> float:
     """Upper weight threshold L_i of cell (sigma, i); L_{-1} is 0."""
     if i < 0:
         return 0.0
     mu = mu_classes(eps)
-    return threshold(i * mu + sigma, eps, base)
+    return threshold(i * mu + sigma, eps)
 
 
 @dataclass

@@ -90,13 +90,12 @@ def grid_graph(n: int, seed: int, law: str = "unit", wmax: float = 4.0) -> Weigh
     return WeightedGraph(total, edges)
 
 
-def geometric_graph(n: int, seed: int, radius: float | None = None) -> WeightedGraph:
+def geometric_graph(n: int, seed: int) -> WeightedGraph:
     """Random geometric graph in the unit square, Euclidean weights,
     connectivity via a spanning tree over the same points."""
     rng = random.Random(seed)
     pts = [(rng.random(), rng.random()) for _ in range(n)]
-    if radius is None:
-        radius = min(1.0, math.sqrt(3.0 * math.log(max(n, 2)) / max(n, 2)))
+    radius = min(1.0, math.sqrt(3.0 * math.log(max(n, 2)) / max(n, 2)))
 
     def dist(a: int, b: int) -> float:
         return math.hypot(pts[a][0] - pts[b][0], pts[a][1] - pts[b][1]) + 1e-9

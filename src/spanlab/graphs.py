@@ -183,18 +183,31 @@ def _parse_dimacs_gr(lines: list[str]) -> tuple[int, list[tuple[int, int, float]
     return n, raw
 
 
+_PARSERS = {"edge-list": _parse_edge_list, "dimacs-gr": _parse_dimacs_gr}
+
+
+def _read_graph_file(
+    path: str, fmt: str = "edge-list"
+) -> tuple[list[str], int, list[tuple[int, int, float]]]:
+    """A graph file's lines, vertex count and raw edges.  Every format
+    error names the file: its message starts with '<path>: '."""
+    parse = _PARSERS.get(fmt)
+    if parse is None:
+        raise ValueError(f"unknown graph format {fmt!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    try:
+        n, raw = parse(lines)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
+    return lines, n, raw
+
+
 def load_graph(path: str, fmt: str = "edge-list") -> WeightedGraph:
     """Load a graph file.  Formats: 'edge-list' (header 'n m', lines 'u v w',
     0-based) or 'dimacs-gr' ('p sp n m' header, 'a u v w' arcs, 1-based,
     arcs treated as undirected)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if fmt == "edge-list":
-        n, raw = _parse_edge_list(lines)
-    elif fmt == "dimacs-gr":
-        n, raw = _parse_dimacs_gr(lines)
-    else:
-        raise ValueError(f"unknown graph format {fmt!r}")
+    _, n, raw = _read_graph_file(path, fmt)
     return WeightedGraph.from_edges(n, raw)
 
 

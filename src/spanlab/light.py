@@ -63,7 +63,7 @@ def internal_eps_light(eps: float) -> float:
 
 
 def split_light_heavy(
-    g: WeightedGraph, eps: float, mst_weight: Optional[float] = None
+    g: WeightedGraph, eps: float, mst_weight: float
 ) -> tuple[list[int], list[int], int]:
     """Edge ids (light, heavy, discarded-count).
 
@@ -71,8 +71,6 @@ def split_light_heavy(
     >= w(MST), which the MST already spans within stretch 1 and are
     discarded outright.
     """
-    if mst_weight is None:
-        mst_weight = minimum_spanning_tree(g).weight
     threshold = mst_weight / (g.m * eps)
     light: list[int] = []
     heavy: list[int] = []

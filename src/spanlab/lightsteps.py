@@ -13,7 +13,9 @@ however many carves, levels, audits and classes read them.
 Steps 2-5 find the level's unassigned tree pieces with one walk per piece
 (`_pieces`), which records a piece's nodes in discovery order, each node's
 walk parent and in-piece neighbours; a piece's Adm, branching nodes, path
-order and absorption order are all read from that one walk.
+order and absorption order are all read from that one walk.  A walked
+tree or path keeps the tree-edge weights its walk read, and one routine
+(`_absorb_tree`) absorbs it into a subgraph.
 
 Each audit hook is one call into `audits` under `if ctx.check is not
 None`, which derives what only it reads; a plain build enters no audit.
@@ -435,12 +437,9 @@ class _Level:
         self.pot = state.pot
         self.count = state.count
         self.deg = [0] * state.count
-        self.inc: list[list[int]] = [[] for _ in range(state.count)]
-        for idx, (a, b, w, eid) in enumerate(ei):
+        for a, b, w, eid in ei:
             self.deg[a] += 1
             self.deg[b] += 1
-            self.inc[a].append(idx)
-            self.inc[b].append(idx)
         self.nonisolated = [d > 0 for d in self.deg]
         self.assigned = [-1] * state.count
         self.xs: list[Subgraph] = []
@@ -476,12 +475,6 @@ class _Level:
         xs.ei_idx = []
         xs.step = "merged"
 
-    def unassigned_tree_neighbors(self, xid: int):
-        for v in self.xs[xid].nodes:
-            for u, w, sid in self.adj[v]:
-                if self.assigned[u] == -1:
-                    yield v, u, w
-
     def unassigned(self) -> list[int]:
         return [v for v in range(self.count) if self.assigned[v] == -1]
 
@@ -502,21 +495,24 @@ class _Piece(NamedTuple):
     def is_path(self) -> bool:
         return all(len(nb) <= 2 for nb in self.nbrs.values())
 
-    def path(self) -> list[int]:
-        """A path piece's nodes in path order, from its smallest end."""
+    def path(self) -> tuple[list[int], dict[int, tuple[int, float]]]:
+        """A path piece's nodes in path order, from its smallest end, and
+        each later node's tree edge (node before it, weight)."""
+        up: dict[int, tuple[int, float]] = {}
         if len(self.nodes) == 1:
-            return list(self.nodes)
+            return list(self.nodes), up
         ends = [v for v in self.nodes if len(self.nbrs[v]) == 1]
         if not ends:
             raise AssertionError("path component without an endpoint")
         prev, cur = -1, min(ends)
         path = [cur]
         while True:
-            nxt = next((u for u, w in self.nbrs[cur] if u != prev), None)
+            nxt = next(((u, w) for u, w in self.nbrs[cur] if u != prev), None)
             if nxt is None:
-                return path
-            path.append(nxt)
-            prev, cur = cur, nxt
+                return path, up
+            prev, cur = cur, nxt[0]
+            path.append(cur)
+            up[cur] = (prev, nxt[1])
 
 
 def _pieces(lvl: _Level, nodes: list[int]) -> list[_Piece]:
@@ -549,11 +545,13 @@ def _pieces(lvl: _Level, nodes: list[int]) -> list[_Piece]:
     return out
 
 
-def _absorb_piece(lvl: _Level, xid: int, piece: _Piece) -> None:
-    """Absorb a piece in walk order, each node through its walk parent."""
-    for v in piece.nodes:
-        up = piece.up.get(v)
-        lvl.absorb(xid, v, via=None if up is None else (up[0], up[1], True))
+def _absorb_tree(lvl: _Level, xid: int, nodes: list[int],
+                 up: dict[int, tuple[int, float]]) -> None:
+    """Absorb `nodes` in order into subgraph xid, each through its tree
+    edge up[v] = (u, w), or alone when it has no entry in `up`."""
+    for v in nodes:
+        edge = up.get(v)
+        lvl.absorb(xid, v, via=None if edge is None else (edge[0], edge[1], True))
 
 
 # the five steps live in dedicated helpers; `process_level` drives them
@@ -648,9 +646,10 @@ def _pad_to_min_adm(lvl: _Level, xid: int) -> None:
     # every pass absorbs one unassigned node or stops
     while adm < lvl.li * (1 - 1e-12):
         pick = None
-        for v, u, w in lvl.unassigned_tree_neighbors(xid):
-            if pick is None or (v, u) < (pick[0], pick[1]):
-                pick = (v, u, w)
+        for v in x.nodes:
+            for u, w, sid in lvl.adj[v]:
+                if lvl.assigned[u] == -1 and (pick is None or (v, u) < pick[:2]):
+                    pick = (v, u, w)
         if pick is None:
             break
         lvl.absorb(xid, pick[1], via=(pick[0], pick[2], True))
@@ -693,11 +692,9 @@ def step2_branching(lvl: _Level) -> None:
             x = lvl.xs[xid]
             if not x.nodes or _is_good(lvl, x):
                 continue
-            hook = _adjacent_subgraph(lvl, xid, prefer="star")
-            if hook is None:
-                hook = _adjacent_subgraph(lvl, xid, prefer="ball2")
-            if hook is None:
-                hook = _adjacent_subgraph(lvl, xid, prefer="any")
+            hook = (_adjacent_subgraph(lvl, xid, prefer="star")
+                    or _adjacent_subgraph(lvl, xid, prefer="ball2")
+                    or _adjacent_subgraph(lvl, xid, prefer="any"))
             if hook is None:
                 if ctx.check is not None:
                     audits.stranded_ball(ctx.check, x)
@@ -734,12 +731,7 @@ def _carve_ball(lvl: _Level, center: int, piece: _Piece, radius: float) -> int:
                     dist[u] = nd
                     via[u] = (v, w)
                     heapq.heappush(heap, (nd, u))
-    for v in orderd:
-        if v == center:
-            lvl.absorb(xid, v)
-        else:
-            pv, w = via[v]
-            lvl.absorb(xid, v, via=(pv, w, True))
+    _absorb_tree(lvl, xid, orderd, via)
     return xid
 
 
@@ -822,11 +814,11 @@ def step4_blue_edges(lvl: _Level) -> None:
             return
         a, b, w, eid = lvl.ei[pick]
         xid = lvl.new_x("blue")
-        run_a = _path_segment(lvl, a, li)
-        _absorb_run(lvl, xid, run_a)
+        _absorb_tree(lvl, xid, *_path_segment(lvl, a, li))
         if lvl.assigned[b] == -1:
-            run_b = _path_segment(lvl, b, li)
-            _absorb_run(lvl, xid, run_b, bridge=(a, b, w))
+            # b's run is a second tree; the level edge joins it to a's
+            _absorb_tree(lvl, xid, *_path_segment(lvl, b, li))
+            lvl.xs[xid].graph_edges.append((a, b, w, False))
         lvl.xs[xid].ei_idx.append(pick)
         if lvl.ctx.check is not None:
             audits.blue_pair(lvl.ctx.check, lvl, lvl.xs[xid])
@@ -837,8 +829,8 @@ def _blue_nodes(lvl: _Level) -> set[int]:
     for piece in _pieces(lvl, lvl.unassigned()):
         if not piece.is_path():
             continue
-        path = piece.path()
-        total, pos = _path_positions(lvl, path)
+        path, up = piece.path()
+        total, pos = _path_positions(lvl, path, up)
         if total < 6 * lvl.li:
             continue
         for idx, v in enumerate(path):
@@ -847,68 +839,44 @@ def _blue_nodes(lvl: _Level) -> set[int]:
     return blue
 
 
-def _path_positions(lvl: _Level, path: list[int]) -> tuple[float, list[float]]:
-    """pos[i] = augmented distance from path start to node i (inclusive);
+def _path_positions(lvl: _Level, path: list[int],
+                    up: dict[int, tuple[int, float]]) -> tuple[float, list[float]]:
+    """pos[i] = augmented distance from path start to node i (inclusive),
+    where up[v] = (u, w) is each later node's edge to the node before it;
     returns (total augmented length, positions)."""
     pos = [lvl.pot[path[0]]]
-    for idx in range(1, len(path)):
-        w = _tree_edge_weight(lvl, path[idx - 1], path[idx])
-        pos.append(pos[-1] + w + lvl.pot[path[idx]])
+    for v in path[1:]:
+        pos.append(pos[-1] + up[v][1] + lvl.pot[v])
     return pos[-1], pos
 
 
-def _tree_edge_weight(lvl: _Level, a: int, b: int) -> float:
-    for u, w, sid in lvl.adj[a]:
-        if u == b:
-            return w
-    raise AssertionError("missing tree edge")
-
-
-def _path_segment(lvl: _Level, center: int, radius: float) -> list[int]:
+def _path_segment(
+    lvl: _Level, center: int, radius: float
+) -> tuple[list[int], dict[int, tuple[int, float]]]:
     """Contiguous unassigned run around `center` on its path, spanning
-    augmented radius `radius` on each side."""
+    augmented radius `radius` on each side, and each other node's tree
+    edge (u, w) to its run neighbour u toward the centre."""
     run = [center]
-    for direction in (0, 1):
+    up: dict[int, tuple[int, float]] = {}
+    nxts = [(u, w) for u, w, sid in lvl.adj[center] if lvl.assigned[u] == -1]
+    for direction, (cur, w) in enumerate(nxts[:2]):
         prev = center
         acc = 0.0
-        nxts = [u for u, w, sid in lvl.adj[center] if lvl.assigned[u] == -1]
-        if len(nxts) <= direction:
-            continue
-        cur = nxts[direction]
         while True:
-            w = _tree_edge_weight(lvl, prev, cur)
             acc += w + lvl.pot[cur]
+            up[cur] = (prev, w)
             if direction == 0:
                 run.insert(0, cur)
             else:
                 run.append(cur)
             if acc >= radius:
                 break
-            candidates = [u for u, w2, sid in lvl.adj[cur]
+            candidates = [(u, w2) for u, w2, sid in lvl.adj[cur]
                           if u != prev and lvl.assigned[u] == -1]
             if not candidates:
                 break
-            prev, cur = cur, candidates[0]
-    return run
-
-
-def _absorb_run(lvl: _Level, xid: int, run: list[int],
-                bridge: Optional[tuple[int, int, float]] = None) -> None:
-    """Absorb a `_path_segment` run left to right.  Its centre enters
-    through the level edge `bridge` = (a, b, w), which ends at the centre
-    b, or alone when there is no bridge (the centre is then the first
-    node); every other node enters through its run neighbour toward the
-    centre, so the run adds a tree to the subgraph."""
-    centre = 0 if bridge is None else run.index(bridge[1])
-    for t, v in enumerate(run):
-        if t == centre:
-            if bridge is None:
-                lvl.absorb(xid, v)
-            else:
-                lvl.absorb(xid, v, via=(bridge[0], bridge[2], False))
-        else:
-            u = run[t + 1] if t < centre else run[t - 1]
-            lvl.absorb(xid, v, via=(u, _tree_edge_weight(lvl, u, v), True))
+            prev, (cur, w) = cur, candidates[0]
+    return run, up
 
 
 # ---------------------------------------------------------------- step 5
@@ -922,15 +890,15 @@ def step5_paths(lvl: _Level) -> None:
             if hook is not None:
                 other, bridge = hook
                 xid = lvl.new_x("small")
-                _absorb_piece(lvl, xid, piece)
+                _absorb_tree(lvl, xid, piece.nodes, piece.up)
                 lvl.merge_into(xid, other, bridge)
             else:
                 # whole remaining tree: a standalone subgraph
                 xid = lvl.new_x("whole")
-                _absorb_piece(lvl, xid, piece)
+                _absorb_tree(lvl, xid, piece.nodes, piece.up)
             continue
-        path = piece.path()
-        segs = [path[a:b + 1] for a, b in break_long_path(lvl, path)]
+        path, up = piece.path()
+        segs = [path[a:b + 1] for a, b in break_long_path(lvl, path, up)]
         # hooks must target subgraphs that existed before this path was
         # broken, never sibling pieces: resolve them before absorbing
         hooks = [_segment_hook(lvl, seg) for seg in segs]
@@ -938,10 +906,8 @@ def step5_paths(lvl: _Level) -> None:
             xid = lvl.new_x("piece")
             if lvl.ctx.check is not None:
                 lvl.xs[xid].endpoint_piece = seg[0] == path[0] or seg[-1] == path[-1]
-            walked = _pieces(lvl, seg)
-            if len(walked) != 1:
-                raise AssertionError("component absorption left nodes behind")
-            _absorb_piece(lvl, xid, walked[0])
+            up.pop(seg[0], None)    # a segment's first node enters alone
+            _absorb_tree(lvl, xid, seg, up)
             if hook is not None:
                 other, bridge = hook
                 lvl.merge_into(xid, other, bridge)
@@ -970,7 +936,8 @@ def _segment_hook(lvl: _Level, seg: list[int]):
     return None
 
 
-def break_long_path(lvl: _Level, path: list[int]) -> list[tuple[int, int]]:
+def break_long_path(lvl: _Level, path: list[int],
+                    up: dict[int, tuple[int, float]]) -> list[tuple[int, int]]:
     """Break a degree-2 path into index ranges with augmented diameter in
     [L_i, 7L_i]: contract to non-virtual/endpoint skeleton nodes with run
     weights, keep skeleton edges <= 2L_i, chunk kept runs into 1..3-edge
@@ -978,7 +945,7 @@ def break_long_path(lvl: _Level, path: list[int]) -> list[tuple[int, int]]:
     under-length piece by merging (and re-splitting oversized merges)."""
     li = lvl.li
     n = len(path)
-    total, pos = _path_positions(lvl, path)
+    total, pos = _path_positions(lvl, path, up)
 
     kept = [idx for idx, v in enumerate(path)
             if not lvl.state.virtual[v] or idx in (0, n - 1)]
@@ -1080,14 +1047,10 @@ def _repair_pieces(lvl: _Level, path, pos, pieces):
                 break
         if bad is None or len(pieces) == 1:
             break
-        # merge toward the side holding this piece's light-edge partner
-        if bad + 1 < len(pieces):
-            a, b = pieces[bad][0], pieces[bad + 1][1]
-            pieces[bad:bad + 2] = [(a, b)]
-        else:
-            a, b = pieces[bad - 1][0], pieces[bad][1]
-            pieces[bad - 1:bad + 1] = [(a, b)]
-        t = pieces.index((a, b))
+        # merge into the next piece, or into the previous one for the last
+        t = bad if bad + 1 < len(pieces) else bad - 1
+        a, b = pieces[t][0], pieces[t + 1][1]
+        pieces[t:t + 2] = [(a, b)]
         if _range_adm(lvl, path, pos, a, b) > 7 * li:
             pieces[t:t + 1] = _split_range(lvl, path, pos, a, b)
     return pieces
@@ -1116,14 +1079,8 @@ def select_level_edges(lvl: _Level) -> tuple[set[int], list[int]]:
     """Three selection steps: subgraph-internal edges, an unweighted
     (2k-1)-spanner among high nodes, and everything at low nodes."""
     tau = lvl.ctx.tau_high
-    picked: set[int] = set()
-    c1 = c2 = c3 = 0
-    for x in lvl.xs:
-        for idx in x.ei_idx:
-            eid = lvl.ei[idx][3]
-            if eid not in picked:
-                c1 += 1
-            picked.add(eid)
+    picked = {lvl.ei[idx][3] for x in lvl.xs for idx in x.ei_idx}
+    c1 = len(picked)
     high = sorted(v for v in range(lvl.count) if lvl.deg[v] >= tau)
     if high:
         hidx = {v: t for t, v in enumerate(high)}
@@ -1136,16 +1093,11 @@ def select_level_edges(lvl: _Level) -> tuple[set[int], list[int]]:
                 kmap[key] = eid
         kg = UnweightedGraph(len(high), kedges)
         for a, b in hz_spanner(kg, lvl.ctx.k):
-            eid = kmap[(a, b) if (a, b) in kmap else (b, a)]
-            if eid not in picked:
-                c2 += 1
-            picked.add(eid)
-    for a, b, w, eid in lvl.ei:
-        if lvl.deg[a] < tau or lvl.deg[b] < tau:
-            if eid not in picked:
-                c3 += 1
-            picked.add(eid)
-    return picked, [c1, c2, c3]
+            picked.add(kmap[(a, b) if (a, b) in kmap else (b, a)])
+    c2 = len(picked) - c1
+    picked.update(eid for a, b, w, eid in lvl.ei
+                  if lvl.deg[a] < tau or lvl.deg[b] < tau)
+    return picked, [c1, c2, len(picked) - c1 - c2]
 
 
 def _finish_level(lvl: _Level, sigma: int, i: int, degenerate: bool,

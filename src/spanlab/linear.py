@@ -182,32 +182,35 @@ def _build_connected(
                 norm, bucket, k, session.peek if session else _identity,
                 spanner_eids, ops)
 
-            # this level's merge candidates: carried forest edges plus the
-            # newly in-range MST edges (weight <= L_i)
-            end = bisect_right(mst_index, i * mu + sigma, ptr)
             verts: list[int] = []
             links = reused = 0
-            hit = None
             if i != last:
+                # this level's merge candidates: carried forest edges plus
+                # the newly in-range MST edges (weight <= L_i)
+                end = bisect_right(mst_index, i * mu + sigma, ptr)
                 key += (end,)
                 uses[key] -= 1
                 hit = merges.get(key)
-            if hit is not None:
-                state, verts, links, reused, carried = hit
-                session.restore(state)
-                session.cost += links
-                if not uses[key]:
-                    del merges[key]
-            else:
-                carried = carried + mst_child[ptr:end]
-                if i != last:
+                if hit is not None:
+                    state, verts, links, reused, carried = hit
+                    session.restore(state)
+                    session.cost += links
+                    if not uses[key]:
+                        del merges[key]
+                else:
+                    carried = carried + mst_child[ptr:end]
                     cost1 = session.cost
                     verts, links, carried = _merge(session, mst, carried)
                     if uses[key]:
                         merges[key] = (session.copy(), verts, links,
                                        session.cost - cost1 - links, carried)
-            ptr = end
+                ptr = end
             if check is not None:
+                if i == last:
+                    # the last level merges nothing: only its audit reads
+                    # the level's merge candidates
+                    end = bisect_right(mst_index, i * mu + sigma, ptr)
+                    carried = carried + mst_child[ptr:end]
                 audits.linear_level(check, session, mst, carried, verts, links,
                                     reps, i != last, sigma, i)
             spent = session.cost - cost0 if session else 0

@@ -207,7 +207,7 @@ def _build_class(
     check: Optional[audits.Check],
 ) -> None:
     """Run class sigma's levels on `uf`, which enters as n singletons."""
-    class_eids: set[int] = set()
+    class_eids: set[int] = set()    # the class's kept edges; audits only
     for i in buckets.levels(sigma):
         bucket = buckets.edges(sigma, i)
         if check is not None:
@@ -221,7 +221,8 @@ def _build_class(
                  "rep_nodes": 0, "kept_edges": 0, "delta": 0}
             )
             continue
-        class_eids.update(kept)
+        if check is not None:
+            class_eids.update(kept)
 
         adj: list[list[int]] = [[] for _ in range(len(reps))]
         for a, b in r_edges:
@@ -240,7 +241,8 @@ def _build_class(
                 if eid not in spanner_eids:
                     merge_edges += 1
                 spanner_eids.add(eid)
-                class_eids.add(eid)
+                if check is not None:
+                    class_eids.add(eid)
                 if uf.union(reps[a], reps[b]):
                     merged += 1
         delta = merged

@@ -8,7 +8,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import GraphFormatError, WeightedGraph, _parse_edge_list, save_graph
+from .graphs import WeightedGraph, _read_graph_file, save_graph
 
 
 def graph_hash(g: WeightedGraph) -> str:
@@ -44,12 +44,7 @@ class Spanner:
 
 
 def load_spanner(path: str) -> Spanner:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    try:
-        n, edges = _parse_edge_list(lines)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+    lines, n, edges = _read_graph_file(path)
     meta: dict[str, str] = {}
     for line in lines:
         text = line.strip()

@@ -155,6 +155,21 @@ def test_verify_malformed_spanner_exit_2(tmp_path, capsys, body, error):
     assert f"{spath}: {error}" in out.err
 
 
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_malformed_graph_file_error_names_it(tmp_path, capsys, command):
+    # with a graph and a spanner file on the command line, the message
+    # must say which one is malformed
+    gpath, spath = tmp_path / "g.txt", tmp_path / "h.txt"
+    gpath.write_text("3 3\n0 1 1\n1 2 1\n0 2 1\n")
+    main(["build", "--algo", "pm", "-i", str(gpath), "-o", str(spath)])
+    gpath.write_text("3 3\n0 1 1\n1 2 1\n0 2 1\n0 2 2\n")
+    args = (["verify", "-g", str(gpath), "-s", str(spath)] if command == "verify"
+            else ["build", "--algo", "pm", "-i", str(gpath), "-o", str(tmp_path / "o.txt")])
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"{gpath}: header announced 3 edges, found 4" in capsys.readouterr().err
+
+
 def test_spanner_file_round_trips_byte_for_byte(tmp_path):
     gpath, spath, again = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "h2.txt"
     main(["gen", "--type", "gnm", "--n", "40", "--m", "160", "--weights", "loguniform",

@@ -63,7 +63,7 @@ class FixedTauContext(steps.StepContext):
 def test_split_threshold_formula():
     # w(MST)=3 over m=4 edges at eps=0.5 -> threshold 3/(4*0.5) = 1.5
     g = wgraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1.4)])
-    light, heavy, discarded = split_light_heavy(g, 0.5)
+    light, heavy, discarded = split_light_heavy(g, 0.5, minimum_spanning_tree(g).weight)
     weights = sorted(g.edges[e][2] for e in light)
     assert weights == [1.0, 1.0, 1.0, 1.4]
     assert heavy == [] and discarded == 0
@@ -71,13 +71,14 @@ def test_split_threshold_formula():
 
 def test_split_all_light_iff_under_threshold():
     g = wgraph(4, [(0, 1, 2), (1, 2, 2), (2, 3, 2)])
-    light, heavy, _ = split_light_heavy(g, 0.5)  # threshold 6/1.5 = 4
+    # threshold 6/1.5 = 4
+    light, heavy, _ = split_light_heavy(g, 0.5, minimum_spanning_tree(g).weight)
     assert len(light) == 3 and not heavy
 
 
 def test_split_discards_overweight():
     g = wgraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 7.0)])
-    light, heavy, discarded = split_light_heavy(g, 0.5)
+    light, heavy, discarded = split_light_heavy(g, 0.5, minimum_spanning_tree(g).weight)
     # w(MST)=3; the chord weighs more than w(MST) and is dropped entirely
     assert discarded == 1 and not heavy
 
@@ -255,16 +256,23 @@ def _level_for_path(weights, pots, virtual, nonisolated, li, tau=10**9):
     return lvl, sink
 
 
+def _path_up(lvl):
+    """Each later node's tree edge (node before it, weight) on the path
+    0, 1, ..., n-1 of a `_level_for_path` level."""
+    return {b: (a, w) for a, b, w, _ in lvl.state.tree}
+
+
 def test_break_long_path_all_virtual():
     li = 1.0
     n = 12
     lvl, sink = _level_for_path([0.4] * (n - 1), [0.0] * n,
                                 [True] * n, [False] * n, li)
-    pieces = steps.break_long_path(lvl, list(range(n)))
+    up = _path_up(lvl)
+    pieces = steps.break_long_path(lvl, list(range(n)), up)
     # pieces partition the path
     covered = sorted(x for a, b in pieces for x in range(a, b + 1))
     assert covered == list(range(n))
-    total, pos = steps._path_positions(lvl, list(range(n)))
+    total, pos = steps._path_positions(lvl, list(range(n)), up)
     for a, b in pieces:
         adm = steps._range_adm(lvl, list(range(n)), pos, a, b)
         assert li * (1 - 1e-9) <= adm <= 7 * li * (1 + 1e-9)
@@ -278,7 +286,7 @@ def test_break_long_path_keeps_nonisolated_with_companion():
     nonisolated = [v == 3 for v in range(n)]
     lvl, sink = _level_for_path([0.5] * (n - 1), [0.0] * n, virtual,
                                 nonisolated, li)
-    pieces = steps.break_long_path(lvl, list(range(n)))
+    pieces = steps.break_long_path(lvl, list(range(n)), _path_up(lvl))
     for a, b in pieces:
         if a <= 3 <= b:
             nonvirt = sum(1 for v in range(a, b + 1) if not virtual[v])
@@ -291,9 +299,10 @@ def test_break_path_boundary_diameter():
     n = 7
     lvl, sink = _level_for_path([1.0] * (n - 1), [0.0] * n,
                                 [True] * n, [False] * n, li)
-    total, pos = steps._path_positions(lvl, list(range(n)))
+    up = _path_up(lvl)
+    total, pos = steps._path_positions(lvl, list(range(n)), up)
     assert total == 6.0  # boundary: exactly 6 L_i
-    pieces = steps.break_long_path(lvl, list(range(n)))
+    pieces = steps.break_long_path(lvl, list(range(n)), up)
     assert len(pieces) >= 1
     for a, b in pieces:
         adm = steps._range_adm(lvl, list(range(n)), pos, a, b)
@@ -623,21 +632,23 @@ def test_pieces_match_component_references():
                 assert piece.adm(lvl.pot) == reference_comp_adm(ref, comp)
                 assert piece.branching() == reference_branching_nodes(ref, comp)
                 assert piece.is_path() == reference_is_path(ref, comp)
-                steps._absorb_piece(lvl, lvl.new_x("small"), piece)
+                steps._absorb_tree(lvl, lvl.new_x("small"), piece.nodes, piece.up)
                 reference_absorb_component(ref, ref.new_x("small"), comp)
                 got, want = lvl.xs[-1], ref.xs[-1]
                 assert (got.nodes, got.graph_edges) == (want.nodes, want.graph_edges)
                 if not piece.is_path():
                     continue
                 paths += 1
-                path = piece.path()
+                path, up = piece.path()
                 assert path == reference_order_path(ref, comp)
-                # a contiguous segment, as step 5 absorbs, walks as one piece
+                # a contiguous segment walks as one piece; step 5 absorbs it
+                # from the path, its first node alone
                 a = rng.randrange(len(path))
                 seg = path[a:rng.randrange(a, len(path)) + 1]
                 (walked,) = steps._pieces(fresh, seg)
                 assert [walked.nodes] == reference_split_components(fresh_ref, seg)
-                steps._absorb_piece(fresh, fresh.new_x("piece"), walked)
+                steps._absorb_tree(fresh, fresh.new_x("piece"), seg,
+                                   {v: up[v] for v in seg[1:]})
                 reference_absorb_component(fresh_ref, fresh_ref.new_x("piece"), seg)
                 got, want = fresh.xs[-1], fresh_ref.xs[-1]
                 assert (got.nodes, got.graph_edges) == (want.nodes, want.graph_edges)
@@ -702,7 +713,7 @@ def test_range_adm_matches_tree_adm_on_paths(pots, data):
     weights = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n - 1, max_size=n - 1))
     lvl, _ = _level_for_path(weights, pots, [True] * n, [False] * n, 1.0)
     path = list(range(n))
-    _, pos = steps._path_positions(lvl, path)
+    _, pos = steps._path_positions(lvl, path, _path_up(lvl))
     a = data.draw(st.integers(0, n - 1))
     b = data.draw(st.integers(a, n - 1))
     seg = path[a:b + 1]
