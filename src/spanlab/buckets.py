@@ -10,6 +10,10 @@ class are >= 1/eps apart, because (1+eps)^mu >= 1/eps.
 `partition_edges` is the one bucketing routine of the builders: `pm` passes
 every edge on the unit grid, `linear` its non-MST edges, and `light` its
 heavy non-MST edges on the grid based at the subdivision granularity.
+It puts each distinct weight on the grid once per call (`_grid_index`: a
+log, a ceil and two powers) and every later edge of that weight in the same
+cell by one dict lookup, so a graph whose edges share a few weights pays
+the grid arithmetic a few times, not once per edge.
 """
 from __future__ import annotations
 
@@ -37,8 +41,11 @@ def threshold(j: int, eps: float, base: float = 1.0) -> float:
     return base * (1.0 + eps) ** j
 
 
-def bucket_raw_index(w: float, eps: float, base: float = 1.0) -> int:
-    """The unique j >= 0 with w in (T_{j-1}, T_j]; exact float comparisons.
+def _grid_index(w: float, eps: float, base: float, ratio: float, step: float,
+                floor: float) -> int:
+    """The unique j >= 0 with w in (T_{j-1}, T_j] on the (eps, base) grid,
+    by exact float comparisons, given ratio = 1+eps, step = log1p(eps)
+    and floor = base/ratio.
 
     Raises ValueError when w is not positive, lies below the grid, or lies
     beyond it: w / base is not a finite float (a weight ratio near 1e600
@@ -50,19 +57,25 @@ def bucket_raw_index(w: float, eps: float, base: float = 1.0) -> int:
         raise ValueError(
             f"weight {w} over base {base} is not a finite ratio; "
             "the weight range is too wide for the bucket grid")
-    if w < base / (1.0 + eps):
+    if w < floor:
         raise ValueError(f"weight {w} below bucket range (base {base})")
-    j = max(0, math.ceil(math.log(w / base) / math.log1p(eps)))
+    j = max(0, math.ceil(math.log(w / base) / step))
     try:
-        while j > 0 and threshold(j - 1, eps, base) >= w:
+        while j > 0 and base * ratio ** (j - 1) >= w:
             j -= 1
-        while threshold(j, eps, base) < w:
+        while base * ratio ** j < w:
             j += 1
     except OverflowError:
         raise ValueError(
             f"weight {w} lies beyond the largest finite threshold of the "
             f"bucket grid (base {base}, eps {eps})") from None
     return j
+
+
+def bucket_raw_index(w: float, eps: float, base: float = 1.0) -> int:
+    """The unique j >= 0 with w in (T_{j-1}, T_j]; see `_grid_index`."""
+    ratio = 1.0 + eps
+    return _grid_index(w, eps, base, ratio, math.log1p(eps), base / ratio)
 
 
 def level_scale(sigma: int, i: int, eps: float) -> float:
@@ -99,10 +112,23 @@ class LevelBuckets:
 def partition_edges(g: WeightedGraph, eids: Iterable[int], eps: float,
                     base: float = 1.0) -> LevelBuckets:
     """Put each of g's edges `eids` in its (sigma, i) cell on the (eps,
-    base) grid; a cell lists its ids in the order given."""
+    base) grid; a cell lists its ids in the order given.
+
+    Each distinct weight is put on the grid once per call: later edges of
+    that weight join its cell's list by one dict lookup.  The first edge
+    whose weight is off the grid raises `bucket_raw_index`'s ValueError."""
     mu = mu_classes(eps)
+    ratio = 1.0 + eps
+    step, floor = math.log1p(eps), base / ratio
     buckets = LevelBuckets(mu=mu)
+    by_class = buckets.by_class
+    edges = g.edges
+    cell_of: dict[float, list[int]] = {}
     for eid in eids:
-        j = bucket_raw_index(g.edges[eid][2], eps, base)
-        buckets.by_class.setdefault(j % mu, {}).setdefault(j // mu, []).append(eid)
+        w = edges[eid][2]
+        cell = cell_of.get(w)
+        if cell is None:
+            j = _grid_index(w, eps, base, ratio, step, floor)
+            cell = cell_of[w] = by_class.setdefault(j % mu, {}).setdefault(j // mu, [])
+        cell.append(eid)
     return buckets

@@ -165,7 +165,10 @@ def _parse_dimacs_gr(lines: list[str]) -> tuple[int, list[tuple[int, int, float]
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "sp":
                 raise GraphFormatError("expected 'p sp n m'", lineno)
-            n = int(parts[2])
+            try:
+                n, _ = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise GraphFormatError("non-integer header fields", lineno) from None
         elif parts[0] == "a":
             if n is None:
                 raise GraphFormatError("arc before problem line", lineno)
@@ -206,9 +209,13 @@ def _read_graph_file(
 def load_graph(path: str, fmt: str = "edge-list") -> WeightedGraph:
     """Load a graph file.  Formats: 'edge-list' (header 'n m', lines 'u v w',
     0-based) or 'dimacs-gr' ('p sp n m' header, 'a u v w' arcs, 1-based,
-    arcs treated as undirected)."""
+    arcs treated as undirected).  Every error about the file's contents
+    names it: its message starts with '<path>: '."""
     _, n, raw = _read_graph_file(path, fmt)
-    return WeightedGraph.from_edges(n, raw)
+    try:
+        return WeightedGraph.from_edges(n, raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_graph(g: WeightedGraph, path: str, header_comment: str = "") -> None:
@@ -389,22 +396,26 @@ def normalize_weights(g: WeightedGraph,
 
     The graph keeps g's vertex and edge ids; an edge outside `eids` keeps
     its raw weight, for callers that read only `eids`.  The minimum edge
-    divides to w/w == 1.0 without round-off.  Raises ValueError, naming
+    divides to w/w == 1.0 without round-off.  When the minimum is 1.0 the
+    graph is g itself, since w / 1.0 == w exactly.  Raises ValueError, naming
     the weight, when the minimum weight is not positive, and naming the
     extreme weights of `eids` when their ratio is not a finite float.
     """
     ids = range(g.m) if eids is None else eids
     if not ids:
         raise ValueError("cannot normalize a graph with no edges")
-    edges = list(g.edges)
-    scale = min(edges[e][2] for e in ids)
+    edges = g.edges
+    weights = [edges[e][2] for e in ids]
+    scale, top = min(weights), max(weights)
     if scale <= 0:
         raise ValueError(f"weights must be positive, got weight {scale!r}")
-    top = max(edges[e][2] for e in ids)
     if not math.isfinite(top / scale):
         raise ValueError(
             f"weight ratio {top!r} / {scale!r} is not a finite float; "
             "the weight range is too wide for the bucket grid")
+    if scale == 1.0:
+        return g, scale
+    edges = list(edges)
     for e in ids:
         u, v, w = edges[e]
         edges[e] = (u, v, w / scale)

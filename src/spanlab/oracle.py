@@ -23,7 +23,9 @@ wide as its component's source count.  A component with more than
 `_ROUND` sources runs in rounds of `_ROUND` ranks.  A source whose queries
 are all answered stops spreading its bit, and a round stops once every
 query is answered or the frontier is empty.  A query whose endpoints lie
-in different H-components is never searched: its distance is inf.
+in different H-components is never searched: its distance is inf.  Nor is
+a query whose pair is an edge of H: its endpoints differ and one hop is
+the fewest, so its distance is S[1] = c, and it makes no vertex a source.
 
 The BFS is exact bit for bit.  A query is answered on the hop h at which
 its source's bit first reaches its target, with distance S[h], where
@@ -163,12 +165,15 @@ def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
     bit-parallel BFS per round over H, whose edges all weigh `step` (see
     the module docstring).  An edge is measured from u if u is already a
     source or v is not, else from v; with one weight the distance is the
-    same both ways.  A pair that H does not connect gets INF."""
+    same both ways.  A pair that H does not connect gets INF, and a pair
+    that is an edge of H gets S[1] = step with no search."""
     dists = [INF] * len(g_edges)
     nbrs: list[list[int]] = [[] for _ in range(n)]
+    h_pairs: set[int] = set()   # u * n + v with u < v, for each edge of H
     for u, v, _ in h_edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
+        h_pairs.add(u * n + v if u < v else v * n + u)
     comp = [-1] * n     # H-component, labelled by one of its vertices
     count = [0] * n     # per component: sources ranked so far
     bit_of = [0] * n    # per source: 1 << (its rank mod _ROUND)
@@ -178,6 +183,9 @@ def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
     for eid, (u, v, _) in enumerate(g_edges):
         if u == v:
             dists[eid] = 0.0
+            continue
+        if (u * n + v if u < v else v * n + u) in h_pairs:
+            dists[eid] = step
             continue
         c = comp[u]
         if c < 0:

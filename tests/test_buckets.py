@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +176,74 @@ def test_partition_of_subset_is_restriction(data):
     got = {(sigma, i): part.edges(sigma, i)
            for sigma in part.classes() for i in part.levels(sigma)}
     assert got == {cell: ids for cell, ids in expect.items() if ids}
+
+
+def _grid_pool(eps: float, base: float) -> list[float]:
+    """The floor base/(1+eps), each threshold T_0..T_12 and the floats
+    right next to it."""
+    pool = [base / (1.0 + eps)]
+    for j in range(13):
+        t = threshold(j, eps, base)
+        pool += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+    return pool
+
+
+def _draw_grid(data) -> tuple[float, float]:
+    return (data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.9])),
+            data.draw(st.sampled_from([1.0, 0.5, 3.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_partition_places_repeated_weights_by_brute_force(data):
+    """Weights drawn from a few values, on and next to the thresholds,
+    repeat: every edge still lands in the cell of its own brute-force
+    index, and each cell lists its ids in eids order."""
+    eps, base = _draw_grid(data)
+    values = st.sampled_from(_grid_pool(eps, base)) | st.floats(
+        base, threshold(12, eps, base))
+    pool = data.draw(st.lists(values, min_size=1, max_size=6))
+    weights = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    g = wgraph(len(weights) + 1, [(i, i + 1, w) for i, w in enumerate(weights)])
+    eids = data.draw(st.permutations(range(g.m)))
+    buckets = partition_edges(g, eids, eps, base)
+    mu = buckets.mu
+    expect: dict[tuple[int, int], list[int]] = {}
+    for e in eids:
+        j = brute_force_index(g.edges[e][2], eps, base)
+        expect.setdefault((j % mu, j // mu), []).append(e)
+    got = {(sigma, i): buckets.edges(sigma, i)
+           for sigma in buckets.classes() for i in buckets.levels(sigma)}
+    assert got == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partition_raises_at_the_first_edge_off_the_grid(data):
+    """Among repeated weights, the first edge whose weight is off the grid
+    raises, with the message that indexing the edges one by one gives."""
+    eps = data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    base = data.draw(st.sampled_from([1.0, 0.5, 1e-300]))
+    # the largest float is past the last finite threshold on the unit grid,
+    # and over a base below 1 it is not a finite ratio
+    bad = [math.nextafter(base / (1.0 + eps), 0.0), base / 4, 0.0, -1.0,
+           sys.float_info.max, math.inf, math.nan]
+    weights = data.draw(st.lists(st.sampled_from(_grid_pool(eps, base) + bad),
+                                 min_size=1, max_size=30))
+    weights.insert(data.draw(st.integers(0, len(weights))), data.draw(st.sampled_from(bad)))
+    g = wgraph(len(weights) + 1, [(i, i + 1, w) for i, w in enumerate(weights)])
+    eids = data.draw(st.permutations(range(g.m)))
+    first = None
+    for e in eids:
+        try:
+            bucket_raw_index(g.edges[e][2], eps, base)
+        except ValueError as exc:
+            first = str(exc)
+            break
+    assert first is not None
+    with pytest.raises(ValueError) as info:
+        partition_edges(g, eids, eps, base)
+    assert str(info.value) == first
 
 
 def test_level_scale_monotone():

@@ -170,6 +170,25 @@ def test_malformed_graph_file_error_names_it(tmp_path, capsys, command):
     assert f"{gpath}: header announced 3 edges, found 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt, text, error", [
+    ("edge-list", "3 1\n0 9 1.0\n", "vertex id out of range: (0, 9) with n=3"),
+    ("edge-list", "3 1\n0 1 -2\n", "nonpositive or non-finite weight -2.0 on edge (0, 1)"),
+    ("dimacs-gr", "p sp x 1\na 1 2 1.0\n", "line 1: non-integer header fields"),
+    ("dimacs-gr", "p sp 3 y\na 1 2 1.0\n", "line 1: non-integer header fields"),
+], ids=["vertex-id", "weight", "dimacs-n", "dimacs-m"])
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_bad_graph_file_value_error_names_it(tmp_path, capsys, command, fmt, text, error):
+    # a bad value that parses (an id past n, a negative weight) and a
+    # problem line that does not both name the file, and exit 2
+    gpath, spath = tmp_path / "bad.txt", tmp_path / "h.txt"
+    spath.write_text("# algo=pm k=2 eps=0.25 n=3 source_hash=x\n3 0\n")
+    gpath.write_text(text)
+    args = (["verify", "-g", str(gpath), "-s", str(spath)] if command == "verify"
+            else ["build", "--algo", "pm", "-i", str(gpath), "-o", str(tmp_path / "o.txt")])
+    assert main([*args, "--format", fmt]) == 2
+    assert f"error: {gpath}: {error}" in capsys.readouterr().err
+
+
 def test_spanner_file_round_trips_byte_for_byte(tmp_path):
     gpath, spath, again = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "h2.txt"
     main(["gen", "--type", "gnm", "--n", "40", "--m", "160", "--weights", "loguniform",
