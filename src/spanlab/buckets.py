@@ -63,12 +63,16 @@ def _grid_index(w: float, eps: float, base: float, ratio: float, step: float,
     try:
         while j > 0 and base * ratio ** (j - 1) >= w:
             j -= 1
-        while base * ratio ** j < w:
+        t = base * ratio ** j
+        while t < w:
             j += 1
-    except OverflowError:
+            t = base * ratio ** j
+    except OverflowError:   # ratio ** j overflows
+        t = math.inf
+    if t == math.inf:       # base * ratio ** j overflows when base > 1
         raise ValueError(
             f"weight {w} lies beyond the largest finite threshold of the "
-            f"bucket grid (base {base}, eps {eps})") from None
+            f"bucket grid (base {base}, eps {eps})")
     return j
 
 

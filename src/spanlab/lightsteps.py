@@ -22,7 +22,6 @@ None`, which derives what only it reads; a plain build enters no audit.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -580,8 +579,7 @@ def process_level(state: ClassState, ei, li: float, sigma: int, i: int,
 def step1_high(lvl: _Level) -> None:
     """Trees covering every high-degree node and all their level-edge
     neighbors; stars centered at high nodes, leftovers attach to a star."""
-    ctx = lvl.ctx
-    tau = ctx.tau_high
+    tau = lvl.ctx.tau_high
     high = [v for v in range(lvl.count) if lvl.deg[v] >= tau]
     if not high:
         return
@@ -632,11 +630,8 @@ def step1_high(lvl: _Level) -> None:
         lvl.xs[xid].ei_idx.append(idx)
 
     for xid, x in enumerate(lvl.xs):
-        if x.step != "star" or not x.nodes:
-            continue
-        _pad_to_min_adm(lvl, xid)
-        if ctx.check is not None:
-            audits.step1_size(ctx.check, x, tau, lvl.count)
+        if x.step == "star" and x.nodes:
+            _pad_to_min_adm(lvl, xid)
 
 
 def _pad_to_min_adm(lvl: _Level, xid: int) -> None:
@@ -707,31 +702,25 @@ def step2_branching(lvl: _Level) -> None:
 
 
 def _carve_ball(lvl: _Level, center: int, piece: _Piece, radius: float) -> int:
-    """Dijkstra ball inside `piece` (all of whose nodes are unassigned) by
-    augmented distance; nodes reaching >= radius are included but not
-    expanded."""
+    """Ball around center inside `piece` (a tree, all of whose nodes are
+    unassigned) by augmented distance; nodes reaching >= radius are
+    included but not expanded.  In a tree each node is reached once, from
+    its parent, so a stack walk finds every node's distance."""
     xid = lvl.new_x("ball")
-    dist = {center: lvl.pot[center]}
+    pot = lvl.pot
+    order: list[int] = []
     via: dict[int, tuple[int, float]] = {}
-    heap = [(lvl.pot[center], center)]
-    popped: set[int] = set()
-    orderd: list[int] = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in popped or d > dist.get(v, math.inf):
-            continue
-        popped.add(v)
-        orderd.append(v)
+    st = [(center, -1, pot[center])]
+    while st:
+        v, parent, d = st.pop()
+        order.append(v)
         if d >= radius:
             continue
         for u, w in piece.nbrs[v]:
-            if u not in popped:
-                nd = d + w + lvl.pot[u]
-                if nd < dist.get(u, math.inf):
-                    dist[u] = nd
-                    via[u] = (v, w)
-                    heapq.heappush(heap, (nd, u))
-    _absorb_tree(lvl, xid, orderd, via)
+            if u != parent:
+                via[u] = (v, w)
+                st.append((u, v, d + w + pot[u]))
+    _absorb_tree(lvl, xid, order, via)
     return xid
 
 
@@ -777,19 +766,12 @@ def step3_absorb_branching(lvl: _Level) -> None:
         if not piece.is_path() or piece.adm(lvl.pot) < 6 * lvl.li:
             continue
         for v in sorted(piece.nodes):
-            full_deg = len(lvl.adj[v])
-            if full_deg < 3:
+            if len(lvl.adj[v]) < 3:
                 continue
-            target = None
-            for u, w, sid in lvl.adj[v]:
-                other = lvl.assigned[u]
-                if other != -1 and lvl.xs[other].nodes:
-                    target = (other, u, w)
-                    break
-            if target is None:
-                continue
-            other, u, w = target
-            lvl.absorb(other, v, via=(u, w, True))
+            hook = _segment_hook(lvl, [v])
+            if hook is not None:
+                other, (u, _, w, _) = hook
+                lvl.absorb(other, v, via=(u, w, True))
 
 
 # ---------------------------------------------------------------- step 4

@@ -211,8 +211,8 @@ def _build_connected(
                     # the level's merge candidates
                     end = bisect_right(mst_index, i * mu + sigma, ptr)
                     carried = carried + mst_child[ptr:end]
-                audits.linear_level(check, session, mst, carried, verts, links,
-                                    reps, i != last, sigma, i)
+                audits.linear_level(check, session, mst, carried, verts, reps,
+                                    i != last, sigma, i)
             spent = session.cost - cost0 if session else 0
             ops["links"] += links
             ops["finds"] += spent - links

@@ -218,7 +218,7 @@ def _build_class(
         if not best:
             levels_log.append(
                 {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
-                 "rep_nodes": 0, "kept_edges": 0, "delta": 0}
+                 "rep_nodes": 0, "kept_edges": 0, "merge_edges": 0, "delta": 0}
             )
             continue
         if check is not None:
@@ -230,8 +230,7 @@ def _build_class(
             adj[b].append(a)
         for lst in adj:
             lst.sort()
-        merged = 0
-        merge_edges = 0
+        delta = merge_edges = 0
         for nodes, star_edges in grow_star_cover(len(reps), adj):
             for a, b in star_edges:
                 # merge edges enter the spanner: the new cluster must induce
@@ -244,11 +243,7 @@ def _build_class(
                 if check is not None:
                     class_eids.add(eid)
                 if uf.union(reps[a], reps[b]):
-                    merged += 1
-        delta = merged
-
-        if check is not None:
-            audits.pm_charging(check, delta, len(reps), sigma, i)
+                    delta += 1
         levels_log.append(
             {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
              "rep_nodes": len(reps), "kept_edges": len(kept),

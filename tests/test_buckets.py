@@ -93,6 +93,26 @@ def test_bucket_index_unchanged_near_the_top():
         bucket_raw_index(math.nextafter(top, math.inf), 0.25)
 
 
+def test_grid_above_a_unit_base_rejects_an_infinite_threshold():
+    # over base 3, base * 1.25**j overflows to inf with no OverflowError:
+    # T_3175 is the last finite threshold, and a weight past it must raise
+    # as on the unit grid, from both entry points, not land at T_3176 = inf
+    top = threshold(3175, 0.25, 3.0)
+    assert math.isfinite(top) and threshold(3176, 0.25, 3.0) == math.inf
+    assert bucket_raw_index(top, 0.25, 3.0) == 3175
+    for w in (math.nextafter(top, math.inf), sys.float_info.max):
+        msg = (f"weight {w} lies beyond the largest finite threshold of the "
+               f"bucket grid (base 3.0, eps 0.25)")
+        with pytest.raises(ValueError) as info:
+            bucket_raw_index(w, 0.25, 3.0)
+        assert str(info.value) == msg
+        g = wgraph(3, [(0, 1, top), (1, 2, w)])
+        with pytest.raises(ValueError) as info:
+            partition_edges(g, [0, 1], 0.25, 3.0)
+        assert str(info.value) == msg
+    assert partition_edges(g, [0], 0.25, 3.0).by_class == {3175 % 7: {3175 // 7: [0]}}
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
 def test_bucket_index_matches_brute_force(eps):
     rng = random.Random(hash(eps) & 0xFFFF)
@@ -223,8 +243,8 @@ def test_partition_raises_at_the_first_edge_off_the_grid(data):
     """Among repeated weights, the first edge whose weight is off the grid
     raises, with the message that indexing the edges one by one gives."""
     eps = data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
-    base = data.draw(st.sampled_from([1.0, 0.5, 1e-300]))
-    # the largest float is past the last finite threshold on the unit grid,
+    base = data.draw(st.sampled_from([1.0, 0.5, 1e-300, 3.0]))
+    # the largest float is past the last finite threshold over base 1 or 3,
     # and over a base below 1 it is not a finite ratio
     bad = [math.nextafter(base / (1.0 + eps), 0.0), base / 4, 0.0, -1.0,
            sys.float_info.max, math.inf, math.nan]

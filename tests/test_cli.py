@@ -330,6 +330,8 @@ REMOVED_NAMES = [
     ("spanlab.light", "SubdividedMst.virtual_parent"),
     ("spanlab.light", "SubdividedMst.parent_edge_of"),
     ("spanlab.buckets", "bucket_index"),
+    ("spanlab.audits", "pm_charging"),
+    ("spanlab.audits", "step1_size"),
     ("spanlab.graphs", "DistanceMap"),
     ("spanlab.graphs", "tree_path_max_weight"),
     ("spanlab.graphs", "MstResult.parent_weight"),

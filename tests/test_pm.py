@@ -8,6 +8,7 @@ import re
 import pytest
 
 import spanlab.pm
+from spanlab.buckets import mu_classes, threshold
 from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import WeightedGraph, sssp_distances
 from spanlab.hz import UnweightedGraph, hz_spanner
@@ -318,6 +319,26 @@ def test_triangle_example():
     assert rep.ok
     if sp.m == 2:
         assert abs(rep.max_stretch - 2.0) <= 1e-12
+
+
+def test_level_left_without_an_edge_logs_a_row_of_the_same_keys(sink):
+    # level 0 merges the path 0-1-2 into one cluster, so level 1's edge
+    # (0, 2) is a self-loop in cluster space: that level keeps no edge,
+    # and its row has the keys of a level that merges
+    eps_i = internal_eps(0.25)
+    g = triangle(1.0, 1.0, threshold(mu_classes(eps_i), eps_i))
+    sp = build_pm(g, 2, 0.25, check=sink)
+    sink.assert_clean()
+    assert sp.levels == [
+        {"sigma": 0, "i": 0, "bucket_edges": 2, "rep_nodes": 3,
+         "kept_edges": 2, "merge_edges": 0, "delta": 2},
+        {"sigma": 0, "i": 1, "bucket_edges": 1, "rep_nodes": 0,
+         "kept_edges": 0, "merge_edges": 0, "delta": 0},
+    ]
+    assert list(sp.levels[0]) == list(sp.levels[1])
+    assert sp.edges == [(0, 1, 1.0), (1, 2, 1.0)]
+    rep = verify_stretch(g, sp, 3 * 1.25)
+    assert rep.ok and rep.max_stretch == 1.0
 
 
 def test_random_instance_oracle_and_size(sink):
