@@ -162,7 +162,8 @@ def _build_connected(
     # light part through pm's levels, on g's own ids of the light edges
     # and the MST; the MST enters whole, whatever those levels keep
     pm_ops = {"uf": 0, "hz": 0}
-    chosen, _ = build_levels(g, sorted(mst_eids.union(light_ids)), k, eps, pm_ops)
+    chosen, _ = build_levels(g, sorted(mst_eids.union(light_ids)), k, eps,
+                             pm_ops, check)
     chosen |= mst_eids
     ops["pm_uf"], ops["hz"] = pm_ops["uf"], pm_ops["hz"]
 

@@ -2,7 +2,8 @@
 
 Same representative-graph / inner-spanner scheme as pm.py (each level's
 selection is pm.select_bucket, which keeps a forest representative graph
-whole without running hz), but every cluster induces a connected MST
+whole without running hz, and a one-edge bucket without a dedupe map or
+forest test), but every cluster induces a connected MST
 subtree, so all merges are Link(v) operations along the MST, pre-declared
 as the union tree.  The whole MST enters the spanner up front, known by
 the edge ids `minimum_spanning_tree` reports, so only the non-MST edges are

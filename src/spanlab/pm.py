@@ -7,6 +7,9 @@ participating clusters through a two-step star cover so that the cluster
 count drops by at least half the representative-graph size.  A
 representative graph that is a forest keeps all its edges without the
 inner spanner: every edge of a forest is a bridge, which any spanner keeps.
+A level with one representative pair costs O(1): a one-edge bucket is kept
+without a dedupe map or forest test (ops["hz"] still counts the 1 edge that
+test would examine), and two representatives are unioned without a cover.
 
 A build allocates one n-sized union-find and resets it between classes; the
 reset undoes only the previous class's unions, so a class costs what its
@@ -75,7 +78,21 @@ def select_bucket(norm: WeightedGraph, bucket: list[int], k: int,
     A representative graph that is a forest keeps every edge, since each
     edge of a forest is a bridge and any spanner keeps it; any other runs
     the unweighted (2k-1)-spanner.  ops["hz"] counts the edges the forest
-    test examined plus that spanner's adjacency scans."""
+    test examined plus that spanner's adjacency scans.
+
+    A bucket of one edge between two clusters is a one-edge forest: it is
+    kept, with no dedupe map built and no forest test run, and ops["hz"]
+    gains the 1 edge that test would have examined."""
+    if len(bucket) == 1:
+        eid = bucket[0]
+        u, v, _ = norm.edges[eid]
+        ru, rv = rep(u), rep(v)
+        if ru == rv:
+            return [], {}, [], []
+        pair = (ru, rv) if ru < rv else (rv, ru)
+        ops["hz"] += 1
+        spanner_eids.add(eid)
+        return [eid], {pair: eid}, list(pair), [(0, 1)]
     best = dedupe_source_edges(bucket, norm, rep)
     if not best:
         return [], best, [], []
@@ -224,26 +241,33 @@ def _build_class(
         if check is not None:
             class_eids.update(kept)
 
-        adj: list[list[int]] = [[] for _ in range(len(reps))]
-        for a, b in r_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for lst in adj:
-            lst.sort()
-        delta = merge_edges = 0
-        for nodes, star_edges in grow_star_cover(len(reps), adj):
-            for a, b in star_edges:
-                # merge edges enter the spanner: the new cluster must induce
-                # a low-diameter subgraph of H, and they total O(n) overall
-                key = (reps[a], reps[b]) if reps[a] < reps[b] else (reps[b], reps[a])
-                eid = best[key]
-                if eid not in spanner_eids:
-                    merge_edges += 1
-                spanner_eids.add(eid)
-                if check is not None:
-                    class_eids.add(eid)
-                if uf.union(reps[a], reps[b]):
-                    delta += 1
+        if len(reps) == 2:
+            # the cover is the one star on the pair: its edge is kept
+            # already, and distinct labels are distinct sets
+            uf.union(reps[0], reps[1])
+            merge_edges, delta = 0, 1
+        else:
+            adj: list[list[int]] = [[] for _ in range(len(reps))]
+            for a, b in r_edges:
+                adj[a].append(b)
+                adj[b].append(a)
+            for lst in adj:
+                lst.sort()
+            delta = merge_edges = 0
+            for nodes, star_edges in grow_star_cover(len(reps), adj):
+                for a, b in star_edges:
+                    # merge edges enter the spanner: the new cluster must
+                    # induce a low-diameter subgraph of H, and they total
+                    # O(n) overall
+                    key = (reps[a], reps[b]) if reps[a] < reps[b] else (reps[b], reps[a])
+                    eid = best[key]
+                    if eid not in spanner_eids:
+                        merge_edges += 1
+                    spanner_eids.add(eid)
+                    if check is not None:
+                        class_eids.add(eid)
+                    if uf.union(reps[a], reps[b]):
+                        delta += 1
         levels_log.append(
             {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
              "rep_nodes": len(reps), "kept_edges": len(kept),

@@ -1178,6 +1178,17 @@ def test_light_checks_and_hashes_its_input_once(monkeypatch):
     assert calls == {"check_edges": 1, "graph_hash": 1}
 
 
+def test_audited_pm_part_checks_its_clusters():
+    # light's pm part runs pm's levels, and an audited build audits their
+    # clusters too, cleanly and without changing an edge
+    outcomes = []
+    sp = build_light(k4_pieces(30, 1), 2, 0.25,
+                     check=lambda *outcome: outcomes.append(outcome))
+    assert sp.edges == build_light(k4_pieces(30, 1), 2, 0.25).edges
+    assert any(name == "p2-diameter" for name, _, _ in outcomes)
+    assert all(ok for _, ok, _ in outcomes)
+
+
 def test_discarded_edge_may_stretch_the_weight_range():
     # only the pool's weights are normalized: the 1e200 edge weighs at
     # least w(MST) and never reaches pm's levels, where pm and linear

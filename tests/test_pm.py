@@ -4,14 +4,16 @@ import inspect
 import math
 import random
 import re
+from functools import partial
 
 import pytest
 
 import spanlab.pm
-from spanlab.buckets import mu_classes, threshold
+from spanlab.buckets import LevelBuckets, mu_classes, threshold
+from spanlab.dsu import ClassicUF
 from spanlab.generators import gnm_graph, gnp_graph
 from spanlab.graphs import WeightedGraph, sssp_distances
-from spanlab.hz import UnweightedGraph, hz_spanner
+from spanlab.hz import UnweightedGraph, hz_spanner, is_forest
 from spanlab.light import build_light
 from spanlab.linear import build_linear
 from spanlab.oracle import verify_stretch
@@ -53,9 +55,11 @@ def test_dedupe_tie_breaks_to_smaller_id():
 # ---------------------------------------------------------------- select
 
 
-def reference_select_bucket(norm, bucket, k, rep, spanner_eids, ops):
-    """select_bucket as it reads without the forest rule: hz runs on every
-    representative graph."""
+def reference_select_bucket(norm, bucket, k, rep, spanner_eids, ops,
+                            forest_rule=False):
+    """select_bucket's generic path on every bucket: dedupe, then hz on
+    every representative graph, or with `forest_rule` the forest test
+    first and hz only on a graph with a cycle."""
     best = dedupe_source_edges(bucket, norm, rep)
     if not best:
         return [], best, [], []
@@ -63,9 +67,12 @@ def reference_select_bucket(norm, bucket, k, rep, spanner_eids, ops):
     local = {r: idx for idx, r in enumerate(reps)}
     r_edges = [(local[a], local[b]) for (a, b) in best]
     stats: dict = {"ops": 0}
-    chosen = hz_spanner(UnweightedGraph(len(reps), r_edges), k, stats=stats)
+    if forest_rule and is_forest(len(reps), r_edges, stats):
+        kept = list(best.values())
+    else:
+        chosen = hz_spanner(UnweightedGraph(len(reps), r_edges), k, stats=stats)
+        kept = [best[(reps[a], reps[b])] for a, b in chosen]
     ops["hz"] += stats["ops"]
-    kept = [best[(reps[a], reps[b])] for a, b in chosen]
     spanner_eids.update(kept)
     return kept, best, reps, r_edges
 
@@ -157,6 +164,128 @@ def test_select_bucket_matches_hz_on_every_representative_graph():
         else:
             kinds["cyclic"] += 1
             assert got_ops["hz"] == ref_ops["hz"] + cycle_at
+    assert min(kinds.values()) >= 20, kinds
+
+
+def reference_level(norm, bucket, k, uf, spanner_eids, ops) -> dict:
+    """One pm level as `_build_class` runs it without the one-pair cover:
+    the reference selection, then `grow_star_cover` on every
+    representative graph.  Returns the row less sigma and i."""
+    kept, best, reps, r_edges = reference_select_bucket(
+        norm, bucket, k, uf.find, spanner_eids, ops, forest_rule=True)
+    delta = merge_edges = 0
+    adj: list[list[int]] = [[] for _ in range(len(reps))]
+    for a, b in r_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for lst in adj:
+        lst.sort()
+    for _, star_edges in grow_star_cover(len(reps), adj) if best else ():
+        for a, b in star_edges:
+            eid = best[(min(reps[a], reps[b]), max(reps[a], reps[b]))]
+            if eid not in spanner_eids:
+                merge_edges += 1
+            spanner_eids.add(eid)
+            if uf.union(reps[a], reps[b]):
+                delta += 1
+    return {"bucket_edges": len(bucket), "rep_nodes": len(reps),
+            "kept_edges": len(kept), "merge_edges": merge_edges, "delta": delta}
+
+
+def one_pair_level(rng: random.Random, kind: str):
+    """(g, bucket, unions) for a level whose bucket is one edge between
+    two clusters ("edge"), one edge inside a cluster ("intra"), or 2 to 5
+    edges that dedupe to one pair, some possibly inside a cluster
+    ("bundle").  `unions` forms the clusters on a fresh ClassicUF in
+    random order; g holds other edges too, so the bucket's ids vary."""
+    n = rng.randint(3, 12)
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(4, n - 1))))
+    clusters = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    unions = [(v, rng.choice(c[:j])) for c in clusters for j, v in enumerate(c) if j]
+    rng.shuffle(unions)
+    big = [c for c in clusters if len(c) > 1]
+    pick = rng.choice
+    if kind == "intra" and not big:
+        return one_pair_level(rng, kind)
+    a, b = rng.sample(clusters, 2)
+    if kind == "edge":
+        src = [(pick(a), pick(b))]
+    elif kind == "intra":
+        src = [tuple(rng.sample(pick(big), 2))]
+    else:
+        src = [(pick(a), pick(b)) for _ in range(rng.randint(2, 4))]
+        src += [tuple(rng.sample(c, 2)) for c in big if rng.random() < 0.5]
+        rng.shuffle(src)
+    others = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if rng.random() < 0.2]
+    edges = [(u, v, float(rng.randint(1, 3))) for u, v in src + others]
+    ids = list(range(len(edges)))
+    rng.shuffle(ids)
+    placed = [None] * len(edges)
+    for new_id, e in zip(ids, edges):
+        placed[new_id] = e
+    return WeightedGraph(n, placed), ids[:len(src)], unions
+
+
+def test_one_pair_level_matches_the_generic_path():
+    # a one-edge bucket skips the dedupe map and the forest test, and a
+    # two-representative level skips the star cover: neither changes the
+    # selection, the rep calls, ops["hz"], the row, the union-find's cost
+    # or any vertex's cluster
+    rng = random.Random(31)
+    kinds = {"edge": 0, "intra": 0, "bundle": 0, "bundle-intra": 0}
+    for trial in range(240):
+        kind = ("edge", "intra", "bundle")[trial % 3]
+        g, bucket, unions = one_pair_level(rng, kind)
+        k = rng.randint(1, 3)
+        before = set(rng.sample(range(g.m), rng.randint(0, g.m)))
+        outs = []
+        for select in (select_bucket,
+                       partial(reference_select_bucket, forest_rule=True)):
+            uf = ClassicUF(g.n)
+            for u, v in unions:
+                uf.union(u, v)
+            calls = []
+
+            def rep(v, _find=uf.find):
+                calls.append(v)
+                return _find(v)
+            eids, ops = set(before), {"hz": 0}
+            got = select(g, bucket, k, rep, eids, ops)
+            outs.append((got, eids, ops, calls, uf.cost))
+        assert outs[0] == outs[1]
+        (kept, best, reps, r_edges), _, ops, _, _ = outs[0]
+        if kind == "bundle":
+            assert len(best) == 1
+            kinds["bundle"] += 1
+            # uf is the reference's, after its finds
+            kinds["bundle-intra"] += any(
+                uf.find(g.edges[e][0]) == uf.find(g.edges[e][1]) for e in bucket)
+        else:
+            assert len(bucket) == 1
+            kinds[kind] += 1
+            assert ops["hz"] == (kind == "edge")
+
+        rows = []
+        for level in ("build_class", "reference"):
+            uf = ClassicUF(g.n)
+            for u, v in unions:
+                uf.union(u, v)
+            eids, ops, log = set(before), {"hz": 0}, []
+            if level == "reference":
+                row = reference_level(g, bucket, k, uf, eids, ops)
+            else:
+                buckets = LevelBuckets(mu=1, by_class={0: {0: bucket}})
+                spanlab.pm._build_class(g, k, 0.25, 0, buckets, uf, eids, log,
+                                        ops, None)
+                (row,) = log
+                assert (row.pop("sigma"), row.pop("i")) == (0, 0)
+            cost = uf.cost
+            rows.append((row, eids, ops, cost, [uf.find(v) for v in range(g.n)]))
+        assert rows[0] == rows[1]
+        assert rows[0][0]["delta"] == (1 if best else 0)
     assert min(kinds.values()) >= 20, kinds
 
 
