@@ -192,7 +192,7 @@ def _dplus(lvl, x, adm: float) -> float:
 def path_pieces(check: Check, lvl, path: list[int], pos: list[float],
                 pieces: list[tuple[int, int]]) -> None:
     """A broken path's pieces have Adm in [L_i, 7*L_i], and a piece with a
-    non-isolated node holds two real nodes or ends the path."""
+    node on a level edge holds two real nodes or ends the path."""
     from .lightsteps import _range_adm   # lightsteps imports this module
 
     li = lvl.li
@@ -201,7 +201,7 @@ def path_pieces(check: Check, lvl, path: list[int], pos: list[float],
         check("step5b-piece", li * (1 - 1e-9) <= adm <= 7 * li * (1 + 1e-9),
               f"piece adm={adm} li={li}")
         seg = path[a:b + 1]
-        if any(lvl.nonisolated[v] for v in seg):
+        if any(lvl.deg[v] for v in seg):
             nonvirt = sum(1 for v in seg if not lvl.state.virtual[v])
             endpoint = a == 0 or b == len(path) - 1
             check("step5b-good", nonvirt >= 2 or endpoint,
@@ -218,11 +218,11 @@ def level(check: Check, lvl, sigma: int, i: int, degenerate: bool,
           live: list, new_state, y_count: int) -> None:
     """The level's per-subgraph Adm, potential and separation invariants,
     and the real-node count it removed."""
-    from .lightsteps import _is_good   # lightsteps imports this module
+    from .lightsteps import G_LIGHT, _is_good   # lightsteps imports this module
 
     ctx, tag = lvl.ctx, f"sigma={sigma} i={i}"
     dplus_ok = good_ok = True
-    upper = ctx.gconst * lvl.li * (1 + 1e-9)
+    upper = G_LIGHT * lvl.li * (1 + 1e-9)
     lower = lvl.li * (1 - 1e-9) if len(live) > 1 else 0.0
     for x, x_adm in zip(live, new_state.pot):
         if _dplus(lvl, x, x_adm) < -1e-9 * max(1.0, x_adm):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -75,6 +76,9 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{args.spanner}: the header gives no k and eps "
                              "to take the target from; pass it with -t")
         t = (2 * sp.k - 1) * (1 + sp.eps)
+        if not (math.isfinite(t) and t >= 1):
+            raise ValueError(f"{args.spanner}: the header's k={sp.k} eps={sp.eps!r} give the "
+                             f"target {t!r}, not finite and >= 1; pass a target with -t")
     report = verify_stretch(g, sp, t)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

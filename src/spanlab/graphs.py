@@ -33,9 +33,9 @@ class GraphFormatError(ValueError):
 class WeightedGraph:
     """Simple undirected graph; vertex ids in [0, n), weights in (0, inf).
 
-    Read-only after construction (adjacency caches are built on first use
-    and never mutated afterwards), so instances can be shared freely
-    across concurrent readers.
+    Read-only after construction, so instances can be shared freely across
+    concurrent readers.  It caches one adjacency (`adjacency_ids`), built on
+    first use; its readers take each neighbour's weight from `edges`.
     """
 
     def __init__(self, n: int, edges: list[tuple[int, int, float]]):
@@ -43,7 +43,6 @@ class WeightedGraph:
         self.edges = edges
         self.collapsed_count = 0
         self.selfloop_count = 0
-        self._adj: Optional[list[list[tuple[int, float]]]] = None
         self._adj_ids: Optional[list[list[tuple[int, int]]]] = None
 
     @classmethod
@@ -81,18 +80,8 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """(neighbor, weight) lists, built once on demand."""
-        if self._adj is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            self._adj = adj
-        return self._adj
-
     def adjacency_ids(self) -> list[list[tuple[int, int]]]:
-        """(neighbor, edge index) lists."""
+        """(neighbor, edge index) lists, built once on demand."""
         if self._adj_ids is None:
             adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
             for eid, (u, v, _) in enumerate(self.edges):
@@ -231,7 +220,7 @@ def save_graph(g: WeightedGraph, path: str, header_comment: str = "") -> None:
 
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:
-    adj = g.adjacency()
+    adj = g.adjacency_ids()
     seen = [False] * g.n
     comps: list[list[int]] = []
     for s in range(g.n):
@@ -329,7 +318,7 @@ def sssp_distances(g: WeightedGraph, source: int) -> list[float]:
     """Exact Dijkstra distances; unreachable vertices get +inf."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    adj = g.adjacency()
+    adj, edges = g.adjacency_ids(), g.edges
     dist = [INF] * g.n
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -337,8 +326,8 @@ def sssp_distances(g: WeightedGraph, source: int) -> list[float]:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v, w in adj[u]:
-            nd = d + w
+        for v, eid in adj[u]:
+            nd = d + edges[eid][2]
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))

@@ -22,9 +22,10 @@ many trivial levels report them.
 A build skips every level that a potential bound shows empty: no
 augmented tree distance exceeds a state's reach, and a level raises the
 reach by at most the weight of its cluster-graph edges, so once the filter
-factor times a level's cell floor passes that bound, the level and the
-rest of its class are logged as skipped, before any state, carve, LCA or
-cluster graph is built for them.  A level with no high-degree node whose
+factor F (`StepContext.filter_factor`, which the filter reads too) times a
+level's cell floor passes that bound, the level and the rest of its class
+are logged as skipped, before any state, carve, LCA or cluster graph is
+built for them.  A level with no high-degree node whose
 later levels the bound rules out keeps its edges whole, without the five
 steps.  `_build_heavy` gives the proof; audited builds run the same levels.
 """
@@ -38,6 +39,7 @@ from .buckets import check_eps, partition_edges, threshold
 from .graphs import WeightedGraph, minimum_spanning_tree
 from .linear import per_component
 from .pm import build_levels
+from .lightsteps import FILTER_SLACK, G_LIGHT  # noqa: F401 (both importable here)
 from .spanner import Spanner
 from . import audits, lightsteps as steps
 
@@ -48,9 +50,7 @@ from .graphs import connected_components, induced_subgraph  # noqa: F401,E402
 from .pm import build_pm  # noqa: F401,E402
 from .spanner import graph_hash  # noqa: F401,E402
 
-G_LIGHT = 42
 EPS_SCALE_LIGHT = 10 * G_LIGHT + 1  # stretch chain ends at (2k-1)(1+(10g+1)eps')
-FILTER_SLACK = 6 * G_LIGHT          # tree-path filter keeps only stretch > (2k-1)(1+6g*eps')
 REACH_MARGIN = 1e-9                 # float slack of the empty-level bound (see _build_heavy)
 
 
@@ -194,7 +194,7 @@ def _build_heavy(
     """Heavy side: each weight class's levels over the subdivided MST.
 
     A build skips every level that a potential bound shows empty.  Let F
-    be the filter factor, reach = Phi + W (a state's potential plus its
+    be `ctx.filter_factor`, reach = Phi + W (a state's potential plus its
     contracted tree's weight, `ClassState.reach`), and T the lower bound
     T_{j-1} of level i's grid cell j = i*mu + sigma: every bucket edge of
     the level weighs w > T, in floats too (`bucket_raw_index`), and later
@@ -240,18 +240,14 @@ def _build_heavy(
     buckets = partition_edges(g, heavy_pool, eps_i, wbar)
     mu = buckets.mu
 
-    filter_factor = (2 * k - 1) * (1.0 + FILTER_SLACK * eps_i)
-    ctx = steps.StepContext(
-        g=g, sub=sub, k=k, eps=eps_i, gconst=G_LIGHT,
-        filter_factor=filter_factor, check=check,
-    )
+    ctx = steps.StepContext(g=g, sub=sub, k=k, eps=eps_i, check=check)
     base = steps.singleton_state(sub)
     ladder: dict[int, steps.ClassState] = {}
 
     def empty_from(sigma: int, i: int, reach: float) -> bool:
         """Class sigma's levels from i on are empty in every state of
         reach at most `reach`."""
-        return filter_factor * threshold(
+        return ctx.filter_factor * threshold(
             i * mu + sigma - 1, eps_i, wbar) >= reach * (1 + REACH_MARGIN)
 
     for sigma in buckets.classes():
@@ -262,7 +258,6 @@ def _build_heavy(
             if empty_from(sigma, i, mst.weight if state is None else state.reach):
                 done = t
                 break
-            li = threshold(i * mu + sigma, eps_i, wbar)
             prev = threshold((i - 1) * mu + sigma, eps_i, wbar)
             if state is None:
                 state = _base_state(prev, wbar, ladder, base, ctx)
@@ -275,13 +270,13 @@ def _build_heavy(
                 break
 
             bucket = buckets.edges(sigma, i)
-            ei = steps.build_cluster_graph(state, bucket, g, li, ctx)
+            ei = steps.build_cluster_graph(state, bucket, ctx)
             ops["level_work"] += len(bucket)
             if not ei:
                 levels_log.append(steps.trivial_row(sigma, i, state, len(bucket)))
                 continue
 
-            if not steps.has_high_degree(state, ei, ctx) and (
+            if not steps.has_high_degree(ei, ctx) and (
                 t + 1 == len(level_ids)
                 or empty_from(sigma, level_ids[t + 1],
                               state.reach + sum(e[2] for e in ei))
@@ -294,6 +289,7 @@ def _build_heavy(
                 break
 
             ops["level_work"] += state.count
+            li = threshold(i * mu + sigma, eps_i, wbar)
             state, picked, row = steps.process_level(state, ei, li, sigma, i, ctx)
             chosen.update(picked)
             levels_log.append(row)

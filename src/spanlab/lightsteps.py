@@ -17,6 +17,10 @@ order and absorption order are all read from that one walk.  A walked
 tree or path keeps the tree-edge weights its walk read, and one routine
 (`_absorb_tree`) absorbs it into a subgraph.
 
+G (`G_LIGHT`) and `FILTER_SLACK` are defined here, and `StepContext`
+derives F (`filter_factor`) and tau (`tau_high`) from them: the filter in
+`build_cluster_graph` and `light`'s empty-level bound read the same F.
+
 Each audit hook is one call into `audits` under `if ctx.check is not
 None`, which derives what only it reads; a plain build enters no audit.
 """
@@ -34,19 +38,26 @@ from .pm import dedupe_source_edges
 from . import audits
 
 
+G_LIGHT = 42                # cluster-diameter constant: subgraph Adm <= g*L_i
+FILTER_SLACK = 6 * G_LIGHT  # tree-path filter keeps only stretch > (2k-1)(1+6g*eps')
+
+
 @dataclass
 class StepContext:
     g: WeightedGraph
     sub: object                 # SubdividedMst; loose to avoid an import cycle
     k: int
     eps: float
-    gconst: int
-    filter_factor: float
     check: Optional[audits.Check] = None    # audits iff given
+
+    @cached_property
+    def filter_factor(self) -> float:
+        """F, derived once: the filter drops an edge of tree path <= F*w."""
+        return (2 * self.k - 1) * (1.0 + FILTER_SLACK * self.eps)
 
     @property
     def tau_high(self) -> int:
-        return math.ceil(2 * self.gconst / self.eps)
+        return math.ceil(2 * G_LIGHT / self.eps)
 
 
 @dataclass
@@ -350,33 +361,32 @@ class TreeLCA:
 def build_cluster_graph(
     state: ClassState,
     bucket: list[int],
-    g: WeightedGraph,
-    li: float,
     ctx: StepContext,
 ) -> list[tuple[int, int, float, int]]:
-    """Level edge set: bucket edges mapped to cluster pairs, self-loops
-    dropped, parallels deduped to the lightest (pm's dedupe), and edges
-    whose tree path (augmented) already realizes the target stretch
-    filtered out."""
+    """Level edge set: bucket edges of `ctx.g` mapped to cluster pairs,
+    self-loops dropped, parallels deduped to the lightest (pm's dedupe),
+    and edges whose augmented tree path is at most F*w dropped (F =
+    `ctx.filter_factor`)."""
+    g = ctx.g
     best = dedupe_source_edges(bucket, g, state.cl_of_sub.__getitem__)
-    lca = state.lca
+    lca, factor = state.lca, ctx.filter_factor
     out = []
     for (ca, cb), eid in sorted(best.items()):
         w = g.edges[eid][2]
-        if lca.aug_dist(ca, cb) <= ctx.filter_factor * w * (1 + 1e-12):
+        if lca.aug_dist(ca, cb) <= factor * w * (1 + 1e-12):
             continue
         out.append((ca, cb, w, eid))
     return out
 
 
-def has_high_degree(state: ClassState, ei, ctx: StepContext) -> bool:
+def has_high_degree(ei, ctx: StepContext) -> bool:
     deg: dict[int, int] = {}
     tau = ctx.tau_high
     for a, b, w, eid in ei:
-        for x in (a, b):
-            deg[x] = deg.get(x, 0) + 1
-            if deg[x] >= tau:
-                return True
+        deg[a] = da = deg.get(a, 0) + 1
+        deg[b] = db = deg.get(b, 0) + 1
+        if da >= tau or db >= tau:
+            return True
     return False
 
 
@@ -435,11 +445,12 @@ class _Level:
         self.adj = state.adj
         self.pot = state.pot
         self.count = state.count
-        self.deg = [0] * state.count
+        self.deg = [0] * state.count     # level edges at each node
         for a, b, w, eid in ei:
             self.deg[a] += 1
             self.deg[b] += 1
-        self.nonisolated = [d > 0 for d in self.deg]
+        tau = ctx.tau_high
+        self.high = [v for v, d in enumerate(self.deg) if d >= tau]  # ascending
         self.assigned = [-1] * state.count
         self.xs: list[Subgraph] = []
 
@@ -579,8 +590,7 @@ def process_level(state: ClassState, ei, li: float, sigma: int, i: int,
 def step1_high(lvl: _Level) -> None:
     """Trees covering every high-degree node and all their level-edge
     neighbors; stars centered at high nodes, leftovers attach to a star."""
-    tau = lvl.ctx.tau_high
-    high = [v for v in range(lvl.count) if lvl.deg[v] >= tau]
+    high = lvl.high
     if not high:
         return
     highset = set(high)
@@ -596,21 +606,19 @@ def step1_high(lvl: _Level) -> None:
         lst.sort()
 
     step1_nodes: set[int] = set()
-    for phi in sorted(high):
+    for phi in high:
         if lvl.assigned[phi] != -1:
             continue
-        free = [entry for entry in kadj[phi] if lvl.assigned[entry[0]] == -1
-                and entry[0] != phi]
+        # ei has no self-loop (the cluster graph drops them)
+        free = [entry for entry in kadj[phi] if lvl.assigned[entry[0]] == -1]
         if not free:
             continue
         xid = lvl.new_x("star")
         lvl.absorb(xid, phi)
         step1_nodes.add(phi)
-        seen = set()
         for u, idx in free:
-            if u in seen or lvl.assigned[u] != -1:
+            if lvl.assigned[u] != -1:   # also a repeated neighbour
                 continue
-            seen.add(u)
             lvl.absorb(xid, u, via=(phi, lvl.ei[idx][2], False))
             lvl.xs[xid].ei_idx.append(idx)
             step1_nodes.add(u)
@@ -671,7 +679,7 @@ def step2_branching(lvl: _Level) -> None:
         if not branch:
             continue
         center = min(
-            branch, key=lambda v: (not lvl.nonisolated[v], v)
+            branch, key=lambda v: (not lvl.deg[v], v)
         )
         balls.append(_carve_ball(lvl, center, piece, 2 * li))
         worklist.extend(_pieces(lvl, [v for v in piece.nodes if lvl.assigned[v] == -1]))
@@ -725,7 +733,7 @@ def _carve_ball(lvl: _Level, center: int, piece: _Piece, radius: float) -> int:
 
 
 def _is_good(lvl: _Level, x: Subgraph) -> bool:
-    if not any(lvl.nonisolated[v] for v in x.nodes):
+    if not any(lvl.deg[v] for v in x.nodes):
         return True
     return sum(1 for v in x.nodes if not lvl.state.virtual[v]) >= 2
 
@@ -751,9 +759,7 @@ def _adjacent_subgraph(lvl: _Level, xid: int, prefer: str):
             key = (u, v)
             if best is None or key < best[2]:
                 best = (other, (u, v, w, True), key)
-    if best is None:
-        return None
-    return best[0], best[1]
+    return None if best is None else best[:2]
 
 
 # ---------------------------------------------------------------- step 3
@@ -904,9 +910,7 @@ def _component_hook(lvl: _Level, comp: list[int]):
                 key = (v, u)
                 if best is None or key < best[2]:
                     best = (other, (u, v, w, True), key)
-    if best is None:
-        return None
-    return best[0], best[1]
+    return None if best is None else best[:2]
 
 
 def _segment_hook(lvl: _Level, seg: list[int]):
@@ -1063,7 +1067,7 @@ def select_level_edges(lvl: _Level) -> tuple[set[int], list[int]]:
     tau = lvl.ctx.tau_high
     picked = {lvl.ei[idx][3] for x in lvl.xs for idx in x.ei_idx}
     c1 = len(picked)
-    high = sorted(v for v in range(lvl.count) if lvl.deg[v] >= tau)
+    high = lvl.high
     if high:
         hidx = {v: t for t, v in enumerate(high)}
         kedges = []
@@ -1092,17 +1096,16 @@ def _finish_level(lvl: _Level, sigma: int, i: int, degenerate: bool,
             piece_of[v] = t
     new_state = _next_state(lvl.state, [x.nodes for x in live], piece_of,
                             [x.adm(lvl.pot) for x in live], lvl.li)
-    y_count = sum(1 for v in range(lvl.count) if lvl.nonisolated[v])
+    y_count = sum(1 for d in lvl.deg if d)
     if ctx.check is not None:
         audits.level(ctx.check, lvl, sigma, i, degenerate, live, new_state, y_count)
 
     phi_before = lvl.state.phi
-    phi_after = new_state.phi
     a_i = sum(ctx.g.edges[eid][2] for eid in picked) if degenerate else 0.0
     row = {
         "sigma": sigma, "i": i, "v_nodes": lvl.count, "e_edges": len(lvl.ei),
         "y_nodes": y_count, "n_nodes": new_state.n_nodes, "phi": phi_before,
-        "delta": phi_before - phi_after, "a_i": a_i,
+        "delta": phi_before - new_state.phi, "a_i": a_i,
         "step_edge_counts": counts, "degenerate": degenerate,
     }
     if ctx.check is not None:

@@ -232,28 +232,23 @@ def _build_class(
                                G_PM * level_scale(sigma, i - 1, eps_i), sigma, i)
         kept, best, reps, r_edges = select_bucket(
             norm, bucket, k, uf.find, spanner_eids, ops)
-        if not best:
-            levels_log.append(
-                {"sigma": sigma, "i": i, "bucket_edges": len(bucket),
-                 "rep_nodes": 0, "kept_edges": 0, "merge_edges": 0, "delta": 0}
-            )
-            continue
         if check is not None:
             class_eids.update(kept)
 
+        # a bucket that dedupes to nothing has no representative to merge
+        delta = merge_edges = 0
         if len(reps) == 2:
             # the cover is the one star on the pair: its edge is kept
             # already, and distinct labels are distinct sets
             uf.union(reps[0], reps[1])
-            merge_edges, delta = 0, 1
-        else:
+            delta = 1
+        elif reps:
             adj: list[list[int]] = [[] for _ in range(len(reps))]
             for a, b in r_edges:
                 adj[a].append(b)
                 adj[b].append(a)
             for lst in adj:
                 lst.sort()
-            delta = merge_edges = 0
             for nodes, star_edges in grow_star_cover(len(reps), adj):
                 for a, b in star_edges:
                     # merge edges enter the spanner: the new cluster must

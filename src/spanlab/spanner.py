@@ -1,6 +1,7 @@
 """Spanner artifact: edge subset plus provenance metadata and the
 spanner-file round-trip: an ordinary edge-list file, read and written by
-`graphs`, whose header comment is "# algo=.. k=.. eps=.. n=.. source_hash=..".
+`graphs`, whose header comment is "# algo=.. k=.. eps=.. n=.. source_hash=..";
+a spanner without k or eps is saved without that field.
 """
 from __future__ import annotations
 
@@ -38,22 +39,33 @@ class Spanner:
         return {(u, v) if u < v else (v, u) for u, v, _ in self.edges}
 
     def save(self, path: str) -> None:
-        save_graph(WeightedGraph(self.n, self.edges), path,
-                   header_comment=f"algo={self.algo} k={self.k} eps={self.eps!r} "
-                                  f"n={self.n} source_hash={self.source_hash}")
+        meta = {"algo": self.algo, "k": self.k, "eps": self.eps, "n": self.n,
+                "source_hash": self.source_hash}
+        save_graph(WeightedGraph(self.n, self.edges), path, header_comment=" ".join(
+            f"{key}={value}" for key, value in meta.items() if value is not None))
 
 
 def load_spanner(path: str) -> Spanner:
+    """Read a spanner file.  A header field k or eps that does not parse
+    raises ValueError naming the file and the field."""
     lines, n, edges = _read_graph_file(path)
     meta: dict[str, str] = {}
     for line in lines:
         text = line.strip()
         if text.startswith("#"):
             meta.update(token.split("=", 1) for token in text[1:].split() if "=" in token)
+
+    def field_value(name: str, parse):
+        try:
+            return parse(meta[name]) if name in meta else None
+        except ValueError:
+            raise ValueError(f"{path}: header field {name}={meta[name]!r} "
+                             f"is not a valid {parse.__name__}") from None
+
     return Spanner(
         algo=meta.get("algo", "?"),
-        k=int(meta["k"]) if "k" in meta else None,
-        eps=float(meta["eps"]) if "eps" in meta else None,
+        k=field_value("k", int),
+        eps=field_value("eps", float),
         n=n,
         edges=edges,
         source_hash=meta.get("source_hash", ""),

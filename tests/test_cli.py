@@ -336,6 +336,7 @@ REMOVED_NAMES = [
     ("spanlab.graphs", "tree_path_max_weight"),
     ("spanlab.graphs", "MstResult.parent_weight"),
     ("spanlab.graphs", "WeightedGraph.weight"),
+    ("spanlab.graphs", "WeightedGraph.adjacency"),
     ("spanlab.spanner", "Spanner.weight"),
 ]
 
@@ -391,6 +392,52 @@ def test_spanner_header_round_trip(tmp_path):
     assert sp.source_hash
     text = spath.read_text().splitlines()[0]
     assert text.startswith("# algo=pm k=3 eps=0.1")
+
+
+def _graph_and_spanner(tmp_path):
+    """A generated graph file and pm's spanner file of it (k=2 eps=0.25)."""
+    gpath, spath = tmp_path / "g.txt", tmp_path / "h.txt"
+    main(["gen", "--type", "gnm", "--n", "30", "--m", "90", "--seed", "1", "-o", str(gpath)])
+    main(["build", "--algo", "pm", "-i", str(gpath), "-o", str(spath)])
+    return gpath, spath
+
+
+def test_headerless_spanner_survives_resave(tmp_path, capsys):
+    # a spanner loaded from a file without a header has no k or eps; saving
+    # it leaves them out, so the saved file loads and verifies at -t
+    gpath, spath = _graph_and_spanner(tmp_path)
+    bare, resaved = tmp_path / "bare.txt", tmp_path / "resaved.txt"
+    bare.write_text("".join(line for line in spath.read_text().splitlines(True)
+                            if not line.startswith("#")))
+    load_spanner(str(bare)).save(str(resaved))
+    assert "None" not in resaved.read_text()
+    sp = load_spanner(str(resaved))
+    assert (sp.k, sp.eps) == (None, None)
+    assert main(["verify", "-g", str(gpath), "-s", str(resaved), "-t", "3"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_spanner_header_bad_field_names_file_and_field(tmp_path, capsys):
+    gpath, spath = _graph_and_spanner(tmp_path)
+    bad = tmp_path / "bad-k.txt"
+    bad.write_text(spath.read_text().replace("k=2", "k=x", 1))
+    with pytest.raises(ValueError, match="bad-k.txt: header field k='x' is not a valid int"):
+        load_spanner(str(bad))
+    assert main(["verify", "-g", str(gpath), "-s", str(bad)]) == 2
+    assert f"error: {bad}: header field k='x'" in capsys.readouterr().err
+
+
+def test_spanner_header_target_below_one_points_to_t(tmp_path, capsys):
+    # k=0 gives (2k-1)(1+eps) < 1: an error about the header, not about a
+    # -t that was never passed; with -t the file verifies
+    gpath, spath = _graph_and_spanner(tmp_path)
+    bad = tmp_path / "k0.txt"
+    bad.write_text(spath.read_text().replace("k=2", "k=0", 1))
+    assert main(["verify", "-g", str(gpath), "-s", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: the header's k=0 eps=0.25" in err
+    assert "pass a target with -t" in err
+    assert main(["verify", "-g", str(gpath), "-s", str(bad), "-t", "3"]) == 0
 
 
 def test_dimacs_input(tmp_path):

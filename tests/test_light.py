@@ -22,8 +22,6 @@ from spanlab.graphs import (
     minimum_spanning_tree,
 )
 from spanlab.light import (
-    FILTER_SLACK,
-    G_LIGHT,
     build_light,
     internal_eps_light,
     split_light_heavy,
@@ -47,14 +45,20 @@ from test_golden import two_level_classes
 
 @dataclasses.dataclass
 class FixedTauContext(steps.StepContext):
-    """A StepContext whose high-degree threshold is `tau` when given, so a
-    small level can reach step 1; None keeps the derived threshold."""
+    """A StepContext whose high-degree threshold is `tau` and whose filter
+    factor is `factor` when given, so a small level can reach step 1 and
+    its edges can pass the filter; None keeps the derived value."""
 
     tau: Optional[int] = None
+    factor: Optional[float] = None
 
     @property
     def tau_high(self) -> int:
         return super().tau_high if self.tau is None else self.tau
+
+    @property
+    def filter_factor(self) -> float:
+        return super().filter_factor if self.factor is None else self.factor
 
 
 # ---------------------------------------------------------------- split
@@ -138,17 +142,11 @@ def test_subdivide_parent_tracking():
 
 
 def _mini_ctx(g, k=2, eps=0.25, tau=None, check=None):
-    from spanlab.light import FILTER_SLACK, G_LIGHT
-
     mst = minimum_spanning_tree(g)
     wbar = mst.weight / (g.m * eps)
     sub = subdivide_mst(mst, wbar, g.n)
     eps_i = internal_eps_light(eps)
-    ctx = FixedTauContext(
-        g=g, sub=sub, k=k, eps=eps_i, gconst=G_LIGHT,
-        filter_factor=(2 * k - 1) * (1 + FILTER_SLACK * eps_i),
-        check=check, tau=tau,
-    )
+    ctx = FixedTauContext(g=g, sub=sub, k=k, eps=eps_i, check=check, tau=tau)
     return ctx, sub, mst
 
 
@@ -156,7 +154,7 @@ def test_cluster_graph_tree_only_edge_is_empty():
     g = wgraph(2, [(0, 1, 1.0)])
     ctx, sub, _ = _mini_ctx(g)
     state = steps.singleton_state(sub)
-    assert steps.build_cluster_graph(state, [], g, 1.0, ctx) == []
+    assert steps.build_cluster_graph(state, [], ctx) == []
 
 
 def test_cluster_graph_parallel_bundle_keeps_lightest():
@@ -172,7 +170,7 @@ def test_cluster_graph_parallel_bundle_keeps_lightest():
         cl_of_sub=[merged[v] for v in range(sub.n_total)], scale=1.0,
     )
     eids = [i for i, (u, v, w) in enumerate(g.edges) if w in (7.0, 9.0)]
-    out = steps.build_cluster_graph(state2, eids, g, 10.0, ctx)
+    out = steps.build_cluster_graph(state2, eids, ctx)
     assert len(out) == 1
     assert out[0][2] == 7.0
 
@@ -225,7 +223,7 @@ def test_filter_drops_tree_spanned_edges():
     ctx, sub, _ = _mini_ctx(g, k=2)
     state = steps.singleton_state(sub)
     eid = next(i for i, (u, v, w) in enumerate(g.edges) if w == 2.9)
-    out = steps.build_cluster_graph(state, [eid], g, 3.0, ctx)
+    out = steps.build_cluster_graph(state, [eid], ctx)
     assert out == []  # path weight 3 <= (2k-1)(1+...)*2.9
 
 
@@ -242,17 +240,10 @@ def _level_for_path(weights, pots, virtual, nonisolated, li, tau=10**9):
         cl_of_sub=list(range(n)), scale=li,
     )
     sink = CheckSink()
-    ctx = FixedTauContext(
-        g=wgraph(2, [(0, 1, 1.0)]), sub=None, k=2, eps=0.05, gconst=42,
-        filter_factor=3.0, check=sink, tau=tau,
-    )
-    ei = []
-    for v, flag in enumerate(nonisolated):
-        if flag:
-            other = (v + 2) % n
-            ei.append((min(v, other), max(v, other), li, len(ei)))
+    ctx = FixedTauContext(g=wgraph(2, [(0, 1, 1.0)]), sub=None, k=2, eps=0.05,
+                          check=sink, tau=tau)
     lvl = steps._Level(state, [], li, ctx)
-    lvl.nonisolated = list(nonisolated)
+    lvl.deg = [1 if flag else 0 for flag in nonisolated]   # a level edge at each flagged node
     return lvl, sink
 
 
@@ -380,7 +371,7 @@ def _random_levels(seeds):
             li = rng.choice([w for u, v, w in g.edges
                              if (min(u, v), max(u, v)) not in mst_keys])
             bucket = [e for e, (u, v, w) in enumerate(g.edges) if li / 10 < w <= li]
-            ei = steps.build_cluster_graph(state, bucket, g, li, ctx)
+            ei = steps.build_cluster_graph(state, bucket, ctx)
             if ei:
                 yield state, ei, li, ctx
 
@@ -414,7 +405,7 @@ def _long_tree_levels():
     li = from_a[b] / 5
     base = steps.singleton_state(sub)
     for state in (base, steps.carved_state(base, sub.wbar, ctx)):
-        ei = steps.build_cluster_graph(state, [g.m - 2, g.m - 1], g, li, ctx)
+        ei = steps.build_cluster_graph(state, [g.m - 2, g.m - 1], ctx)
         assert len(ei) == 2
         yield state, ei, li, ctx
 
@@ -849,23 +840,18 @@ def test_forced_high_degree_path(sink):
     hub_edges = [(0, i, 10.0 + 0.001 * i) for i in range(1, 12)]
     ring = [(i, i + 1, 1.0) for i in range(1, 11)]
     g = wgraph(12, hub_edges + ring)
-    from spanlab.light import G_LIGHT
-
     mst = minimum_spanning_tree(g)
     wbar = mst.weight / (g.m * 0.25)
     sub = subdivide_mst(mst, wbar, g.n)
-    ctx = FixedTauContext(
-        g=g, sub=sub, k=2, eps=0.05, gconst=G_LIGHT,
-        filter_factor=3.0, check=sink, tau=3,
-    )
+    ctx = FixedTauContext(g=g, sub=sub, k=2, eps=0.05, check=sink, tau=3, factor=3.0)
     base = steps.singleton_state(sub)
     state = dataclasses.replace(
         base, pot=[0.0 if virt else 5.0 for virt in base.virtual])
     eids = [i for i, (u, v, w) in enumerate(g.edges) if w >= 10.0]
     li = 10.2
-    ei = steps.build_cluster_graph(state, eids, g, li, ctx)
+    ei = steps.build_cluster_graph(state, eids, ctx)
     assert ei
-    assert steps.has_high_degree(state, ei, ctx)
+    assert steps.has_high_degree(ei, ctx)
     lvl = steps._Level(state, ei, li, ctx)
     steps.step1_high(lvl)
     assert any(x.step == "star" and x.nodes for x in lvl.xs)
@@ -932,10 +918,7 @@ def reference_build_heavy(g, mst, heavy_pool, k, eps, check, chosen, levels_log,
     sub = subdivide_mst(mst, wbar, g.n)
     buckets = partition_edges(g, heavy_pool, eps_i, wbar)
     mu = buckets.mu
-    ctx = steps.StepContext(
-        g=g, sub=sub, k=k, eps=eps_i, gconst=G_LIGHT,
-        filter_factor=(2 * k - 1) * (1.0 + FILTER_SLACK * eps_i),
-    )
+    ctx = steps.StepContext(g=g, sub=sub, k=k, eps=eps_i)
     base = steps.singleton_state(sub)
     ladder: dict = {}
     for sigma in buckets.classes():
@@ -949,11 +932,11 @@ def reference_build_heavy(g, mst, heavy_pool, k, eps, check, chosen, levels_log,
             elif state.scale < prev * (1 - 1e-12):
                 state = steps.coarsen(state, prev, ctx, levels_log, sigma, i)
             bucket = buckets.edges(sigma, i)
-            ei = steps.build_cluster_graph(state, bucket, g, li, ctx)
+            ei = steps.build_cluster_graph(state, bucket, ctx)
             if not ei:
                 levels_log.append(steps.trivial_row(sigma, i, state, len(bucket)))
                 continue
-            if len(level_ids) == 1 and not steps.has_high_degree(state, ei, ctx):
+            if len(level_ids) == 1 and not steps.has_high_degree(ei, ctx):
                 chosen.update(e[3] for e in ei)
                 levels_log.append(
                     steps.trivial_row(sigma, i, state, len(bucket), added=len(ei)))
@@ -1039,7 +1022,7 @@ def _grid(m: int, tree_weight: float, k: int, eps: float):
     eps_i = internal_eps_light(eps)
     wbar = tree_weight / (m * eps)
     return (lambda j: threshold(j, eps_i, wbar),
-            (2 * k - 1) * (1 + FILTER_SLACK * eps_i), mu_classes(eps_i))
+            (2 * k - 1) * (1 + steps.FILTER_SLACK * eps_i), mu_classes(eps_i))
 
 
 def _build_both(g, k, eps):
@@ -1406,7 +1389,7 @@ def test_adm_upper_bounds_cluster_diameter():
     state = steps.singleton_state(sub)
     bucket = [i for i, (u, v, w) in enumerate(g.edges) if w == 4.0]
     li = 4.0
-    ei = steps.build_cluster_graph(state, bucket, g, li, ctx)
+    ei = steps.build_cluster_graph(state, bucket, ctx)
     assert ei, "fixture chords must survive the tree-path filter"
     new_state, picked, row = steps.process_level(state, ei, li, 0, 1, ctx)
     sink.assert_clean()
