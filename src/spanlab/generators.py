@@ -118,11 +118,16 @@ def geometric_graph(n: int, seed: int) -> WeightedGraph:
 def generate(kind: str, n: int, seed: int, p: float | None = None,
              m: int | None = None, law: str = "uniform",
              wmax: float = 100.0) -> WeightedGraph:
-    """The `kind` generator's graph.  Raises ValueError on n < 0, and on a
-    `wmax` that is not a finite float >= 1 when the weights are drawn from
+    """The `kind` generator's graph.  Raises ValueError on n < 0, on a gnp
+    `p` outside [0, 1] (NaN included), on a gnm `m` < 0, and on a `wmax`
+    that is not a finite float >= 1 when the weights are drawn from
     [1, wmax] (every law but unit; geometric draws no weight)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if kind == "gnp" and p is not None and not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    if kind == "gnm" and m is not None and m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if kind == "grid" and law == "uniform":
         law = "unit"
     if kind != "geometric" and law != "unit" and not 1.0 <= wmax < math.inf:

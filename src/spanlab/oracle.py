@@ -11,30 +11,52 @@ search per edge of G, bounded by t * w over the spanner kept so far.
 Stretch verification measures each edge (u, v) of G as d_H(u, v) / w.  How
 the distances are found is picked from H alone.
 
-When every edge of H has one weight c (an H with no edges included), one
-bit-parallel breadth-first search from all sources at once answers every
-query (multi-source BFS, after Then et al., PVLDB 8(4), 2014).  Each vertex
-holds Python-int bitsets of the sources that have reached it (`seen`) and
-that reached it on the last hop (the frontier); each hop ORs a vertex's
-frontier bits into its neighbours.  A source's bit is its rank among the
-sources of its own H-component: components share no vertex, so their bits
-never meet, all components run in the same sweep, and a bitset is only as
-wide as its component's source count.  A component with more than
-`_ROUND` sources runs in rounds of `_ROUND` ranks.  A source whose queries
-are all answered stops spreading its bit, and a round stops once every
-query is answered or the frontier is empty.  A query whose endpoints lie
-in different H-components is never searched: its distance is inf.  Nor is
-a query whose pair is an edge of H: its endpoints differ and one hop is
-the fewest, so its distance is S[1] = c, and it makes no vertex a source.
+When every edge of H has one weight c (an H with no edges included), the
+distance of a query is its hop count h, read as S[h] (below), and two
+bit-parallel searches find h.  One scan registers the queries.  A query
+whose endpoints lie in different H-components is never searched: its
+distance is inf.  Nor is a query whose pair is an edge of H: its endpoints
+differ and one hop is the fewest, so its distance is S[1] = c, and it
+makes no vertex a source.  Each H-component with a query then takes one
+of the two searches, by a rule (`_grows_balls`) that costs one OR per
+live source and one bit count per level.
 
-The BFS is exact bit for bit.  A query is answered on the hop h at which
-its source's bit first reaches its target, with distance S[h], where
-S[0] = 0.0 and S[h] = S[h-1] + c.  In a graph with one weight, Dijkstra's
-distance to a vertex is a float sum c + c + ... + c added in order along a
-path; that sum depends only on the number of hops h and never falls as h
-grows, so the distance is the sum over the fewest hops, which is S[h] (and
-the same from either end).  Computing h * c instead can round differently:
-ten 0.1s add up to 0.9999999999999999, but 10 * 0.1 is 1.0.
+The ball DP.  Each vertex of a component with at most `_ROUND` vertices
+gets a bit for its rank in the component, and Ball_0(x) = {x}.  Level r
+sets Ball_r(x) = Ball_{r-1}(x) | the OR of Ball_{r-1}(y) over x's
+H-neighbours y: one OR per H-edge end, all components in the same sweep.
+A live query (s, t) then meets: it gets S[2r-1] when Ball_r(s) &
+Ball_{r-1}(t) is not empty, else S[2r] when Ball_r(s) & Ball_r(t) is not.
+This is exact: balls of radii r and r' meet iff d <= r + r', and every
+query with d <= 2r-2 was answered on an earlier level.  Level r answers
+hop distances 2r-1 and 2r, so the DP needs half the BFS's hops.  A
+component enters the DP only when at least half its vertices are
+sources, and runs level r+1 only while (r+2) * |OR of Ball_r(s) over its
+sources with a live query| >= its size: a level sweeps the whole
+component, so it pays while the live sources' balls cover much of it.
+
+The BFS takes the other components' queries, and those a component
+leaves unanswered when the rule stops its balls (multi-source BFS, after
+Then et al., PVLDB 8(4), 2014).  Each vertex holds Python-int bitsets of
+the sources that have reached it (`seen`) and that reached it on the last
+hop (the frontier); each hop ORs a vertex's frontier bits into its
+neighbours.  A source's bit is its rank among the sources of its own
+H-component: components share no vertex, so their bits never meet, all
+components run in the same sweep, and a bitset is only as wide as its
+component's source count.  A component with more than `_ROUND` sources
+runs in rounds of `_ROUND` ranks.  A source whose queries are all
+answered stops spreading its bit, so a long, thin H costs only what its
+waiting sources reach, and a round stops once every query is answered or
+the frontier is empty.  A query is answered on the hop h at which its
+source's bit first reaches its target.
+
+Both are exact bit for bit.  S[0] = 0.0 and S[h] = S[h-1] + c.  In a
+graph with one weight, Dijkstra's distance to a vertex is a float sum
+c + c + ... + c added in order along a path; that sum depends only on
+the number of hops h and never falls as h grows, so the distance is the
+sum over the fewest hops, which is S[h] (and the same from either end).
+Computing h * c instead can round differently: ten 0.1s add up to
+0.9999999999999999, but 10 * 0.1 is 1.0.
 
 When H has several weights, one heap Dijkstra per source runs over H,
 each stopping once its targets are final, over adjacency lists sorted by
@@ -71,8 +93,8 @@ then runs over the targets left, and a source with none left runs no
 search.
 
 Either way the reports equal those of a full Dijkstra from every source.
-Memory is O(n + m), plus for the BFS three bitsets per vertex of at most
-`_ROUND` bits each.
+Memory is O(n + m), plus two bitsets per vertex for the ball DP and three
+for the BFS, each of at most `_ROUND` bits.
 """
 from __future__ import annotations
 
@@ -90,8 +112,20 @@ INF = math.inf
 
 
 # a component with more sources than this is searched in rounds of this
-# many ranks, so no bitset is wider than this many bits
+# many ranks, so no bitset is wider than this many bits; one with more
+# vertices than this skips the ball DP
 _ROUND = 4096
+
+
+def _grows_balls(r: int, covered: int, size: int) -> bool:
+    """Whether an H-component of `size` vertices runs ball level r + 1,
+    when the balls of radius r around its sources that still have a query
+    cover `covered` of its vertices.  A level sweeps the whole component;
+    handing its queries to the BFS instead redoes about 2r hops over at
+    least the covered vertices, so the DP goes on while (r + 2) * covered
+    is at least the size.  At r = 0 each ball is its source alone: the DP
+    is entered only when at least half the component are sources."""
+    return (r + 2) * covered >= size
 
 
 def _dijkstra(adj: list[list[tuple[int, float]]], source: int, targets: set[int],
@@ -161,12 +195,14 @@ class _Round:
 
 def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
                           h_edges: list[tuple[int, int, float]], step: float) -> list[float]:
-    """d_H(u, v) for every edge (u, v) of G, in g_edges order, by one
-    bit-parallel BFS per round over H, whose edges all weigh `step` (see
-    the module docstring).  An edge is measured from u if u is already a
-    source or v is not, else from v; with one weight the distance is the
-    same both ways.  A pair that H does not connect gets INF, and a pair
-    that is an edge of H gets S[1] = step with no search."""
+    """d_H(u, v) for every edge (u, v) of G, in g_edges order, over an H
+    whose edges all weigh `step` (see the module docstring).  One scan
+    registers the queries; each H-component that `_grows_balls` admits
+    answers them in `_ball_distances`, and the rest go to `_bfs_distances`.
+    An edge is measured from u if u is already a source or v is not, else
+    from v; with one weight the distance is the same both ways.  A pair
+    that H does not connect gets INF, and a pair that is an edge of H gets
+    S[1] = step; neither makes a vertex a source."""
     dists = [INF] * len(g_edges)
     nbrs: list[list[int]] = [[] for _ in range(n)]
     h_pairs: set[int] = set()   # u * n + v with u < v, for each edge of H
@@ -175,11 +211,10 @@ def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
         nbrs[v].append(u)
         h_pairs.add(u * n + v if u < v else v * n + u)
     comp = [-1] * n     # H-component, labelled by one of its vertices
-    count = [0] * n     # per component: sources ranked so far
-    bit_of = [0] * n    # per source: 1 << (its rank mod _ROUND)
-    round_of = [0] * n  # per source: its rank // _ROUND
-    pend = [0] * n      # per source: queries not yet answered
-    rounds: list[_Round] = []
+    members: dict[int, list[int]] = {}  # label -> its vertices, in BFS order
+    asked: dict[int, list[int]] = {}    # label -> [edge id, source, target, ...]
+    count = [0] * n     # per component: its sources
+    is_source = bytearray(n)
     for eid, (u, v, _) in enumerate(g_edges):
         if u == v:
             dists[eid] = 0.0
@@ -196,33 +231,129 @@ def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
                     if comp[y] < 0:
                         comp[y] = u
                         queue.append(y)
+            members[u] = queue
+            asked[u] = []
         if comp[v] != c:
             continue
-        if not bit_of[u] and bit_of[v]:
-            u, v = v, u
-        bit = bit_of[u]
-        if bit:
-            rnd = rounds[round_of[u]]
-        else:
-            r, rank = divmod(count[c], _ROUND)
-            count[c] += 1
-            if r == len(rounds):
-                rounds.append(_Round(n))
-            rnd = rounds[r]
-            round_of[u] = r
-            bit = bit_of[u] = 1 << rank
-            rnd.sources.append((u, bit))
-            rnd.alive[c] |= bit
-        wmask = rnd.wmask
-        if wmask[v]:
-            rnd.want[v] += (bit, eid, u)
-        else:
-            rnd.want[v] = [bit, eid, u]
-        wmask[v] |= bit
-        pend[u] += 1
-        rnd.left += 1
+        if not is_source[u]:
+            if is_source[v]:
+                u, v = v, u
+            else:
+                is_source[u] = 1
+                count[c] += 1
+        asked[c] += (eid, u, v)
 
     sums = [0.0]    # sums[h]: step added h times, left to right
+    live: dict[int, list[int]] = {}     # label -> queries, for the ball DP
+    tail: list[list[int]] = []          # queries of one component each, for the BFS
+    for c, qs in asked.items():
+        if not qs:
+            continue
+        size = len(members[c])
+        if size <= _ROUND and _grows_balls(0, count[c], size):
+            live[c] = qs
+        else:
+            tail.append(qs)
+    if live:
+        _ball_distances(n, nbrs, members, live, tail, dists, sums, step)
+    if tail:
+        _bfs_distances(n, nbrs, comp, tail, dists, sums, step)
+    return dists
+
+
+def _ball_distances(n: int, nbrs: list[list[int]], members: dict[int, list[int]],
+                    live: dict[int, list[int]], tail: list[list[int]],
+                    dists: list[float], sums: list[float], step: float) -> None:
+    """Answer the queries in `live` (component label -> [edge id, source,
+    target, ...]) by growing a ball around every vertex of those
+    components, one radius per level.  A vertex's bit is its rank in
+    `members`, so each ball is at most _ROUND bits wide, and all
+    components share each level.  A query whose balls meet on level r gets
+    S[2r - 1] or S[2r] in `dists`.  A component that `_grows_balls` stops
+    appends its unanswered queries to `tail`."""
+    ball = [0] * n      # Ball_r(x), over the vertices of x's component
+    prev = [0] * n      # Ball_{r-1}(x)
+    for c in live:
+        bit = 1
+        for x in members[c]:
+            ball[x] = bit
+            bit <<= 1
+    r = 0
+    while live:
+        r += 1
+        while len(sums) <= 2 * r:
+            sums.append(sums[-1] + step)
+        odd, even = sums[2 * r - 1], sums[2 * r]
+        prev, ball = ball, prev
+        for c in live:
+            for x in members[c]:
+                b = prev[x]
+                for y in nbrs[x]:
+                    b |= prev[y]
+                ball[x] = b
+        # every query of hop distance 2r - 2 or less was answered on an
+        # earlier level: balls of radii r and r - 1 meet iff d <= 2r - 1,
+        # and two of radius r iff d <= 2r
+        going: dict[int, list[int]] = {}
+        for c, qs in live.items():
+            left: list[int] = []
+            covered = 0
+            it = iter(qs)
+            for eid, s, t in zip(it, it, it):
+                around = ball[s]
+                if around & prev[t]:
+                    dists[eid] = odd
+                elif around & ball[t]:
+                    dists[eid] = even
+                else:
+                    left += (eid, s, t)
+                    covered |= around
+            if not left:
+                continue
+            if _grows_balls(r, covered.bit_count(), len(members[c])):
+                going[c] = left
+            else:
+                tail.append(left)
+        live = going
+
+
+def _bfs_distances(n: int, nbrs: list[list[int]], comp: list[int], tail: list[list[int]],
+                   dists: list[float], sums: list[float], step: float) -> None:
+    """Answer the queries in `tail`, each list [edge id, source, target,
+    ...] of one H-component, by one bit-parallel BFS per round over H (see
+    the module docstring).  A source's rank is its place among its
+    component's sources in its list; a query answered on hop h gets S[h]
+    in `dists`."""
+    bit_of = [0] * n    # per source: 1 << (its rank mod _ROUND)
+    round_of = [0] * n  # per source: its rank // _ROUND
+    pend = [0] * n      # per source: queries not yet answered
+    rounds: list[_Round] = []
+    for qs in tail:
+        count = 0
+        for i in range(0, len(qs), 3):
+            eid, u, v = qs[i], qs[i + 1], qs[i + 2]
+            bit = bit_of[u]
+            if bit:
+                rnd = rounds[round_of[u]]
+            else:
+                r, rank = divmod(count, _ROUND)
+                count += 1
+                if r == len(rounds):
+                    rounds.append(_Round(n))
+                rnd = rounds[r]
+                round_of[u] = r
+                bit = bit_of[u] = 1 << rank
+                rnd.sources.append((u, bit))
+                rnd.alive[comp[u]] |= bit
+            wmask = rnd.wmask
+            if wmask[v]:
+                rnd.want[v] += (bit, eid, u)
+            else:
+                rnd.want[v] = [bit, eid, u]
+            wmask[v] |= bit
+            pend[u] += 1
+            rnd.left += 1
+
     for rnd in rounds:
         want, wmask, alive, left = rnd.want, rnd.wmask, rnd.alive, rnd.left
         seen = [0] * n
@@ -274,7 +405,6 @@ def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
                                 alive[comp[u]] ^= bit
             frontier = touched
             cur, nxt = nxt, cur
-    return dists
 
 
 def _dijkstra_distances(n: int, g_edges: list[tuple[int, int, float]],
@@ -508,12 +638,18 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
 
     Cost: one scan of g.edges checks vertex ids and weights, and one
     indexes every copy of every edge, so that each edge of H is matched to
-    one.  When every edge of H has one weight c, one multi-source BFS per
-    round of `_ROUND` ranks answers all queries: a source's bit is its
-    rank among the sources of its H-component, all components share each
-    sweep, and a query answered on hop h gets S[h], c added h times from
-    left to right, which is the sum Dijkstra forms (h * c can round
-    differently).
+    one.  When every edge of H has one weight c, a query of h hops gets
+    S[h], c added h times from left to right, which is the sum Dijkstra
+    forms (h * c can round differently).  An H-component of at most
+    `_ROUND` vertices, at least half of them sources, grows a ball of
+    radius r around every vertex on level r, one OR per H-edge end, and a
+    query is answered on the level where the balls around its two ends
+    meet: S[2r-1] or S[2r].  It goes on while `_grows_balls` finds the
+    live sources' balls large enough; the queries of the other components,
+    and those the balls leave, go to one multi-source BFS per round of
+    `_ROUND` ranks, in which a source's bit is its rank among the sources
+    of its H-component and stops spreading once its queries are answered.
+    All components share each ball level and each BFS sweep.
     Otherwise one heap Dijkstra per source runs over H, with each list
     sorted by weight, and stops once that source's targets are final.
     The first source of each H-component, its anchor, searches the whole

@@ -42,10 +42,15 @@ def test_gen_seed_changes_output(tmp_path):
     (["--type", "grid", "--n", "16", "--weights", "loguniform", "--wmax", "inf"],
      "wmax must be finite and >= 1, got inf"),
     (["--type", "gnp", "--n", "10", "--wmax", "nan"], "wmax must be finite and >= 1, got nan"),
+    (["--type", "gnp", "--n", "10", "--p", "2"], "p must lie in [0, 1], got 2.0"),
+    (["--type", "gnp", "--n", "10", "--p", "-0.5"], "p must lie in [0, 1], got -0.5"),
+    (["--type", "gnp", "--n", "10", "--p", "nan"], "p must lie in [0, 1], got nan"),
+    (["--type", "gnm", "--n", "10", "--m", "-3"], "m must be >= 0, got -3"),
 ])
 def test_gen_rejects_negative_n_or_bad_wmax_exit_2(tmp_path, capsys, argv, msg):
     # gnm at n = -3 wrote the header "-3 0", which build and verify then
-    # passed; gnp at wmax = -1 wrote negative weights that build rejected
+    # passed; gnp at wmax = -1 wrote negative weights that build rejected;
+    # gnp at p = 2 wrote K10, and gnm at m = -3 a 9-edge tree
     out = tmp_path / "g.txt"
     assert main(["gen", *argv, "-o", str(out)]) == 2
     assert msg in capsys.readouterr().err

@@ -451,8 +451,8 @@ TEN_TENTHS = wgraph(11, [(i, i + 1, 0.1) for i in range(10)])
 
 
 @st.composite
-def graph_and_one_weight_subgraph(draw):
-    c = draw(st.sampled_from(ONE_WEIGHTS))
+def graph_and_one_weight_subgraph(draw, weights=ONE_WEIGHTS):
+    c = draw(st.sampled_from(weights))
     n = draw(st.integers(min_value=1, max_value=14))
     # vertices 0..path-1 form a path of H, so chords see long hop counts
     path = draw(st.integers(min_value=1, max_value=n))
@@ -498,6 +498,77 @@ def test_one_weight_distance_is_summed_along_the_path():
     assert rep.max_stretch == summed / 0.1 and rep.witness == (0, 10, 0.1)
 
 
+@st.composite
+def one_weight_components(draw):
+    """2 to 4 disjoint one-weight pieces, H weighing 0.1 or 1/3 in all of
+    them, with isolated vertices between them, a few G edges across them
+    (queries H cannot answer) and the ids shuffled."""
+    c = draw(st.sampled_from([0.1, 1 / 3]))
+    g_edges, h_edges, n = [], [], 0
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        g, h = draw(graph_and_one_weight_subgraph(weights=[c]))
+        g_edges += [(u + n, v + n, w) for u, v, w in g.edges]
+        h_edges += [(u + n, v + n, w) for u, v, w in h.edges]
+        n += g.n + draw(st.integers(min_value=0, max_value=2))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            g_edges.append((u, v, c))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    rng.shuffle(g_edges)
+    return (WeightedGraph(n, [(ids[u], ids[v], w) for u, v, w in g_edges]),
+            WeightedGraph(n, [(ids[u], ids[v], w) for u, v, w in h_edges]))
+
+
+@pytest.mark.parametrize("grow", [True, False], ids=["balls", "bfs"])
+@settings(max_examples=150, deadline=None)
+@given(gh=st.one_of(graph_and_one_weight_subgraph(), one_weight_components()),
+       t=st.sampled_from([1.0, 3.0, 10.0]))
+@example(gh=(wgraph(11, TEN_TENTHS.edges + [(0, 10, 0.1)]), TEN_TENTHS), t=10.0)
+def test_one_weight_balls_and_bfs_match_reference(grow, gh, t):
+    # the rule forced one way: each H-component with a query grows balls
+    # until every one of its queries is answered, or goes whole to the BFS
+    g, h = gh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_grows_balls", lambda r, covered, size: grow)
+        assert_matches_reference(g, h, t)
+
+
+def _searched_queries(monkeypatch):
+    """The edge ids each one-weight search is handed from now on: "balls"
+    those `_ball_distances` starts with, "bfs" those `_bfs_distances` gets,
+    whether straight from the scan or left over by the balls."""
+    seen = {"balls": [], "bfs": []}
+    balls, bfs = oracle._ball_distances, oracle._bfs_distances
+
+    def counted_balls(n, nbrs, members, live, *rest):
+        seen["balls"] += [eid for qs in live.values() for eid in qs[::3]]
+        return balls(n, nbrs, members, live, *rest)
+
+    def counted_bfs(n, nbrs, comp, tail, *rest):
+        seen["bfs"] += [eid for qs in tail for eid in qs[::3]]
+        return bfs(n, nbrs, comp, tail, *rest)
+
+    monkeypatch.setattr(oracle, "_ball_distances", counted_balls)
+    monkeypatch.setattr(oracle, "_bfs_distances", counted_bfs)
+    return seen
+
+
+def test_one_weight_query_between_h_components_enters_no_ball(monkeypatch):
+    # H is the 0.1-path 0-1-2 and the edge 3-4.  G's (0, 2), edge 4, is a
+    # query of two hops; (2, 3) and (4, 0) cross H-components.  With balls
+    # forced, only (0, 2) is handed to a search; the other two get inf
+    h = wgraph(5, [(0, 1, 0.1), (1, 2, 0.1), (3, 4, 0.1)])
+    g = wgraph(5, h.edges + [(2, 3, 0.1), (0, 2, 0.1), (4, 0, 0.1)])
+    monkeypatch.setattr(oracle, "_grows_balls", lambda r, covered, size: True)
+    seen = _searched_queries(monkeypatch)
+    rep = assert_matches_reference(g, h, 3.0)
+    assert seen == {"balls": [4], "bfs": []}
+    assert rep.histogram == {"1.00": 3, "2.00": 1, "inf": 2}
+
+
 # H with several weights: the first source of each H-component searches
 # it whole, and every later source searches up to a bound taken from that
 # anchor's distances, again unbounded should a target go unreached
@@ -508,7 +579,7 @@ def graph_and_multi_weight_subgraph(draw):
     n = draw(st.integers(min_value=3, max_value=16))
     # an H-component label per vertex; label -1 leaves a vertex isolated
     # in H.  Vertices 0, 1, 2 share a component and the H path 0-1-2 has
-    # two weights, so H never takes the one-weight BFS
+    # two weights, so H never takes the one-weight searches
     parts = draw(st.integers(min_value=1, max_value=4))
     label = [0, 0, 0] + draw(st.lists(st.integers(min_value=-1, max_value=parts - 1),
                                       min_size=n - 3, max_size=n - 3))
@@ -670,7 +741,7 @@ def test_one_search_per_anchor_and_unskipped_source(g, monkeypatch):
     h = build_pm(g, 2, 0.25)
     assert verify_stretch(g, h, 3.75).ok
     if len({w for _, _, w in h.edges}) == 1:
-        # the unit-weight case: the multi-source BFS answers every query
+        # the unit-weight case: the ball DP or the BFS answers every query
         assert len(calls) == 0
     else:
         assert len(calls) == _expected_searches(g, h)
@@ -780,3 +851,62 @@ def test_one_weight_answered_sources_stop_spreading():
     rep = verify_stretch(g, WeightedGraph(n, path), float(n))
     assert time.perf_counter() - start < 1.0
     assert rep.max_stretch == n - 1 and rep.witness == (0, n - 1, 1.0)
+
+
+# thin one-weight shapes: a 2000-vertex path H under G's chords, and the
+# snake path through a 44 x 44 grid.  Few sources (one-chord, fan) or
+# sources whose balls stay small keep the BFS and its alive pruning
+_SHAPE_N = 2000
+_PATH = [(i, i + 1, 1.0) for i in range(_SHAPE_N - 1)]
+
+
+def _snake(side):
+    """The side x side grid and, as H, the path through it row by row,
+    each row in the other direction."""
+    grid = []
+    for v in range(side * side):
+        if v % side + 1 < side:
+            grid.append((v, v + 1, 1.0))
+        if v + side < side * side:
+            grid.append((v, v + side, 1.0))
+    order = [r * side + (c if r % 2 == 0 else side - 1 - c)
+             for r in range(side) for c in range(side)]
+    path = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    return (WeightedGraph(side * side, grid),
+            WeightedGraph(side * side, [e for e in grid if e[:2] in path]))
+
+
+# shape -> G's chords over the path, and how many queries the balls start
+# with and the BFS gets
+THIN_SHAPES = {
+    # one source each: its ball alone is far below half the path
+    "one-chord": ([(0, _SHAPE_N - 1, 1.0)], 0, 1),
+    "fan": ([(0, 2 * j, 1.0) for j in range(1, _SHAPE_N // 2)], 0, 999),
+    # 999 sources, one short of half the path
+    "mirror": ([(i, _SHAPE_N - 1 - i, 1.0) for i in range(_SHAPE_N // 2)], 0, 999),
+    # level 1 answers every (i, i + 2); the ball around 1 covers 3 vertices,
+    # so (1, 1999) goes on to the BFS
+    "skip": ([(i, i + 2, 1.0) for i in range(0, _SHAPE_N - 2, 2)] + [(1, _SHAPE_N - 1, 1.0)],
+             1000, 1),
+    "snake": (None, 1849, 0),
+}
+
+
+@pytest.mark.parametrize("shape", list(THIN_SHAPES))
+def test_thin_one_weight_shapes_match_reference(shape, monkeypatch):
+    chords, balls, bfs = THIN_SHAPES[shape]
+    if chords is None:
+        g, h = _snake(44)
+    else:
+        g, h = WeightedGraph(_SHAPE_N, _PATH + chords), WeightedGraph(_SHAPE_N, _PATH)
+    seen = _searched_queries(monkeypatch)
+    assert_matches_reference(g, h, float(g.n))
+    assert (len(seen["balls"]), len(seen["bfs"])) == (balls, bfs)
+
+
+def test_unit_dense_pm_is_answered_in_balls(monkeypatch):
+    g = gnm_graph(800, 9600, seed=1, law="unit")
+    h = build_pm(g, 3, 0.25)
+    seen = _searched_queries(monkeypatch)
+    assert_matches_reference(g, h, 6.25)
+    assert len(seen["balls"]) == g.m - h.m and not seen["bfs"]
