@@ -75,7 +75,11 @@ def cmd_verify(args) -> int:
         if sp.k is None or sp.eps is None:
             raise ValueError(f"{args.spanner}: the header gives no k and eps "
                              "to take the target from; pass it with -t")
-        t = (2 * sp.k - 1) * (1 + sp.eps)
+        try:
+            t = (2 * sp.k - 1) * (1 + sp.eps)
+        except OverflowError:   # a k past the float range
+            raise ValueError(f"{args.spanner}: the header's k={sp.k} is too large to "
+                             "take a target from; pass a target with -t") from None
         if not (math.isfinite(t) and t >= 1):
             raise ValueError(f"{args.spanner}: the header's k={sp.k} eps={sp.eps!r} give the "
                              f"target {t!r}, not finite and >= 1; pass a target with -t")

@@ -13,23 +13,29 @@ the distances are found is picked from H alone.
 
 When every edge of H has one weight c (an H with no edges included), the
 distance of a query is its hop count h, read as S[h] (below), and two
-bit-parallel searches find h.  One scan registers the queries.  A query
-whose endpoints lie in different H-components is never searched: its
-distance is inf.  Nor is a query whose pair is an edge of H: its endpoints
-differ and one hop is the fewest, so its distance is S[1] = c, and it
-makes no vertex a source.  Each H-component with a query then takes one
-of the two searches, by a rule (`_grows_balls`) that costs one OR per
-live source and one bit count per level.
+bit-parallel searches find h.  One scan of H indexes its pairs as ints,
+range-checking its ids first, and one scan of G registers the queries and
+marks each pair of H that G holds with weight c, so this case builds no
+index of G's edges: `_check_subgraph` runs only when an id is out of
+range or a pair is left unmarked, to raise.  A query whose endpoints lie in
+different H-components is never searched: its distance is inf.  Nor is a
+query whose pair is an edge of H: its endpoints differ and one hop is the
+fewest, so its distance is S[1] = c, and it makes no vertex a source.
+Each H-component with a query then takes one of the two searches, by a
+rule (`_grows_balls`) that costs one OR per run of a live source's
+queries and one bit count per level.
 
 The ball DP.  Each vertex of a component with at most `_ROUND` vertices
 gets a bit for its rank in the component, and Ball_0(x) = {x}.  Level r
 sets Ball_r(x) = Ball_{r-1}(x) | the OR of Ball_{r-1}(y) over x's
 H-neighbours y: one OR per H-edge end, all components in the same sweep.
-A live query (s, t) then meets: it gets S[2r-1] when Ball_r(s) &
-Ball_{r-1}(t) is not empty, else S[2r] when Ball_r(s) & Ball_r(t) is not.
-This is exact: balls of radii r and r' meet iff d <= r + r', and every
-query with d <= 2r-2 was answered on an earlier level.  Level r answers
-hop distances 2r-1 and 2r, so the DP needs half the BFS's hops.  A
+A live query (s, t) meets when Ball_r(s) & Ball_r(t) is not empty, and
+only then is Ball_{r-1}(t) tested: it gets S[2r-1] when Ball_r(s) &
+Ball_{r-1}(t) is not empty, else S[2r].  So a query still waiting costs
+one AND a level.  This is exact: balls of radii r and r' meet iff
+d <= r + r', Ball_{r-1}(t) lies inside Ball_r(t), and every query with
+d <= 2r-2 was answered on an earlier level.  Level r answers hop
+distances 2r-1 and 2r, so the DP needs half the BFS's hops.  A
 component enters the DP only when at least half its vertices are
 sources, and runs level r+1 only while (r+2) * |OR of Ball_r(s) over its
 sources with a live query| >= its size: a level sweeps the whole
@@ -194,33 +200,48 @@ class _Round:
 
 
 def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
-                          h_edges: list[tuple[int, int, float]], step: float) -> list[float]:
+                          h_edges: list[tuple[int, int, float]],
+                          step: float) -> list[float] | None:
     """d_H(u, v) for every edge (u, v) of G, in g_edges order, over an H
-    whose edges all weigh `step` (see the module docstring).  One scan
-    registers the queries; each H-component that `_grows_balls` admits
-    answers them in `_ball_distances`, and the rest go to `_bfs_distances`.
-    An edge is measured from u if u is already a source or v is not, else
-    from v; with one weight the distance is the same both ways.  A pair
-    that H does not connect gets INF, and a pair that is an edge of H gets
-    S[1] = step; neither makes a vertex a source."""
-    dists = [INF] * len(g_edges)
+    whose edges all weigh `step` (see the module docstring), or None when
+    H is not inside G: an id of H lies outside 0..n-1, or a pair of H has
+    no copy of weight `step` in G.  One scan registers the queries and
+    marks each pair of H that G holds with weight `step`; each H-component
+    that `_grows_balls` admits answers them in `_ball_distances`, and the
+    rest go to `_bfs_distances`.  An edge is measured from u if u is
+    already a source or v is not, else from v; with one weight the
+    distance is the same both ways.  A pair that H does not connect gets
+    INF, and a pair that is an edge of H gets S[1] = step; neither makes a
+    vertex a source."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    h_pairs: set[int] = set()   # u * n + v with u < v, for each edge of H
+    # u * n + v with u <= v, for each edge of H -> whether G holds that
+    # pair with weight step
+    h_pairs: dict[int, bool] = {}
     for u, v, _ in h_edges:
+        # before nbrs[u] is read: a negative id would index from the end
+        if not (0 <= u < n and 0 <= v < n):
+            return None
         nbrs[u].append(v)
         nbrs[v].append(u)
-        h_pairs.add(u * n + v if u < v else v * n + u)
+        h_pairs[u * n + v if u < v else v * n + u] = False
+    dists = [INF] * len(g_edges)
     comp = [-1] * n     # H-component, labelled by one of its vertices
     members: dict[int, list[int]] = {}  # label -> its vertices, in BFS order
     asked: dict[int, list[int]] = {}    # label -> [edge id, source, target, ...]
     count = [0] * n     # per component: its sources
     is_source = bytearray(n)
-    for eid, (u, v, _) in enumerate(g_edges):
+    for eid, (u, v, w) in enumerate(g_edges):
         if u == v:
             dists[eid] = 0.0
+            # a self-loop of G can match one of H
+            if w == step and u * n + u in h_pairs:
+                h_pairs[u * n + u] = True
             continue
-        if (u * n + v if u < v else v * n + u) in h_pairs:
+        pair = u * n + v if u < v else v * n + u
+        if pair in h_pairs:
             dists[eid] = step
+            if w == step:
+                h_pairs[pair] = True
             continue
         c = comp[u]
         if c < 0:
@@ -242,6 +263,8 @@ def _one_weight_distances(n: int, g_edges: list[tuple[int, int, float]],
                 is_source[u] = 1
                 count[c] += 1
         asked[c] += (eid, u, v)
+    if not all(h_pairs.values()):
+        return None
 
     sums = [0.0]    # sums[h]: step added h times, left to right
     live: dict[int, list[int]] = {}     # label -> queries, for the ball DP
@@ -269,8 +292,10 @@ def _ball_distances(n: int, nbrs: list[list[int]], members: dict[int, list[int]]
     components, one radius per level.  A vertex's bit is its rank in
     `members`, so each ball is at most _ROUND bits wide, and all
     components share each level.  A query whose balls meet on level r gets
-    S[2r - 1] or S[2r] in `dists`.  A component that `_grows_balls` stops
-    appends its unanswered queries to `tail`."""
+    S[2r - 1] or S[2r] in `dists`.  The cover that `_grows_balls` reads
+    ORs in a waiting source's ball once per run of its queries.  A
+    component that `_grows_balls` stops appends its unanswered queries to
+    `tail`."""
     ball = [0] * n      # Ball_r(x), over the vertices of x's component
     prev = [0] * n      # Ball_{r-1}(x)
     for c in live:
@@ -298,16 +323,19 @@ def _ball_distances(n: int, nbrs: list[list[int]], members: dict[int, list[int]]
         for c, qs in live.items():
             left: list[int] = []
             covered = 0
+            last = -1   # the source whose ball was last ORed into covered
             it = iter(qs)
             for eid, s, t in zip(it, it, it):
                 around = ball[s]
-                if around & prev[t]:
-                    dists[eid] = odd
-                elif around & ball[t]:
-                    dists[eid] = even
+                if around & ball[t]:
+                    # Ball_{r-1}(t) lies inside Ball_r(t), so this tells
+                    # 2r - 1 from 2r only for a query that meets
+                    dists[eid] = odd if around & prev[t] else even
                 else:
                     left += (eid, s, t)
-                    covered |= around
+                    if s != last:
+                        covered |= around
+                        last = s
             if not left:
                 continue
             if _grows_balls(r, covered.bit_count(), len(members[c])):
@@ -636,20 +664,23 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
     finite and >= 1, and g's vertex ids and weights valid (see
     `_check_graph`), else ValueError.
 
-    Cost: one scan of g.edges checks vertex ids and weights, and one
-    indexes every copy of every edge, so that each edge of H is matched to
-    one.  When every edge of H has one weight c, a query of h hops gets
-    S[h], c added h times from left to right, which is the sum Dijkstra
-    forms (h * c can round differently).  An H-component of at most
-    `_ROUND` vertices, at least half of them sources, grows a ball of
-    radius r around every vertex on level r, one OR per H-edge end, and a
-    query is answered on the level where the balls around its two ends
-    meet: S[2r-1] or S[2r].  It goes on while `_grows_balls` finds the
-    live sources' balls large enough; the queries of the other components,
-    and those the balls leave, go to one multi-source BFS per round of
-    `_ROUND` ranks, in which a source's bit is its rank among the sources
-    of its H-component and stops spreading once its queries are answered.
-    All components share each ball level and each BFS sweep.
+    Cost: one scan of g.edges checks vertex ids and weights.  When every
+    edge of H has one weight c, the scan that registers the queries also
+    matches each pair of H to a copy of weight c in g, and g's edges are
+    indexed (by `_check_subgraph`) only to raise when one is missing; with
+    several weights, they are indexed first, so that each edge of H is
+    matched to one.  A one-weight query of h hops gets S[h], c added h
+    times from left to right, which is the sum Dijkstra forms (h * c can
+    round differently).  An H-component of at most `_ROUND` vertices, at
+    least half of them sources, grows a ball of radius r around every
+    vertex on level r, one OR per H-edge end, and a query is answered on
+    the level where the balls around its two ends meet, one AND a level
+    while it waits: S[2r-1] or S[2r].  It goes on while `_grows_balls`
+    finds the live sources' balls large enough; the queries of the other
+    components, and those the balls leave, go to one multi-source BFS per
+    round of `_ROUND` ranks, in which a source's bit is its rank among the
+    sources of its H-component and stops spreading once its queries are
+    answered.  All components share each ball level and each BFS sweep.
     Otherwise one heap Dijkstra per source runs over H, with each list
     sorted by weight, and stops once that source's targets are final.
     The first source of each H-component, its anchor, searches the whole
@@ -668,11 +699,13 @@ def verify_stretch(g: WeightedGraph, h: Spanner | WeightedGraph, t: float) -> St
     if not 1.0 <= t < INF:
         raise ValueError(f"stretch target t must be finite and >= 1, got {t}")
     _check_graph(g)
-    _check_subgraph(g, h)
     step = h.edges[0][2] if h.edges else 1.0
     if all(w == step for _, _, w in h.edges):
         dists = _one_weight_distances(g.n, g.edges, h.edges, step)
+        if dists is None:
+            _check_subgraph(g, h)   # raises, naming the first such edge of H
     else:
+        _check_subgraph(g, h)
         dists = _dijkstra_distances(g.n, g.edges, h.edges)
 
     ratios = [d / w for (_, _, w), d in zip(g.edges, dists)]

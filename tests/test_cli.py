@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spanlab
-from spanlab.cli import main
+from spanlab.cli import ALGOS, main
 from spanlab.graphs import load_graph
 from spanlab.light import build_light
 from spanlab.linear import build_linear
@@ -445,6 +446,19 @@ def test_spanner_header_target_below_one_points_to_t(tmp_path, capsys):
     assert main(["verify", "-g", str(gpath), "-s", str(bad), "-t", "3"]) == 0
 
 
+def test_spanner_header_k_past_float_range_exit_2(tmp_path, capsys):
+    # (2k - 1) * (1 + eps) cannot turn such a k into a float: that used to
+    # escape main() as OverflowError
+    gpath, spath = _graph_and_spanner(tmp_path)
+    bad = tmp_path / "huge-k.txt"
+    bad.write_text(spath.read_text().replace("k=2", "k=1" + "0" * 400, 1))
+    assert main(["verify", "-g", str(gpath), "-s", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: the header's k=1000" in err
+    assert "is too large to take a target from; pass a target with -t" in err
+    assert main(["verify", "-g", str(gpath), "-s", str(bad), "-t", "3"]) == 0
+
+
 def test_dimacs_input(tmp_path):
     gpath, spath = tmp_path / "g.gr", tmp_path / "h.txt"
     gpath.write_text("p sp 4 4\na 1 2 1\na 2 3 1\na 3 4 1\na 1 4 5\n")
@@ -453,3 +467,86 @@ def test_dimacs_input(tmp_path):
     assert rc == 0
     sp = load_spanner(str(spath))
     assert sp.n == 4
+
+
+# hostile graph and spanner files: the CLI answers each with exit 0, 1 or
+# 2, and no exception escapes main()
+
+HOSTILE_WEIGHTS = ["nan", "inf", "0", "-1", "1e400", "x"]
+HOSTILE_K = ["x", "0", "-1", "nan", "1" + "0" * 400]
+HOSTILE_EPS = ["x", "0", "-1", "nan", "inf", "1e400"]
+FLAWS = ["id-below", "id-past-n", "weight", "header-n", "header-m", "stray-line"]
+
+
+@st.composite
+def hostile_files(draw):
+    """(format, graph text, spanner text) for a graph on at most 6
+    vertices with up to two flaws: an id one past either end of 0..n-1, a
+    weight from `HOSTILE_WEIGHTS`, a header n or m that is wrong or not a
+    number, a stray line.  The spanner keeps some of the graph's edges,
+    perhaps with a flaw of its own, under a header that gives no k and
+    eps, a valid pair or one from `HOSTILE_K` and `HOSTILE_EPS`."""
+    n = draw(st.integers(1, 6))
+    ids = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids, st.sampled_from(["1", "2.5", "7"])),
+                          max_size=10))
+    head = [str(n), None]
+    extra = []
+    flaws = st.lists(st.sampled_from(FLAWS), min_size=1, max_size=2)
+    for flaw in draw(st.one_of(st.just([]), flaws)):
+        if flaw == "header-n":
+            head[0] = draw(st.sampled_from(["-1", "x", str(n + 1)]))
+        elif flaw == "header-m":
+            head[1] = draw(st.sampled_from(["y", "-1", "11"]))
+        elif flaw == "stray-line":
+            extra.append(draw(st.sampled_from(["0 1", "a 1", "p sp 2 1", "0 1 1 1"])))
+        else:
+            edge = {"id-below": (-1, 0, "1"), "id-past-n": (0, n, "1")}.get(flaw)
+            if edge is None:
+                edge = (0, n - 1, draw(st.sampled_from(HOSTILE_WEIGHTS)))
+            edges.insert(draw(st.integers(0, len(edges))), edge)
+    head[1] = head[1] or str(len(edges))
+    fmt = draw(st.sampled_from(["edge-list", "dimacs-gr"]))
+    if fmt == "dimacs-gr":
+        lines = [f"p sp {head[0]} {head[1]}"] + [f"a {u + 1} {v + 1} {w}" for u, v, w in edges]
+    else:
+        lines = [" ".join(head)] + [f"{u} {v} {w}" for u, v, w in edges]
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    kept = [e for e in edges if draw(st.booleans())]
+    bad = draw(st.sampled_from([None, None, (0, n, "1"), (-1, 0, "1"), (0, 0, "nan")]))
+    if bad:
+        kept.append(bad)
+    meta = draw(st.sampled_from(["", " k=2 eps=0.25", "hostile"]))
+    if meta == "hostile":
+        meta = f" k={draw(st.sampled_from(HOSTILE_K + ['2']))}" \
+               f" eps={draw(st.sampled_from(HOSTILE_EPS + ['0.25']))}"
+    spanner = [f"# algo=pm{meta}", f"{n} {len(kept)}"] + [f"{u} {v} {w}" for u, v, w in kept]
+    return fmt, "\n".join(lines) + "\n", "\n".join(spanner) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=hostile_files(),
+       k=st.sampled_from(["0", "1", "2", "3"]),
+       eps=st.one_of(st.just("0.25"), st.just("0.5"), st.sampled_from(HOSTILE_EPS)),
+       target=st.sampled_from([None, None, "3", "0.5", "nan"]))
+def test_cli_exits_0_1_or_2_on_hostile_files(fuzz_dir, files, k, eps, target):
+    fmt, graph, spanner = files
+    gpath, spath, out = fuzz_dir / "g", fuzz_dir / "h.txt", fuzz_dir / "out.txt"
+    gpath.write_text(graph)
+    spath.write_text(spanner)
+    verify = ["verify", "-g", str(gpath), "--format", fmt] + (["-t", target] if target else [])
+    assert main([*verify, "-s", str(spath)]) in (0, 1, 2)
+    for algo in ALGOS:
+        out.unlink(missing_ok=True)
+        rc = main(["build", "--algo", algo, "--k", k, "--eps", eps, "--format", fmt,
+                   "-i", str(gpath), "-o", str(out)])
+        assert rc in (0, 2), algo
+        if rc == 0:
+            # what a build writes, verify reads back
+            assert main([*verify, "-s", str(out)]) in (0, 1, 2), algo

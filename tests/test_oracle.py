@@ -498,6 +498,127 @@ def test_one_weight_distance_is_summed_along_the_path():
     assert rep.max_stretch == summed / 0.1 and rep.witness == (0, 10, 0.1)
 
 
+# a one-weight H outside G is caught by the scan that registers the
+# queries; G's edges are then indexed by `_check_subgraph` only to name
+# the first such edge of H, in the same words as for several weights
+
+UNIT_G = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 1, 2.0), (2, 2, 2.0)])
+
+
+@pytest.mark.parametrize("h_edges, named", [
+    ([(0, 1, 1.0), (2, 3, 1.0)], (2, 3)),      # a pair G does not have
+    ([(0, 1, 1.0), (3, 1, 1.0)], (1, 3)),      # G's only copy weighs 2.0
+    ([(2, 2, 1.0)], (2, 2)),                   # a self-loop, likewise
+    ([(0, 1, 1.0), (1, 4, 1.0)], (1, 4)),      # an id >= n
+    ([(0, 1, 1.0), (-1, 2, 1.0)], (-1, 2)),    # a negative id
+    # two bad edges: the first in h.edges order is named
+    ([(0, 3, 1.0), (0, 1, 1.0), (3, 2, 1.0)], (0, 3)),
+    ([(3, 2, 1.0), (0, 1, 1.0), (0, 3, 1.0)], (2, 3)),
+    ([(1, 2, 1.0), (2, 3, 1.0), (1, 4, 1.0)], (2, 3)),
+    ([(1, 2, 1.0), (1, 4, 1.0), (2, 3, 1.0)], (1, 4)),
+], ids=["missing-pair", "other-weight", "self-loop", "id-past-n", "negative-id",
+        "first-of-two", "first-of-two-reversed", "missing-then-id", "id-then-missing"])
+def test_one_weight_h_outside_g_names_its_first_bad_edge(h_edges, named):
+    h = WeightedGraph(4, h_edges)
+    message = f"spanner edge {named} (w=1.0) is not an edge of the graph"
+    with pytest.raises(ValueError) as exc:
+        verify_stretch(UNIT_G, h, 3.0)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        oracle._check_subgraph(UNIT_G, h)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("g, h", [
+    # two copies of (0, 1) in a raw G, one of H's weight
+    (WeightedGraph(3, [(0, 1, 2.0), (1, 0, 0.1), (1, 2, 0.1)]),
+     WeightedGraph(3, [(0, 1, 0.1), (2, 1, 0.1)])),
+    # a self-loop of H matched by one of G
+    (WeightedGraph(3, [(0, 1, 0.1), (1, 2, 0.1), (0, 2, 0.1), (2, 2, 0.1)]),
+     WeightedGraph(3, [(0, 1, 0.1), (2, 2, 0.1), (1, 2, 0.1)])),
+], ids=["parallel-copies", "self-loop"])
+def test_one_weight_h_inside_a_raw_g(g, h):
+    assert_matches_reference(g, h, 3.0)
+
+
+@st.composite
+def perturbed_one_weight(draw):
+    """A one-weight (g, h) of `graph_and_one_weight_subgraph`, then one to
+    three edits that may put H outside G: an edge of H on any pair, its
+    ids one or two past either end of 0..n-1; a G edge dropped, reweighed
+    or given a parallel copy; a self-loop added to G or to H."""
+    g, h = draw(graph_and_one_weight_subgraph())
+    n = g.n
+    c = h.edges[0][2] if h.edges else draw(st.sampled_from(ONE_WEIGHTS))
+    g_edges, h_edges = list(g.edges), list(h.edges)
+    weight = st.sampled_from([c, c, 1.0, 2.5])
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["h-edge", "drop", "reweigh", "copy", "g-loop", "h-loop"]))
+        at_h = draw(st.integers(0, len(h_edges)))
+        at_g = draw(st.integers(0, len(g_edges)))
+        if edit == "h-edge":
+            ids = st.integers(-2, n + 1)
+            h_edges.insert(at_h, (draw(ids), draw(ids), c))
+        elif edit == "h-loop":
+            h_edges.insert(at_h, (draw(st.integers(0, n - 1)),) * 2 + (c,))
+        elif edit == "g-loop":
+            g_edges.insert(at_g, (draw(st.integers(0, n - 1)),) * 2 + (draw(weight),))
+        elif g_edges:
+            i = at_g % len(g_edges)
+            u, v, _ = g_edges[i]
+            if edit == "drop":
+                del g_edges[i]
+            elif edit == "reweigh":
+                g_edges[i] = (u, v, draw(weight))
+            else:
+                g_edges.insert(at_g, (v, u, draw(weight)))
+    return WeightedGraph(n, g_edges), WeightedGraph(n, h_edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_one_weight())
+def test_one_weight_verify_raises_iff_check_subgraph_does(gh):
+    g, h = gh
+    try:
+        oracle._check_subgraph(g, h)
+        want = None
+    except ValueError as exc:
+        want = str(exc)
+    try:
+        verify_stretch(g, h, 3.0)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
+    if want is None:
+        assert_matches_reference(g, h, 3.0)
+
+
+def test_one_weight_verify_indexes_g_only_to_raise(monkeypatch):
+    # a valid one-weight H is matched to G in the registration scan; an H
+    # with several weights, or one outside G, calls _check_subgraph once
+    calls = []
+    check = oracle._check_subgraph
+
+    def counted(g, h):
+        calls.append(h)
+        check(g, h)
+
+    monkeypatch.setattr(oracle, "_check_subgraph", counted)
+    unit = gnm_graph(60, 240, seed=3, law="unit")
+    assert verify_stretch(unit, build_pm(unit, 2, 0.25), 3.75).ok
+    assert verify_stretch(unit, unit, 1.0).ok
+    assert len(calls) == 0
+    wide = gnm_graph(60, 240, seed=3, law="loguniform", wmax=1e3)
+    h = build_pm(wide, 2, 0.25)
+    assert len({w for _, _, w in h.edges}) > 1
+    assert verify_stretch(wide, h, 3.75).ok
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="not an edge of the graph"):
+        verify_stretch(unit, WeightedGraph(unit.n, [(0, 1, 1.5)]), 3.0)
+    assert len(calls) == 2
+
+
 @st.composite
 def one_weight_components(draw):
     """2 to 4 disjoint one-weight pieces, H weighing 0.1 or 1/3 in all of
