@@ -30,6 +30,22 @@ def check_eps(eps: float) -> None:
         raise ValueError("eps must lie in (0, 1)")
 
 
+def check_k(k: int, eps: float) -> float:
+    """Reject a k below 1, or one whose stretch target (2k-1)(1+eps) is
+    past the float range for a finite eps; return the target.  The eps
+    itself is the caller's to check."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    try:
+        t = (2 * k - 1) * (1.0 + eps)
+    except OverflowError:   # 2k - 1 is past the float range
+        t = math.inf
+    if math.isinf(t) and math.isfinite(eps):
+        raise ValueError(f"k is too large for eps={eps!r}: the stretch target "
+                         "(2k-1)(1+eps) is past the float range")
+    return t
+
+
 def mu_classes(eps: float) -> int:
     """Number of interleaved classes; ceiling keeps the 1/eps separation."""
     check_eps(eps)

@@ -10,6 +10,7 @@ import math
 import sys
 import time
 
+from .buckets import check_k
 from .generators import generate
 from .graphs import GraphFormatError, WeightedGraph, load_graph, save_graph
 from .light import build_light
@@ -29,7 +30,7 @@ def _build(algo: str, g: WeightedGraph, k: int, eps: float) -> Spanner:
     if algo == "light":
         return build_light(g, k, eps)
     if algo == "greedy":
-        sp = greedy_spanner(g, (2 * k - 1) * (1 + eps))
+        sp = greedy_spanner(g, check_k(k, eps))
         sp.k, sp.eps = k, eps
         return sp
     raise ValueError(f"unknown algorithm {algo!r}")

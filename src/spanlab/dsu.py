@@ -5,18 +5,17 @@ clustering, light's tree contraction): path compression + union by rank
 with an explicit representative label so that directional unions keep a
 caller-chosen representative.  StaticTreeUF handles the special case where
 every union is Link(v) = Union(v, parent(v)) along a fixed rooted tree
-(linear's clusters): it decomposes the tree into microsets of bounded size,
-answers in-microset queries from memoized transition tables keyed on
-(microset shape, linked mask), and short-circuits fully-linked microsets at
-the macro level.  The representative of a set is always its topmost member
-in the union tree.
+(linear's clusters): it decomposes the tree into microsets of bounded depth,
+answers an in-microset query by walking up at most _MICRO_CAP - 1 linked
+ancestors, and short-circuits fully-linked microsets at the macro level.
+The representative of a set is always its topmost member in the union
+tree.
 
 Both engines count their elementary steps in `.cost` so callers can record
 amortized-op evidence.  For StaticTreeUF one unit is one of: a call (find
-or link), a fully linked microset that a find crosses, or a table step (one
-lookup in a partly linked microset's table).  A find answers an unlinked
-vertex as itself, but counts the table step that the lookup would have
-taken.
+or link), a fully linked microset that a find crosses, or a partly linked
+microset searched.  A find answers an unlinked vertex as itself, but counts
+the search of its microset that this answer stands for.
 """
 from __future__ import annotations
 
@@ -106,19 +105,11 @@ class ClassicUF:
 
 # ---------------------------------------------------------------- static tree
 
-_MICRO_CAP = 6  # microset size bound; table space is shapes * 2^cap
-
-
-def _first_free_table(shape: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """For every local node: first ancestor (incl. itself) not in `mask`,
-    or -1 when the whole in-microset ancestor path is linked."""
-    out = []
-    for v in range(len(shape)):
-        x = v
-        while x != -1 and (mask >> x) & 1:
-            x = shape[x]
-        out.append(x)
-    return tuple(out)
+# A microset closes once its residue reaches _MICRO_CAP nodes, so it takes
+# child residues of fewer than _MICRO_CAP nodes: each member lies at most
+# _MICRO_CAP - 1 parent steps below the microset's top, which bounds a
+# find's walk inside a partly linked microset.
+_MICRO_CAP = 6
 
 
 class StaticTreeIndex:
@@ -133,22 +124,7 @@ class StaticTreeIndex:
             raise ValueError(f"parent array must define one rooted tree, found roots {roots}")
         self.root = roots[0]
         self.parent[self.root] = -1
-        self._validate_tree()
         self._decompose()
-
-    def _validate_tree(self) -> None:
-        state = [0] * self.n  # 0 unseen, 1 done
-        for v in range(self.n):
-            path = []
-            x = v
-            while x != -1 and not state[x]:
-                path.append(x)
-                state[x] = 2
-                x = self.parent[x]
-                if x != -1 and state[x] == 2:
-                    raise ValueError("parent array contains a cycle")
-            for y in path:
-                state[y] = 1
 
     def _decompose(self) -> None:
         n = self.n
@@ -163,9 +139,11 @@ class StaticTreeIndex:
             order.append(v)
             for c in children[v]:
                 stack.append(c)
+        # one root, so a node the walk misses lies on a cycle or below one
+        if len(order) < n:
+            raise ValueError("parent array contains a cycle")
 
         micro_of = [-1] * n
-        local_of = [0] * n
         micros: list[list[int]] = []
         residue_size = [1] * n
         residue_children: list[list[int]] = [[] for _ in range(n)]
@@ -179,9 +157,8 @@ class StaticTreeIndex:
                 st.extend(residue_children[x])
             mid = len(micros)
             micros.append(members)
-            for i, x in enumerate(members):
+            for x in members:
                 micro_of[x] = mid
-                local_of[x] = i
 
         for v in reversed(order):  # post-order
             for c in children[v]:
@@ -192,45 +169,24 @@ class StaticTreeIndex:
                 close(v)
 
         self.micro_of = micro_of
-        self.local_of = local_of
-        self.micro_members = micros
+        self.micro_members = micros   # each microset's top member first
         # the parent of each microset's top member (-1 for the root's):
         # where a find continues once a microset's ancestors are all linked
         self.micro_above = [self.parent[members[0]] for members in micros]
-        # local parent pointers (-1 at the microset top)
-        shapes: list[tuple[int, ...]] = []
-        for members in micros:
-            index = {x: i for i, x in enumerate(members)}
-            shape = []
-            for x in members:
-                p = self.parent[x]
-                shape.append(index.get(p, -1) if p != -1 else -1)
-            shapes.append(tuple(shape))
-        self.micro_shape = shapes
-        self.micro_full = [(1 << len(members)) - 1 for members in micros]
-        # one memo per distinct shape, mask -> table, shared by its microsets
-        memos: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-        self.micro_memo = [memos.setdefault(shape, {}) for shape in shapes]
-
-    def table(self, mid: int, mask: int) -> tuple[int, ...]:
-        memo = self.micro_memo[mid]
-        t = memo.get(mask)
-        if t is None:
-            t = memo[mask] = _first_free_table(self.micro_shape[mid], mask)
-        return t
 
 
 class StaticTreeUF:
     """Union-find whose unions are Link(v) = Union(v, parent(v)).
 
-    find(v) returns the topmost member of v's set, resolved through the
-    microset tables of the shared StaticTreeIndex.
+    find(v) returns the topmost member of v's set: it skips the fully
+    linked microsets of the shared StaticTreeIndex and walks up the parent
+    links inside a partly linked one, at most _MICRO_CAP - 1 steps.
 
     `cost` counts 1 per link and, per find, 1 for the call, 1 for each
-    fully linked microset crossed and 1 for each table step.  An unlinked
-    v is its own topmost member: its microset is not full and its table
-    maps v to itself, so find answers v without the lookup and counts the
-    call and that table step, 2.  link is link_all of one vertex.
+    fully linked microset crossed and 1 for each partly linked microset
+    searched.  An unlinked v is its own topmost member: find answers v
+    without the search and counts the call and the search of v's
+    microset, 2.  link is link_all of one vertex.
 
     Only link, link_all and find write the session: a find that crosses
     fully linked microsets records its answer in their skip caches.  peek
@@ -243,11 +199,11 @@ class StaticTreeUF:
         self.index = index
         self.linked = [False] * index.n
         self.cost = 0
-        n_micro = len(index.micro_members)
-        self._mask = [0] * n_micro
+        # per microset, its members not yet linked; 0 means fully linked
+        self._left = [len(members) for members in index.micro_members]
         # per-microset continuation node, cached once the set is fully
         # linked (a full microset stays full, so the cache never goes stale)
-        self._skip: list[Optional[int]] = [None] * n_micro
+        self._skip: list[Optional[int]] = [None] * len(self._left)
 
     def copy(self) -> "StaticTreeUF":
         """An independent session on the same index, in this one's state
@@ -258,12 +214,12 @@ class StaticTreeUF:
         return new
 
     def restore(self, other: "StaticTreeUF") -> None:
-        """Put this session in `other`'s state (linked vertices, masks and
-        skip caches), one list copy per array, so that neither session
-        sees the other's later steps.  `cost` is left as it is: the caller
-        charges whatever the restored state stands for."""
+        """Put this session in `other`'s state (linked vertices, unlinked
+        counts and skip caches), one list copy per array, so that neither
+        session sees the other's later steps.  `cost` is left as it is:
+        the caller charges whatever the restored state stands for."""
         self.linked = other.linked[:]
-        self._mask = other._mask[:]
+        self._left = other._left[:]
         self._skip = other._skip[:]
 
     def link(self, v: int) -> None:
@@ -274,7 +230,7 @@ class StaticTreeUF:
         anything, and the links before it stay made and counted."""
         idx = self.index
         root, linked = idx.root, self.linked
-        micro_of, local_of, masks = idx.micro_of, idx.local_of, self._mask
+        micro_of, left = idx.micro_of, self._left
         done = 0
         try:
             for v in vs:
@@ -283,7 +239,7 @@ class StaticTreeUF:
                 if linked[v]:
                     raise ValueError(f"vertex {v} already linked")
                 linked[v] = True
-                masks[micro_of[v]] |= 1 << local_of[v]
+                left[micro_of[v]] -= 1
                 done += 1
         finally:
             self.cost += done
@@ -292,7 +248,7 @@ class StaticTreeUF:
         if not 0 <= v < self.index.n:
             raise IndexError(f"element {v} out of range")
         if not self.linked[v]:
-            self.cost += 2   # the call and the table step that returns v
+            self.cost += 2   # the call and the search that returns v
             return v
         return self._climb(v, record=True)
 
@@ -310,31 +266,31 @@ class StaticTreeUF:
         """Topmost member of linked v's set, counted as one find.  With
         `record`, the fully linked microsets crossed cache the answer."""
         # The root is never linkable, so the microset containing the root is
-        # never full and its table always yields an answer: termination.
+        # never full and its search always stops at an unlinked member.
         idx = self.index
-        micro_of, local_of, above = idx.micro_of, idx.local_of, idx.micro_above
-        masks, full, skips = self._mask, idx.micro_full, self._skip
+        parent, micro_of, above = idx.parent, idx.micro_of, idx.micro_above
+        linked, left, skips = self.linked, self._left, self._skip
         cost = 1   # the call
         trail: list[int] = []  # fully-linked microsets crossed, for caching
         while True:
             mid = micro_of[v]
-            mask = masks[mid]
             cost += 1
-            if mask == full[mid]:
+            if not left[mid]:
                 trail.append(mid)
                 # the answer is the first unlinked ancestor above this
                 # microset; a previously found one is still on that path
                 skip = skips[mid]
                 v = skip if skip is not None else above[mid]
                 continue
-            local = idx.table(mid, mask)[local_of[v]]
-            if local != -1:
-                break
-            # every in-microset ancestor of v is linked; continue above
-            v = above[mid]
-        ans = idx.micro_members[mid][local]
+            # the first unlinked ancestor of v inside the microset, if any
+            while linked[v]:
+                v = parent[v]
+                if micro_of[v] != mid:
+                    break   # every in-microset ancestor is linked: go above
+            else:
+                break       # v is unlinked: the answer
         if record:
             for m in trail:
-                skips[m] = ans
+                skips[m] = v
         self.cost += cost
-        return ans
+        return v

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .buckets import check_eps, partition_edges, threshold
+from .buckets import check_eps, check_k, partition_edges, threshold
 from .graphs import WeightedGraph, minimum_spanning_tree
 from .linear import per_component
 from .pm import build_levels
@@ -138,8 +138,7 @@ def build_light(
     """
     # checked here, not per component: the split divides by eps before the
     # heavy side would check it, and an edgeless graph reaches neither
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k, eps)
     check_eps(eps)
     return per_component(g, "light", k, eps, _build_connected, check)
 

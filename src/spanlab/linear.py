@@ -52,7 +52,7 @@ from bisect import bisect_right
 from collections import Counter
 from typing import Callable, Optional
 
-from .buckets import bucket_raw_index, level_scale, partition_edges
+from .buckets import bucket_raw_index, check_k, level_scale, partition_edges
 from .dsu import StaticTreeIndex, StaticTreeUF
 from .graphs import (
     WeightedGraph,
@@ -112,8 +112,7 @@ def build_linear(
     """MST-containing (2k-1)(1+eps)-spanner; disconnected inputs are built
     per component.  `check(name, ok, detail)`, when given, turns the
     structural audits on and receives their outcomes."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k, eps)
     return per_component(g, "linear", k, eps, _build_connected, check)
 
 
@@ -153,14 +152,20 @@ def _build_connected(
     # finds, leftovers), kept only while a later class makes that merge
     merges: dict[tuple[int, ...], tuple[StaticTreeUF, list[int], int, int, list[int]]] = {}
     uses: Counter[tuple[int, ...]] = Counter()
-    for sigma in buckets.classes():
-        key: tuple[int, ...] = ()
-        for i in buckets.levels(sigma)[:-1]:
-            key += (bisect_right(mst_index, i * mu + sigma),)
-            uses[key] += 1
-
+    # per class: its levels and the ends of its merging levels, a level's
+    # end being the number of MST edges of weight <= L_i; a merge is keyed
+    # by the ends up to its level.  Only the audit reads the last level's
+    # end, so only the audit computes it, and a one-level class none
+    plan: list[tuple[int, list[int], tuple[int, ...]]] = []
     for sigma in buckets.classes():
         level_ids = buckets.levels(sigma)
+        ends: tuple[int, ...] = ()
+        for i in level_ids[:-1]:
+            ends += (bisect_right(mst_index, i * mu + sigma),)
+            uses[ends] += 1
+        plan.append((sigma, level_ids, ends))
+
+    for sigma, level_ids, ends in plan:
         last = level_ids[-1]
         session: Optional[StaticTreeUF] = None
         if len(level_ids) > 1:
@@ -171,8 +176,7 @@ def _build_connected(
         # a new list, since a cached merge shares its leftovers
         carried: list[int] = []
         ptr = 0
-        key = ()
-        for i in level_ids:
+        for pos, i in enumerate(level_ids):
             bucket = buckets.edges(sigma, i)
             if check is not None and session is not None:
                 audits.linear_clusters(
@@ -188,8 +192,7 @@ def _build_connected(
             if i != last:
                 # this level's merge candidates: carried forest edges plus
                 # the newly in-range MST edges (weight <= L_i)
-                end = bisect_right(mst_index, i * mu + sigma, ptr)
-                key += (end,)
+                end, key = ends[pos], ends[:pos + 1]
                 uses[key] -= 1
                 hit = merges.get(key)
                 if hit is not None:
@@ -210,7 +213,7 @@ def _build_connected(
                 if i == last:
                     # the last level merges nothing: only its audit reads
                     # the level's merge candidates
-                    end = bisect_right(mst_index, i * mu + sigma, ptr)
+                    end = bisect_right(mst_index, i * mu + sigma)
                     carried = carried + mst_child[ptr:end]
                 audits.linear_level(check, session, mst, carried, verts, reps,
                                     i != last, sigma, i)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .buckets import check_eps, level_scale, partition_edges
+from .buckets import check_eps, check_k, level_scale, partition_edges
 from .dsu import ClassicUF
 from .graphs import WeightedGraph, check_edges, normalize_weights
 from .hz import UnweightedGraph, hz_spanner, is_forest
@@ -166,8 +166,7 @@ def build_pm(
     `check(name, ok, detail)`, when given, turns the structural audits on
     and receives their outcomes (tests plug an assertion sink here).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k, eps)
     check_eps(eps)
     check_edges(g)
     ops = {"uf": 0, "hz": 0}

@@ -550,3 +550,17 @@ def test_cli_exits_0_1_or_2_on_hostile_files(fuzz_dir, files, k, eps, target):
         if rc == 0:
             # what a build writes, verify reads back
             assert main([*verify, "-s", str(out)]) in (0, 1, 2), algo
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_build_k_past_float_range_exit_2(tmp_path, capsys, algo):
+    # pm, light and greedy used to let an OverflowError escape main()
+    gpath, spath = tmp_path / "g.txt", tmp_path / "h.txt"
+    main(["gen", "--type", "gnm", "--n", "60", "--m", "600", "--weights", "unit",
+          "--seed", "1", "-o", str(gpath)])
+    capsys.readouterr()
+    assert main(["build", "--algo", algo, "--k", "1" + "0" * 400,
+                 "-i", str(gpath), "-o", str(spath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k is too large for eps=0.25"), err
+    assert not spath.exists()

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spanlab.dsu import ClassicUF, StaticTreeIndex, StaticTreeUF
+from spanlab.dsu import _MICRO_CAP, ClassicUF, StaticTreeIndex, StaticTreeUF
 from conftest import classic_uf_session, static_tree_uf_session
 
 
@@ -181,6 +181,51 @@ def test_static_rejects_malformed_tree():
         StaticTreeIndex([-1, -1])  # forest
 
 
+@pytest.mark.parametrize("parent", [[-1, 2, 1], [-1, 0, 3, 4, 2], [2, -1, 0]],
+                         ids=["two-cycle", "three-cycle", "cycle-through-0"])
+def test_static_rejects_cycle_off_the_root(parent):
+    # one root, and a cycle the root's subtree never reaches
+    with pytest.raises(ValueError, match="parent array contains a cycle"):
+        StaticTreeIndex(parent)
+
+
+def _star(n: int) -> list[int]:
+    return [-1] + [0] * (n - 1)
+
+
+@pytest.mark.parametrize("make", ["random", "path", "star", "broom"])
+def test_static_microset_members_lie_within_cap_of_top(make):
+    # find's walk inside a partly linked microset climbs from a member to
+    # the microset's top, so it takes at most _MICRO_CAP - 1 steps
+    rng = random.Random(make)
+    for _ in range(40):
+        n = rng.randint(1, 200)
+        if make == "random":
+            parent = _random_tree(rng, n)
+        elif make == "path":
+            parent = _chain(n)
+        elif make == "star":
+            parent = _star(n)
+        else:
+            handle = rng.randint(1, n)
+            parent = _broom(handle, n - handle)
+        index = StaticTreeIndex(parent)
+        seen = []
+        for mid, members in enumerate(index.micro_members):
+            top = members[0]
+            assert index.micro_above[mid] == index.parent[top]
+            for x in members:
+                assert index.micro_of[x] == mid
+                steps = 0
+                while x != top:
+                    x = index.parent[x]
+                    steps += 1
+                    assert index.micro_of[x] == mid
+                assert steps <= _MICRO_CAP - 1, f"{make} n={n}: {steps} steps"
+            seen += members
+        assert sorted(seen) == list(range(n))
+
+
 def _random_tree(rng: random.Random, n: int) -> list[int]:
     parent = [-1] * n
     for v in range(1, n):
@@ -287,17 +332,44 @@ def test_topmost_is_ancestor_invariant():
 
 
 class ReferenceStaticTreeUF:
-    """StaticTreeUF's link and find without its answer for an unlinked
-    vertex: every find walks the microsets and looks each table up in the
-    index's memo.  The engine must give the same answer and the same
-    `cost` increment on every op.  peek is find that records no skip."""
+    """Gabow and Tarjan's microset tables, built here from the index's
+    microsets and parent links: each microset numbers its members 0, 1,
+    ... in `micro_members` order, keeps a bitmask of its linked members,
+    and answers an in-microset find from a memoized transition table that
+    maps every member to its first unlinked ancestor inside the microset,
+    or -1.  Every find walks the microsets and looks each table up; it has
+    no answer for an unlinked vertex without that lookup.  The engine must
+    give the same answer and the same `cost` increment on every op.  peek
+    is find that records no skip."""
 
     def __init__(self, index: StaticTreeIndex):
         self.index = index
         self.linked = [False] * index.n
         self.cost = 0
+        self._local = [0] * index.n
+        self._shape = []   # per microset, each member's local parent or -1
+        for members in index.micro_members:
+            local = {x: i for i, x in enumerate(members)}
+            for x, i in local.items():
+                self._local[x] = i
+            self._shape.append(tuple(local.get(index.parent[x], -1) for x in members))
+        self._full = [(1 << len(members)) - 1 for members in index.micro_members]
         self._mask = [0] * len(index.micro_members)
         self._skip = [None] * len(index.micro_members)
+        self._tables = {}  # (shape, mask) -> table
+
+    def _table(self, mid: int) -> tuple:
+        key = (self._shape[mid], self._mask[mid])
+        table = self._tables.get(key)
+        if table is None:
+            shape, mask = key
+            table = []
+            for x in range(len(shape)):
+                while x != -1 and (mask >> x) & 1:
+                    x = shape[x]
+                table.append(x)
+            table = self._tables[key] = tuple(table)
+        return table
 
     def link(self, v: int) -> None:
         idx = self.index
@@ -307,7 +379,7 @@ class ReferenceStaticTreeUF:
             raise ValueError(f"vertex {v} already linked")
         self.linked[v] = True
         self.cost += 1
-        self._mask[idx.micro_of[v]] |= 1 << idx.local_of[v]
+        self._mask[idx.micro_of[v]] |= 1 << self._local[v]
 
     def peek(self, v: int) -> int:
         return self.find(v, record=False)
@@ -320,16 +392,14 @@ class ReferenceStaticTreeUF:
         trail = []
         while True:
             mid = idx.micro_of[v]
-            mask = self._mask[mid]
             top_parent = idx.parent[idx.micro_members[mid][0]]
-            if mask == idx.micro_full[mid]:
-                self.cost += 1
+            self.cost += 1
+            if self._mask[mid] == self._full[mid]:
                 skip = self._skip[mid]
                 trail.append(mid)
                 v = skip if skip is not None else top_parent
                 continue
-            local = idx.table(mid, mask)[idx.local_of[v]]
-            self.cost += 1
+            local = self._table(mid)[self._local[v]]
             if local != -1:
                 ans = idx.micro_members[mid][local]
                 if record:
@@ -428,7 +498,7 @@ def test_static_cost_per_op_matches_reference_on_deep_trees(parent, order):
 
 
 def _session_state(uf: StaticTreeUF):
-    return uf.cost, uf._mask, uf._skip, uf.linked
+    return uf.cost, uf._left, uf._skip, uf.linked
 
 
 def _warm_pair(data, n_max: int = 64):

@@ -8,6 +8,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spanlab.buckets import check_k
+from spanlab.generators import gnm_graph
 from spanlab.graphs import WeightedGraph
 from spanlab.light import build_light
 from spanlab.linear import build_linear
@@ -79,3 +81,28 @@ def test_builders_on_hostile_graphs(g, k, eps, bad, at):
     for build in BUILDERS:
         with pytest.raises(ValueError):
             build(raw, k, eps)
+
+
+HUGE_K = 10 ** 400   # 2k - 1 is past the float range
+
+
+@pytest.mark.parametrize("g", [gnm_graph(60, 600, 1, "unit"), WeightedGraph(3, [])],
+                         ids=["gnm-unit", "edgeless"])
+@pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+def test_builders_reject_k_past_float_range(build, g):
+    # where hz ran, pm and linear used to raise OverflowError on its
+    # 1.0 / k, light on its filter's target; an edgeless graph was built
+    with pytest.raises(ValueError, match=r"k is too large for eps=0\.25"):
+        build(g, HUGE_K, 0.25)
+
+
+def test_check_k_target_and_bounds():
+    assert check_k(2, 0.25) == 3.75
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check_k(0, 0.25)
+    # a k whose 2k - 1 is a float but whose target overflows
+    with pytest.raises(ValueError, match="k is too large"):
+        check_k(10 ** 308, 0.5)
+    # a non-finite eps is the caller's to reject, whatever k is
+    assert math.isnan(check_k(2, math.nan))
+    assert check_k(HUGE_K, math.inf) == math.inf
